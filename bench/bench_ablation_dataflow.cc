@@ -1,23 +1,17 @@
 /**
  * @file
- * Ablation: the intraprocedural dataflow stage.
+ * Ablation: the dataflow stage (the field-effect prefilter).
  *
  * Two configurations over the 20-app corpus:
- *   - dataflow on (default): the purity/field-effect prefilter drops
- *     access pairs whose methods cannot conflict, and the refuter's
- *     backward execution concretizes registers and prunes infeasible
- *     branches with per-method constant facts;
- *   - dataflow off: the PR-1 pipeline (no prefilter, opaque
- *     arithmetic).
+ *   - dataflow on (default): app-level field-effect summaries drop
+ *     access pairs whose methods cannot conflict before the points-to
+ *     alias check of the racy-pair loop;
+ *   - dataflow off: every candidate access pair reaches the alias
+ *     check.
  *
- * The interprocedural IFDS stage is disabled in BOTH configurations:
- * its summaries subsume the intraprocedural constant facts, so
- * leaving it on would mask the stage under ablation (see
- * bench_ablation_ifds for that stage's own on/off comparison).
- *
- * The stage must be report-preserving on ground truth (identical
- * misses) while doing strictly less refutation work: fewer surviving
- * reports or fewer symbolic states expanded.
+ * The prefilter is time-only: the stage must leave every report
+ * byte-identical (formatReport without times, all 20 apps) while doing
+ * strictly less work (fewer `race.alias_checked` pairs).
  *
  * Emits one machine-readable `BENCH {...}` JSON line.
  */
@@ -28,7 +22,7 @@ int
 main()
 {
     using namespace sierra;
-    bench::header("Ablation: dataflow prefilter + constant facts");
+    bench::header("Ablation: dataflow (field-effect prefilter)");
 
     struct Config {
         const char *name;
@@ -44,16 +38,18 @@ main()
         int refuted{0};
         int surviving{0};
         int missed{0};
+        int64_t aliasChecked{0};
+        int64_t prefilterSkipped{0};
         int64_t statesExpanded{0};
-        int64_t constPruned{0};
-        double refutationMs{0};
+        double racyMs{0};
         double dataflowMs{0};
     };
     Totals totals[2];
+    std::vector<std::string> reports[2];
 
-    std::printf("%-14s %8s %8s %10s %10s %8s %12s %12s\n", "config",
-                "racy", "refuted", "surviving", "missed", "states",
-                "dataflow ms", "refute ms");
+    std::printf("%-14s %8s %8s %10s %8s %10s %10s %10s %12s %9s\n",
+                "config", "racy", "refuted", "surviving", "missed",
+                "alias", "skipped", "states", "dataflow ms", "racy ms");
     for (int c = 0; c < 2; ++c) {
         Totals &t = totals[c];
         for (const auto &spec : corpus::namedAppSpecs()) {
@@ -61,54 +57,67 @@ main()
             SierraDetector detector(*built.app);
             SierraOptions opts;
             opts.effectPrefilter = configs[c].dataflow;
-            opts.refuter.exec.useConstFacts = configs[c].dataflow;
-            opts.ifds = false;
             AppReport report = detector.analyze(opts);
+            reports[c].push_back(formatReport(report, 50, false));
             t.racy += report.racyPairs;
             t.refuted += report.racyPairs - report.afterRefutation;
             t.surviving += report.afterRefutation;
             t.missed +=
                 corpus::scoreReport(report, built.truth).missedTrueKeys;
             for (const auto &ha : report.perHarness) {
+                t.aliasChecked += ha.racyStats.aliasChecked;
+                t.prefilterSkipped += ha.racyStats.prefilterSkipped;
                 t.statesExpanded += ha.refutation.exec.statesExpanded;
-                t.constPruned += ha.refutation.exec.constPruned;
             }
-            t.refutationMs += report.times.refutation * 1e3;
+            t.racyMs += report.times.racy * 1e3;
             t.dataflowMs += report.times.dataflow * 1e3;
         }
-        std::printf("%-14s %8d %8d %10d %10d %8lld %12.2f %12.2f\n",
+        std::printf("%-14s %8d %8d %10d %8d %10lld %10lld %10lld %12.2f "
+                    "%9.2f\n",
                     configs[c].name, t.racy, t.refuted, t.surviving,
-                    t.missed, static_cast<long long>(t.statesExpanded),
-                    t.dataflowMs, t.refutationMs);
+                    t.missed, static_cast<long long>(t.aliasChecked),
+                    static_cast<long long>(t.prefilterSkipped),
+                    static_cast<long long>(t.statesExpanded),
+                    t.dataflowMs, t.racyMs);
     }
 
     const Totals &on = totals[0];
     const Totals &off = totals[1];
-    bool preserved = on.missed == off.missed;
-    bool less_work = on.surviving < off.surviving ||
-                     on.statesExpanded < off.statesExpanded;
-    std::printf("\nground truth preserved: %s; strictly less work: %s "
-                "(edges pruned by constants: %lld)\n",
+    int diverged = 0;
+    for (size_t i = 0; i < reports[0].size(); ++i) {
+        if (reports[0][i] != reports[1][i]) {
+            ++diverged;
+            std::printf("  !! %s report differs with the prefilter off\n",
+                        corpus::namedAppSpecs()[i].name.c_str());
+        }
+    }
+    bool preserved = diverged == 0;
+    bool less_work = on.aliasChecked < off.aliasChecked;
+    std::printf("\nreports byte-identical: %s; strictly fewer alias "
+                "checks: %s (%lld -> %lld)\n",
                 preserved ? "yes" : "NO (regression!)",
                 less_work ? "yes" : "NO (regression!)",
-                static_cast<long long>(on.constPruned));
+                static_cast<long long>(off.aliasChecked),
+                static_cast<long long>(on.aliasChecked));
 
     bench::benchJson(
         "ablation_dataflow",
         "{\"bench\":\"ablation_dataflow\",\"corpus\":20,"
         "\"on\":{\"racy\":%d,\"refuted\":%d,\"surviving\":%d,"
-        "\"missed\":%d,\"states\":%lld,\"const_pruned\":%lld,"
-        "\"dataflow_ms\":%.2f,\"refutation_ms\":%.2f},"
+        "\"missed\":%d,\"alias_checked\":%lld,"
+        "\"prefilter_skipped\":%lld,\"states\":%lld,"
+        "\"dataflow_ms\":%.2f,\"racy_ms\":%.2f},"
         "\"off\":{\"racy\":%d,\"refuted\":%d,\"surviving\":%d,"
-        "\"missed\":%d,\"states\":%lld,"
-        "\"refutation_ms\":%.2f},"
-        "\"preserved\":%s,\"less_work\":%s}",
+        "\"missed\":%d,\"alias_checked\":%lld,\"states\":%lld,"
+        "\"racy_ms\":%.2f},"
+        "\"diverged\":%d,\"preserved\":%s,\"less_work\":%s}",
         on.racy, on.refuted, on.surviving, on.missed,
-        static_cast<long long>(on.statesExpanded),
-        static_cast<long long>(on.constPruned), on.dataflowMs,
-        on.refutationMs, off.racy, off.refuted, off.surviving,
-        off.missed, static_cast<long long>(off.statesExpanded),
-        off.refutationMs, preserved ? "true" : "false",
-        less_work ? "true" : "false");
+        static_cast<long long>(on.aliasChecked),
+        static_cast<long long>(on.prefilterSkipped),
+        static_cast<long long>(on.statesExpanded), on.dataflowMs,
+        on.racyMs, off.racy, off.refuted, off.surviving, off.missed,
+        static_cast<long long>(off.aliasChecked),
+        static_cast<long long>(off.statesExpanded), off.racyMs, diverged,
+        preserved ? "true" : "false", less_work ? "true" : "false");
     return preserved && less_work ? 0 : 1;
 }

@@ -6,12 +6,12 @@
  * F-Droid-analogue apps):
  *   - nullflow on (default): surviving pairs are classified
  *     HARMFUL / GUARDED / UNKNOWN and the report is severity-ranked;
- *   - nullflow off: the pre-stage pipeline, byte-for-byte.
+ *   - nullflow off: every verdict stays UNKNOWN.
  *
  * Contract checked here (exit non-zero on any violation):
- *   1. off-config reports are byte-identical to the pinned
- *      tests/golden/nullflow_off/ snapshots (named apps) and carry no
- *      severity tokens anywhere (all apps) — the stage is additive;
+ *   1. the stage is additive: off-config reports classify nothing
+ *      (harmful = guarded = 0, every verdict UNKNOWN) and keep exactly
+ *      the on-config set of surviving races (all apps);
  *   2. every ground-truth key seeded harmful classifies HARMFUL with
  *      the stage on, and no seeded trap ever does;
  *   3. ground truth is preserved in both configurations (severity
@@ -21,34 +21,23 @@
  * Emits one machine-readable `BENCH {...}` JSON line.
  */
 
-#include <fstream>
-#include <sstream>
+#include <set>
+#include <string>
 
 #include "bench_util.hh"
 
-#ifndef SIERRA_GOLDEN_DIR
-#define SIERRA_GOLDEN_DIR "tests/golden"
-#endif
-
 namespace {
 
-std::string
-goldenOffPath(const std::string &app_name)
+/** Descriptions of the surviving races (one per deduplicated race). */
+std::set<std::string>
+survivingRaces(const sierra::AppReport &report)
 {
-    std::string fname;
-    for (char c : app_name)
-        fname += (c == ' ' || c == '/') ? '_' : c;
-    return std::string(SIERRA_GOLDEN_DIR) + "/nullflow_off/" + fname +
-           ".report.txt";
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    std::set<std::string> out;
+    for (const auto &race : report.races) {
+        if (!race.refuted)
+            out.insert(race.description);
+    }
+    return out;
 }
 
 } // namespace
@@ -70,8 +59,8 @@ main()
     };
     Totals on, off;
 
-    int golden_mismatches = 0;
-    int severity_leaks = 0;     // severity tokens in ablated output
+    int off_classified = 0;     // off-config races not UNKNOWN
+    int survival_changes = 0;   // apps whose surviving set differs
     int harmful_keys = 0;       // ground-truth keys seeded harmful
     int harmful_missed = 0;     // ...that did not classify HARMFUL
     int harmful_traps = 0;      // FpTrap keys rated HARMFUL
@@ -82,30 +71,8 @@ main()
     int known_fp_harmful = 0;
     int jobs_divergences = 0;   // on-config jobs 1 vs 4 byte diffs
 
-    auto run = [&](const std::string &name, corpus::BuiltApp built,
-                   bool compare_golden) {
+    auto run = [&](const std::string &name, corpus::BuiltApp built) {
         SierraDetector detector(*built.app);
-
-        // Off configuration: the stage must vanish without residue.
-        SierraOptions off_opts;
-        off_opts.nullflow = false;
-        AppReport off_report = detector.analyze(off_opts);
-        std::string off_text = formatReport(off_report, 50, false);
-        off.surviving += off_report.afterRefutation;
-        off.missed += corpus::scoreReport(off_report, built.truth)
-                          .missedTrueKeys;
-        if (off_text.find("severity:") != std::string::npos ||
-            off_text.find("harmful:") != std::string::npos) {
-            ++severity_leaks;
-            std::printf("  !! severity tokens in ablated %s report\n",
-                        name.c_str());
-        }
-        if (compare_golden &&
-            off_text != readFile(goldenOffPath(name))) {
-            ++golden_mismatches;
-            std::printf("  !! %s diverged from %s\n", name.c_str(),
-                        goldenOffPath(name).c_str());
-        }
 
         // On configuration, serial.
         AppReport report = detector.analyze({});
@@ -119,6 +86,29 @@ main()
             on.storesIndexed += ha.nullflowStats.storesIndexed;
         }
         on.nullflowMs += report.times.nullflow * 1e3;
+
+        // Off configuration: the stage must vanish without residue.
+        SierraOptions off_opts;
+        off_opts.nullflow = false;
+        AppReport off_report = detector.analyze(off_opts);
+        off.surviving += off_report.afterRefutation;
+        off.harmful += off_report.harmfulRaces;
+        off.guarded += off_report.guardedRaces;
+        off.missed += corpus::scoreReport(off_report, built.truth)
+                          .missedTrueKeys;
+        for (const auto &race : off_report.races) {
+            if (race.severity != analysis::NullVerdict::Unknown) {
+                ++off_classified;
+                std::printf("  !! %s classified with the stage off in "
+                            "%s\n",
+                            race.description.c_str(), name.c_str());
+            }
+        }
+        if (survivingRaces(off_report) != survivingRaces(report)) {
+            ++survival_changes;
+            std::printf("  !! %s surviving races differ on vs off\n",
+                        name.c_str());
+        }
 
         for (const auto &seed : built.truth.seeded) {
             bool is_harmful_seed =
@@ -164,10 +154,9 @@ main()
     };
 
     for (const auto &spec : corpus::namedAppSpecs())
-        run(spec.name, corpus::buildNamedApp(spec), true);
+        run(spec.name, corpus::buildNamedApp(spec));
     for (int i = 0; i < corpus::kFdroidAppCount; ++i)
-        run("fdroid-" + std::to_string(i), corpus::buildFdroidApp(i),
-            false);
+        run("fdroid-" + std::to_string(i), corpus::buildFdroidApp(i));
 
     std::printf("%-10s %10s %8s %8s %7s %9s %8s %9s\n", "config",
                 "surviving", "harmful", "guarded", "missed", "queries",
@@ -177,16 +166,19 @@ main()
                 on.missed, static_cast<long long>(on.queries),
                 static_cast<long long>(on.storesIndexed),
                 on.nullflowMs);
-    std::printf("%-10s %10d %8s %8s %7d %9s %8s %9s\n", "null off",
-                off.surviving, "-", "-", off.missed, "-", "-", "-");
+    std::printf("%-10s %10d %8d %8d %7d %9s %8s %9s\n", "null off",
+                off.surviving, off.harmful, off.guarded, off.missed, "-",
+                "-", "-");
 
-    bool additive = golden_mismatches == 0 && severity_leaks == 0;
+    bool additive = off.harmful == 0 && off.guarded == 0 &&
+                    off_classified == 0 && survival_changes == 0;
     bool truth_classified = harmful_missed == 0 && harmful_traps == 0;
     bool preserved =
         on.missed == 0 && off.missed == 0 &&
         on.surviving == off.surviving;
     bool deterministic = jobs_divergences == 0;
-    std::printf("\nstage additive (off == pre-stage bytes): %s; "
+    std::printf("\nstage additive (off: nothing classified, same "
+                "survivors): %s; "
                 "harmful keys classified: %s (%d/%d, traps flagged: "
                 "%d, known-FP harmful: %d); survival preserved: %s; "
                 "jobs-deterministic: %s\n",
@@ -203,17 +195,19 @@ main()
         "\"on\":{\"surviving\":%d,\"harmful\":%d,\"guarded\":%d,"
         "\"missed\":%d,\"queries\":%lld,\"stores_indexed\":%lld,"
         "\"nullflow_ms\":%.2f},"
-        "\"off\":{\"surviving\":%d,\"missed\":%d},"
+        "\"off\":{\"surviving\":%d,\"harmful\":%d,\"guarded\":%d,"
+        "\"missed\":%d},"
         "\"harmful_keys\":%d,\"harmful_missed\":%d,"
         "\"harmful_traps\":%d,\"known_fp_harmful\":%d,"
-        "\"golden_mismatches\":%d,"
+        "\"off_classified\":%d,\"survival_changes\":%d,"
         "\"additive\":%s,\"truth_classified\":%s,\"preserved\":%s,"
         "\"jobs_deterministic\":%s}",
         20 + corpus::kFdroidAppCount, on.surviving, on.harmful,
         on.guarded, on.missed, static_cast<long long>(on.queries),
         static_cast<long long>(on.storesIndexed), on.nullflowMs,
-        off.surviving, off.missed, harmful_keys, harmful_missed,
-        harmful_traps, known_fp_harmful, golden_mismatches,
+        off.surviving, off.harmful, off.guarded, off.missed,
+        harmful_keys, harmful_missed, harmful_traps, known_fp_harmful,
+        off_classified, survival_changes,
         additive ? "true" : "false",
         truth_classified ? "true" : "false",
         preserved ? "true" : "false",

@@ -39,8 +39,9 @@
  *
  * Shipped clients: constant propagation with infeasible-edge detection
  * (MethodConstants), reaching definitions (ReachingDefs), and live
- * registers (Liveness). They power the constant-guided symbolic refuter
- * (symbolic/executor.cc) and the AIR lint driver (analysis/lint.cc).
+ * registers (Liveness). They power the AIR lint driver (analysis/lint.cc),
+ * and MethodConstants' transfer function drives the interprocedural
+ * solver (analysis/ifds.cc) whose facts guide the symbolic refuter.
  */
 
 #ifndef SIERRA_ANALYSIS_DATAFLOW_HH

@@ -59,7 +59,7 @@ namespace sierra::analysis::store {
 
 /** Bumped whenever a blob format or hash recipe changes; a mismatch
  *  invalidates the whole on-disk store (see docs/CACHING.md). */
-inline constexpr int kStoreSchemaVersion = 2;
+inline constexpr int kStoreSchemaVersion = 3;
 
 /** FNV-1a over bytes; the deterministic hash every key derives from. */
 uint64_t fnv64(std::string_view bytes,

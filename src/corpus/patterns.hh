@@ -9,7 +9,7 @@
  *  - receiverDbRace     Fig. 2: BroadcastReceiver vs. lifecycle DB
  *  - guardedTimer       Fig. 8: ad-hoc sync refutable by symbolic exec
  *  - computedGuard      Fig. 8 with a computed guard value: refutable
- *                       only with intraprocedural constant facts
+ *                       only with (IFDS) constant facts
  *  - messageGuard       Section 5: Message.what constant propagation
  *  - orderedPosts       HB rule 4 negative (posting order)
  *  - threadRace         background thread vs. GUI read

@@ -12,22 +12,17 @@ namespace store = analysis::store;
 uint64_t
 IncrementalAnalyzer::optionsFingerprint(const SierraOptions &o)
 {
-    // Only report-affecting stage toggles participate: two submissions
-    // under different toggles must never share artifacts, while jobs
-    // and metrics are free to vary (the pipeline is deterministic in
-    // both). Refuter budgets ride along for safety -- a budget change
-    // can flip a refutation verdict.
-    uint64_t bits = 0;
-    auto fold = [&](bool b) { bits = (bits << 1) | (b ? 1u : 0u); };
-    fold(o.runRefutation);
-    fold(o.effectPrefilter);
-    fold(o.escapeFilter);
-    fold(o.locksetRefutation);
-    fold(o.enablement);
-    fold(o.ifds);
-    fold(o.deadlock);
-    fold(o.icc);
-    fold(o.nullflow);
+    // Only report-affecting toggles participate -- every stage-table
+    // toggle plus ICC: two submissions under different toggles must
+    // never share artifacts, while jobs and metrics are free to vary
+    // (the pipeline is deterministic in both). Refuter budgets ride
+    // along for safety -- a budget change can flip a refutation
+    // verdict.
+    uint64_t bits = o.icc ? 1u : 0u;
+    for (const StageDesc &d : stageTable()) {
+        if (d.toggle)
+            bits = (bits << 1) | (o.*d.toggle ? 1u : 0u);
+    }
     uint64_t h = store::mixHash(store::fnv64("sierra-options"), bits);
     h = store::mixHash(
         h, static_cast<uint64_t>(o.refuter.maxActionPairsPerRace));

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <map>
 #include <sstream>
-#include <string_view>
 #include <tuple>
+#include <type_traits>
 
 #include "air/logging.hh"
 #include "framework/known_api.hh"
@@ -22,6 +22,152 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
+}
+
+using Opts = SierraOptions;
+using Times = StageTimes;
+
+// The stage table; always-on stages have no toggle, flag or help.
+constexpr std::array<StageDesc, kNumStages> kStages{{
+    {StageId::CgPa, "cg_pa", {"stage.cg_pa"},
+     &Times::cgPa, nullptr, nullptr, nullptr,
+     "cg+pa", "cgPa", "stage.cg_pa.seconds"},
+    {StageId::Hbg, "hbg", {"stage.hbg"},
+     &Times::hbg, nullptr, nullptr, nullptr,
+     "hbg", "hbg", "stage.hbg.seconds"},
+    {StageId::Dataflow, "dataflow", {"stage.dataflow"},
+     &Times::dataflow, &Opts::effectPrefilter, "--no-dataflow",
+     "disable the dataflow stage (the field-effect\n"
+     "prefilter of the racy-pair loop)",
+     "dataflow", "dataflow", "stage.dataflow.seconds"},
+    {StageId::Escape, "escape", {"stage.escape"},
+     &Times::escape, &Opts::escapeFilter, "--no-escape",
+     "disable the escape stage (thread-local accesses\n"
+     "are kept in the racy-pair loop)",
+     "escape", "escape", "stage.escape.seconds"},
+    {StageId::Racy, "racy", {"stage.racy.extract", "stage.racy.pairs"},
+     &Times::racy, nullptr, nullptr, nullptr,
+     "racy", "racy", "stage.racy.seconds"},
+    {StageId::Lockset, "lockset", {"stage.lockset"},
+     &Times::lockset, &Opts::locksetRefutation, "--no-lockset",
+     "disable lock-set refutation (monitor-guarded\n"
+     "pairs reach the symbolic refuter)",
+     "lockset", "lockset", "stage.lockset.seconds"},
+    {StageId::Deadlock, "deadlock", {"stage.deadlock"},
+     &Times::deadlock, &Opts::deadlock, "--no-deadlock",
+     "disable the deadlock stage (the lock-dependency\n"
+     "cycle search; the deadlocks section is skipped)",
+     "deadlock", "deadlock", "stage.deadlock.seconds"},
+    {StageId::Enablement, "enablement", {"stage.enablement"},
+     &Times::enablement, &Opts::enablement, "--no-enablement",
+     "disable enablement refutation (pairs whose\n"
+     "callback is provably unregistered/removed before\n"
+     "the other action runs are no longer pruned)",
+     "enablement", "enablement", "stage.enablement.seconds"},
+    {StageId::Ifds, "ifds", {"stage.ifds"},
+     &Times::ifds, &Opts::ifds, "--no-ifds",
+     "disable the interprocedural constant stage (the\n"
+     "refuter runs without constant facts and the\n"
+     "use-after-destroy section is skipped)",
+     "ifds", "ifds", "stage.ifds.seconds"},
+    {StageId::Refutation, "refutation", {"stage.refutation"},
+     &Times::refutation, &Opts::runRefutation, "--no-refute",
+     "skip symbolic refutation",
+     "refutation", "refutation", "stage.refutation.seconds"},
+    {StageId::Nullflow, "nullflow", {"stage.nullflow"},
+     &Times::nullflow, &Opts::nullflow, "--no-nullflow",
+     "disable null-value-flow severity classification\n"
+     "(every surviving race stays UNKNOWN and the list\n"
+     "keeps its priority order)",
+     "nullflow", "nullflow", "stage.nullflow.seconds"},
+}};
+
+constexpr bool
+rowsFollowStageIds()
+{
+    for (int i = 0; i < kNumStages; ++i) {
+        if (static_cast<int>(kStages[i].id) != i)
+            return false;
+    }
+    return static_cast<int>(StageId::Nullflow) + 1 == kNumStages;
+}
+static_assert(rowsFollowStageIds(),
+              "one kStages row per StageId, in StageId order");
+// The stage fields + totalCpu + total: a StageTimes field added
+// without a table row (or the reverse) trips this.
+static_assert(sizeof(StageTimes) == (kNumStages + 2) * sizeof(double),
+              "StageTimes changed: update kStages");
+
+/**
+ * Run one part of a stage. A switched-off stage is skipped outright:
+ * no span, and its time stays zero (the one rule for disabled
+ * stages). Otherwise `fn` runs under the part's trace span and its
+ * wall time is charged to the stage's StageTimes field and totalCpu.
+ * A stage that fans out across worker threads returns their summed
+ * thread-CPU from `fn` and is charged the larger of the two: its own
+ * wall clock covers the serial path and the fan-out overhead, and
+ * worker CPU is added on top of it, never lost.
+ */
+template <typename Fn>
+void
+runStage(StageId id, const SierraOptions &options, StageTimes &times,
+         [[maybe_unused]] const char *arg_key,
+         [[maybe_unused]] const std::string &arg_value, Fn &&fn,
+         [[maybe_unused]] int part = 0)
+{
+    if (!stageEnabled(id, options))
+        return;
+    const StageDesc &d = stageDesc(id);
+    auto start = std::chrono::steady_clock::now();
+    double seconds;
+    {
+        SIERRA_TRACE_SPAN(span, "stage", d.spans[part],
+                          util::trace::arg(arg_key, arg_value));
+        if constexpr (std::is_void_v<std::invoke_result_t<Fn &>>) {
+            fn();
+            seconds = secondsSince(start);
+        } else {
+            double worker_cpu = fn();
+            seconds = std::max(secondsSince(start), worker_cpu);
+        }
+    }
+    times.*d.time += seconds;
+    times.totalCpu += seconds;
+}
+
+bool
+anySurviving(const std::vector<race::RacyPair> &pairs)
+{
+    return std::any_of(pairs.begin(), pairs.end(),
+                       [](const race::RacyPair &p) { return !p.refuted; });
+}
+
+/**
+ * App-level facts shared by every harness task. Both are pure
+ * functions of the module and immutable after construction, so
+ * building them once per analysis instead of once per harness removes
+ * the dominant redundant work from the plan fan-out (tasks only read
+ * them concurrently).
+ */
+struct AppFacts {
+    std::shared_ptr<analysis::ClassHierarchy> cha;
+    //! field-effect summaries (dataflow stage; null when it is off)
+    std::unique_ptr<analysis::FieldEffects> effects;
+};
+
+/** Build the app-level facts and point `task_options` at them. */
+void
+shareAppFacts(framework::App &app, SierraOptions &task_options,
+              AppFacts &facts, StageTimes &times)
+{
+    facts.cha = std::make_shared<analysis::ClassHierarchy>(app.module());
+    task_options.pta.sharedCha = facts.cha;
+    runStage(StageId::Dataflow, task_options, times, "app", app.name(),
+             [&] {
+                 facts.effects = std::make_unique<analysis::FieldEffects>(
+                     app.module(), *facts.cha);
+                 task_options.racy.effects = facts.effects.get();
+             });
 }
 
 /**
@@ -76,7 +222,6 @@ fillMetrics(util::metrics::Registry &m, const HarnessAnalysis &ha,
     m.add("symbolic.states_expanded", ref.exec.statesExpanded);
     m.add("symbolic.cache_hits", ref.exec.cacheHits);
     m.add("symbolic.budget_exhausted", ref.exec.budgetExhausted);
-    m.add("symbolic.const_pruned", ref.exec.constPruned);
     m.add("symbolic.inter_pruned", ref.exec.interPruned);
     m.add("symbolic.inter_applied", ref.exec.interApplied);
 
@@ -125,17 +270,8 @@ fillMetrics(util::metrics::Registry &m, const HarnessAnalysis &ha,
     m.add("refuted_by.symbolic", by_symbolic);
 
     // Per-harness stage durations as histograms (seconds).
-    m.observe("stage.cg_pa.seconds", t.cgPa);
-    m.observe("stage.hbg.seconds", t.hbg);
-    m.observe("stage.dataflow.seconds", t.dataflow);
-    m.observe("stage.escape.seconds", t.escape);
-    m.observe("stage.racy.seconds", t.racy);
-    m.observe("stage.lockset.seconds", t.lockset);
-    m.observe("stage.deadlock.seconds", t.deadlock);
-    m.observe("stage.enablement.seconds", t.enablement);
-    m.observe("stage.ifds.seconds", t.ifds);
-    m.observe("stage.refutation.seconds", t.refutation);
-    m.observe("stage.nullflow.seconds", t.nullflow);
+    for (const StageDesc &d : kStages)
+        m.observe(d.histogram, t.*d.time);
     m.observe("harness.cpu.seconds", t.totalCpu);
 }
 
@@ -180,248 +316,122 @@ SierraDetector::planFor(const std::string &activity)
 HarnessAnalysis
 SierraDetector::runHarness(const harness::HarnessPlan &plan,
                            const SierraOptions &options,
-                           StageTimes *times)
+                           StageTimes &times)
 {
     HarnessAnalysis ha;
     ha.activity = plan.activityClass;
     SIERRA_TRACE_SPAN(task_span, "task", "harness",
                       util::trace::arg("activity", plan.activityClass));
+    auto stage = [&](StageId id, auto &&fn, int part = 0) {
+        runStage(id, options, times, "activity", ha.activity, fn, part);
+    };
+    auto reaches = [&](int a, int b) { return ha.shbg->reaches(a, b); };
 
-    auto t0 = std::chrono::steady_clock::now();
-    double cg_pa;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.cg_pa",
-                          util::trace::arg("activity", ha.activity));
+    stage(StageId::CgPa, [&] {
         analysis::PointsToAnalysis pta(_app, plan, options.pta);
         ha.pta = pta.run();
-        cg_pa = secondsSince(t0);
-    }
-
-    auto t1 = std::chrono::steady_clock::now();
-    double hbg;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.hbg",
-                          util::trace::arg("activity", ha.activity));
+    });
+    stage(StageId::Hbg, [&] {
         hb::HbBuilder hb_builder(*ha.pta, plan, _app, options.hb);
         ha.shbg = hb_builder.build();
-        hbg = secondsSince(t1);
-    }
+    });
 
-    // Dataflow stage: field-effect summaries feeding the racy-pair
-    // prefilter. Per-task (each task owns its result), so the stage
-    // parallelizes with the rest of the harness work.
-    auto t_df = std::chrono::steady_clock::now();
-    std::unique_ptr<analysis::FieldEffects> effects;
     race::RacyOptions racy_options = options.racy;
     racy_options.stats = &ha.racyStats;
-    if (options.effectPrefilter && !racy_options.effects) {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.dataflow",
-                          util::trace::arg("activity", ha.activity));
-        effects = std::make_unique<analysis::FieldEffects>(
-            _app.module(), ha.pta->cha);
-        racy_options.effects = effects.get();
-    }
-    double dataflow = secondsSince(t_df);
-
-    auto t2 = std::chrono::steady_clock::now();
-    double racy;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.racy.extract",
-                          util::trace::arg("activity", ha.activity));
+    stage(StageId::Racy, [&] {
         ha.accesses = race::extractAccesses(*ha.pta);
         ha.accessesTotal = static_cast<int>(ha.accesses.size());
-        racy = secondsSince(t2);
-    }
+    });
 
     // Escape stage: drop accesses whose every base object is
     // thread-local before the quadratic pair loop (report-preserving,
     // see analysis/escape.hh).
-    auto t_esc = std::chrono::steady_clock::now();
-    double escape;
     std::vector<char> live;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.escape",
-                          util::trace::arg("activity", ha.activity));
-        if (options.escapeFilter) {
-            analysis::EscapeAnalysis esc(*ha.pta);
-            live = race::escapeLiveMask(esc, ha.accesses);
-            racy_options.liveAccess = &live;
-            for (char kept : live) {
-                if (!kept)
-                    ++ha.accessesDropped;
-            }
-        }
-        escape = secondsSince(t_esc);
-    }
+    stage(StageId::Escape, [&] {
+        analysis::EscapeAnalysis esc(*ha.pta);
+        live = race::escapeLiveMask(esc, ha.accesses);
+        racy_options.liveAccess = &live;
+        ha.accessesDropped = static_cast<int>(
+            std::count(live.begin(), live.end(), 0));
+    });
 
-    auto t2b = std::chrono::steady_clock::now();
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.racy.pairs",
-                          util::trace::arg("activity", ha.activity));
-        ha.pairs = race::findRacyPairs(*ha.pta, *ha.shbg, ha.accesses,
-                                       racy_options);
-        racy += secondsSince(t2b);
-    }
+    stage(
+        StageId::Racy,
+        [&] {
+            ha.pairs = race::findRacyPairs(*ha.pta, *ha.shbg, ha.accesses,
+                                           racy_options);
+        },
+        1);
 
     // Lock-set stage: refute pairs protected by a common must-held
     // monitor on every (background-involving) action pair, so they
     // never reach the expensive symbolic refuter.
-    auto t_ls = std::chrono::steady_clock::now();
-    double lockset;
     std::unique_ptr<analysis::LockSetAnalysis> locks;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.lockset",
-                          util::trace::arg("activity", ha.activity));
-        if (options.locksetRefutation) {
-            locks = std::make_unique<analysis::LockSetAnalysis>(
-                *ha.pta);
-            ha.locksetRefuted = race::refuteWithLockSets(
-                *ha.pta, *locks, ha.accesses, ha.pairs);
-        }
-        lockset = secondsSince(t_ls);
-    }
+    stage(StageId::Lockset, [&] {
+        locks = std::make_unique<analysis::LockSetAnalysis>(*ha.pta);
+        ha.locksetRefuted = race::refuteWithLockSets(*ha.pta, *locks,
+                                                     ha.accesses, ha.pairs);
+    });
 
     // Deadlock stage: cyclic lock acquisitions over the same lock-set
     // substrate (shared with the refuter above when both are on).
     // Purely additive — it refutes no pairs, it only produces the
     // `deadlocks:` findings.
-    auto t_dl = std::chrono::steady_clock::now();
-    double deadlock;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.deadlock",
-                          util::trace::arg("activity", ha.activity));
-        if (options.deadlock) {
-            if (!locks) {
-                locks = std::make_unique<analysis::LockSetAnalysis>(
-                    *ha.pta);
-            }
-            ha.deadlocks = analysis::findDeadlocks(
-                *ha.pta, *locks,
-                [&](int a, int b) { return ha.shbg->reaches(a, b); },
-                &ha.deadlockStats);
-        }
-        deadlock = secondsSince(t_dl);
-    }
+    stage(StageId::Deadlock, [&] {
+        if (!locks)
+            locks = std::make_unique<analysis::LockSetAnalysis>(*ha.pta);
+        ha.deadlocks = analysis::findDeadlocks(*ha.pta, *locks, reaches,
+                                               &ha.deadlockStats);
+    });
     locks.reset();
 
     // Enablement stage: registration typestate composed with SHBG
     // reachability — refute pairs whose callback is must-disabled at
     // every point the other action can run. Demand-driven: the scan
     // and typestate solves only happen when pairs survived lockset.
-    auto t_en = std::chrono::steady_clock::now();
-    double enablement;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.enablement",
-                          util::trace::arg("activity", ha.activity));
-        if (options.enablement) {
-            bool any_surviving = false;
-            for (const race::RacyPair &p : ha.pairs) {
-                if (!p.refuted) {
-                    any_surviving = true;
-                    break;
-                }
-            }
-            if (any_surviving) {
-                const framework::KnownApis apis(_app.module());
-                analysis::EnablementAnalysis en(*ha.pta, apis);
-                ha.enablementRefuted = race::refuteWithEnablement(
-                    en,
-                    [&](int a, int b) { return ha.shbg->reaches(a, b); },
-                    ha.pairs);
-                ha.enablementStats = en.stats();
-            }
-        }
-        enablement = secondsSince(t_en);
-    }
+    stage(StageId::Enablement, [&] {
+        if (!anySurviving(ha.pairs))
+            return;
+        const framework::KnownApis apis(_app.module());
+        analysis::EnablementAnalysis en(*ha.pta, apis);
+        ha.enablementRefuted =
+            race::refuteWithEnablement(en, reaches, ha.pairs);
+        ha.enablementStats = en.stats();
+    });
 
     // IFDS stage: interprocedural constant summaries for the symbolic
     // refuter (setter parameters, callee returns, must-write-constant
     // call effects) plus the use-after-destroy typestate client.
-    auto t_ifds = std::chrono::steady_clock::now();
-    double ifds;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.ifds",
-                          util::trace::arg("activity", ha.activity));
-        if (options.ifds) {
-            ha.inter =
-                std::make_unique<analysis::InterConstants>(*ha.pta);
-            ha.useAfterDestroy = analysis::findUseAfterDestroy(
-                *ha.pta, *ha.inter, [&](int a, int b) {
-                    return ha.shbg->reaches(a, b);
-                });
-        }
-        ifds = secondsSince(t_ifds);
-    }
+    stage(StageId::Ifds, [&] {
+        ha.inter = std::make_unique<analysis::InterConstants>(*ha.pta);
+        ha.useAfterDestroy =
+            analysis::findUseAfterDestroy(*ha.pta, *ha.inter, reaches);
+    });
 
-    auto t3 = std::chrono::steady_clock::now();
-    double refutation;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.refutation",
-                          util::trace::arg("activity", ha.activity));
-        if (options.runRefutation) {
-            symbolic::RefuterOptions refuter_options = options.refuter;
-            refuter_options.exec.inter = ha.inter.get();
-            ha.refutation = symbolic::refuteRaces(
-                *ha.pta, ha.accesses, ha.pairs, refuter_options);
-        }
-        // The refuter may shard across worker threads; its summed
-        // per-worker thread-CPU is the stage's cpu cost. The task
-        // thread's own wall clock is the floor (it covers the
-        // single-threaded path and the fan-out overhead), so worker
-        // CPU is added on top of it, never lost.
-        double wall = secondsSince(t3);
-        refutation =
-            std::max(wall, ha.refutation.cpuSeconds);
-    }
+    stage(StageId::Refutation, [&] {
+        symbolic::RefuterOptions refuter_options = options.refuter;
+        refuter_options.exec.inter = ha.inter.get();
+        ha.refutation = symbolic::refuteRaces(*ha.pta, ha.accesses,
+                                              ha.pairs, refuter_options);
+        // The refuter may shard across worker threads.
+        return ha.refutation.cpuSeconds;
+    });
 
     // Null-value-flow stage: classify surviving pairs by whether
     // losing the race dereferences null (analysis/nullflow.hh).
     // Demand-driven like enablement: the store index and dominator
     // trees are only built when pairs survived every refuter.
-    auto t_nf = std::chrono::steady_clock::now();
-    double nullflow;
-    {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.nullflow",
-                          util::trace::arg("activity", ha.activity));
-        if (options.nullflow) {
-            bool any_surviving = false;
-            for (const race::RacyPair &p : ha.pairs) {
-                if (!p.refuted) {
-                    any_surviving = true;
-                    break;
-                }
-            }
-            if (any_surviving) {
-                const framework::KnownApis apis(_app.module());
-                analysis::NullFlowAnalysis nf(
-                    *ha.pta, ha.inter.get(), apis, [&](int a, int b) {
-                        return ha.shbg->reaches(a, b);
-                    });
-                ha.nullflowClassified = race::classifyWithNullFlow(
-                    nf, ha.accesses, ha.pairs);
-                ha.nullflowStats = nf.stats();
-            }
-        }
-        nullflow = secondsSince(t_nf);
-    }
+    stage(StageId::Nullflow, [&] {
+        if (!anySurviving(ha.pairs))
+            return;
+        const framework::KnownApis apis(_app.module());
+        analysis::NullFlowAnalysis nf(*ha.pta, ha.inter.get(), apis,
+                                      reaches);
+        ha.nullflowClassified =
+            race::classifyWithNullFlow(nf, ha.accesses, ha.pairs);
+        ha.nullflowStats = nf.stats();
+    });
     race::prioritize(*ha.pta, ha.accesses, ha.pairs);
-
-    if (times) {
-        times->cgPa += cg_pa;
-        times->hbg += hbg;
-        times->dataflow += dataflow;
-        times->escape += escape;
-        times->racy += racy;
-        times->lockset += lockset;
-        times->deadlock += deadlock;
-        times->enablement += enablement;
-        times->ifds += ifds;
-        times->refutation += refutation;
-        times->nullflow += nullflow;
-        times->totalCpu += cg_pa + hbg + dataflow + escape + racy +
-                           lockset + deadlock + enablement + ifds +
-                           refutation + nullflow;
-    }
     return ha;
 }
 
@@ -429,7 +439,11 @@ HarnessAnalysis
 SierraDetector::analyzeActivity(const std::string &activity,
                                 const SierraOptions &options)
 {
-    return runHarness(planFor(activity), options, nullptr);
+    SierraOptions task_options = options;
+    AppFacts facts;
+    StageTimes times;
+    shareAppFacts(_app, task_options, facts, times);
+    return runHarness(planFor(activity), task_options, times);
 }
 
 AppReport
@@ -445,8 +459,6 @@ SierraDetector::analyze(const SierraOptions &options,
     AppReport report;
     report.app = _app.name();
     report.harnesses = static_cast<int>(_plans.size());
-    report.enablementEnabled = options.enablement;
-    report.nullflowEnabled = options.nullflow;
 
     const int num_plans = static_cast<int>(_plans.size());
     const int jobs = util::resolveJobs(options.jobs);
@@ -482,31 +494,11 @@ SierraDetector::analyze(const SierraOptions &options,
     for (int i = 0; i < num_plans; ++i)
         cold_plans += reused[i] ? 0 : 1;
 
-    // App-level facts shared by every harness task. Both are pure
-    // functions of the module and immutable after construction, so
-    // building them once here instead of once per harness removes the
-    // dominant redundant work from the plan fan-out (tasks only read
-    // them concurrently). A fully warm submission runs no task and
-    // needs neither.
+    // A fully warm submission runs no task and needs no app facts.
     StageTimes app_times;
-    std::shared_ptr<analysis::ClassHierarchy> app_cha;
-    std::unique_ptr<analysis::FieldEffects> app_effects;
-    if (cold_plans > 0) {
-        app_cha =
-            std::make_shared<analysis::ClassHierarchy>(_app.module());
-        task_options.pta.sharedCha = app_cha;
-        if (task_options.effectPrefilter &&
-            !task_options.racy.effects) {
-            auto t_df = std::chrono::steady_clock::now();
-            SIERRA_TRACE_SPAN(span, "stage", "stage.dataflow",
-                              util::trace::arg("app", _app.name()));
-            app_effects = std::make_unique<analysis::FieldEffects>(
-                _app.module(), *app_cha);
-            task_options.racy.effects = app_effects.get();
-            app_times.dataflow = secondsSince(t_df);
-            app_times.totalCpu = app_times.dataflow;
-        }
-    }
+    AppFacts facts;
+    if (cold_plans > 0)
+        shareAppFacts(_app, task_options, facts, app_times);
 
     // One task per harness plan. Each task reads only shared-immutable
     // state and owns everything it produces, so tasks are independent;
@@ -523,7 +515,7 @@ SierraDetector::analyze(const SierraOptions &options,
                 if (reused[i])
                     return HarnessAnalysis{};
                 return runHarness(_plans[i], task_options,
-                                  &task_times[i]);
+                                  task_times[i]);
             });
     }
 
@@ -705,37 +697,43 @@ SierraDetector::analyze(const SierraOptions &options,
     return report;
 }
 
-// Rendering StageTimes through this list is what keeps the `time:`
-// line and the JSON `timesMs` object complete: a StageTimes field
-// added without a row here trips the static_assert below.
-std::vector<StageTimeEntry>
-stageTimeEntries(const AppReport &report)
+void
+StageTimes::add(const StageTimes &o)
 {
-    const StageTimes &t = report.times;
-    return {
-        {"cgPa", "cg+pa", t.cgPa, true},
-        {"hbg", "hbg", t.hbg, true},
-        {"dataflow", "dataflow", t.dataflow, true},
-        {"escape", "escape", t.escape, true},
-        {"racy", "racy", t.racy, true},
-        {"lockset", "lockset", t.lockset, true},
-        {"deadlock", "deadlock", t.deadlock, true},
-        {"enablement", "enablement", t.enablement,
-         report.enablementEnabled},
-        {"ifds", "ifds", t.ifds, true},
-        {"refutation", "refutation", t.refutation, true},
-        {"nullflow", "nullflow", t.nullflow, report.nullflowEnabled},
-        {"totalCpu", "cpu", t.totalCpu, true},
-        {"total", "total", t.total, true},
-    };
+    for (const StageDesc &d : kStages)
+        this->*d.time += o.*d.time;
+    totalCpu += o.totalCpu;
 }
 
-// 13 doubles: 11 stages + totalCpu + total. Mirrors the entry list
-// above; adding a StageTimes field updates this count and forces a
-// matching stageTimeEntries row (report_times_test checks both
-// renderings cover every entry).
-static_assert(sizeof(StageTimes) == 13 * sizeof(double),
-              "StageTimes changed: update stageTimeEntries()");
+const std::array<StageDesc, kNumStages> &
+stageTable()
+{
+    return kStages;
+}
+
+const StageDesc &
+stageDesc(StageId id)
+{
+    return kStages[static_cast<size_t>(id)];
+}
+
+bool
+stageEnabled(StageId id, const SierraOptions &options)
+{
+    bool SierraOptions::*toggle = stageDesc(id).toggle;
+    return !toggle || options.*toggle;
+}
+
+std::vector<StageTimeEntry>
+stageTimeEntries(const StageTimes &times)
+{
+    std::vector<StageTimeEntry> entries;
+    for (const StageDesc &d : kStages)
+        entries.push_back({d.jsonName, times.*d.time});
+    entries.push_back({"totalCpu", times.totalCpu});
+    entries.push_back({"total", times.total});
+    return entries;
+}
 
 std::string
 formatReport(const AppReport &report, int max_races, bool with_times)
@@ -747,33 +745,19 @@ formatReport(const AppReport &report, int max_races, bool with_times)
        << "  HB edges: " << report.hbEdges << " ("
        << static_cast<int>(report.orderedPct + 0.5) << "% ordered)\n";
     os << "racy pairs: " << report.racyPairs
-       << "  lockset-refuted: " << report.locksetRefuted;
-    // Emitted only when the stage ran, so --no-enablement output is
-    // byte-identical to the stage-less report.
-    if (report.enablementEnabled)
-        os << "  enablement-refuted: " << report.enablementRefuted;
-    os << "  after refutation: " << report.afterRefutation;
-    // Same gating for the nullflow severity tallies (--no-nullflow).
-    if (report.nullflowEnabled) {
-        os << "  harmful: " << report.harmfulRaces
-           << "  guarded: " << report.guardedRaces;
-    }
-    os << "  (thread-local accesses dropped: "
-       << report.accessesDropped << ")\n";
+       << "  lockset-refuted: " << report.locksetRefuted
+       << "  enablement-refuted: " << report.enablementRefuted
+       << "  after refutation: " << report.afterRefutation
+       << "  harmful: " << report.harmfulRaces
+       << "  guarded: " << report.guardedRaces
+       << "  (thread-local accesses dropped: " << report.accessesDropped
+       << ")\n";
     if (with_times) {
         os << "time: ";
-        for (const StageTimeEntry &e : stageTimeEntries(report)) {
-            if (!e.inText)
-                continue;
-            if (std::string_view(e.jsonName) == "totalCpu")
-                continue; // rendered inside total's parens below
-            if (std::string_view(e.jsonName) == "total") {
-                os << "total " << e.seconds << "s (cpu "
-                   << report.times.totalCpu << "s)\n";
-            } else {
-                os << e.textName << " " << e.seconds << "s, ";
-            }
-        }
+        for (const StageDesc &d : kStages)
+            os << d.textName << " " << report.times.*d.time << "s, ";
+        os << "total " << report.times.total << "s (cpu "
+           << report.times.totalCpu << "s)\n";
     }
     int shown = 0;
     for (const auto &race : report.races) {
@@ -786,15 +770,11 @@ formatReport(const AppReport &report, int max_races, bool with_times)
         }
         os << "  [p" << race.priority << "] " << race.description
            << "\n";
-        // One severity tag per surviving pair, gated like the header
-        // tallies so --no-nullflow output has no nullflow tokens.
-        if (report.nullflowEnabled) {
-            os << "      severity: "
-               << analysis::nullVerdictName(race.severity);
-            if (!race.severityChain.empty())
-                os << "  (" << race.severityChain << ")";
-            os << "\n";
-        }
+        os << "      severity: "
+           << analysis::nullVerdictName(race.severity);
+        if (!race.severityChain.empty())
+            os << "  (" << race.severityChain << ")";
+        os << "\n";
     }
     if (!report.useAfterDestroy.empty()) {
         os << "use-after-destroy: "

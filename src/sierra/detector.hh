@@ -15,6 +15,7 @@
 #ifndef SIERRA_SIERRA_DETECTOR_HH
 #define SIERRA_SIERRA_DETECTOR_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -42,14 +43,13 @@ struct SierraOptions {
     hb::HbOptions hb;
     race::RacyOptions racy;
     symbolic::RefuterOptions refuter;
+    //! symbolic refutation (`--no-refute` skips it)
     bool runRefutation{true};
     /**
      * The dataflow stage: compute method field-effect summaries
-     * (analysis::FieldEffects) per harness and hand them to racy-pair
-     * detection as a report-preserving conflict prefilter. Constant
-     * facts inside the refuter are controlled separately by
-     * `refuter.exec.useConstFacts`. Both default on; the ablation bench
-     * measures their effect.
+     * (analysis::FieldEffects) once per app and hand them to racy-pair
+     * detection as a report-preserving conflict prefilter
+     * (`--no-dataflow` ablates it; measured by bench_ablation_dataflow).
      */
     bool effectPrefilter{true};
     /**
@@ -79,9 +79,10 @@ struct SierraOptions {
      * The IFDS stage: summary-based interprocedural constant facts
      * (analysis::InterConstants) handed to the symbolic refuter via
      * ExecutorOptions::inter, plus the use-after-destroy typestate
-     * client. Report-preserving for true races — the facts are sound,
-     * so they only refute more false positives (`--no-ifds` ablates
-     * it; measured by bench_ablation_ifds).
+     * client. These are the refuter's only constant facts. Report-
+     * preserving for true races -- the facts are sound, so they only
+     * refute more false positives (`--no-ifds` ablates it; measured by
+     * bench_ablation_ifds).
      */
     bool ifds{true};
     /**
@@ -98,9 +99,9 @@ struct SierraOptions {
      * state whose only non-null source is the racing write), GUARDED
      * (a dominating null check protects the sink) or UNKNOWN, and
      * severity-sort the report. Purely additive — it refutes nothing;
-     * with the stage off every verdict is Unknown and the report is
-     * byte-identical to today's (`--no-nullflow` ablates it; measured
-     * by bench_ablation_nullflow).
+     * with the stage off every verdict is Unknown and the races keep
+     * their priority order (`--no-nullflow` ablates it; measured by
+     * bench_ablation_nullflow).
      */
     bool nullflow{true};
     /**
@@ -138,12 +139,13 @@ struct SierraOptions {
  * per-stage fields sum each task's own stage time, so they approximate
  * the serial (single-job) cost and are comparable across jobs counts;
  * `total` is the real elapsed wall time of the run, which is what
- * shrinks as jobs grow.
+ * shrinks as jobs grow. Each stage field is named by exactly one
+ * stageTable() row; a disabled stage keeps its field at zero.
  */
 struct StageTimes {
     double cgPa{0};       //!< call graph + pointer analysis (cpu-s)
     double hbg{0};        //!< SHBG construction (cpu-s)
-    double dataflow{0};   //!< field-effect summaries (cpu-s)
+    double dataflow{0};   //!< field-effect summaries, app-level (cpu-s)
     double escape{0};     //!< escape analysis + access filter (cpu-s)
     double racy{0};       //!< access extraction + racy pairs (cpu-s)
     double lockset{0};    //!< lock-set analysis + refutation (cpu-s)
@@ -153,40 +155,68 @@ struct StageTimes {
     /**
      * Symbolic refutation. Unlike the single-threaded stages above
      * (whose own wall time is their cpu time), refutation may fan out
-     * across refuter workers inside one task; this field is the sum of
-     * the workers' thread-CPU clocks (RefutationStats::cpuSeconds), so
-     * worker CPU is accounted instead of being hidden behind the task
-     * thread's elapsed time.
+     * across refuter workers inside one task; this field is the
+     * larger of the task thread's wall time and the workers' summed
+     * thread-CPU clocks (RefutationStats::cpuSeconds), so worker CPU
+     * is accounted instead of being hidden behind the task thread's
+     * elapsed time.
      */
     double refutation{0};
     //! null-value-flow severity classification (cpu-s)
     double nullflow{0};
-    //! sum of all per-task stage times; equals the sum of the eleven
-    //! stage fields (up to fp rounding) by construction, regardless of
-    //! task completion order — the merge runs serially in plan order
+    //! sum of all per-task stage times; equals the sum of the stage
+    //! fields (up to fp rounding) by construction, regardless of task
+    //! completion order — the merge runs serially in plan order
     double totalCpu{0};
     double total{0}; //!< elapsed wall-clock of the whole run
 
     /** Fold another task's stage times in (associative, commutative
      *  component-wise sums; `total` is deliberately excluded — wall
      *  time is a property of the whole run, not of one task). */
-    void
-    add(const StageTimes &o)
-    {
-        cgPa += o.cgPa;
-        hbg += o.hbg;
-        dataflow += o.dataflow;
-        escape += o.escape;
-        racy += o.racy;
-        lockset += o.lockset;
-        deadlock += o.deadlock;
-        enablement += o.enablement;
-        ifds += o.ifds;
-        refutation += o.refutation;
-        nullflow += o.nullflow;
-        totalCpu += o.totalCpu;
-    }
+    void add(const StageTimes &o);
 };
+
+/** The pipeline stages in run and render order (one stageTable() row
+ *  each; racy runs in two parts around escape). */
+enum class StageId {
+    CgPa, Hbg, Dataflow, Escape, Racy, Lockset, Deadlock, Enablement,
+    Ifds, Refutation, Nullflow
+};
+inline constexpr int kNumStages = 11;
+
+/**
+ * One pipeline stage, declared once: everything that names the stage
+ * outside its own code (timer field, on/off toggle, CLI flag, trace
+ * spans, report and metrics names) is read from its row, so adding a
+ * stage means an enum entry, a row, a runStage call in the detector
+ * and its StageTimes field (plus a SierraOptions bool if it can be
+ * switched off).
+ */
+struct StageDesc {
+    StageId id;
+    //! stem of the span and histogram names ("stage.<name>...")
+    const char *name;
+    //! trace span per run part (only racy has a second part)
+    const char *spans[2];
+    double StageTimes::*time; //!< the stage's timer field
+    //! the toggle that switches the stage off; null when always on
+    bool SierraOptions::*toggle{nullptr};
+    //! `sierra analyze` flag clearing the toggle (null when always on)
+    const char *flag{nullptr};
+    const char *help{nullptr}; //!< usage text for the flag (\n-split)
+    const char *textName; //!< token on the text `time:` line
+    const char *jsonName; //!< key in the JSON `timesMs` object
+    const char *histogram; //!< per-harness duration histogram
+};
+
+/** Every stage exactly once, in StageId order. */
+const std::array<StageDesc, kNumStages> &stageTable();
+
+/** The row of one stage. */
+const StageDesc &stageDesc(StageId id);
+
+/** Whether `options` runs the stage (always-on stages: true). */
+bool stageEnabled(StageId id, const SierraOptions &options);
 
 /** The analysis artifacts of one harness (one activity). */
 struct HarnessAnalysis {
@@ -248,14 +278,8 @@ struct AppReport {
     int accessesDropped{0}; //!< summed thread-local accesses removed
     int locksetRefuted{0};  //!< summed pairs refuted by lock sets
     int enablementRefuted{0}; //!< summed pairs refuted by enablement
-    //! whether the enablement stage ran (gates its report tokens, so
-    //! --no-enablement output is byte-identical to the stage-less text)
-    bool enablementEnabled{false};
     int harmfulRaces{0}; //!< surviving races classified HARMFUL
     int guardedRaces{0}; //!< surviving races classified GUARDED
-    //! whether the nullflow stage ran (gates its report tokens, so
-    //! --no-nullflow output is byte-identical to the stage-less text)
-    bool nullflowEnabled{false};
     StageTimes times;
     std::vector<AppRace> races; //!< deduplicated, priority-ranked
     //! use-after-destroy findings, deduplicated across harnesses
@@ -328,13 +352,14 @@ class SierraDetector
     /**
      * The pipeline stages for one harness plan — the single body
      * both analyzeActivity and (possibly many threads of) analyze run.
-     * Reads only shared-immutable state (_app, the plan); everything
-     * it produces is owned by the returned HarnessAnalysis. Stage
-     * times accumulate into *times when non-null.
+     * Reads only shared-immutable state (_app, the plan, the app-level
+     * facts `options` points at); everything it produces is owned by
+     * the returned HarnessAnalysis. Stage times accumulate into
+     * `times`.
      */
     HarnessAnalysis runHarness(const harness::HarnessPlan &plan,
                                const SierraOptions &options,
-                               StageTimes *times);
+                               StageTimes &times);
 
     framework::App &_app;
     std::vector<harness::HarnessPlan> _plans;
@@ -342,24 +367,19 @@ class SierraDetector
 };
 
 /**
- * One row of the stage-time rendering. The text `time:` line and the
- * JSON `timesMs` object are both generated from stageTimeEntries(), so
- * a stage added to StageTimes cannot silently miss either output — a
- * static_assert in detector.cc ties the entry count to
- * sizeof(StageTimes), and report_times_test checks both renderings
- * cover every entry.
+ * One key of the JSON `timesMs` object: one entry per stageTable() row
+ * plus the two totals. The text `time:` line walks the same table, so
+ * a stage cannot miss either output — a static_assert in detector.cc
+ * ties the row count to sizeof(StageTimes), and report_times_test
+ * checks both renderings cover every stage.
  */
 struct StageTimeEntry {
     const char *jsonName; //!< key in the JSON `timesMs` object
-    const char *textName; //!< token on the text `time:` line
     double seconds;       //!< the StageTimes field value
-    //! rendered on the text line (gated stages drop out when off, so
-    //! ablated output stays byte-identical; JSON always has all keys)
-    bool inText;
 };
 
 /** Every StageTimes field exactly once, in render order. */
-std::vector<StageTimeEntry> stageTimeEntries(const AppReport &report);
+std::vector<StageTimeEntry> stageTimeEntries(const StageTimes &times);
 
 /**
  * Render an app report as human-readable text (ranked race list).

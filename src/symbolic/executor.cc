@@ -45,18 +45,6 @@ BackwardExecutor::cfgOf(const air::Method *m)
     return ref;
 }
 
-const analysis::MethodConstants &
-BackwardExecutor::factsOf(const air::Method *m)
-{
-    auto it = _constFacts.find(m);
-    if (it != _constFacts.end())
-        return *it->second;
-    auto facts = std::make_unique<analysis::MethodConstants>(cfgOf(m));
-    const analysis::MethodConstants &ref = *facts;
-    _constFacts.emplace(m, std::move(facts));
-    return ref;
-}
-
 const std::vector<analysis::FieldKey> &
 BackwardExecutor::mayWriteKeys(NodeId n)
 {
@@ -142,19 +130,9 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
       case Opcode::BinOp:
       case Opcode::UnOp: {
         // Arithmetic results are opaque to the WP transfer, but the
-        // constant fixpoint may know the value holds on every run.
-        if (_opts.useConstFacts) {
-            const air::Method *m = _r.cg.node(st.node).method;
-            analysis::ConstVal v =
-                factsOf(m).after(st.instr, instr.dst);
-            if (v.isConst()) {
-                return store.substituteReg(regKey(f, instr.dst),
-                                           Operand::constant(v.value));
-            }
-        }
+        // interprocedural constant facts may know the value holds on
+        // every run (folded arithmetic, setter parameters).
         if (_opts.inter) {
-            // Second chance: the interprocedural facts may pin a value
-            // the intraprocedural solve left Top (setter parameters).
             const air::Method *m = _r.cg.node(st.node).method;
             analysis::ConstVal v =
                 _opts.inter->after(m, st.instr, instr.dst);
@@ -614,24 +592,13 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
             ++paths;
             continue;
         }
-        const analysis::MethodConstants *facts =
-            _opts.useConstFacts ? &factsOf(m) : nullptr;
         for (int q : preds) {
             const Instruction &pred = m->instr(q);
-            if (facts &&
-                (!facts->reachable(q) ||
-                 !facts->edgeFeasible(q, st.instr))) {
-                // The constant fixpoint proved no execution flows
-                // along this edge: don't walk it.
-                ++_stats.constPruned;
-                ++paths;
-                continue;
-            }
             if (_opts.inter &&
                 (!_opts.inter->reachable(m, q) ||
                  !_opts.inter->edgeFeasible(m, q, st.instr))) {
-                // Same, but only the interprocedural facts (seeded
-                // parameters, callee returns) could prove it.
+                // The constant facts prove no execution flows along
+                // this edge: don't walk it.
                 ++_stats.interPruned;
                 ++paths;
                 continue;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "analysis/cfg.hh"
-#include "analysis/dataflow.hh"
 #include "analysis/points_to.hh"
 #include "constraint.hh"
 #include "race/access.hh"
@@ -60,22 +59,14 @@ struct ExecutorOptions {
      */
     bool useNodeCache{false};
     /**
-     * Thread intraprocedural constant facts (analysis::MethodConstants)
-     * into the walk: concretize otherwise-unknown register writes and
-     * skip branch edges the constant fixpoint proved infeasible. Sound
-     * -- facts hold for every invocation -- and deterministic, so it
-     * only prunes work, never changes a Feasible verdict to Infeasible
-     * incorrectly. Measured by bench_ablation_dataflow.
-     */
-    bool useConstFacts{true};
-    /**
      * Interprocedural constant facts (analysis::InterConstants, the
-     * IFDS stage). When set, the walk additionally concretizes values
-     * the intraprocedural facts miss (setter parameters, callee
-     * returns), prunes interprocedurally-infeasible pred edges, and --
-     * the big lever -- replaces call-site havoc of must-write-constant
-     * fields with strong constant updates, so guard clears hidden
-     * behind deep setter chains still conflict with path constraints.
+     * IFDS stage) -- the walk's only constant facts. When set, the
+     * walk concretizes otherwise-unknown register writes (arithmetic,
+     * setter parameters, callee returns), prunes infeasible pred
+     * edges, and -- the big lever -- replaces call-site havoc of
+     * must-write-constant fields with strong constant updates, so
+     * guard clears hidden behind deep setter chains still conflict
+     * with path constraints.
      * The object is read-only here and shared across refuter workers;
      * it must outlive the executor. Measured by bench_ablation_ifds.
      */
@@ -90,8 +81,6 @@ struct ExecutorStats {
     int64_t cacheHits{0};
     int64_t budgetExhausted{0};
     //! predecessor edges skipped via constant-infeasible branches
-    int64_t constPruned{0};
-    //! pred edges skipped only thanks to interprocedural facts
     int64_t interPruned{0};
     //! interprocedural concretizations (returns, must-write fields)
     int64_t interApplied{0};
@@ -111,7 +100,6 @@ struct ExecutorStats {
         statesExpanded += o.statesExpanded;
         cacheHits += o.cacheHits;
         budgetExhausted += o.budgetExhausted;
-        constPruned += o.constPruned;
         interPruned += o.interPruned;
         interApplied += o.interApplied;
     }
@@ -235,9 +223,6 @@ class BackwardExecutor
 
     const analysis::Cfg &cfgOf(const air::Method *m);
 
-    /** Lazily computed per-method constant facts (useConstFacts). */
-    const analysis::MethodConstants &factsOf(const air::Method *m);
-
     /** Keys of fields possibly written by a node (transitively); used
      *  to havoc calls beyond the descend limit. */
     const std::vector<analysis::FieldKey> &
@@ -276,9 +261,6 @@ class BackwardExecutor
     std::unordered_map<const air::Method *,
                        std::unique_ptr<analysis::Cfg>>
         _cfgs;
-    std::unordered_map<const air::Method *,
-                       std::unique_ptr<analysis::MethodConstants>>
-        _constFacts;
     std::unordered_map<analysis::NodeId,
                        std::vector<analysis::FieldKey>>
         _mayWrite;

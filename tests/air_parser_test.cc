@@ -150,6 +150,14 @@ struct BadCase {
     const char *text;
 };
 
+// Print the case by name: gtest's default dumps the pointer bytes,
+// which makes the listed test names differ from build to build.
+void
+PrintTo(const BadCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class ParserErrors : public ::testing::TestWithParam<BadCase>
 {
 };

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "analysis/store.hh"
@@ -249,6 +250,26 @@ TEST(Incremental, OptionsFingerprintSeparatesAblations)
     EXPECT_NE(serve::IncrementalAnalyzer::optionsFingerprint(no_ifds),
               serve::IncrementalAnalyzer::optionsFingerprint(
                   no_lockset));
+
+    // The same holds for every switchable stage-table row (and ICC):
+    // each single-toggle ablation re-keys, and no two collide.
+    std::set<uint64_t> seen = {fp};
+    for (const StageDesc &d : stageTable()) {
+        if (!d.toggle)
+            continue;
+        SierraOptions off = base;
+        off.*d.toggle = false;
+        EXPECT_TRUE(
+            seen.insert(serve::IncrementalAnalyzer::optionsFingerprint(off))
+                .second)
+            << d.flag << " shares a fingerprint";
+    }
+    SierraOptions no_icc = base;
+    no_icc.icc = false;
+    EXPECT_TRUE(
+        seen.insert(serve::IncrementalAnalyzer::optionsFingerprint(no_icc))
+            .second)
+        << "--no-icc shares a fingerprint";
 }
 
 } // namespace

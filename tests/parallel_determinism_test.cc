@@ -137,9 +137,9 @@ TEST(ParallelDeterminism, ManyJobsAndRepeatedRuns)
 
 TEST(ParallelDeterminism, DataflowStageIsJobsDeterministic)
 {
-    // The dataflow stage (per-task FieldEffects prefilter + lazy
-    // constant facts inside each worker's executor) must not perturb
-    // the report at any jobs count -- with the stage on or off.
+    // The dataflow stage (the app-level FieldEffects prefilter every
+    // task reads) must not perturb the report at any jobs count --
+    // with the stage on or off.
     corpus::BuiltApp built = corpus::buildNamedApp("OpenSudoku");
     SierraDetector detector(*built.app);
     for (bool dataflow : {true, false}) {
@@ -147,10 +147,8 @@ TEST(ParallelDeterminism, DataflowStageIsJobsDeterministic)
         one.jobs = 1;
         four.jobs = 4;
         eight.jobs = 8;
-        for (SierraOptions *o : {&one, &four, &eight}) {
+        for (SierraOptions *o : {&one, &four, &eight})
             o->effectPrefilter = dataflow;
-            o->refuter.exec.useConstFacts = dataflow;
-        }
         AppReport serial = detector.analyze(one);
         AppReport j4 = detector.analyze(four);
         AppReport j8 = detector.analyze(eight);

@@ -1,8 +1,8 @@
-/** @file A race that is refutable only with dataflow constant facts:
- *  the computedGuard pattern clears its guard with `1 - 1`, so plain
- *  backward execution sees an unknown value while the constant
- *  fixpoint concretizes it. Also checks that the dataflow stage never
- *  drops ground-truth true races on named corpus apps. */
+/** @file A race that is refutable only with constant facts: the
+ *  computedGuard pattern clears its guard with `1 - 1`, so plain
+ *  backward execution sees an unknown value while the IFDS stage's
+ *  constant facts concretize it. Also checks that the dataflow stage
+ *  never drops ground-truth true races on named corpus apps. */
 
 #include <gtest/gtest.h>
 
@@ -36,10 +36,9 @@ TEST(RefuterConstants, ComputedGuardNeedsConstantFacts)
             corpus::addComputedGuard(f, act);
         });
 
+    // The IFDS stage is the refuter's only source of constant facts;
+    // without it the baseline is fact-free WP.
     SierraOptions off;
-    off.refuter.exec.useConstFacts = false;
-    // The interprocedural facts would concretize `1 - 1` too; turn the
-    // IFDS stage off so the baseline really is fact-free WP.
     off.ifds = false;
     AppReport without = p.detector->analyze(off);
     AppReport with = p.detector->analyze({});
@@ -64,7 +63,7 @@ TEST(RefuterConstants, LiteralGuardRefutedEitherWay)
             corpus::addGuardedTimer(f, act);
         });
     SierraOptions off;
-    off.refuter.exec.useConstFacts = false;
+    off.ifds = false;
     AppReport without = p.detector->analyze(off);
     AppReport with = p.detector->analyze({});
     for (const auto &race : without.races) {
@@ -94,19 +93,15 @@ survivingTrueKeys(const AppReport &report,
 
 TEST(RefuterConstants, DataflowNeverDropsTrueRacesOnNamedApps)
 {
-    // The prefilter + constant facts must be report-preserving at the
-    // key level: every ground-truth race key reported by the
+    // The effect prefilter must be report-preserving at the key
+    // level: every ground-truth race key reported by the
     // dataflow-free pipeline is still reported with the stage on.
-    // (Individual redundant *rows* on a key may be refuted -- e.g. the
-    // stop-after-stop ordering of a guard write -- so row counts can
-    // shrink; keys must not.)
     for (const char *name : {"OpenSudoku", "VuDroid", "Beem"}) {
         corpus::BuiltApp built = corpus::buildNamedApp(name);
         SierraDetector det(*built.app);
 
         SierraOptions off_opts;
         off_opts.effectPrefilter = false;
-        off_opts.refuter.exec.useConstFacts = false;
         AppReport r_off = det.analyze(off_opts);
         AppReport r_on = det.analyze({});
 

@@ -2,17 +2,16 @@
  * @file
  * Stage-time rendering completeness (report_times_test).
  *
- * The text `time:` line and the JSON `timesMs` object are both
- * generated from stageTimeEntries(); a static_assert in detector.cc
- * pins the entry count to sizeof(StageTimes). These tests close the
- * remaining gap: every entry actually reaches both renderings, so a
- * stage added to StageTimes cannot silently miss the report or the
+ * The text `time:` line and the JSON `timesMs` object both walk the
+ * stage table (the JSON through stageTimeEntries()); a static_assert
+ * in detector.cc pins the table size to sizeof(StageTimes). These
+ * tests close the remaining gap: every stage actually reaches both
+ * renderings, so it cannot silently miss the report or the
  * machine-readable output.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +20,7 @@
 #include "cli.hh"
 #include "corpus/named_apps.hh"
 #include "sierra/detector.hh"
+#include "test_helpers.hh"
 
 namespace sierra {
 namespace {
@@ -47,77 +47,44 @@ timeLine(const std::string &text)
 TEST(ReportTimes, EntriesCoverEveryStageTimesField)
 {
     AppReport report = analyzeNamed("NotePad", {});
-    std::vector<StageTimeEntry> entries = stageTimeEntries(report);
+    std::vector<StageTimeEntry> entries = stageTimeEntries(report.times);
 
     // One row per StageTimes double (the static_assert in detector.cc
     // keeps this count in lock-step with the struct).
     EXPECT_EQ(entries.size(), sizeof(StageTimes) / sizeof(double));
 
-    std::set<std::string> json_names, text_names;
+    std::set<std::string> json_names;
     for (const StageTimeEntry &e : entries) {
         EXPECT_TRUE(json_names.insert(e.jsonName).second)
             << "duplicate jsonName " << e.jsonName;
-        EXPECT_TRUE(text_names.insert(e.textName).second)
-            << "duplicate textName " << e.textName;
     }
 }
 
 TEST(ReportTimes, TextTimeLineRendersEveryInTextEntry)
 {
-    AppReport report = analyzeNamed("NotePad", {});
-    std::string line = timeLine(formatReport(report, 50, true));
-    ASSERT_FALSE(line.empty());
+    // Every entry renders, with every stage on and with stages
+    // switched off alike (a disabled stage just reads 0s).
+    SierraOptions ablated;
+    ablated.nullflow = false;
+    ablated.enablement = false;
+    for (const SierraOptions &options : {SierraOptions{}, ablated}) {
+        AppReport report = analyzeNamed("NotePad", options);
+        std::string line = timeLine(formatReport(report, 50, true));
+        ASSERT_FALSE(line.empty());
 
-    for (const StageTimeEntry &e : stageTimeEntries(report)) {
-        std::string token = std::string(e.textName) + " ";
-        if (!e.inText) {
-            EXPECT_EQ(line.find(token), std::string::npos)
-                << e.textName << " rendered while gated off:\n"
+        std::vector<std::string> tokens = {"total ", "(cpu "};
+        for (const StageDesc &d : stageTable())
+            tokens.push_back(std::string(d.textName) + " ");
+        for (const std::string &token : tokens) {
+            EXPECT_NE(line.find(token), std::string::npos)
+                << token << "missing from the time line:\n"
                 << line;
-            continue;
         }
-        // totalCpu renders inside total's parenthetical: "(cpu Xs)".
-        if (std::string(e.jsonName) == "totalCpu")
-            token = "(cpu ";
-        EXPECT_NE(line.find(token), std::string::npos)
-            << e.textName << " missing from the time line:\n"
-            << line;
+        EXPECT_EQ(timeLine(formatReport(report, 50, false)), "");
     }
-
-    // And the no-times rendering has no time line at all.
-    EXPECT_EQ(timeLine(formatReport(report, 50, false)), "");
 }
 
-TEST(ReportTimes, GatedStagesDropFromTextButNeverFromEntries)
-{
-    SierraOptions off;
-    off.nullflow = false;
-    off.enablement = false;
-    AppReport report = analyzeNamed("NotePad", off);
-
-    std::vector<StageTimeEntry> entries = stageTimeEntries(report);
-    EXPECT_EQ(entries.size(), sizeof(StageTimes) / sizeof(double));
-
-    std::string line = timeLine(formatReport(report, 50, true));
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.find("nullflow"), std::string::npos) << line;
-    EXPECT_EQ(line.find("enablement"), std::string::npos) << line;
-}
-
-/** A temp file path that cleans itself up. */
-class TempFile
-{
-  public:
-    explicit TempFile(const std::string &suffix)
-    {
-        _path = std::string(std::tmpnam(nullptr)) + suffix;
-    }
-    ~TempFile() { std::remove(_path.c_str()); }
-    const std::string &path() const { return _path; }
-
-  private:
-    std::string _path;
-};
+using test::TempFile;
 
 /** The `"timesMs": {...}` object of a JSON report ("" if absent). */
 std::string
@@ -139,9 +106,8 @@ TEST(ReportTimes, JsonTimesMsHasOneKeyPerStageTimesField)
               0)
         << err.str();
 
-    // Unlike the text line, the JSON object keeps every key even for
-    // gated-off stages (their value is just 0), so consumers never
-    // need existence checks.
+    // Disabled stages keep their key (the value is just 0), so
+    // consumers never need existence checks.
     for (bool ablated : {false, true}) {
         std::vector<std::string> args = {"analyze", file.path(),
                                          "--json"};
@@ -156,7 +122,7 @@ TEST(ReportTimes, JsonTimesMsHasOneKeyPerStageTimesField)
 
         AppReport report = analyzeNamed("NotePad", {});
         size_t keys = 0;
-        for (const StageTimeEntry &e : stageTimeEntries(report)) {
+        for (const StageTimeEntry &e : stageTimeEntries(report.times)) {
             EXPECT_NE(times.find("\"" + std::string(e.jsonName) +
                                  "\": "),
                       std::string::npos)

@@ -3,7 +3,12 @@
 #ifndef SIERRA_TESTS_TEST_HELPERS_HH
 #define SIERRA_TESTS_TEST_HELPERS_HH
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "corpus/app_factory.hh"
@@ -65,6 +70,35 @@ reportsKey(const AppReport &report, const std::string &key)
     }
     return false;
 }
+
+/**
+ * A fresh file in the temp directory, removed again on scope exit.
+ * mkstemps creates it atomically under a unique name, so concurrently
+ * running tests never share a path.
+ */
+class TempFile
+{
+  public:
+    explicit TempFile(const std::string &suffix)
+    {
+        std::string path =
+            (std::filesystem::temp_directory_path() / "sierra-XXXXXX")
+                .string() +
+            suffix;
+        int fd = ::mkstemps(path.data(), static_cast<int>(suffix.size()));
+        if (fd < 0)
+            throw std::runtime_error("cannot create a temp file");
+        ::close(fd);
+        _path = path;
+    }
+    ~TempFile() { std::remove(_path.c_str()); }
+    TempFile(const TempFile &) = delete;
+    TempFile &operator=(const TempFile &) = delete;
+    const std::string &path() const { return _path; }
+
+  private:
+    std::string _path;
+};
 
 } // namespace sierra::test
 

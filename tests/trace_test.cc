@@ -232,11 +232,11 @@ struct SessionGuard {
 /** Run the detector on a corpus app with tracing on; return the
  *  parsed trace events. */
 std::vector<JsonValue>
-traceAnalyze(const std::string &app_name, int jobs)
+traceAnalyze(const std::string &app_name, int jobs,
+             SierraOptions options = {})
 {
     corpus::BuiltApp built = corpus::buildNamedApp(app_name);
     SierraDetector detector(*built.app);
-    SierraOptions options;
     options.jobs = jobs;
     trace::start();
     detector.analyze(options);
@@ -322,15 +322,23 @@ TEST(Trace, ValidJsonBalancedSpans)
         EXPECT_TRUE(stack.empty()) << "unclosed span on tid " << tid;
 }
 
+/** Names of the `stage` spans among the events. */
+std::set<std::string>
+stageSpanNames(const std::vector<JsonValue> &events)
+{
+    std::set<std::string> names;
+    for (const JsonValue &e : events) {
+        if (e.str("ph") == "B" && e.str("cat") == "stage")
+            names.insert(e.str("name"));
+    }
+    return names;
+}
+
 TEST(Trace, EverySierraStageGetsASpan)
 {
     SessionGuard guard;
-    std::vector<JsonValue> events = traceAnalyze("OpenSudoku", 1);
-    std::set<std::string> stage_names;
-    for (const JsonValue &e : events) {
-        if (e.str("ph") == "B" && e.str("cat") == "stage")
-            stage_names.insert(e.str("name"));
-    }
+    std::set<std::string> stage_names =
+        stageSpanNames(traceAnalyze("OpenSudoku", 1));
     for (const char *expected :
          {"stage.cg_pa", "stage.hbg", "stage.dataflow",
           "stage.racy.extract", "stage.escape", "stage.racy.pairs",
@@ -338,6 +346,29 @@ TEST(Trace, EverySierraStageGetsASpan)
           "stage.ifds", "stage.refutation", "stage.nullflow"}) {
         EXPECT_TRUE(stage_names.count(expected))
             << "missing span for " << expected;
+    }
+}
+
+TEST(Trace, DisabledStageEmitsNoSpan)
+{
+    // The one rule for disabled stages: no span at all (and a zero
+    // StageTimes field); every other stage keeps its span.
+    SessionGuard guard;
+    for (const StageDesc &d : stageTable()) {
+        if (!d.toggle)
+            continue;
+        SierraOptions off;
+        off.*d.toggle = false;
+        std::set<std::string> names =
+            stageSpanNames(traceAnalyze("OpenSudoku", 1, off));
+        for (const StageDesc &other : stageTable()) {
+            for (const char *span : other.spans) {
+                if (!span)
+                    continue;
+                EXPECT_EQ(names.count(span), other.id == d.id ? 0u : 1u)
+                    << span << " under " << d.flag;
+            }
+        }
     }
 }
 

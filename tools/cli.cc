@@ -1,9 +1,11 @@
 #include "cli.hh"
 
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "air/printer.hh"
 #include "air/verifier.hh"
@@ -23,7 +25,7 @@ namespace sierra::cli {
 
 namespace {
 
-const char *kUsage = R"(usage: sierra <command> [options]
+const char *kUsageHead = R"(usage: sierra <command> [options]
 
 commands:
   analyze <file.air> [options]   run the static detector on an app bundle
@@ -50,7 +52,6 @@ analyze options:
   --policy P        insensitive | k-cfa | k-obj | hybrid | action-sensitive
                     (default: action-sensitive)
   --k N             context depth (default 1)
-  --no-refute       skip symbolic refutation
   --no-inflated-view  disable the InflatedViewContext abstraction
   --index-sensitive   per-element array locations (removes the
                       index-insensitivity FP class)
@@ -59,24 +60,10 @@ analyze options:
                     refutation (default: SIERRA_JOBS env var, else
                     hardware concurrency; reports are identical at
                     every N)
-  --no-dataflow     disable the dataflow stage (effect prefilter and
-                    constant facts in the refuter)
-  --no-escape       disable the escape stage (thread-local accesses
-                    are kept in the racy-pair loop)
-  --no-lockset      disable lock-set refutation (monitor-guarded
-                    pairs reach the symbolic refuter)
-  --no-ifds         disable the interprocedural constant stage (the
-                    refuter loses setter/return summaries and the
-                    use-after-destroy section is skipped)
-  --no-deadlock     disable the deadlock stage (the lock-dependency
-                    cycle search; the deadlocks section is skipped)
-  --no-enablement   disable enablement refutation (pairs whose
-                    callback is provably unregistered/removed before
-                    the other action runs are no longer pruned)
-  --no-nullflow     disable null-value-flow severity classification
-                    (surviving races lose their HARMFUL/GUARDED/
-                    UNKNOWN severity tags and severity-sorted order)
-  --no-icc          disable inter-component (Intent) modeling: target
+)";
+
+const char *kUsageTail =
+    R"(  --no-icc          disable inter-component (Intent) modeling: target
                     activities launched via startActivity/PendingIntent
                     are not driven by the sender's harness, so
                     cross-component races are missed
@@ -109,6 +96,28 @@ serve options:
   --jobs N          default worker threads per analyze request
                     (overridable per request)
 )";
+
+/** The usage text: the analyze options list one `--no-X` flag per
+ *  switchable stage-table row, in pipeline order. */
+std::string
+usage()
+{
+    std::ostringstream os;
+    os << kUsageHead;
+    for (const StageDesc &d : stageTable()) {
+        if (!d.flag)
+            continue;
+        os << "  " << std::left << std::setw(18) << d.flag;
+        for (char c : std::string_view(d.help)) {
+            os << c;
+            if (c == '\n')
+                os << std::string(20, ' ');
+        }
+        os << "\n";
+    }
+    os << kUsageTail;
+    return os.str();
+}
 
 struct ParsedFlags {
     std::map<std::string, std::string> values;
@@ -285,11 +294,11 @@ printReportJson(const AppReport &report, std::ostream &out,
     out << "  \"harmfulRaces\": " << report.harmfulRaces << ",\n";
     out << "  \"guardedRaces\": " << report.guardedRaces << ",\n";
     out << "  \"accessesDropped\": " << report.accessesDropped << ",\n";
-    // Generated from the same entry list as the text `time:` line, so
+    // Generated from the stage table like the text `time:` line, so
     // every StageTimes field is present (report_times_test pins this).
     out << "  \"timesMs\": {";
     bool first_time = true;
-    for (const StageTimeEntry &e : stageTimeEntries(report)) {
+    for (const StageTimeEntry &e : stageTimeEntries(report.times)) {
         out << (first_time ? "" : ", ") << "\"" << e.jsonName
             << "\": " << e.seconds * 1e3;
         first_time = false;
@@ -369,22 +378,15 @@ cmdAnalyze(const ParsedFlags &flags, std::ostream &out,
     }
     options.pta.ctx.k = flags.getInt("--k", 1);
     options.pta.ctx.heapK = options.pta.ctx.k;
-    options.runRefutation = !flags.has("--no-refute");
     options.pta.ctx.inflatedViewContext =
         !flags.has("--no-inflated-view");
     options.refuter.exec.useNodeCache = flags.has("--node-cache");
     options.pta.indexSensitiveArrays = flags.has("--index-sensitive");
     options.jobs = flags.getInt("--jobs", 0);
-    if (flags.has("--no-dataflow")) {
-        options.effectPrefilter = false;
-        options.refuter.exec.useConstFacts = false;
+    for (const StageDesc &d : stageTable()) {
+        if (d.flag && flags.has(d.flag))
+            options.*d.toggle = false;
     }
-    options.escapeFilter = !flags.has("--no-escape");
-    options.locksetRefutation = !flags.has("--no-lockset");
-    options.ifds = !flags.has("--no-ifds");
-    options.deadlock = !flags.has("--no-deadlock");
-    options.enablement = !flags.has("--no-enablement");
-    options.nullflow = !flags.has("--no-nullflow");
     options.icc = !flags.has("--no-icc");
 
     util::metrics::Registry registry;
@@ -697,7 +699,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
        std::ostream &err)
 {
     if (args.empty() || args[0] == "help" || args[0] == "--help") {
-        out << kUsage;
+        out << usage();
         return args.empty() ? 2 : 0;
     }
     const std::string &command = args[0];
