@@ -110,22 +110,39 @@ BM_FullPipeline(benchmark::State &state)
 }
 BENCHMARK(BM_FullPipeline)->DenseRange(0, 3);
 
-void
-BM_Refutation(benchmark::State &state)
-{
-    corpus::BuiltApp built = appFor(state.range(0));
-    SierraDetector detector(*built.app);
-    SierraOptions no_refute;
-    no_refute.runRefutation = false;
-    const std::string activity =
-        built.app->manifest().activities[0];
-    HarnessAnalysis ha = detector.analyzeActivity(activity, no_refute);
-    for (auto _ : state) {
+/** The first activity's harness analysed up to refutation, for the
+ *  refuter benchmarks (BM_Refutation and the BENCH JSON rows). */
+struct RefutationInput {
+    corpus::BuiltApp built;
+    std::unique_ptr<SierraDetector> detector;
+    HarnessAnalysis ha;
+
+    explicit RefutationInput(int size_class)
+        : built(appFor(size_class)),
+          detector(std::make_unique<SierraDetector>(*built.app))
+    {
+        SierraOptions no_refute;
+        no_refute.runRefutation = false;
+        ha = detector->analyzeActivity(
+            built.app->manifest().activities[0], no_refute);
+    }
+
+    void
+    refuteOnce() const
+    {
         auto pairs = ha.pairs; // fresh flags each iteration
         symbolic::RefutationStats stats = symbolic::refuteRaces(
             *ha.pta, ha.accesses, pairs, {});
         benchmark::DoNotOptimize(stats.refuted);
     }
+};
+
+void
+BM_Refutation(benchmark::State &state)
+{
+    RefutationInput input(static_cast<int>(state.range(0)));
+    for (auto _ : state)
+        input.refuteOnce();
 }
 BENCHMARK(BM_Refutation)->DenseRange(0, 3);
 
@@ -334,15 +351,25 @@ emitMicroBenchJson()
         benchmark::DoNotOptimize(sum);
     });
 
+    // One refuteRaces call per BM_Refutation app, best of 5.
+    double refute_ns[4];
+    for (int size_class = 0; size_class < 4; ++size_class) {
+        RefutationInput input(size_class);
+        refute_ns[size_class] =
+            nsPerOp(20, [&] { input.refuteOnce(); });
+    }
+
     bench::benchJson(
         "micro",
         "{\"bench\":\"micro\",\"n\":%d,\"universe\":%d,\"rows\":["
         "{\"op\":\"insert\",\"std_set_ns\":%.1f,\"objbitset_ns\":%.1f},"
         "{\"op\":\"union\",\"std_set_ns\":%.1f,\"objbitset_ns\":%.1f},"
         "{\"op\":\"iterate\",\"std_set_ns\":%.1f,\"objbitset_ns\":%.1f}"
-        "]}",
+        "],\"refutation_ns\":{\"VuDroid\":%.0f,\"OpenSudoku\":%.0f,"
+        "\"Beem\":%.0f,\"Astrid\":%.0f}}",
         n, universe, set_insert, bits_insert, set_union, bits_union,
-        set_iter, bits_iter);
+        set_iter, bits_iter, refute_ns[0], refute_ns[1], refute_ns[2],
+        refute_ns[3]);
 }
 
 } // namespace

@@ -106,26 +106,25 @@ Cfg::Cfg(const air::Method &method) : _method(method)
         for (int s : block.succs)
             _blocks[s].preds.push_back(block.id);
     }
+
+    _predStart.reserve(n + 1);
+    for (int i = 0; i < n; ++i) {
+        _predStart.push_back(static_cast<int>(_predInstrs.size()));
+        const BasicBlock &block = _blocks[_blockOfInstr[i]];
+        if (i > block.first) {
+            _predInstrs.push_back(i - 1);
+            continue;
+        }
+        for (int pb : block.preds)
+            _predInstrs.push_back(_blocks[pb].last);
+    }
+    _predStart.push_back(static_cast<int>(_predInstrs.size()));
 }
 
 std::vector<int>
 Cfg::instrSuccs(int instr_idx) const
 {
     return rawSuccs(_method, instr_idx);
-}
-
-std::vector<int>
-Cfg::instrPreds(int instr_idx) const
-{
-    std::vector<int> out;
-    const BasicBlock &block = _blocks[blockOf(instr_idx)];
-    if (instr_idx > block.first) {
-        out.push_back(instr_idx - 1);
-        return out;
-    }
-    for (int pb : block.preds)
-        out.push_back(_blocks[pb].last);
-    return out;
 }
 
 std::string

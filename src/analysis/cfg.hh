@@ -6,6 +6,7 @@
 #ifndef SIERRA_ANALYSIS_CFG_HH
 #define SIERRA_ANALYSIS_CFG_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,17 @@ class Cfg
 
     /** Instruction-level successor indices of an instruction. */
     std::vector<int> instrSuccs(int instr_idx) const;
-    /** Instruction-level predecessor indices of an instruction. */
-    std::vector<int> instrPreds(int instr_idx) const;
+    /** Instruction-level predecessor indices of an instruction: the
+     *  fall-through index inside a block, else the last instruction of
+     *  each predecessor block (in `preds` order). A view into storage
+     *  built with the CFG, so the call never allocates. */
+    std::span<const int>
+    instrPreds(int instr_idx) const
+    {
+        const int start = _predStart[instr_idx];
+        return std::span<const int>(_predInstrs)
+            .subspan(start, _predStart[instr_idx + 1] - start);
+    }
 
     /** Debug rendering: one line per block with ranges and edges. */
     std::string toString() const;
@@ -57,6 +67,9 @@ class Cfg
     const air::Method &_method;
     std::vector<BasicBlock> _blocks;
     std::vector<int> _blockOfInstr;
+    //! instrPreds(i) is _predInstrs[_predStart[i] .. _predStart[i+1])
+    std::vector<int> _predStart;
+    std::vector<int> _predInstrs;
     int _exitBlock{-1};
 };
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "air/logging.hh"
 
@@ -41,13 +41,25 @@ sameLoc(const race::MemLoc &a, const race::MemLoc &b)
     return a == b;
 }
 
-void
-substOperand(Operand &op, const Operand &pattern, const Operand &value)
+/** Replace every operand `matches` accepts with `value`; true when
+ *  one did. */
+template <typename Match>
+bool
+substOperands(std::vector<Atom> &atoms, const Operand &value,
+              Match matches)
 {
-    if (pattern.isReg() && op.isReg() && op.reg == pattern.reg)
-        op = value;
-    else if (pattern.isLoc() && op.isLoc() && sameLoc(op.loc, pattern.loc))
-        op = value;
+    bool changed = false;
+    for (Atom &a : atoms) {
+        if (matches(a.lhs)) {
+            a.lhs = value;
+            changed = true;
+        }
+        if (matches(a.rhs)) {
+            a.rhs = value;
+            changed = true;
+        }
+    }
+    return changed;
 }
 
 } // namespace
@@ -89,17 +101,21 @@ ConstraintStore::resimplifyAll()
 {
     if (_failed)
         return false;
-    std::vector<Atom> kept;
-    for (Atom &a : _atoms) {
-        int s = simplify(a);
+    size_t kept = 0;
+    for (size_t i = 0; i < _atoms.size(); ++i) {
+        int s = simplify(_atoms[i]);
         if (s == -1) {
             _failed = true;
             return false;
         }
-        if (s == 0)
-            kept.push_back(std::move(a));
+        if (s == 0) {
+            if (kept != i)
+                _atoms[kept] = std::move(_atoms[i]);
+            ++kept;
+        }
     }
-    _atoms = std::move(kept);
+    _atoms.erase(_atoms.begin() + static_cast<std::ptrdiff_t>(kept),
+                 _atoms.end());
     if (!solveLocConstSystem(_atoms)) {
         _failed = true;
         return false;
@@ -122,17 +138,21 @@ ConstraintStore::add(Atom atom)
     return resimplifyAll();
 }
 
+// The substitutions re-simplify and re-solve only when an operand
+// matched. That is exact by the store invariant (class comment): add
+// and the substitutions establish it, dropping atoms only weakens the
+// conjunction, and a substitution that matches nothing leaves the atoms
+// untouched.
+
 bool
 ConstraintStore::substituteReg(int reg, const Operand &value)
 {
     if (_failed)
         return false;
-    Operand pattern = Operand::regOp(reg);
-    for (Atom &a : _atoms) {
-        substOperand(a.lhs, pattern, value);
-        substOperand(a.rhs, pattern, value);
-    }
-    return resimplifyAll();
+    bool changed = substOperands(_atoms, value, [&](const Operand &op) {
+        return op.isReg() && op.reg == reg;
+    });
+    return !changed || resimplifyAll();
 }
 
 bool
@@ -141,23 +161,18 @@ ConstraintStore::substituteLoc(const race::MemLoc &loc,
 {
     if (_failed)
         return false;
-    Operand pattern = Operand::locOp(loc);
-    for (Atom &a : _atoms) {
-        substOperand(a.lhs, pattern, value);
-        substOperand(a.rhs, pattern, value);
-    }
-    return resimplifyAll();
+    bool changed = substOperands(_atoms, value, [&](const Operand &op) {
+        return op.isLoc() && sameLoc(op.loc, loc);
+    });
+    return !changed || resimplifyAll();
 }
 
 void
 ConstraintStore::dropRegAtoms()
 {
-    std::vector<Atom> kept;
-    for (Atom &a : _atoms) {
-        if (!a.lhs.isReg() && !a.rhs.isReg())
-            kept.push_back(std::move(a));
-    }
-    _atoms = std::move(kept);
+    std::erase_if(_atoms, [](const Atom &a) {
+        return a.lhs.isReg() || a.rhs.isReg();
+    });
 }
 
 void
@@ -166,12 +181,9 @@ ConstraintStore::dropRegsInRange(int lo, int hi)
     auto mentions = [&](const Operand &op) {
         return op.isReg() && op.reg >= lo && op.reg < hi;
     };
-    std::vector<Atom> kept;
-    for (Atom &a : _atoms) {
-        if (!mentions(a.lhs) && !mentions(a.rhs))
-            kept.push_back(std::move(a));
-    }
-    _atoms = std::move(kept);
+    std::erase_if(_atoms, [&](const Atom &a) {
+        return mentions(a.lhs) || mentions(a.rhs);
+    });
 }
 
 bool
@@ -181,18 +193,12 @@ ConstraintStore::substituteKeyWithConst(analysis::FieldKey key,
 {
     if (_failed)
         return false;
-    Operand v = Operand::constant(value);
-    auto matches = [&](const Operand &op) {
-        return op.isLoc() && op.loc.key == key &&
-               (objs.empty() || objs.count(op.loc.obj));
-    };
-    for (Atom &a : _atoms) {
-        if (matches(a.lhs))
-            a.lhs = v;
-        if (matches(a.rhs))
-            a.rhs = v;
-    }
-    return resimplifyAll();
+    bool changed = substOperands(
+        _atoms, Operand::constant(value), [&](const Operand &op) {
+            return op.isLoc() && op.loc.key == key &&
+                   (objs.empty() || objs.count(op.loc.obj));
+        });
+    return !changed || resimplifyAll();
 }
 
 void
@@ -205,12 +211,9 @@ ConstraintStore::dropLocsByKey(
         return std::find(keys.begin(), keys.end(), op.loc.key) !=
                keys.end();
     };
-    std::vector<Atom> kept;
-    for (Atom &a : _atoms) {
-        if (!mentions(a.lhs) && !mentions(a.rhs))
-            kept.push_back(std::move(a));
-    }
-    _atoms = std::move(kept);
+    std::erase_if(_atoms, [&](const Atom &a) {
+        return mentions(a.lhs) || mentions(a.rhs);
+    });
 }
 
 bool
@@ -241,78 +244,123 @@ ConstraintStore::toString() const
     return os.str();
 }
 
-bool
-solveLocConstSystem(const std::vector<Atom> &atoms)
-{
-    // Group loc-vs-const atoms per location; other atoms (loc-vs-loc,
-    // reg atoms) are treated as satisfiable.
-    struct Domain {
-        int64_t lo{std::numeric_limits<int64_t>::min()};
-        int64_t hi{std::numeric_limits<int64_t>::max()};
-        bool hasEq{false};
-        int64_t eq{0};
-        std::set<int64_t> ne;
-    };
-    // Domain key: (base object, static?, interned key id). Interned
-    // ids replace the old "s:"/"i:"-prefixed strings; satisfiability
-    // does not depend on domain ordering, so id order is fine.
-    std::map<std::tuple<int, bool, analysis::FieldId>, Domain> domains;
+namespace {
 
-    for (const Atom &a : atoms) {
-        if (!a.lhs.isLoc() || !a.rhs.isConst())
-            continue;
-        auto key = std::make_tuple(a.lhs.loc.obj, a.lhs.loc.isStatic,
-                                   a.lhs.loc.key.id);
-        Domain &d = domains[key];
-        int64_t v = a.rhs.value;
-        switch (a.cond) {
+/** One (loc COND const) atom, flattened for the solver's sort. */
+struct LocBound {
+    int obj;
+    bool isStatic;
+    analysis::FieldId key;
+    int64_t value;
+    CondKind cond;
+
+    bool
+    sameLoc(const LocBound &o) const
+    {
+        return obj == o.obj && isStatic == o.isStatic && key == o.key;
+    }
+    bool
+    operator<(const LocBound &o) const
+    {
+        return std::tie(obj, isStatic, key, value) <
+               std::tie(o.obj, o.isStatic, o.key, o.value);
+    }
+};
+
+/** Is the domain of one location -- the run [first, last) of bounds,
+ *  sorted by value -- non-empty? */
+bool
+domainSatisfiable(const LocBound *first, const LocBound *last)
+{
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    int64_t lo = kMin;
+    int64_t hi = kMax;
+    bool has_eq = false;
+    int64_t eq = 0;
+    for (const LocBound *b = first; b != last; ++b) {
+        int64_t v = b->value;
+        switch (b->cond) {
           case CondKind::Eq:
-            if (d.hasEq && d.eq != v)
+            if (has_eq && eq != v)
                 return false;
-            d.hasEq = true;
-            d.eq = v;
+            has_eq = true;
+            eq = v;
             break;
           case CondKind::Ne:
-            d.ne.insert(v);
-            break;
+            break; // second sweep
+          // x < INT64_MIN and x > INT64_MAX hold for no integer.
           case CondKind::Lt:
-            d.hi = std::min(d.hi, v - 1);
+            if (v == kMin)
+                return false;
+            hi = std::min(hi, v - 1);
             break;
           case CondKind::Le:
-            d.hi = std::min(d.hi, v);
+            hi = std::min(hi, v);
             break;
           case CondKind::Gt:
-            d.lo = std::max(d.lo, v + 1);
+            if (v == kMax)
+                return false;
+            lo = std::max(lo, v + 1);
             break;
           case CondKind::Ge:
-            d.lo = std::max(d.lo, v);
+            lo = std::max(lo, v);
             break;
         }
     }
-    for (const auto &[key, d] : domains) {
-        if (d.lo > d.hi)
+    if (lo > hi)
+        return false;
+    if (has_eq) {
+        if (eq < lo || eq > hi)
             return false;
-        if (d.hasEq) {
-            if (d.eq < d.lo || d.eq > d.hi || d.ne.count(d.eq))
-                return false;
+        lo = hi = eq; // the domain is {eq} unless an Ne excludes it
+    }
+    // The interval minus the excluded points must be non-empty. Ne
+    // values arrive sorted, so each distinct one is counted once.
+    // Width is computed in unsigned arithmetic: hi - lo would overflow
+    // for the unbounded interval (which no finite set can exclude).
+    uint64_t width = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (width == std::numeric_limits<uint64_t>::max())
+        return true;
+    uint64_t excluded = 0;
+    const LocBound *prev = nullptr;
+    for (const LocBound *b = first; b != last; ++b) {
+        if (b->cond != CondKind::Ne || b->value < lo || b->value > hi)
             continue;
+        if (prev && prev->value == b->value)
+            continue;
+        prev = b;
+        if (++excluded > width)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+solveLocConstSystem(const std::vector<Atom> &atoms)
+{
+    // Group loc-vs-const atoms per location (base object, static?,
+    // interned key id) by sorting them; other atoms (loc-vs-loc, reg
+    // atoms) are treated as satisfiable. The scratch buffer is per
+    // thread, so concurrent refuter workers never share it.
+    thread_local std::vector<LocBound> bounds;
+    bounds.clear();
+    for (const Atom &a : atoms) {
+        if (a.lhs.isLoc() && a.rhs.isConst()) {
+            bounds.push_back({a.lhs.loc.obj, a.lhs.loc.isStatic,
+                              a.lhs.loc.key.id, a.rhs.value, a.cond});
         }
-        // Interval minus excluded points must be non-empty. Width is
-        // computed in unsigned arithmetic: hi - lo would overflow for
-        // the unbounded interval (and an unbounded interval can never
-        // be fully excluded by a finite ne-set anyway).
-        uint64_t width = static_cast<uint64_t>(d.hi) -
-                         static_cast<uint64_t>(d.lo);
-        if (width != std::numeric_limits<uint64_t>::max() &&
-            width + 1 <= d.ne.size()) {
-            uint64_t count = 0;
-            for (int64_t v : d.ne) {
-                if (v >= d.lo && v <= d.hi)
-                    ++count;
-            }
-            if (count >= width + 1)
-                return false;
-        }
+    }
+    std::sort(bounds.begin(), bounds.end());
+    for (auto first = bounds.begin(); first != bounds.end();) {
+        auto last = first + 1;
+        while (last != bounds.end() && last->sameLoc(*first))
+            ++last;
+        if (!domainSatisfiable(&*first, &*first + (last - first)))
+            return false;
+        first = last;
     }
     return true;
 }

@@ -80,7 +80,9 @@ struct Atom {
  *
  * The store is path-local: backward execution copies it when forking.
  * All mutating operations return false when the conjunction became
- * unsatisfiable (the path can be pruned).
+ * unsatisfiable (the path can be pruned). Invariant: a store that has
+ * not failed is simplified and solver-consistent, so a substitution
+ * that matches no operand changes nothing and skips re-solving.
  */
 class ConstraintStore
 {

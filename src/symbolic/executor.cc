@@ -1,5 +1,7 @@
 #include "executor.hh"
 
+#include <span>
+
 #include "air/logging.hh"
 #include "analysis/ifds.hh"
 
@@ -45,54 +47,59 @@ BackwardExecutor::cfgOf(const air::Method *m)
     return ref;
 }
 
+template <typename Make>
+analysis::FieldKey
+BackwardExecutor::memoKey(const air::FieldRef *field, analysis::ObjId slot,
+                          Make make)
+{
+    auto [it, inserted] = _keyMemo.try_emplace({field, slot});
+    if (inserted)
+        it->second = make();
+    return it->second;
+}
+
+analysis::FieldKey
+BackwardExecutor::fieldKeyOf(const air::FieldRef &field, analysis::ObjId o)
+{
+    return memoKey(&field, o, [&] { return _r.fieldKey(o, field); });
+}
+
+analysis::FieldKey
+BackwardExecutor::staticKeyOf(const air::FieldRef &field)
+{
+    return memoKey(&field, kStaticSlot,
+                   [&] { return _r.staticKey(field); });
+}
+
+analysis::FieldKey
+BackwardExecutor::declaredKeyOf(const air::FieldRef &field)
+{
+    return memoKey(&field, kDeclaredSlot, [&] {
+        return _r.internKey(field.className + "." + field.fieldName);
+    });
+}
+
+analysis::FieldKey
+BackwardExecutor::elemsKeyOf(analysis::ObjId o)
+{
+    return memoKey(nullptr, o, [&] {
+        return _r.internKey(_r.objects.get(o).klassName + ".$elems",
+                            analysis::FieldKey::kArray |
+                                analysis::FieldKey::kWildcard);
+    });
+}
+
 const std::vector<analysis::FieldKey> &
 BackwardExecutor::mayWriteKeys(NodeId n)
 {
     auto it = _mayWrite.find(n);
     if (it != _mayWrite.end())
         return it->second;
-    static const std::vector<analysis::FieldKey> empty;
-    if (!_mayWriteInProgress.insert(n).second)
-        return empty;
-
     // Set ordered by interned id; havoc (dropLocsByKey) is
     // order-insensitive, so id order is as good as lexicographic.
     std::set<analysis::FieldKey> keys;
-    const air::Method *m = _r.cg.node(n).method;
-    if (m->hasBody()) {
-        for (int i = 0; i < m->numInstrs(); ++i) {
-            const Instruction &instr = m->instr(i);
-            switch (instr.op) {
-              case Opcode::PutField:
-                for (analysis::ObjId o :
-                     _r.pointsTo(n, instr.srcs[0])) {
-                    keys.insert(_r.fieldKey(o, instr.field));
-                }
-                keys.insert(_r.internKey(instr.field.className + "." +
-                                         instr.field.fieldName));
-                break;
-              case Opcode::PutStatic:
-                keys.insert(_r.staticKey(instr.field));
-                break;
-              case Opcode::ArrayPut:
-                for (analysis::ObjId o :
-                     _r.pointsTo(n, instr.srcs[0])) {
-                    keys.insert(_r.internKey(
-                        _r.objects.get(o).klassName + ".$elems",
-                        analysis::FieldKey::kArray |
-                            analysis::FieldKey::kWildcard));
-                }
-                break;
-              default:
-                break;
-            }
-        }
-        for (const auto &edge : _r.cg.edgesOf(n)) {
-            for (const analysis::FieldKey &k : mayWriteKeys(edge.callee))
-                keys.insert(k);
-        }
-    }
-    _mayWriteInProgress.erase(n);
+    std::unordered_set<NodeId> seen{n};
+    collectMayWrites(n, keys, seen);
     auto [ins, inserted] = _mayWrite.emplace(
         n,
         std::vector<analysis::FieldKey>(keys.begin(), keys.end()));
@@ -100,17 +107,54 @@ BackwardExecutor::mayWriteKeys(NodeId n)
     return ins->second;
 }
 
+void
+BackwardExecutor::collectMayWrites(NodeId n,
+                                   std::set<analysis::FieldKey> &keys,
+                                   std::unordered_set<NodeId> &seen)
+{
+    const air::Method *m = _r.cg.node(n).method;
+    if (!m->hasBody())
+        return;
+    for (int i = 0; i < m->numInstrs(); ++i) {
+        const Instruction &instr = m->instr(i);
+        switch (instr.op) {
+          case Opcode::PutField:
+            for (analysis::ObjId o : _r.pointsTo(n, instr.srcs[0]))
+                keys.insert(fieldKeyOf(instr.field, o));
+            keys.insert(declaredKeyOf(instr.field));
+            break;
+          case Opcode::PutStatic:
+            keys.insert(staticKeyOf(instr.field));
+            break;
+          case Opcode::ArrayPut:
+            for (analysis::ObjId o : _r.pointsTo(n, instr.srcs[0]))
+                keys.insert(elemsKeyOf(o));
+            break;
+          default:
+            break;
+        }
+    }
+    // Only complete sets are memoised, so a memoised callee's set is
+    // taken whole; any other callee is walked once per computation.
+    for (const auto &edge : _r.cg.edgesOf(n)) {
+        auto memo = _mayWrite.find(edge.callee);
+        if (memo != _mayWrite.end())
+            keys.insert(memo->second.begin(), memo->second.end());
+        else if (seen.insert(edge.callee).second)
+            collectMayWrites(edge.callee, keys, seen);
+    }
+}
+
 bool
 BackwardExecutor::resolveLoc(NodeId n, int reg,
-                             const air::FieldRef &field,
-                             MemLoc &out) const
+                             const air::FieldRef &field, MemLoc &out)
 {
     const auto &pts = _r.pointsTo(n, reg);
     if (pts.size() != 1)
         return false;
     out.isStatic = false;
     out.obj = *pts.begin();
-    out.key = _r.fieldKey(out.obj, field);
+    out.key = fieldKeyOf(field, out.obj);
     return true;
 }
 
@@ -172,23 +216,22 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
                 loc, Operand::regOp(regKey(f, instr.srcs[1])));
         }
         // Ambiguous base: weak update, havoc by key.
-        store.dropLocsByKey({_r.internKey(instr.field.className + "." +
-                                          instr.field.fieldName)});
+        store.dropLocsByKey({declaredKeyOf(instr.field)});
         for (analysis::ObjId o : _r.pointsTo(st.node, instr.srcs[0]))
-            store.dropLocsByKey({_r.fieldKey(o, instr.field)});
+            store.dropLocsByKey({fieldKeyOf(instr.field, o)});
         return !store.failed();
       }
       case Opcode::GetStatic: {
         MemLoc loc;
         loc.isStatic = true;
-        loc.key = _r.staticKey(instr.field);
+        loc.key = staticKeyOf(instr.field);
         return store.substituteReg(regKey(f, instr.dst),
                                    Operand::locOp(loc));
       }
       case Opcode::PutStatic: {
         MemLoc loc;
         loc.isStatic = true;
-        loc.key = _r.staticKey(instr.field);
+        loc.key = staticKeyOf(instr.field);
         return store.substituteLoc(
             loc, Operand::regOp(regKey(f, instr.srcs[0])));
       }
@@ -196,12 +239,8 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
         return store.substituteReg(regKey(f, instr.dst),
                                    Operand::unknown());
       case Opcode::ArrayPut:
-        for (analysis::ObjId o : _r.pointsTo(st.node, instr.srcs[0])) {
-            store.dropLocsByKey({_r.internKey(
-                _r.objects.get(o).klassName + ".$elems",
-                analysis::FieldKey::kArray |
-                    analysis::FieldKey::kWildcard)});
-        }
+        for (analysis::ObjId o : _r.pointsTo(st.node, instr.srcs[0]))
+            store.dropLocsByKey({elemsKeyOf(o)});
         return !store.failed();
       default:
         return !store.failed();
@@ -292,7 +331,7 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
                     MemLoc loc;
                     if (mw.isStatic) {
                         loc.isStatic = true;
-                        loc.key = _r.staticKey(mw.field);
+                        loc.key = staticKeyOf(mw.field);
                     } else {
                         // Instance facts are writes through the
                         // callee's `this`: usable only when that
@@ -301,7 +340,7 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
                         if (pts.size() != 1)
                             continue;
                         loc.obj = *pts.begin();
-                        loc.key = _r.fieldKey(loc.obj, mw.field);
+                        loc.key = fieldKeyOf(mw.field, loc.obj);
                     }
                     cur.emplace(loc,
                                 std::make_pair(mw.value,
@@ -556,7 +595,7 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
             ++paths;
             continue;
         }
-        if (st.phase == 0)
+        if (_opts.useNodeCache && st.phase == 0)
             _queryVisited.insert(st.node);
 
         const air::Method *m = _r.cg.node(st.node).method;
@@ -575,41 +614,49 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
         }
         st.skipEffect = false;
 
+        std::span<const int> preds = cfgOf(m).instrPreds(st.instr);
         if (st.instr == 0) {
             // The method entry is one continuation; a back edge into
             // instruction 0 is another, so also fall through to the
             // predecessor exploration below.
-            if (atEntry(st, action_a, action_b, stack)) {
+            bool feasible = preds.empty()
+                                ? atEntry(std::move(st), action_a,
+                                          action_b, stack)
+                                : atEntry(st, action_a, action_b, stack);
+            if (feasible) {
                 ++_stats.pathsExplored;
                 _queryMemo[memo_key] = QueryVerdict::Feasible;
                 return QueryVerdict::Feasible;
             }
         }
-
-        const analysis::Cfg &cfg = cfgOf(m);
-        std::vector<int> preds = cfg.instrPreds(st.instr);
         if (preds.empty()) {
             ++paths;
             continue;
         }
-        for (int q : preds) {
+        const int here = st.instr;
+        const int depth = st.depth;
+        const int frame = st.frame;
+        for (size_t i = 0; i < preds.size(); ++i) {
+            const int q = preds[i];
             const Instruction &pred = m->instr(q);
             if (_opts.inter &&
                 (!_opts.inter->reachable(m, q) ||
-                 !_opts.inter->edgeFeasible(m, q, st.instr))) {
+                 !_opts.inter->edgeFeasible(m, q, here))) {
                 // The constant facts prove no execution flows along
                 // this edge: don't walk it.
                 ++_stats.interPruned;
                 ++paths;
                 continue;
             }
-            PathState next = st;
+            // The last predecessor takes the state itself.
+            PathState next =
+                i + 1 == preds.size() ? std::move(st) : PathState(st);
             next.instr = q;
-            next.depth = st.depth + 1;
+            next.depth = depth + 1;
 
             if (pred.isConditionalBranch()) {
-                bool via_target = pred.target == st.instr;
-                bool via_fall = q + 1 == st.instr;
+                bool via_target = pred.target == here;
+                bool via_fall = q + 1 == here;
                 CondKind cond = pred.cond;
                 bool add = true;
                 if (via_target && via_fall) {
@@ -619,14 +666,12 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
                 }
                 if (add) {
                     Atom atom;
-                    atom.lhs = Operand::regOp(
-                        regKey(st.frame, pred.srcs[0]));
+                    atom.lhs = Operand::regOp(regKey(frame, pred.srcs[0]));
                     atom.cond = cond;
                     atom.rhs =
                         pred.op == Opcode::IfZ
                             ? Operand::constant(0)
-                            : Operand::regOp(
-                                  regKey(st.frame, pred.srcs[1]));
+                            : Operand::regOp(regKey(frame, pred.srcs[1]));
                     if (!next.store.add(atom)) {
                         ++paths;
                         continue;

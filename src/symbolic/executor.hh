@@ -227,6 +227,23 @@ class BackwardExecutor
      *  to havoc calls beyond the descend limit. */
     const std::vector<analysis::FieldKey> &
     mayWriteKeys(analysis::NodeId n);
+    /** Add the keys `n` and its unseen callees write to `keys`. */
+    void collectMayWrites(analysis::NodeId n,
+                          std::set<analysis::FieldKey> &keys,
+                          std::unordered_set<analysis::NodeId> &seen);
+
+    //! memoised interned keys: the PointsToResult builds each one from
+    //! strings, and the walk asks for the same few over and over
+    analysis::FieldKey fieldKeyOf(const air::FieldRef &field,
+                                  analysis::ObjId o);
+    analysis::FieldKey staticKeyOf(const air::FieldRef &field);
+    //! the field's declared "Class.field" key (weak-update havoc)
+    analysis::FieldKey declaredKeyOf(const air::FieldRef &field);
+    //! an array object's element wildcard key
+    analysis::FieldKey elemsKeyOf(analysis::ObjId o);
+    template <typename Make>
+    analysis::FieldKey memoKey(const air::FieldRef *field,
+                               analysis::ObjId slot, Make make);
 
     /** Apply instruction backward transfer (non-invoke); false=prune. */
     bool transfer(PathState &st, const air::Instruction &instr);
@@ -252,7 +269,7 @@ class BackwardExecutor
                      std::vector<PathState> &stack);
 
     bool resolveLoc(analysis::NodeId n, int reg,
-                    const air::FieldRef &field, race::MemLoc &out) const;
+                    const air::FieldRef &field, race::MemLoc &out);
 
     const analysis::PointsToResult &_r;
     ExecutorOptions _opts;
@@ -264,12 +281,30 @@ class BackwardExecutor
     std::unordered_map<analysis::NodeId,
                        std::vector<analysis::FieldKey>>
         _mayWrite;
-    std::set<analysis::NodeId> _mayWriteInProgress;
+    //! _keyMemo slots that are not object ids
+    static constexpr analysis::ObjId kStaticSlot = -1;
+    static constexpr analysis::ObjId kDeclaredSlot = -2;
+    struct KeyMemoHash {
+        size_t
+        operator()(
+            const std::pair<const air::FieldRef *, analysis::ObjId> &p)
+            const
+        {
+            return std::hash<const void *>()(p.first) * 1000003u ^
+                   std::hash<int>()(p.second);
+        }
+    };
+    //! (field ref, object or slot) -> key; a null field ref with an
+    //! object is that array object's element wildcard
+    std::unordered_map<std::pair<const air::FieldRef *, analysis::ObjId>,
+                       analysis::FieldKey, KeyMemoHash>
+        _keyMemo;
     //! refuted-query node cache (paper Section 5 "Caching"); points at
     //! _ownedCache unless a shared cache was injected
     RefutedNodeCache *_nodeCache;
     std::unique_ptr<RefutedNodeCache> _ownedCache;
-    //! nodes visited by the current query's phase-A walk
+    //! nodes visited by the current query's phase-A walk (filled only
+    //! when the node cache is on: nothing else reads it)
     std::set<analysis::NodeId> _queryVisited;
     //! sound memoization of whole queries
     std::map<std::tuple<analysis::SiteId, int, int>, QueryVerdict>

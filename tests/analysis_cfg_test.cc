@@ -100,8 +100,13 @@ TEST(Cfg, InstrLevelEdges)
     ASSERT_EQ(s1.size(), 2u);
     EXPECT_EQ(s1[0], 2);
     EXPECT_EQ(s1[1], 3);
+    // A block's first instruction: the last instruction of each
+    // predecessor block, in block order.
     auto p3 = cfg.instrPreds(3);
     ASSERT_EQ(p3.size(), 2u);
+    EXPECT_EQ(p3[0], 1);
+    EXPECT_EQ(p3[1], 2);
+    EXPECT_TRUE(cfg.instrPreds(0).empty());
 
     auto p2 = cfg.instrPreds(2);
     ASSERT_EQ(p2.size(), 1u);

@@ -187,6 +187,104 @@ TEST(Executor, BudgetExhaustionReportsBudget)
     EXPECT_GT(exec.stats().budgetExhausted, 0);
 }
 
+TEST(Executor, CallHavocCoversWritesOfARecursiveCycle)
+{
+    // arm() sets the guard mOn and may call bounce(); bounce() may call
+    // arm(). onPause arms, reads mHits, clears the guard and then calls
+    // bounce(), which can re-arm it: onPause followed by onResume's
+    // guarded mHits write is a feasible ordering. With every call
+    // havocked (maxCallDepth 0), the havoc of bounce() must drop mOn,
+    // a key only its cycle partner writes -- also after a havoc of
+    // arm() has computed the cycle's may-write sets starting from arm.
+    auto a = analyze("exec-recursion", [](corpus::AppFactory &f) {
+        auto &act = f.addActivity("RecActivity");
+        const std::string cls = act.name();
+        act.addField("mOn", air::Type::intTy());
+        act.addField("mHits", air::Type::intTy());
+        auto define = [&](const std::string &name,
+                          const std::string &partner, bool sets_guard) {
+            air::Method *m = act.klass()->addMethod(
+                name, {}, air::Type::voidTy(), false);
+            air::MethodBuilder b(m);
+            air::Label l_end = b.newLabel();
+            if (sets_guard) {
+                int one = b.newReg();
+                b.constInt(one, 1);
+                b.putField(b.thisReg(), corpus::fieldRef(cls, "mOn"),
+                           one);
+            }
+            int r = b.newReg();
+            b.callStatic(r, "sierra.Nondet", "choose");
+            b.ifz(r, air::CondKind::Eq, l_end);
+            b.call(b.thisReg(), cls, partner, {});
+            b.bind(l_end);
+            b.retVoid();
+            b.finish();
+        };
+        define("arm", "bounce", true);
+        define("bounce", "arm", false);
+        auto clear_guard = [cls](air::MethodBuilder &b) {
+            int zero = b.newReg();
+            b.constInt(zero, 0);
+            b.putField(b.thisReg(), corpus::fieldRef(cls, "mOn"), zero);
+        };
+        act.on("onResume", [=](air::MethodBuilder &b) {
+            air::Label l_end = b.newLabel();
+            int r = b.newReg();
+            b.getField(r, b.thisReg(), corpus::fieldRef(cls, "mOn"));
+            b.ifz(r, air::CondKind::Eq, l_end);
+            int hits = b.newReg();
+            int one = b.newReg();
+            int sum = b.newReg();
+            b.getField(hits, b.thisReg(), corpus::fieldRef(cls, "mHits"));
+            b.constInt(one, 1);
+            b.binOp(sum, air::BinOpKind::Add, hits, one);
+            b.putField(b.thisReg(), corpus::fieldRef(cls, "mHits"), sum);
+            b.bind(l_end);
+        });
+        act.on("onPause", [=](air::MethodBuilder &b) {
+            b.call(b.thisReg(), cls, "arm", {});
+            int hits = b.newReg();
+            b.getField(hits, b.thisReg(), corpus::fieldRef(cls, "mHits"));
+            clear_guard(b);
+            b.call(b.thisReg(), cls, "bounce", {});
+        });
+        act.on("onStop", clear_guard);
+    });
+    const int resume = test::findAction(*a.pta, "onResume");
+    const int pause = test::findAction(*a.pta, "onPause");
+    const int stop = test::findAction(*a.pta, "onStop");
+    ASSERT_GE(resume, 0);
+    ASSERT_GE(pause, 0);
+    ASSERT_GE(stop, 0);
+    auto find_access = [&](bool is_write, int action) {
+        const race::Access *found = nullptr;
+        for (const auto &acc : a.accesses) {
+            if (acc.isWrite == is_write && acc.fieldName == "mHits" &&
+                a.pta->cg.actionsOf(acc.node).count(action)) {
+                found = &acc;
+            }
+        }
+        return found;
+    };
+    const race::Access *resume_write = find_access(true, resume);
+    const race::Access *pause_read = find_access(false, pause);
+    ASSERT_NE(resume_write, nullptr);
+    ASSERT_NE(pause_read, nullptr);
+
+    ExecutorOptions havoc_all;
+    havoc_all.maxCallDepth = 0;
+    BackwardExecutor exec(*a.pta, havoc_all);
+    EXPECT_EQ(exec.orderFeasible(*resume_write, resume, stop),
+              QueryVerdict::Infeasible)
+        << "a plain guard clear refutes the ordering";
+    // Walking back from the read havocs arm() first.
+    exec.orderFeasible(*pause_read, pause, resume);
+    EXPECT_EQ(exec.orderFeasible(*resume_write, resume, pause),
+              QueryVerdict::Feasible)
+        << "bounce() may re-arm the guard through arm()";
+}
+
 TEST(Refuter, MarksTrapsAndKeepsTrueRaces)
 {
     auto a = analyze("refuter", [](corpus::AppFactory &f) {
