@@ -14,6 +14,7 @@
 #include "air/parser.hh"
 #include "air/printer.hh"
 #include "bench_util.hh"
+#include "framework/app_text.hh"
 #include "hb/rules.hh"
 #include "util/bitset.hh"
 
@@ -359,6 +360,16 @@ emitMicroBenchJson()
             nsPerOp(20, [&] { input.refuteOnce(); });
     }
 
+    // One parseAppText call per BM_ParserRoundTrip app, best of 5.
+    double parse_ns[4];
+    for (int size_class = 0; size_class < 4; ++size_class) {
+        std::string text = framework::printAppText(*appFor(size_class).app);
+        parse_ns[size_class] = nsPerOp(50, [&] {
+            framework::AppTextResult r = framework::parseAppText(text);
+            benchmark::DoNotOptimize(r.app->module().numClasses());
+        });
+    }
+
     bench::benchJson(
         "micro",
         "{\"bench\":\"micro\",\"n\":%d,\"universe\":%d,\"rows\":["
@@ -366,10 +377,11 @@ emitMicroBenchJson()
         "{\"op\":\"union\",\"std_set_ns\":%.1f,\"objbitset_ns\":%.1f},"
         "{\"op\":\"iterate\",\"std_set_ns\":%.1f,\"objbitset_ns\":%.1f}"
         "],\"refutation_ns\":{\"VuDroid\":%.0f,\"OpenSudoku\":%.0f,"
-        "\"Beem\":%.0f,\"Astrid\":%.0f}}",
+        "\"Beem\":%.0f,\"Astrid\":%.0f},\"parse_ns\":{\"VuDroid\":%.0f,"
+        "\"OpenSudoku\":%.0f,\"Beem\":%.0f,\"Astrid\":%.0f}}",
         n, universe, set_insert, bits_insert, set_union, bits_union,
         set_iter, bits_iter, refute_ns[0], refute_ns[1], refute_ns[2],
-        refute_ns[3]);
+        refute_ns[3], parse_ns[0], parse_ns[1], parse_ns[2], parse_ns[3]);
 }
 
 } // namespace

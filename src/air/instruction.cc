@@ -91,7 +91,7 @@ invokeKindName(InvokeKind k)
 }
 
 bool
-condFromName(const std::string &name, CondKind &out)
+condFromName(std::string_view name, CondKind &out)
 {
     static const struct { const char *n; CondKind k; } table[] = {
         {"eq", CondKind::Eq}, {"ne", CondKind::Ne}, {"lt", CondKind::Lt},
@@ -107,7 +107,7 @@ condFromName(const std::string &name, CondKind &out)
 }
 
 bool
-binopFromName(const std::string &name, BinOpKind &out)
+binopFromName(std::string_view name, BinOpKind &out)
 {
     static const struct { const char *n; BinOpKind k; } table[] = {
         {"add", BinOpKind::Add}, {"sub", BinOpKind::Sub},
@@ -125,7 +125,7 @@ binopFromName(const std::string &name, BinOpKind &out)
 }
 
 bool
-unopFromName(const std::string &name, UnOpKind &out)
+unopFromName(std::string_view name, UnOpKind &out)
 {
     if (name == "not") {
         out = UnOpKind::Not;
@@ -139,7 +139,7 @@ unopFromName(const std::string &name, UnOpKind &out)
 }
 
 bool
-invokeKindFromName(const std::string &name, InvokeKind &out)
+invokeKindFromName(std::string_view name, InvokeKind &out)
 {
     static const struct { const char *n; InvokeKind k; } table[] = {
         {"virtual", InvokeKind::Virtual}, {"static", InvokeKind::Static},

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sierra::air {
@@ -142,10 +143,10 @@ const char *unopName(UnOpKind u);
 const char *invokeKindName(InvokeKind k);
 
 /** Inverse lookups; return false when the name is unknown. */
-bool condFromName(const std::string &name, CondKind &out);
-bool binopFromName(const std::string &name, BinOpKind &out);
-bool unopFromName(const std::string &name, UnOpKind &out);
-bool invokeKindFromName(const std::string &name, InvokeKind &out);
+bool condFromName(std::string_view name, CondKind &out);
+bool binopFromName(std::string_view name, BinOpKind &out);
+bool unopFromName(std::string_view name, UnOpKind &out);
+bool invokeKindFromName(std::string_view name, InvokeKind &out);
 
 /** Negate a branch condition (Eq <-> Ne, Lt <-> Ge, ...). */
 CondKind negateCond(CondKind c);

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "module.hh"
 
@@ -31,11 +32,13 @@ struct ParseResult {
     bool ok() const { return module != nullptr; }
 };
 
-/** Parse classes from AIR text into an existing module. */
-ParseStatus parseInto(Module &module, const std::string &text);
+/** Parse classes from AIR text into an existing module. On failure
+ *  the module keeps what was parsed before the error, down to a
+ *  partly built class, method or instruction. */
+ParseStatus parseInto(Module &module, std::string_view text);
 
 /** Parse a whole module from AIR text. */
-ParseResult parseModule(const std::string &text);
+ParseResult parseModule(std::string_view text);
 
 } // namespace sierra::air
 

@@ -20,7 +20,7 @@ Type::toString() const
 }
 
 Type
-Type::parse(const std::string &text)
+Type::parse(std::string_view text)
 {
     if (text == "void")
         return voidTy();
@@ -31,14 +31,12 @@ Type::parse(const std::string &text)
     if (text == "str")
         return strTy();
     if (text.size() > 2 && text.substr(text.size() - 2) == "[]") {
-        std::string elem = text.substr(0, text.size() - 2);
-        if (elem == "int")
-            elem = "";
-        return array(elem);
+        std::string_view elem = text.substr(0, text.size() - 2);
+        return array(elem == "int" ? std::string() : std::string(elem));
     }
     if (text.empty())
         fatal("cannot parse empty type");
-    return object(text);
+    return object(std::string(text));
 }
 
 } // namespace sierra::air

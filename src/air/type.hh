@@ -12,6 +12,7 @@
 #define SIERRA_AIR_TYPE_HH
 
 #include <string>
+#include <string_view>
 
 namespace sierra::air {
 
@@ -75,7 +76,7 @@ class Type
     std::string toString() const;
 
     /** Parse a type from AIR textual syntax; fatal() on bad input. */
-    static Type parse(const std::string &text);
+    static Type parse(std::string_view text);
 
   private:
     TypeKind _kind;

@@ -1,8 +1,7 @@
 #include "app_text.hh"
 
-#include <cctype>
+#include <charconv>
 #include <sstream>
-#include <vector>
 
 #include "air/parser.hh"
 #include "air/printer.hh"
@@ -12,100 +11,172 @@ namespace sierra::framework {
 
 namespace {
 
-/** A whitespace token with quote support and line tracking. */
+/** isspace() in the "C" locale. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/**
+ * std::stoi without exceptions: optional leading whitespace and sign,
+ * then at least one digit; trailing characters are ignored. False when
+ * there is no digit or the value does not fit in int.
+ */
+bool
+leadingInt(std::string_view s, int &out)
+{
+    size_t i = 0;
+    while (i < s.size() && isSpace(s[i]))
+        ++i;
+    size_t first = i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-'))
+        ++i;
+    if (i >= s.size() || s[i] < '0' || s[i] > '9')
+        return false;
+    if (s[first] == '+')
+        ++first; // from_chars takes a '-' but no '+'
+    return std::from_chars(s.data() + first, s.data() + s.size(), out).ec ==
+           std::errc();
+}
+
+/** A whitespace-separated header token: a view into the app text. */
 struct HeaderToken {
-    std::string text;
+    std::string_view text;
     bool quoted{false};
     int line{1};
 };
 
-/** Tokenize the header region (everything up to its closing brace). */
-bool
-tokenizeHeader(const std::string &text, size_t &pos, int &line,
-               std::vector<HeaderToken> &out, std::string &error)
+/**
+ * Streaming tokenizer for the header region, everything up to the brace
+ * that closes the header block; one token of lookahead. Quoted tokens
+ * view the text between the quotes.
+ */
+class HeaderLexer
 {
-    int depth = 0;
-    bool seen_open = false;
-    while (pos < text.size()) {
-        char c = text[pos];
+  public:
+    explicit HeaderLexer(std::string_view text) : _text(text) { advance(); }
+
+    /** No token left: the header closed, or it is malformed. */
+    bool atEnd() const { return _done; }
+    const HeaderToken &peek() const { return _tok; }
+    void advance();
+
+    /** Tokenize the rest of the header. False if it is malformed;
+     *  error() then says why and line() where. */
+    bool
+    finish()
+    {
+        while (!_done)
+            advance();
+        return _error == nullptr;
+    }
+    const char *error() const { return _error; }
+    int line() const { return _line; }
+    /** Offset just past the header's closing brace. */
+    size_t pos() const { return _pos; }
+
+  private:
+    void
+    stop(const char *error)
+    {
+        _error = error;
+        _done = true;
+    }
+
+    std::string_view _text;
+    size_t _pos{0};
+    int _line{1};
+    int _depth{0};
+    bool _seenOpen{false};
+    bool _closed{false}; //!< the current token closes the header
+    bool _done{false};
+    const char *_error{nullptr};
+    HeaderToken _tok;
+};
+
+void
+HeaderLexer::advance()
+{
+    if (_closed || _done) {
+        _done = true;
+        return;
+    }
+    while (_pos < _text.size()) {
+        char c = _text[_pos];
         if (c == '\n') {
-            ++line;
-            ++pos;
+            ++_line;
+            ++_pos;
             continue;
         }
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            ++pos;
+        if (isSpace(c)) {
+            ++_pos;
             continue;
         }
         if (c == '#' ||
-            (c == '/' && pos + 1 < text.size() && text[pos + 1] == '/')) {
-            while (pos < text.size() && text[pos] != '\n')
-                ++pos;
+            (c == '/' && _pos + 1 < _text.size() && _text[_pos + 1] == '/')) {
+            while (_pos < _text.size() && _text[_pos] != '\n')
+                ++_pos;
             continue;
         }
+        _tok.line = _line;
+        _tok.quoted = c == '"';
+        size_t start = _pos;
         if (c == '"') {
-            ++pos;
-            HeaderToken t;
-            t.quoted = true;
-            t.line = line;
-            while (pos < text.size() && text[pos] != '"') {
-                if (text[pos] == '\n')
-                    ++line;
-                t.text += text[pos++];
+            start = ++_pos;
+            while (_pos < _text.size() && _text[_pos] != '"') {
+                if (_text[_pos] == '\n')
+                    ++_line;
+                ++_pos;
             }
-            if (pos >= text.size()) {
-                error = "unterminated string in app header";
-                return false;
-            }
-            ++pos;
-            out.push_back(std::move(t));
-            continue;
+            if (_pos >= _text.size())
+                return stop("unterminated string in app header");
+            _tok.text = _text.substr(start, _pos - start);
+            ++_pos;
+            return;
         }
         if (c == '{' || c == '}') {
-            out.push_back({std::string(1, c), false, line});
-            ++pos;
-            depth += c == '{' ? 1 : -1;
+            _tok.text = _text.substr(_pos++, 1);
+            _depth += c == '{' ? 1 : -1;
             if (c == '{')
-                seen_open = true;
-            if (seen_open && depth == 0)
-                return true; // header complete
-            continue;
+                _seenOpen = true;
+            _closed = _seenOpen && _depth == 0;
+            return;
         }
-        HeaderToken t;
-        t.line = line;
-        while (pos < text.size() &&
-               !std::isspace(static_cast<unsigned char>(text[pos])) &&
-               text[pos] != '{' && text[pos] != '}' &&
-               text[pos] != '"') {
-            t.text += text[pos++];
+        while (_pos < _text.size() && !isSpace(_text[_pos]) &&
+               _text[_pos] != '{' && _text[_pos] != '}' &&
+               _text[_pos] != '"') {
+            ++_pos;
         }
-        out.push_back(std::move(t));
+        _tok.text = _text.substr(start, _pos - start);
+        return;
     }
-    error = "unterminated app header block";
-    return false;
+    stop("unterminated app header block");
 }
 
 class HeaderParser
 {
   public:
-    HeaderParser(const std::vector<HeaderToken> &tokens,
-                 AppTextResult &result)
-        : _tokens(tokens), _result(result)
+    HeaderParser(HeaderLexer &lexer, AppTextResult &result)
+        : _lex(lexer), _result(result)
     {
     }
 
     std::unique_ptr<App> run();
 
   private:
-    const HeaderToken &peek() const { return _tokens[_idx]; }
-    const HeaderToken &next() { return _tokens[_idx++]; }
-    bool
-    atEnd() const
+    const HeaderToken &peek() const { return _lex.peek(); }
+    /** The current token's text (a view into the app text); advances. */
+    std::string_view
+    next()
     {
-        return _idx >= _tokens.size();
+        std::string_view text = peek().text;
+        _lex.advance();
+        return text;
     }
+    bool atEnd() const { return _lex.atEnd(); }
     bool
-    is(const std::string &word) const
+    is(std::string_view word) const
     {
         return !atEnd() && !peek().quoted && peek().text == word;
     }
@@ -117,19 +188,18 @@ class HeaderParser
         return false;
     }
 
-    bool expect(const std::string &word);
+    bool expect(const char *word);
     bool parseLayout(App &app);
 
-    const std::vector<HeaderToken> &_tokens;
+    HeaderLexer &_lex;
     AppTextResult &_result;
-    size_t _idx{0};
 };
 
 bool
-HeaderParser::expect(const std::string &word)
+HeaderParser::expect(const char *word)
 {
     if (!is(word))
-        return fail("expected '" + word + "' in app header");
+        return fail(std::string("expected '") + word + "' in app header");
     next();
     return true;
 }
@@ -139,7 +209,7 @@ HeaderParser::parseLayout(App &app)
 {
     if (atEnd())
         return fail("layout needs an activity name");
-    std::string activity = next().text;
+    std::string activity(next());
     Layout layout(activity);
     if (!expect("{"))
         return false;
@@ -151,29 +221,26 @@ HeaderParser::parseLayout(App &app)
         Widget w;
         if (atEnd())
             return fail("widget needs an id");
-        try {
-            w.id = std::stoi(next().text);
-        } catch (...) {
+        if (!leadingInt(next(), w.id))
             return fail("widget id must be an integer");
-        }
         if (atEnd())
             return fail("widget needs a name");
-        w.name = next().text;
+        w.name = next();
         if (atEnd())
             return fail("widget needs a class");
-        w.widgetClass = next().text;
+        w.widgetClass = next();
         while (is("onclick") || is("after")) {
-            std::string kw = next().text;
+            std::string_view kw = next();
             if (atEnd())
-                return fail("'" + kw + "' needs a value");
+                return fail(std::string("'") + std::string(kw) +
+                            "' needs a value");
             if (kw == "onclick") {
-                w.xmlOnClick = next().text;
+                w.xmlOnClick = next();
             } else {
-                try {
-                    w.enabledAfter.push_back(std::stoi(next().text));
-                } catch (...) {
+                int dep = 0;
+                if (!leadingInt(next(), dep))
                     return fail("'after' needs a widget id");
-                }
+                w.enabledAfter.push_back(dep);
             }
         }
         layout.addWidget(std::move(w));
@@ -192,7 +259,7 @@ HeaderParser::run()
         fail("app needs a name");
         return nullptr;
     }
-    auto app = std::make_unique<App>(next().text);
+    auto app = std::make_unique<App>(std::string(next()));
     if (!expect("{"))
         return nullptr;
 
@@ -201,13 +268,13 @@ HeaderParser::run()
             fail("unterminated app block");
             return nullptr;
         }
-        std::string kw = next().text;
+        std::string_view kw = next();
         if (kw == "activity") {
             if (atEnd()) {
                 fail("activity needs a class name");
                 return nullptr;
             }
-            std::string name = next().text;
+            std::string name(next());
             app->manifest().activities.push_back(name);
             if (is("main")) {
                 next();
@@ -220,21 +287,21 @@ HeaderParser::run()
                 fail("service needs a class name");
                 return nullptr;
             }
-            app->manifest().services.push_back({next().text});
+            app->manifest().services.push_back({std::string(next())});
         } else if (kw == "receiver") {
             if (atEnd()) {
                 fail("receiver needs a class name");
                 return nullptr;
             }
             ReceiverSpec spec;
-            spec.className = next().text;
+            spec.className = next();
             while (is("action")) {
                 next();
                 if (atEnd()) {
                     fail("'action' needs a value");
                     return nullptr;
                 }
-                spec.actions.push_back(next().text);
+                spec.actions.emplace_back(next());
             }
             app->manifest().receivers.push_back(std::move(spec));
         } else if (kw == "package") {
@@ -242,12 +309,12 @@ HeaderParser::run()
                 fail("package needs a name");
                 return nullptr;
             }
-            app->manifest().packageName = next().text;
+            app->manifest().packageName = next();
         } else if (kw == "layout") {
             if (!parseLayout(*app))
                 return nullptr;
         } else {
-            fail("unknown app-header keyword '" + kw + "'");
+            fail("unknown app-header keyword '" + std::string(kw) + "'");
             return nullptr;
         }
     }
@@ -258,28 +325,26 @@ HeaderParser::run()
 } // namespace
 
 AppTextResult
-parseAppText(const std::string &text)
+parseAppText(std::string_view text)
 {
     AppTextResult result;
-    size_t pos = 0;
-    int line = 1;
-    std::vector<HeaderToken> tokens;
-    if (!tokenizeHeader(text, pos, line, tokens, result.error)) {
-        result.errorLine = line;
+    HeaderLexer lexer(text);
+    std::unique_ptr<App> app = HeaderParser(lexer, result).run();
+    // A malformed header block outranks what the parser said about it.
+    if (!lexer.finish()) {
+        result.error = lexer.error();
+        result.errorLine = lexer.line();
         return result;
     }
-
-    HeaderParser parser(tokens, result);
-    std::unique_ptr<App> app = parser.run();
     if (!app)
         return result;
 
     // The rest of the file is plain AIR classes.
     air::ParseStatus status =
-        air::parseInto(app->module(), text.substr(pos));
+        air::parseInto(app->module(), text.substr(lexer.pos()));
     if (!status.ok) {
         result.error = status.error;
-        result.errorLine = line + status.errorLine - 1;
+        result.errorLine = lexer.line() + status.errorLine - 1;
         return result;
     }
     installFrameworkModel(app->module());

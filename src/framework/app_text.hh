@@ -28,6 +28,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "app.hh"
 
@@ -44,7 +45,7 @@ struct AppTextResult {
 
 /** Parse an app bundle (header + AIR classes) from text. The framework
  *  model classes are installed into the resulting module. */
-AppTextResult parseAppText(const std::string &text);
+AppTextResult parseAppText(std::string_view text);
 
 /** Serialize an app into the bundle format (app classes only). With
  *  `with_bodies` false the instruction lines are omitted -- the

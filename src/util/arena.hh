@@ -90,7 +90,9 @@ class Arena
             size = _slabs.back().size * 2;
         if (size < atLeast)
             size = atLeast;
-        _slabs.push_back({std::make_unique<char[]>(size), size});
+        // Not zero-filled: every allocation is written before it is
+        // read, and the spare capacity of ArenaVectors is never touched.
+        _slabs.push_back({std::make_unique_for_overwrite<char[]>(size), size});
         _cur = _slabs.back().mem.get();
         _end = _cur + size;
     }

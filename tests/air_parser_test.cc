@@ -192,10 +192,65 @@ INSTANTIATE_TEST_SUITE_P(
                 "r0.x } }"},
         BadCase{"unknown_instruction",
                 "class A { method f(): void regs=2 { @0: r1 = frobnicate "
-                "r0 } }"}),
+                "r0 } }"},
+        BadCase{"int_overflow",
+                "class A { method f(): void regs=1 { @0: r0 = const "
+                "99999999999999999999 } }"},
+        BadCase{"register_overflow",
+                "class A { method f(): void regs=1 { @0: r99999999999 = "
+                "const 1 } }"},
+        BadCase{"target_overflow",
+                "class A { method f(): void regs=1 { @0: goto @4294967296 "
+                "} }"},
+        BadCase{"regs_overflow",
+                "class A { method f(): void regs=4294967296 { @0: "
+                "return-void } }"}),
     [](const ::testing::TestParamInfo<BadCase> &info) {
         return info.param.name;
     });
+
+TEST(AirParser, OutOfRangeNumbersAreLocatedErrors)
+{
+    ParseResult lit = parseModule("class A {\n method f(): void regs=1 {\n"
+                                  " @0: r0 = const -99999999999999999999\n"
+                                  " } }");
+    ASSERT_FALSE(lit.ok());
+    EXPECT_EQ(lit.status.error,
+              "integer literal '-99999999999999999999' out of range");
+    EXPECT_EQ(lit.status.errorLine, 3);
+
+    ParseResult target = parseModule(
+        "class A {\n method f(): void regs=1 {\n @0: goto\n @-4294967296"
+        "\n } }");
+    ASSERT_FALSE(target.ok());
+    EXPECT_EQ(target.status.error,
+              "branch target '-4294967296' out of range");
+    EXPECT_EQ(target.status.errorLine, 4);
+
+    // The int64 and int extremes themselves are accepted.
+    ParseResult edge = parseModule(
+        "class A { method f(): void regs=2147483647 {"
+        " @0: r2147483647 = const -9223372036854775808"
+        " @1: goto @-2147483648 } }");
+    ASSERT_TRUE(edge.ok()) << edge.status.error;
+    const Method *f = edge.module->getClass("A")->findMethod("f");
+    EXPECT_EQ(f->numRegisters(), 2147483647);
+    EXPECT_EQ(f->instr(0).dst, 2147483647);
+    EXPECT_EQ(f->instr(0).intValue, INT64_MIN);
+    EXPECT_EQ(f->instr(1).target, -2147483648);
+}
+
+TEST(AirParser, DottedNamesMayBeSplitByWhitespace)
+{
+    ParseResult r = parseModule(
+        "class a . b {\n method f(): void regs=1 {\n"
+        "  @0: r0 = getstatic a .// comment\n b . x\n"
+        "  @1: return-void } }");
+    ASSERT_TRUE(r.ok()) << r.status.error;
+    const Klass *k = r.module->getClass("a.b");
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->findMethod("f")->instr(0).field.toString(), "a.b.x");
+}
 
 TEST(AirParser, ParseIntoExistingModule)
 {

@@ -1,69 +1,39 @@
 /** @file Robustness sweeps: the parsers must reject or accept, never
- *  crash, on arbitrary and mutated inputs. */
+ *  crash, on arbitrary and mutated inputs. The inputs come from
+ *  parser_sweeps.hh. */
 
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "air/parser.hh"
-#include "air/printer.hh"
-#include "corpus/named_apps.hh"
 #include "framework/app_text.hh"
+#include "parser_sweeps.hh"
 
 namespace sierra {
 namespace {
 
-/** Deterministic pseudo-random byte strings. */
-std::string
-randomBytes(std::mt19937 &rng, size_t max_len)
-{
-    // Bias toward structural characters so we reach deeper parser
-    // states than pure noise would.
-    static const std::string alphabet =
-        "abcXYZ019 _$.:;,=@{}()[]\"\\#<>\n\tclass method field regs "
-        "const invoke-virtual return-void if goto app activity widget";
-    std::string out;
-    size_t len = rng() % max_len;
-    for (size_t i = 0; i < len; ++i)
-        out += alphabet[rng() % alphabet.size()];
-    return out;
-}
-
 TEST(ParserRobustness, RandomInputNeverCrashes)
 {
-    std::mt19937 rng(0xF00D);
-    for (int i = 0; i < 400; ++i) {
-        std::string input = randomBytes(rng, 300);
+    for (const std::string &input : test::randomModuleInputs()) {
         air::ParseResult r = air::parseModule(input);
-        if (!r.ok())
+        if (!r.ok()) {
             EXPECT_FALSE(r.status.error.empty());
+        }
     }
 }
 
 TEST(ParserRobustness, RandomAppBundleNeverCrashes)
 {
-    std::mt19937 rng(0xBEEF);
-    for (int i = 0; i < 400; ++i) {
-        std::string input = "app \"x\" {" + randomBytes(rng, 200) +
-                            "}" + randomBytes(rng, 200);
+    for (const std::string &input : test::randomBundleInputs()) {
         framework::AppTextResult r = framework::parseAppText(input);
-        if (!r.ok())
+        if (!r.ok()) {
             EXPECT_FALSE(r.error.empty());
+        }
     }
 }
 
 TEST(ParserRobustness, MutatedRealModulesNeverCrash)
 {
-    // Take a real printed module and corrupt single positions.
-    corpus::BuiltApp built = corpus::buildNamedApp("VuDroid");
-    std::string text = air::printModule(built.app->module());
-    std::mt19937 rng(0xCAFE);
-    static const char junk[] = {'@', '{', '}', '"', 'x', '0', '-',
-                                '.', '\n', '('};
-    for (int i = 0; i < 300; ++i) {
-        std::string mutated = text;
-        size_t pos = rng() % mutated.size();
-        mutated[pos] = junk[rng() % sizeof(junk)];
+    for (const std::string &mutated : test::mutatedModuleInputs()) {
         air::ParseResult r = air::parseModule(mutated);
         // Either it still parses (benign mutation) or it reports a
         // located error; both are fine, crashing is not.
@@ -74,26 +44,44 @@ TEST(ParserRobustness, MutatedRealModulesNeverCrash)
     }
 }
 
+TEST(ParserRobustness, SweepsReachTheRangeChecks)
+{
+    // The overflow fragments must actually exercise every range check,
+    // or the sweeps above would not have caught a throwing conversion.
+    std::vector<std::string> inputs = test::randomModuleInputs();
+    for (std::string &m : test::mutatedModuleInputs())
+        inputs.push_back(std::move(m));
+    bool literal = false, reg = false, other = false;
+    for (const std::string &input : inputs) {
+        air::ParseResult r = air::parseModule(input);
+        const std::string &e = r.status.error;
+        if (e.find("out of range") == std::string::npos)
+            continue;
+        literal |= e.rfind("integer literal", 0) == 0;
+        reg |= e.rfind("register '", 0) == 0;
+        other |= e.rfind("branch target", 0) == 0 ||
+                 e.rfind("register count", 0) == 0;
+    }
+    EXPECT_TRUE(literal);
+    EXPECT_TRUE(reg);
+    EXPECT_TRUE(other);
+}
+
 TEST(ParserRobustness, TruncatedRealBundlesNeverCrash)
 {
-    corpus::BuiltApp built = corpus::buildNamedApp("TippyTipper");
-    std::string text = framework::printAppText(*built.app);
-    for (size_t cut = 0; cut < text.size();
-         cut += std::max<size_t>(1, text.size() / 120)) {
-        framework::AppTextResult r =
-            framework::parseAppText(text.substr(0, cut));
-        if (!r.ok())
+    for (const std::string &input : test::truncatedBundleInputs()) {
+        framework::AppTextResult r = framework::parseAppText(input);
+        if (!r.ok()) {
             EXPECT_FALSE(r.error.empty());
+        }
     }
 }
 
 TEST(ParserRobustness, DeepNestingIsHandled)
 {
     // Many unmatched braces in the app header must terminate cleanly.
-    std::string input = "app \"x\" ";
-    for (int i = 0; i < 5000; ++i)
-        input += "{";
-    framework::AppTextResult r = framework::parseAppText(input);
+    framework::AppTextResult r =
+        framework::parseAppText(test::deepNestingBundle());
     EXPECT_FALSE(r.ok());
 }
 

@@ -194,6 +194,49 @@ TEST(Serve, AnalyzeWarmHitThroughSessionStore)
     EXPECT_GT(counterValue(session, "store.harness_hits"), 0);
 }
 
+TEST(Serve, OutOfRangeNumbersAreParseErrorsNotCrashes)
+{
+    corpus::BuiltApp built = corpus::buildNamedApp("VuDroid");
+    const std::string app_text = framework::printAppText(*built.app);
+    auto analyze = [](int id, const std::string &text) {
+        Json request = Json::object();
+        request.set("id", Json::integer(id));
+        request.set("kind", Json::str("analyze"));
+        request.set("app", Json::str(text));
+        return request.dump();
+    };
+
+    ServeSession session(ServeOptions{});
+    const char *hostile[] = {
+        "r0 = const 99999999999999999999",
+        "r99999999999 = const 1",
+        "goto @99999999999999999999",
+        "goto @4294967296",
+    };
+    int id = 1;
+    for (const char *instr : hostile) {
+        std::string text = app_text +
+                           "class Hostile {\n"
+                           "    static method f(): void regs=1 {\n"
+                           "        @0: " + instr + "\n"
+                           "    }\n"
+                           "}\n";
+        Json r = parseOk(session.handleLine(analyze(id++, text)));
+        ASSERT_NE(r.field("error"), nullptr) << instr;
+        EXPECT_EQ(r.field("error")->field("code")->asStr(), "parse-error")
+            << instr;
+        EXPECT_NE(r.field("error")->field("message")->asStr().find(
+                      "out of range"),
+                  std::string::npos)
+            << instr;
+    }
+
+    // The session survives and still answers a valid request.
+    Json ok = parseOk(session.handleLine(analyze(id, app_text)));
+    ASSERT_NE(ok.field("result"), nullptr);
+    EXPECT_EQ(ok.field("result")->field("app")->asStr(), "VuDroid");
+}
+
 TEST(Serve, LoopRunsUntilShutdownAndIgnoresBlankLines)
 {
     std::istringstream in("{\"id\":1,\"kind\":\"ping\"}\n"
