@@ -1,17 +1,26 @@
 /**
  * @file
  * Parallel-scaling bench: wall-clock time of the full static pipeline
- * over the 20-app named corpus at 1/2/4/8 jobs.
+ * at 1/2/4 jobs over two pools, analyzed one app after another:
  *
- * Parallelism comes from the engine itself (per-harness tasks plus
- * sharded refutation, see docs/INTERNALS.md "Threading model"); apps
- * are analyzed one after another, so the measured speedup is the
- * engine's, not an embarrassingly-parallel corpus sweep. The report
- * contents are asserted identical across jobs counts while timing.
+ *  - `corpus`: the 20-app named corpus (median app under 2 ms, a
+ *    few small harnesses each);
+ *  - `heavy-3x12`: 40 generated apps of 3 activities x 12 patterns
+ *    each, fixed seeds, where refutation is the largest stage.
  *
- * Emits one machine-readable `BENCH {...}` JSON line mapping jobs to
- * seconds. Meaningful speedup needs real cores: hw_threads is included
- * in the line so a 1-core CI box is not mistaken for a regression.
+ * The engine's only parallelism is the per-harness fan-out in
+ * SierraDetector::analyze (docs/INTERNALS.md "Threading model"), so
+ * the measured speedup is the engine's, not an embarrassingly-parallel
+ * pool sweep. Report contents are asserted identical across jobs
+ * counts while timing.
+ *
+ * Each pass runs every app at every jobs count back to back, so
+ * machine drift hits all counts alike; an app's time is its minimum
+ * over the passes. Emits one machine-readable `BENCH {...}` JSON line
+ * with, per pool and jobs count, the summed and the median per-app
+ * time.
+ * Meaningful speedup needs real cores: hw_threads is included in the
+ * line so a 1-core CI box is not mistaken for a regression.
  */
 
 #include <chrono>
@@ -21,23 +30,87 @@
 
 namespace {
 
-double
-runCorpus(std::vector<sierra::SierraDetector *> &detectors, int jobs,
-          std::string *fingerprint)
+using namespace sierra;
+
+constexpr int kJobCounts[] = {1, 2, 4};
+constexpr int kNumJobCounts = 3;
+constexpr int kPasses = 7;
+
+// The heavy pool: seeds and shape of the first apps of the repository
+// benchmark's heavy-app workload.
+constexpr uint32_t kHeavySeed = 0x4EA7u;
+constexpr int kHeavyApps = 40;
+constexpr int kHeavyActivities = 3;
+constexpr int kHeavyPatterns = 12; // per activity
+
+struct Pool {
+    std::string name;
+    std::vector<corpus::BuiltApp> apps;
+    std::vector<std::unique_ptr<SierraDetector>> detectors;
+    //! [jobs index][app] -> minimum seconds over the passes
+    std::vector<std::vector<double>> best;
+    //! per app: the jobs=1 report, times excluded
+    std::vector<std::string> reference;
+};
+
+void
+addApp(Pool &pool, corpus::BuiltApp built)
+{
+    pool.apps.push_back(std::move(built));
+    pool.detectors.push_back(
+        std::make_unique<SierraDetector>(*pool.apps.back().app));
+}
+
+/** One pass over the pool: each app at every jobs count in turn, so
+ *  machine drift hits all counts alike. The pass number rotates which
+ *  count runs first on an app, the one that finds its data out of
+ *  cache. Returns the first jobs count whose report differs from
+ *  jobs=1, or 0. Pass 0 records the references. */
+int
+runPass(Pool &pool, int pass)
 {
     using clock = std::chrono::steady_clock;
-    std::string combined;
-    auto t0 = clock::now();
-    for (sierra::SierraDetector *detector : detectors) {
-        sierra::SierraOptions options;
-        options.jobs = jobs;
-        sierra::AppReport report = detector->analyze(options);
-        combined += formatReport(report, 1000, /*with_times=*/false);
+    const size_t n = pool.detectors.size();
+    pool.best.resize(kNumJobCounts);
+    for (std::vector<double> &best : pool.best)
+        best.resize(n, 1e30);
+    pool.reference.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        for (int k = 0; k < kNumJobCounts; ++k) {
+            const int j = (k + pass) % kNumJobCounts;
+            SierraOptions options;
+            options.jobs = kJobCounts[j];
+            auto t0 = clock::now();
+            AppReport report = pool.detectors[i]->analyze(options);
+            double s = std::chrono::duration<double>(clock::now() - t0)
+                           .count();
+            pool.best[j][i] = std::min(pool.best[j][i], s);
+            std::string text =
+                formatReport(report, 1000, /*with_times=*/false);
+            if (pass == 0 && j == 0)
+                pool.reference[i] = std::move(text);
+            else if (text != pool.reference[i])
+                return kJobCounts[j];
+        }
     }
-    double seconds = std::chrono::duration<double>(clock::now() - t0)
-                         .count();
-    *fingerprint = std::move(combined);
-    return seconds;
+    return 0;
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    size_t n = v.size();
+    return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+double
+sum(const std::vector<double> &v)
+{
+    double total = 0;
+    for (double x : v)
+        total += x;
+    return total;
 }
 
 } // namespace
@@ -45,63 +118,77 @@ runCorpus(std::vector<sierra::SierraDetector *> &detectors, int jobs,
 int
 main()
 {
-    using namespace sierra;
-    bench::header("Parallel scaling: full pipeline, 20-app corpus");
+    bench::header("Parallel scaling: full pipeline, corpus + heavy pool");
 
     // Build every app (and its harnesses) once, outside the timed
     // region; analyze() is re-runnable.
-    std::vector<corpus::BuiltApp> apps;
-    std::vector<std::unique_ptr<SierraDetector>> detectors;
-    for (const auto &spec : corpus::namedAppSpecs()) {
-        apps.push_back(corpus::buildNamedApp(spec));
-        detectors.push_back(
-            std::make_unique<SierraDetector>(*apps.back().app));
+    Pool corpus_pool{"corpus", {}, {}, {}, {}};
+    for (const auto &spec : corpus::namedAppSpecs())
+        addApp(corpus_pool, corpus::buildNamedApp(spec));
+    Pool heavy_pool{"heavy-3x12", {}, {}, {}, {}};
+    for (int i = 0; i < kHeavyApps; ++i) {
+        corpus::SyntheticSpec spec;
+        spec.seed = kHeavySeed * 1000003u + static_cast<uint32_t>(i);
+        spec.activities = kHeavyActivities;
+        spec.minPatternsPerActivity = kHeavyPatterns;
+        spec.maxPatternsPerActivity = kHeavyPatterns;
+        addApp(heavy_pool, corpus::generateSyntheticApp(
+                               "heavy-" + std::to_string(i), spec));
     }
-    std::vector<SierraDetector *> ptrs;
-    for (auto &d : detectors)
-        ptrs.push_back(d.get());
+    Pool *pools[] = {&corpus_pool, &heavy_pool};
 
-    const int job_counts[] = {1, 2, 4, 8};
-    std::vector<double> seconds;
-    std::string reference;
-    std::printf("%-8s %12s %10s\n", "jobs", "seconds", "speedup");
-    for (int jobs : job_counts) {
-        std::string fingerprint;
-        // Warm-up pass so first-touch costs don't bias jobs=1.
-        if (jobs == 1)
-            runCorpus(ptrs, 1, &fingerprint);
-        double s = runCorpus(ptrs, jobs, &fingerprint);
-        if (jobs == 1) {
-            reference = fingerprint;
-        } else if (fingerprint != reference) {
-            std::printf("ERROR: report at jobs=%d differs from "
-                        "jobs=1\n",
-                        jobs);
-            return 1;
+    // The first pass warms caches and allocators up and records the
+    // reference reports; only the passes after it are timed.
+    for (int pass = 0; pass <= kPasses; ++pass) {
+        for (Pool *pool : pools) {
+            if (pass == 1)
+                pool->best.clear();
+            if (int jobs = runPass(*pool, pass)) {
+                std::printf("ERROR: %s report at jobs=%d differs from "
+                            "jobs=1\n",
+                            pool->name.c_str(), jobs);
+                return 1;
+            }
         }
-        seconds.push_back(s);
-        std::printf("%-8d %12.3f %9.2fx\n", jobs, s,
-                    seconds.front() / s);
     }
 
-    double speedup4 = seconds[0] / seconds[2];
     unsigned hw = std::thread::hardware_concurrency();
-    std::printf("\nspeedup at 4 jobs over 1 job: %.2fx "
-                "(%u hardware thread%s)\n",
-                speedup4, hw, hw == 1 ? "" : "s");
-
-    std::string runs;
-    for (size_t i = 0; i < seconds.size(); ++i) {
-        char one[96];
-        std::snprintf(one, sizeof(one),
-                      "%s{\"jobs\":%d,\"seconds\":%.6f}", i ? "," : "",
-                      job_counts[i], seconds[i]);
-        runs += one;
+    std::string pools_json;
+    for (Pool *pool : pools) {
+        std::printf("\n%s: %zu apps, best of %d passes\n",
+                    pool->name.c_str(), pool->detectors.size(), kPasses);
+        std::printf("%-8s %12s %14s %10s\n", "jobs", "seconds",
+                    "app ms p50", "speedup");
+        std::string runs;
+        const double base = median(pool->best[0]);
+        for (int j = 0; j < kNumJobCounts; ++j) {
+            double total = sum(pool->best[j]);
+            double p50 = median(pool->best[j]);
+            std::printf("%-8d %12.4f %14.3f %9.2fx\n", kJobCounts[j],
+                        total, p50 * 1e3, base / p50);
+            char one[128];
+            std::snprintf(one, sizeof(one),
+                          "%s{\"jobs\":%d,\"seconds\":%.6f,"
+                          "\"app_ms_p50\":%.4f}",
+                          j ? "," : "", kJobCounts[j], total, p50 * 1e3);
+            runs += one;
+        }
+        double speedup4 = base / median(pool->best[kNumJobCounts - 1]);
+        char head[160];
+        std::snprintf(head, sizeof(head),
+                      "%s{\"pool\":\"%s\",\"apps\":%zu,"
+                      "\"speedup_4v1\":%.3f,\"runs\":[",
+                      pools_json.empty() ? "" : ",", pool->name.c_str(),
+                      pool->detectors.size(), speedup4);
+        pools_json += head + runs + "]}";
     }
+    std::printf("\n(%u hardware thread%s; speedup is the ratio of "
+                "median app times)\n",
+                hw, hw == 1 ? "" : "s");
+
     bench::benchJson("parallel_scaling",
-                     "{\"bench\":\"parallel_scaling\",\"corpus\":20,"
-                     "\"hw_threads\":%u,\"runs\":[%s],"
-                     "\"speedup_4v1\":%.3f}",
-                     hw, runs.c_str(), speedup4);
+                     "{\"bench\":\"parallel_scaling\",\"hw_threads\":%u,"
+                     "\"passes\":%d,\"pools\":[%s]}",
+                     hw, kPasses, pools_json.c_str());
     return 0;
 }

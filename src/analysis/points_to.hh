@@ -101,9 +101,9 @@ class PointsToResult
      *  edge arrays. Declared first so it is destroyed last. */
     util::Arena arena;
     /** Deterministic field/static key table. Populated by the serial
-     *  phases; the detector freezes it before parallel refutation
-     *  (late interns from executor shards go to the thread-safe
-     *  overflow table). */
+     *  phases; mutable because later stages intern keys through the
+     *  const fieldKey()/staticKey(). Owned, like the whole result, by
+     *  one harness task. */
     mutable util::StringInterner keys;
 
     SiteTable sites;

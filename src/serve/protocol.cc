@@ -1,6 +1,7 @@
 #include "protocol.hh"
 
 #include <cctype>
+#include <charconv>
 
 namespace sierra::serve {
 
@@ -167,6 +168,7 @@ struct Parser {
     const std::string &text;
     size_t pos{0};
     std::string error;
+    int depth{0}; //!< arrays/objects open around the current value
 
     void
     skipWs()
@@ -192,10 +194,15 @@ struct Parser {
         if (pos >= text.size())
             return fail("unexpected end of input");
         char c = text[pos];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '[')
-            return parseArray(out);
+        if (c == '{' || c == '[') {
+            if (depth == Json::kMaxNesting)
+                return fail("nesting deeper than " +
+                            std::to_string(Json::kMaxNesting));
+            ++depth;
+            bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth;
+            return ok;
+        }
         if (c == '"') {
             std::string s;
             if (!parseString(s))
@@ -391,8 +398,13 @@ struct Parser {
         if (pos < text.size() &&
             (text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E'))
             return fail("non-integer number");
-        out = Json::integer(
-            std::stoll(text.substr(start, pos - start)));
+        int64_t v = 0;
+        if (std::from_chars(text.data() + start, text.data() + pos, v)
+                .ec != std::errc()) {
+            pos = start;
+            return fail("integer out of range");
+        }
+        out = Json::integer(v);
         return true;
     }
 };

@@ -55,7 +55,12 @@ class Json
      *  control characters). */
     std::string dump() const;
 
-    /** Parse one JSON document; null Kind + false on error. */
+    /** Deepest array/object nesting parse() accepts; deeper input is
+     *  an error, so hostile input cannot exhaust the stack. */
+    static constexpr int kMaxNesting = 64;
+
+    /** Parse one JSON document; null Kind + false on error. Integers
+     *  outside int64 and nesting beyond kMaxNesting are errors. */
     static bool parse(const std::string &text, Json &out,
                       std::string &error);
 

@@ -5,7 +5,6 @@
 #include <map>
 #include <sstream>
 #include <tuple>
-#include <type_traits>
 
 #include "air/logging.hh"
 #include "framework/known_api.hh"
@@ -103,10 +102,6 @@ static_assert(sizeof(StageTimes) == (kNumStages + 2) * sizeof(double),
  * no span, and its time stays zero (the one rule for disabled
  * stages). Otherwise `fn` runs under the part's trace span and its
  * wall time is charged to the stage's StageTimes field and totalCpu.
- * A stage that fans out across worker threads returns their summed
- * thread-CPU from `fn` and is charged the larger of the two: its own
- * wall clock covers the serial path and the fan-out overhead, and
- * worker CPU is added on top of it, never lost.
  */
 template <typename Fn>
 void
@@ -123,13 +118,8 @@ runStage(StageId id, const SierraOptions &options, StageTimes &times,
     {
         SIERRA_TRACE_SPAN(span, "stage", d.spans[part],
                           util::trace::arg(arg_key, arg_value));
-        if constexpr (std::is_void_v<std::invoke_result_t<Fn &>>) {
-            fn();
-            seconds = secondsSince(start);
-        } else {
-            double worker_cpu = fn();
-            seconds = std::max(secondsSince(start), worker_cpu);
-        }
+        fn();
+        seconds = secondsSince(start);
     }
     times.*d.time += seconds;
     times.totalCpu += seconds;
@@ -413,8 +403,6 @@ SierraDetector::runHarness(const harness::HarnessPlan &plan,
         refuter_options.exec.inter = ha.inter.get();
         ha.refutation = symbolic::refuteRaces(*ha.pta, ha.accesses,
                                               ha.pairs, refuter_options);
-        // The refuter may shard across worker threads.
-        return ha.refutation.cpuSeconds;
     });
 
     // Null-value-flow stage: classify surviving pairs by whether
@@ -462,13 +450,7 @@ SierraDetector::analyze(const SierraOptions &options,
 
     const int num_plans = static_cast<int>(_plans.size());
     const int jobs = util::resolveJobs(options.jobs);
-    const int plan_jobs = std::min(jobs, std::max(num_plans, 1));
-
-    // Parallelism left over after the plan-level fan-out goes to each
-    // task's sharded refutation (unless the caller pinned it).
     SierraOptions task_options = options;
-    if (task_options.refuter.jobs <= 0)
-        task_options.refuter.jobs = std::max(1, jobs / plan_jobs);
 
     auto t_total = std::chrono::steady_clock::now();
     SIERRA_TRACE_SPAN(analyze_span, "pipeline", "analyze",
@@ -511,7 +493,7 @@ SierraDetector::analyze(const SierraOptions &options,
         static_cast<size_t>(std::max(num_plans, 1)));
     if (cold_plans > 0) {
         analyses = util::parallelMap<HarnessAnalysis>(
-            std::min(plan_jobs, cold_plans), num_plans, [&](int i) {
+            std::min(jobs, cold_plans), num_plans, [&](int i) {
                 if (reused[i])
                     return HarnessAnalysis{};
                 return runHarness(_plans[i], task_options,

@@ -116,11 +116,10 @@ struct SierraOptions {
      */
     bool icc{true};
     /**
-     * Worker threads for the whole pipeline: harness plans run as
-     * parallel tasks, and leftover parallelism (jobs / plans) is
-     * handed to each task's sharded refutation. 0 = the SIERRA_JOBS
-     * environment variable, else hardware_concurrency; 1 = fully
-     * serial. The report is identical at every value.
+     * Worker threads for the harness fan-out: harness plans run as
+     * parallel tasks, each stage inside a task runs serially. 0 =
+     * hardware_concurrency; 1 = fully serial. The report is identical
+     * at every value.
      */
     int jobs{0};
     /**
@@ -152,16 +151,7 @@ struct StageTimes {
     double deadlock{0};   //!< lock-dependency cycles (cpu-s)
     double enablement{0}; //!< registration typestate + refutation (cpu-s)
     double ifds{0};       //!< interprocedural summaries + UAD (cpu-s)
-    /**
-     * Symbolic refutation. Unlike the single-threaded stages above
-     * (whose own wall time is their cpu time), refutation may fan out
-     * across refuter workers inside one task; this field is the
-     * larger of the task thread's wall time and the workers' summed
-     * thread-CPU clocks (RefutationStats::cpuSeconds), so worker CPU
-     * is accounted instead of being hidden behind the task thread's
-     * elapsed time.
-     */
-    double refutation{0};
+    double refutation{0}; //!< symbolic refutation (cpu-s)
     //! null-value-flow severity classification (cpu-s)
     double nullflow{0};
     //! sum of all per-task stage times; equals the sum of the stage

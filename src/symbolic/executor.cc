@@ -25,14 +25,9 @@ queryVerdictName(QueryVerdict v)
 }
 
 BackwardExecutor::BackwardExecutor(const analysis::PointsToResult &result,
-                                   ExecutorOptions options,
-                                   RefutedNodeCache *shared_cache)
-    : _r(result), _opts(options), _nodeCache(shared_cache)
+                                   ExecutorOptions options)
+    : _r(result), _opts(options)
 {
-    if (!_nodeCache) {
-        _ownedCache = std::make_unique<RefutedNodeCache>();
-        _nodeCache = _ownedCache.get();
-    }
 }
 
 const analysis::Cfg &
@@ -590,7 +585,7 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
             continue;
         }
         if (_opts.useNodeCache && st.phase == 0 &&
-            _nodeCache->contains(st.node)) {
+            _refutedNodes.count(st.node)) {
             ++_stats.cacheHits;
             ++paths;
             continue;
@@ -684,7 +679,7 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
 
     // Every path pruned: the ordering is infeasible.
     if (_opts.useNodeCache)
-        _nodeCache->insertAll(_queryVisited);
+        _refutedNodes.insert(_queryVisited.begin(), _queryVisited.end());
     _queryMemo[memo_key] = QueryVerdict::Infeasible;
     return QueryVerdict::Infeasible;
 }

@@ -16,9 +16,7 @@
 #ifndef SIERRA_SYMBOLIC_EXECUTOR_HH
 #define SIERRA_SYMBOLIC_EXECUTOR_HH
 
-#include <array>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -67,8 +65,8 @@ struct ExecutorOptions {
      * must-write-constant fields with strong constant updates, so
      * guard clears hidden behind deep setter chains still conflict
      * with path constraints.
-     * The object is read-only here and shared across refuter workers;
-     * it must outlive the executor. Measured by bench_ablation_ifds.
+     * The object is read-only here; it must outlive the executor.
+     * Measured by bench_ablation_ifds.
      */
     const analysis::InterConstants *inter{nullptr};
 };
@@ -84,105 +82,18 @@ struct ExecutorStats {
     int64_t interPruned{0};
     //! interprocedural concretizations (returns, must-write fields)
     int64_t interApplied{0};
-
-    /**
-     * Fold another executor's counters in. Plain component-wise sums,
-     * so the merge is associative and commutative: sharded refutation
-     * can combine per-worker stats in any grouping and get the same
-     * totals. (cacheHits still depends on which queries shared an
-     * executor's memo, so it may differ *across* jobs counts.)
-     */
-    void
-    merge(const ExecutorStats &o)
-    {
-        queries += o.queries;
-        pathsExplored += o.pathsExplored;
-        statesExpanded += o.statesExpanded;
-        cacheHits += o.cacheHits;
-        budgetExhausted += o.budgetExhausted;
-        interPruned += o.interPruned;
-        interApplied += o.interApplied;
-    }
-};
-
-/**
- * A refuted-node cache shareable between concurrently running
- * executors (paper Section 5 "Caching", here under sharded
- * refutation). Lock-striped: membership tests and bulk inserts lock
- * only the stripe a node hashes to, so parallel workers rarely
- * contend but still see each other's refutations promptly.
- */
-class RefutedNodeCache
-{
-  public:
-    bool
-    contains(analysis::NodeId n) const
-    {
-        const Stripe &s = stripeFor(n);
-        std::lock_guard<std::mutex> lock(s.mutex);
-        return s.nodes.count(n) > 0;
-    }
-
-    template <typename Container>
-    void
-    insertAll(const Container &nodes)
-    {
-        for (analysis::NodeId n : nodes) {
-            Stripe &s = stripeFor(n);
-            std::lock_guard<std::mutex> lock(s.mutex);
-            s.nodes.insert(n);
-        }
-    }
-
-    size_t
-    size() const
-    {
-        size_t total = 0;
-        for (const Stripe &s : _stripes) {
-            std::lock_guard<std::mutex> lock(s.mutex);
-            total += s.nodes.size();
-        }
-        return total;
-    }
-
-  private:
-    static constexpr size_t kStripes = 16;
-
-    struct Stripe {
-        mutable std::mutex mutex;
-        std::unordered_set<analysis::NodeId> nodes;
-    };
-
-    const Stripe &
-    stripeFor(analysis::NodeId n) const
-    {
-        return _stripes[static_cast<size_t>(n) % kStripes];
-    }
-    Stripe &
-    stripeFor(analysis::NodeId n)
-    {
-        return _stripes[static_cast<size_t>(n) % kStripes];
-    }
-
-    std::array<Stripe, kStripes> _stripes;
 };
 
 /**
  * Backward symbolic executor over one pointer-analysis result. The
  * refuted-node cache persists across queries (by design, see paper).
- *
- * An executor is single-threaded; parallel refutation runs one
- * executor per worker. Passing a `shared_cache` lets those workers
- * pool their refuted nodes (only consulted when
- * `options.useNodeCache` is set); with no shared cache the executor
- * owns a private one.
+ * An executor is single-threaded.
  */
 class BackwardExecutor
 {
   public:
     BackwardExecutor(const analysis::PointsToResult &result,
-                     ExecutorOptions options = {},
-                     RefutedNodeCache *shared_cache = nullptr);
+                     ExecutorOptions options = {});
 
     /**
      * Is the ordering "B completes, then A runs and reaches `access`"
@@ -299,10 +210,8 @@ class BackwardExecutor
     std::unordered_map<std::pair<const air::FieldRef *, analysis::ObjId>,
                        analysis::FieldKey, KeyMemoHash>
         _keyMemo;
-    //! refuted-query node cache (paper Section 5 "Caching"); points at
-    //! _ownedCache unless a shared cache was injected
-    RefutedNodeCache *_nodeCache;
-    std::unique_ptr<RefutedNodeCache> _ownedCache;
+    //! refuted-query node cache (paper Section 5 "Caching")
+    std::unordered_set<analysis::NodeId> _refutedNodes;
     //! nodes visited by the current query's phase-A walk (filled only
     //! when the node cache is on: nothing else reads it)
     std::set<analysis::NodeId> _queryVisited;

@@ -1,9 +1,5 @@
 #include "refuter.hh"
 
-#include <algorithm>
-
-#include "util/metrics.hh"
-#include "util/thread_pool.hh"
 #include "util/trace.hh"
 
 namespace sierra::symbolic {
@@ -11,8 +7,7 @@ namespace sierra::symbolic {
 namespace {
 
 /** Decide one racy pair with the given executor; updates the verdict
- *  counters. This is the whole per-pair refutation, shared by the
- *  serial and the sharded path. */
+ *  counters. */
 void
 refutePair(BackwardExecutor &exec,
            const std::vector<race::Access> &accesses,
@@ -66,49 +61,11 @@ refuteRaces(const analysis::PointsToResult &result,
             std::vector<race::RacyPair> &pairs,
             const RefuterOptions &options)
 {
-    int jobs = util::resolveJobs(options.jobs);
-    jobs = std::min<int>(jobs, static_cast<int>(pairs.size()));
-
-    if (jobs <= 1) {
-        RefutationStats stats;
-        double cpu0 = util::metrics::threadCpuSeconds();
-        BackwardExecutor exec(result, options.exec);
-        for (race::RacyPair &pair : pairs)
-            refutePair(exec, accesses, pair, options, stats);
-        stats.cpuSeconds = util::metrics::threadCpuSeconds() - cpu0;
-        stats.exec = exec.stats();
-        return stats;
-    }
-
-    // Shard pairs round-robin over per-worker executors. Workers write
-    // disjoint pairs; the shared node cache is the only cross-worker
-    // state (and only when enabled).
-    RefutedNodeCache shared_cache;
-    std::vector<RefutationStats> worker_stats(
-        static_cast<size_t>(jobs));
-    util::parallelFor(jobs, jobs, [&](int w) {
-        SIERRA_TRACE_SPAN(span, "worker", "refute.shard",
-                          util::trace::arg("shard",
-                                           std::to_string(w)));
-        // Each worker meters its own thread-CPU so the merged
-        // cpuSeconds is the true CPU of the stage, not the task
-        // thread's wall time over a concurrent fan-out.
-        double cpu0 = util::metrics::threadCpuSeconds();
-        BackwardExecutor exec(result, options.exec, &shared_cache);
-        RefutationStats &stats = worker_stats[w];
-        for (size_t i = static_cast<size_t>(w); i < pairs.size();
-             i += static_cast<size_t>(jobs)) {
-            refutePair(exec, accesses, pairs[i], options, stats);
-        }
-        stats.cpuSeconds = util::metrics::threadCpuSeconds() - cpu0;
-        stats.exec = exec.stats();
-    });
-
-    // Deterministic merge in worker order (associative sums, so any
-    // order would do; worker order keeps it obviously reproducible).
     RefutationStats stats;
-    for (const RefutationStats &ws : worker_stats)
-        stats.merge(ws);
+    BackwardExecutor exec(result, options.exec);
+    for (race::RacyPair &pair : pairs)
+        refutePair(exec, accesses, pair, options, stats);
+    stats.exec = exec.stats();
     return stats;
 }
 

@@ -8,18 +8,10 @@
  * refuted. Budget exhaustion conservatively keeps the report (paper:
  * "in line with our approach to over-approximate actual races").
  *
- * Refutation is query-parallel: with jobs > 1 the racy pairs are
- * sharded (round-robin) across per-worker BackwardExecutor instances.
- * Each pair's verdict is a deterministic function of the pointer-
- * analysis result alone, so verdicts (and therefore the
- * refuted/survived/timedOut counts) are identical at every jobs
- * count. Work counters (statesExpanded, cacheHits, ...) depend on
- * which queries shared an executor's memo, so only their merge is
- * deterministic, not their value across jobs counts. With
- * `exec.useNodeCache` the workers share one lock-striped
- * RefutedNodeCache; that cache is verdict-affecting and
- * timing-dependent, so node-cache runs are not jobs-deterministic
- * (the cache is off by default, see ExecutorOptions).
+ * Refutation is serial: one BackwardExecutor decides a harness's pairs
+ * in order, so its query memo (and, when enabled, its refuted-node
+ * cache) carries across them. Parallelism lives one level up, in the
+ * detector's per-harness fan-out.
  */
 
 #ifndef SIERRA_SYMBOLIC_REFUTER_HH
@@ -38,9 +30,6 @@ struct RefuterOptions {
     //! how many (action1, action2) pairs to try per racy pair; a pair is
     //! refuted only if every tried pair is refuted
     int maxActionPairsPerRace{16};
-    //! worker count for sharded refutation; 0 = SIERRA_JOBS env var,
-    //! else hardware_concurrency (see util::resolveJobs)
-    int jobs{1};
 };
 
 /** Aggregate statistics for the evaluation tables. */
@@ -48,35 +37,13 @@ struct RefutationStats {
     int refuted{0};
     int survived{0};
     int timedOut{0};
-    /**
-     * CPU seconds spent deciding pairs, summed over every refuter
-     * worker thread (thread-CPU clock, not wall). Under sharded
-     * refutation the task thread's wall clock only sees the elapsed
-     * time of the fan-out, so StageTimes uses this sum instead —
-     * worker CPU is accounted, not lost (see StageTimes docs).
-     */
-    double cpuSeconds{0};
     ExecutorStats exec;
-
-    /** Component-wise sum; associative (see ExecutorStats::merge). */
-    void
-    merge(const RefutationStats &o)
-    {
-        refuted += o.refuted;
-        survived += o.survived;
-        timedOut += o.timedOut;
-        cpuSeconds += o.cpuSeconds;
-        exec.merge(o.exec);
-    }
 };
 
 /**
- * Mark refuted pairs in place, sharding across `options.jobs` workers.
+ * Mark refuted pairs in place, in order, with one executor.
  * Pairs already refuted by an earlier stage (lock sets) are skipped
  * and excluded from the statistics.
- * Returns statistics merged in worker order; each worker's executor
- * keeps its own refuted-node cache unless they share one (see file
- * comment).
  */
 RefutationStats
 refuteRaces(const analysis::PointsToResult &result,

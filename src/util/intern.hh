@@ -6,13 +6,10 @@
  * Ids are assigned in first-intern order, so an interner populated by a
  * deterministic serial phase (the points-to solver, access extraction)
  * yields the same id for the same string on every run and at every
- * --jobs count. After the serial phases the owner calls freeze(): the
- * primary table becomes read-only — lock-free for the parallel
- * refutation stage — and any genuinely novel string interned late goes
- * to a mutex-protected overflow table. Overflow ids may vary run to
- * run, which is why order-sensitive consumers (report dedup keys,
- * symbolic cache keys) always round-trip through name() rather than
- * comparing raw ids across interners.
+ * --jobs count. Ids of different interners are unrelated, so consumers
+ * that compare across interners (report dedup keys) round-trip through
+ * name(). An interner is not thread-safe: each one is owned by a single
+ * harness task.
  */
 
 #ifndef SIERRA_UTIL_INTERN_HH
@@ -20,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,91 +35,39 @@ class StringInterner
     StringInterner(const StringInterner &) = delete;
     StringInterner &operator=(const StringInterner &) = delete;
 
-    /** Id for `s`, interning it on first sight. Pre-freeze this must
-     *  only be called from one thread; post-freeze it is thread-safe
-     *  (primary lookups are lock-free, misses take the overflow
-     *  mutex). */
+    /** Id for `s`, interning it on first sight. */
     InternId
     intern(std::string_view s)
     {
-        auto it = _primary.find(s);
-        if (it != _primary.end())
+        auto it = _ids.find(s);
+        if (it != _ids.end())
             return it->second;
-        if (!_frozen) {
-            _names.emplace_back(s);
-            InternId id = static_cast<InternId>(_names.size() - 1);
-            _primary.emplace(_names.back(), id);
-            return id;
-        }
-        std::lock_guard<std::mutex> lock(_overflowMutex);
-        auto oit = _overflow.find(s);
-        if (oit != _overflow.end())
-            return oit->second;
-        _overflowNames.emplace_back(s);
-        InternId id = static_cast<InternId>(_frozenSize +
-                                            _overflowNames.size() - 1);
-        _overflow.emplace(_overflowNames.back(), id);
+        _names.emplace_back(s);
+        InternId id = static_cast<InternId>(_names.size() - 1);
+        _ids.emplace(_names.back(), id);
         return id;
     }
 
-    /** Id for `s` if already interned, else kInvalid. Thread-safe
-     *  post-freeze. */
+    /** Id for `s` if already interned, else kInvalid. */
     InternId
     find(std::string_view s) const
     {
-        auto it = _primary.find(s);
-        if (it != _primary.end())
-            return it->second;
-        if (!_frozen)
-            return kInvalid;
-        std::lock_guard<std::mutex> lock(_overflowMutex);
-        auto oit = _overflow.find(s);
-        return oit != _overflow.end() ? oit->second : kInvalid;
+        auto it = _ids.find(s);
+        return it != _ids.end() ? it->second : kInvalid;
     }
 
     /** The string behind an id. The reference is stable for the
      *  interner's lifetime (deque storage never reallocates
      *  elements). */
-    const std::string &
-    name(InternId id) const
-    {
-        if (!_frozen || id < _frozenSize)
-            return _names[id];
-        std::lock_guard<std::mutex> lock(_overflowMutex);
-        return _overflowNames[id - _frozenSize];
-    }
+    const std::string &name(InternId id) const { return _names[id]; }
 
-    /** Number of interned strings (including overflow). */
-    size_t
-    size() const
-    {
-        if (!_frozen)
-            return _names.size();
-        std::lock_guard<std::mutex> lock(_overflowMutex);
-        return _frozenSize + _overflowNames.size();
-    }
-
-    /** End the single-threaded population phase: primary table becomes
-     *  read-only; later interns go to the overflow table. */
-    void
-    freeze()
-    {
-        _frozenSize = _names.size();
-        _frozen = true;
-    }
-
-    bool frozen() const { return _frozen; }
+    /** Number of interned strings. */
+    size_t size() const { return _names.size(); }
 
   private:
-    // Keys are views into the deques, whose elements never move.
-    std::unordered_map<std::string_view, InternId> _primary;
+    // Keys are views into the deque, whose elements never move.
+    std::unordered_map<std::string_view, InternId> _ids;
     std::deque<std::string> _names;
-    bool _frozen{false};
-    size_t _frozenSize{0};
-
-    mutable std::mutex _overflowMutex;
-    std::unordered_map<std::string_view, InternId> _overflow;
-    std::deque<std::string> _overflowNames;
 };
 
 } // namespace sierra::util

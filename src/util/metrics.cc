@@ -1,7 +1,6 @@
 #include "metrics.hh"
 
 #include <cstdio>
-#include <ctime>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -9,19 +8,6 @@
 #endif
 
 namespace sierra::util::metrics {
-
-double
-threadCpuSeconds()
-{
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    struct timespec ts;
-    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-        return static_cast<double>(ts.tv_sec) +
-               static_cast<double>(ts.tv_nsec) * 1e-9;
-    }
-#endif
-    return 0.0;
-}
 
 int64_t
 peakRssBytes()

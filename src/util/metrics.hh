@@ -26,11 +26,6 @@
 
 namespace sierra::util::metrics {
 
-/** Seconds of CPU time consumed by the calling thread (not wall
- *  time): the primitive behind per-worker CPU attribution in
- *  StageTimes. Falls back to 0 on platforms without a thread clock. */
-double threadCpuSeconds();
-
 /** Peak resident set size of this process in bytes (getrusage), the
  *  primitive behind the `mem.peak_rss_bytes` counter. Returns 0 on
  *  platforms without getrusage. */

@@ -1,10 +1,9 @@
 /**
  * @file
- * A fixed-size thread pool with a bounded work queue, plus the
- * `parallelFor`/`parallelMap` helpers the analysis stages build on.
+ * The `parallelFor`/`parallelMap` helpers the detector's harness
+ * fan-out builds on.
  *
- * Job-count policy (used by every parallel stage): an explicit request
- * wins; otherwise the `SIERRA_JOBS` environment variable; otherwise
+ * Job-count policy: an explicit request wins; otherwise
  * `std::thread::hardware_concurrency()`. `parallelFor(1, ...)` runs
  * inline on the calling thread, so a jobs=1 run never spawns threads
  * and is the bit-exact reference for the determinism tests.
@@ -13,11 +12,7 @@
 #ifndef SIERRA_UTIL_THREAD_POOL_HH
 #define SIERRA_UTIL_THREAD_POOL_HH
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace sierra::util {
@@ -25,52 +20,17 @@ namespace sierra::util {
 /**
  * Resolve a requested job count to the number of workers to use.
  *
- * @param requested  > 0: use as-is. <= 0: consult `SIERRA_JOBS`, then
- *                   `hardware_concurrency()`. Never returns less than 1.
+ * @param requested  > 0: use as-is. <= 0: `hardware_concurrency()`.
+ *                   Never returns less than 1.
  */
 int resolveJobs(int requested = 0);
 
 /**
- * Fixed-size worker pool. Tasks are queued FIFO; `submit` blocks when
- * the queue is full (backpressure instead of unbounded growth). The
- * destructor drains the queue and joins.
- */
-class ThreadPool
-{
-  public:
-    explicit ThreadPool(int workers, size_t queue_capacity = 1024);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a task; blocks while the queue is at capacity. */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished executing. */
-    void wait();
-
-    int workers() const { return static_cast<int>(_threads.size()); }
-
-  private:
-    void workerLoop(int index);
-
-    std::mutex _mutex;
-    std::condition_variable _notEmpty; //!< workers wait for tasks
-    std::condition_variable _notFull;  //!< submitters wait for room
-    std::condition_variable _idle;     //!< wait() waits for quiescence
-    std::deque<std::function<void()>> _queue;
-    size_t _capacity;
-    int _inFlight{0}; //!< queued + currently executing tasks
-    bool _stopping{false};
-    std::vector<std::thread> _threads;
-};
-
-/**
  * Run `fn(i)` for every i in [0, n), distributing iterations across
- * `jobs` workers (work-stealing via a shared atomic index, so uneven
- * iterations balance). With jobs <= 1 (or n <= 1) everything runs
- * inline on the calling thread in index order.
+ * `jobs` workers: the calling thread plus jobs-1 spawned threads,
+ * joined before return (work-stealing via a shared atomic index, so
+ * uneven iterations balance). With jobs <= 1 (or n <= 1) everything
+ * runs inline on the calling thread in index order.
  *
  * The first exception thrown by any iteration is rethrown on the
  * calling thread after all workers stop picking up new iterations.

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/intern.hh"
@@ -51,54 +50,6 @@ TEST(Intern, SameOrderSameIds)
     StringInterner a, b;
     for (const std::string &k : keys)
         EXPECT_EQ(a.intern(k), b.intern(k)) << k;
-}
-
-TEST(Intern, FreezeKeepsPrimaryIdsAndRoutesNewToOverflow)
-{
-    StringInterner t;
-    InternId early = t.intern("early");
-    t.freeze();
-    EXPECT_TRUE(t.frozen());
-    EXPECT_EQ(t.intern("early"), early)
-        << "frozen primary lookups still hit";
-    InternId late = t.intern("late");
-    EXPECT_GE(late, 1u) << "overflow ids continue after the primary";
-    EXPECT_EQ(t.intern("late"), late);
-    EXPECT_EQ(t.name(late), "late");
-    EXPECT_EQ(t.find("late"), late);
-    EXPECT_EQ(t.size(), 2u);
-}
-
-TEST(Intern, PostFreezeConcurrentInternIsSafe)
-{
-    StringInterner t;
-    for (int i = 0; i < 64; ++i)
-        t.intern("pre" + std::to_string(i));
-    t.freeze();
-
-    // Hammer mixed primary hits and overflow misses from 4 threads;
-    // under TSan this doubles as a data-race check.
-    std::vector<std::thread> threads;
-    for (int w = 0; w < 4; ++w) {
-        threads.emplace_back([&t, w] {
-            for (int i = 0; i < 200; ++i) {
-                t.intern("pre" + std::to_string(i % 64));
-                t.intern("post" + std::to_string(i % 8));
-                (void)w;
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-
-    // Every string maps to exactly one id and round-trips.
-    for (int i = 0; i < 8; ++i) {
-        std::string s = "post" + std::to_string(i);
-        InternId id = t.find(s);
-        ASSERT_NE(id, StringInterner::kInvalid) << s;
-        EXPECT_EQ(t.name(id), s);
-    }
-    EXPECT_EQ(t.size(), 64u + 8u);
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * Jobs-count determinism of the full pipeline: SierraDetector::analyze
- * must produce byte-identical reports whether it runs serially or on a
- * thread pool. The parallel path fans out one task per harness plan
+ * must produce byte-identical reports whether it runs serially or on
+ * several threads. The parallel path fans out one task per harness plan
  * and merges in plan order; these tests pin that contract on real
  * corpus apps (named + synthetic).
  */
@@ -199,6 +199,41 @@ TEST(ParallelDeterminism, LockStagesAreJobsDeterministic)
                     << label << " pair " << p;
         }
     }
+}
+
+TEST(ParallelDeterminism, NodeCacheIsJobsDeterministic)
+{
+    // The paper's refuted-node cache (`--node-cache`) is verdict-
+    // affecting, but each harness task owns its executor and so its
+    // cache: the report must not depend on the jobs count, and every
+    // pair the symbolic stage sees is either refuted or survives.
+    int64_t cache_hits = 0;
+    for (const char *app : {"OpenSudoku", "K-9 Mail"}) {
+        corpus::BuiltApp built = corpus::buildNamedApp(app);
+        SierraDetector detector(*built.app);
+        SierraOptions one, four;
+        one.jobs = 1;
+        four.jobs = 4;
+        for (SierraOptions *o : {&one, &four})
+            o->refuter.exec.useNodeCache = true;
+        AppReport serial = detector.analyze(one);
+        AppReport parallel = detector.analyze(four);
+        expectIdenticalReports(serial, parallel, app);
+
+        for (const HarnessAnalysis &ha : serial.perHarness) {
+            int earlier = 0; // refuted before the symbolic stage
+            for (const race::RacyPair &pair : ha.pairs) {
+                if (pair.refuted &&
+                    pair.refutedBy != race::RefutedBy::Symbolic)
+                    ++earlier;
+            }
+            EXPECT_EQ(ha.refutation.refuted + ha.refutation.survived,
+                      static_cast<int>(ha.pairs.size()) - earlier)
+                << app << " " << ha.activity;
+            cache_hits += ha.refutation.exec.cacheHits;
+        }
+    }
+    EXPECT_GT(cache_hits, 0) << "the node cache must prune something";
 }
 
 TEST(ParallelDeterminism, DedupKeysAreStableAcrossDetectors)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "corpus/named_apps.hh"
@@ -235,6 +236,78 @@ TEST(Serve, OutOfRangeNumbersAreParseErrorsNotCrashes)
     Json ok = parseOk(session.handleLine(analyze(id, app_text)));
     ASSERT_NE(ok.field("result"), nullptr);
     EXPECT_EQ(ok.field("result")->field("app")->asStr(), "VuDroid");
+}
+
+TEST(Serve, DeepNestingIsBadJsonNotACrash)
+{
+    // Nesting up to the limit parses; one level more is rejected
+    // before recursing any deeper.
+    auto nested = [](int depth) {
+        return std::string(static_cast<size_t>(depth), '[') +
+               std::string(static_cast<size_t>(depth), ']');
+    };
+    Json out;
+    std::string error;
+    EXPECT_TRUE(Json::parse(nested(Json::kMaxNesting), out, error))
+        << error;
+    EXPECT_FALSE(Json::parse(nested(Json::kMaxNesting + 1), out, error));
+    EXPECT_EQ(error, "nesting deeper than 64 at offset 64");
+
+    std::string objects = R"({"id":1,"kind":"ping","x":)";
+    for (int i = 0; i < 50000; ++i)
+        objects += R"({"a":)";
+    ServeSession session(ServeOptions{});
+    const std::string hostile[] = {std::string(50000, '['), objects};
+    for (const std::string &line : hostile) {
+        Json r = parseOk(session.handleLine(line));
+        EXPECT_EQ(r.field("id")->asInt(), 0);
+        EXPECT_EQ(r.field("error")->field("code")->asStr(), "bad-json");
+        EXPECT_NE(r.field("error")->field("message")->asStr().find(
+                      "nesting deeper than 64"),
+                  std::string::npos);
+    }
+
+    // The session survives and still answers a valid request.
+    EXPECT_EQ(session.handleLine(R"({"id":2,"kind":"ping"})"),
+              R"({"id":2,"result":{"pong":true}})");
+}
+
+TEST(Serve, OutOfRangeIntegersAreBadJsonNotACrash)
+{
+    Json out;
+    std::string error;
+    ASSERT_TRUE(Json::parse("[9223372036854775807,-9223372036854775808]",
+                            out, error))
+        << error;
+    EXPECT_EQ(out.items()[0].asInt(),
+              std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(out.items()[1].asInt(),
+              std::numeric_limits<int64_t>::min());
+
+    ServeSession session(ServeOptions{});
+    const char *hostile[] = {
+        R"({"id":99999999999999999999,"kind":"stats"})",
+        R"({"id":9223372036854775808,"kind":"stats"})",
+        R"({"id":-9223372036854775809,"kind":"stats"})",
+        R"({"id":1,"kind":"analyze","jobs":99999999999999999999})",
+    };
+    for (const char *line : hostile) {
+        Json r = parseOk(session.handleLine(line));
+        EXPECT_EQ(r.field("id")->asInt(), 0) << line;
+        EXPECT_EQ(r.field("error")->field("code")->asStr(), "bad-json")
+            << line;
+        EXPECT_NE(r.field("error")->field("message")->asStr().find(
+                      "integer out of range at offset"),
+                  std::string::npos)
+            << line;
+    }
+    Json r = parseOk(session.handleLine(hostile[0]));
+    EXPECT_EQ(r.field("error")->field("message")->asStr(),
+              "integer out of range at offset 6");
+
+    // The session survives and still answers a valid request.
+    EXPECT_EQ(session.handleLine(R"({"id":2,"kind":"ping"})"),
+              R"({"id":2,"result":{"pong":true}})");
 }
 
 TEST(Serve, LoopRunsUntilShutdownAndIgnoresBlankLines)

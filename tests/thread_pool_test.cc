@@ -1,9 +1,8 @@
-/** @file Unit tests for the util thread pool and parallel helpers. */
+/** @file Unit tests for the util parallel helpers. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -21,62 +20,10 @@ TEST(ResolveJobs, ExplicitRequestWins)
     EXPECT_EQ(util::resolveJobs(1), 1);
 }
 
-TEST(ResolveJobs, EnvVarOverridesDefault)
-{
-    ASSERT_EQ(setenv("SIERRA_JOBS", "5", 1), 0);
-    EXPECT_EQ(util::resolveJobs(0), 5);
-    EXPECT_EQ(util::resolveJobs(2), 2) << "explicit beats env";
-    ASSERT_EQ(setenv("SIERRA_JOBS", "garbage", 1), 0);
-    EXPECT_GE(util::resolveJobs(0), 1) << "bad env falls back";
-    ASSERT_EQ(setenv("SIERRA_JOBS", "-4", 1), 0);
-    EXPECT_GE(util::resolveJobs(0), 1);
-    unsetenv("SIERRA_JOBS");
-}
-
 TEST(ResolveJobs, DefaultIsAtLeastOne)
 {
-    unsetenv("SIERRA_JOBS");
     EXPECT_GE(util::resolveJobs(0), 1);
     EXPECT_GE(util::resolveJobs(-7), 1);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    std::atomic<int> count{0};
-    {
-        util::ThreadPool pool(4);
-        for (int i = 0; i < 200; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(count.load(), 200);
-    }
-}
-
-TEST(ThreadPool, BoundedQueueBackpressure)
-{
-    // A capacity-2 queue forces submit() to block and hand off work;
-    // every task must still run exactly once.
-    std::atomic<int> count{0};
-    {
-        util::ThreadPool pool(2, /*queue_capacity=*/2);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        pool.wait();
-    }
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    std::atomic<int> count{0};
-    util::ThreadPool pool(3);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&] { count.fetch_add(1); });
-    pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)

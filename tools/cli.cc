@@ -56,8 +56,7 @@ analyze options:
   --index-sensitive   per-element array locations (removes the
                       index-insensitivity FP class)
   --node-cache      enable the paper's refuted-node cache
-  --jobs N          worker threads for harness analysis and sharded
-                    refutation (default: SIERRA_JOBS env var, else
+  --jobs N          worker threads for per-harness analysis (default:
                     hardware concurrency; reports are identical at
                     every N)
 )";
