@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the core pipeline stages:
  * corpus construction, parser round-trip, pointer analysis, SHBG
- * construction, racy-pair detection, symbolic refutation, and the
- * dynamic detector.
+ * construction, racy-pair detection, symbolic refutation, the
+ * dynamic detector, and the serve store's warm path.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,9 +13,12 @@
 
 #include "air/parser.hh"
 #include "air/printer.hh"
+#include "analysis/store.hh"
 #include "bench_util.hh"
+#include "corpus/generator.hh"
 #include "framework/app_text.hh"
 #include "hb/rules.hh"
+#include "serve/incremental.hh"
 #include "util/bitset.hh"
 
 namespace {
@@ -278,6 +281,53 @@ BM_PtsIterate_ObjBitset(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PtsIterate_ObjBitset)->RangeMultiplier(8)->Range(16, 1024);
+
+/**
+ * What a warm `sierra serve` request does besides parsing and merging,
+ * on one app of the perfbench heavy-app shape (3 activities x 12
+ * patterns, the first app of its pinned pool): arg 0 builds the
+ * method-hash table, arg 1 takes the shape hash, arg 2 decodes the
+ * app's stored state (method index, dependency index and every harness
+ * artifact) as the store hands it out.
+ */
+void
+BM_StoreWarmPath(benchmark::State &state)
+{
+    namespace store = analysis::store;
+    corpus::SyntheticSpec spec;
+    spec.seed = 0x4EA7u * 1000003u;
+    spec.activities = 3;
+    spec.minPatternsPerActivity = 12;
+    spec.maxPatternsPerActivity = 12;
+    corpus::BuiltApp built = corpus::generateSyntheticApp("heavy-0", spec);
+    store::Store st;
+    serve::IncrementalAnalyzer(st).analyze(*built.app, SierraOptions{});
+    const framework::App &app = *built.app;
+
+    for (auto _ : state) {
+        switch (state.range(0)) {
+          case 0: {
+            store::MethodHashTable table(app);
+            benchmark::DoNotOptimize(table.size());
+            break;
+          }
+          case 1:
+            benchmark::DoNotOptimize(store::shapeHash(app));
+            break;
+          default: {
+            auto rows = store::parseMethodIndex(*st.get("methods", app.name()));
+            benchmark::DoNotOptimize(rows.size());
+            auto deps = store::DepIndex::parse(*st.get("deps", app.name()));
+            benchmark::DoNotOptimize(deps.numEdges());
+            for (const std::string &key : st.keys("harness")) {
+                auto art = parseArtifact(*st.get("harness", key));
+                benchmark::DoNotOptimize(art->races.size());
+            }
+          }
+        }
+    }
+}
+BENCHMARK(BM_StoreWarmPath)->DenseRange(0, 2);
 
 /** Best-of-5 ns/op for `fn` run `iters` times (for the BENCH JSON
  *  rows; the google-benchmark output above stays the primary view). */

@@ -24,7 +24,7 @@ nullVerdictName(NullVerdict v)
 }
 
 bool
-nullVerdictFromName(const std::string &name, NullVerdict &out)
+nullVerdictFromName(std::string_view name, NullVerdict &out)
 {
     if (name == "UNKNOWN") {
         out = NullVerdict::Unknown;

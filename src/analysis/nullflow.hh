@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "framework/known_api.hh"
@@ -52,7 +53,7 @@ enum class NullVerdict : uint8_t {
 const char *nullVerdictName(NullVerdict v);
 
 /** Inverse of nullVerdictName; false when the tag is unknown. */
-bool nullVerdictFromName(const std::string &name, NullVerdict &out);
+bool nullVerdictFromName(std::string_view name, NullVerdict &out);
 
 /**
  * Report-sort rank: harmful races outrank unknown ones, which outrank

@@ -5,28 +5,39 @@
  *
  * The store maps (kind, key) -> blob, where every key is derived from
  * *content hashes* of the inputs an artifact depends on, never from
- * timestamps or process state:
+ * timestamps or process state. No hash is taken over printed text:
  *
  *  - `methodEnvHash(m)` keys one method body plus its resolution
  *    environment: the signature and every instruction's semantic
- *    fields, the owner's class-hierarchy slice (name, super chain,
+ *    fields, the owner's class-hierarchy slice (name, super,
  *    interfaces, fields), the known-API table version and the store
  *    schema version. Any edit that could change how the method
  *    analyzes changes the hash.
+ *  - `MethodHashTable` holds those hashes for every analyzable method
+ *    of one app, flat and sorted by qualified name. The detector
+ *    builds it at most once per app; the incremental diff, the
+ *    footprint check of a stored artifact and the footprint of a fresh
+ *    one all read it.
  *  - `shapeHash(app)` keys everything about an app *except* method
- *    bodies: manifest, layouts, class names/supers/fields and method
- *    signatures. Body edits keep the shape stable, so per-harness
- *    artifacts survive them when their footprint still validates;
- *    adding/removing a class, method, field or widget changes the
- *    shape and invalidates every harness key derived from it.
+ *    bodies: it hashes the manifest, layouts and app-class shapes
+ *    (names, supers, interfaces, fields, method signatures and
+ *    `regs=`) directly, every string length-prefixed and every list
+ *    count-prefixed -- exactly what `printAppText(app, false)` prints.
+ *    Body edits keep the shape stable, so per-harness artifacts
+ *    survive them when their footprint still validates; adding or
+ *    removing a class, method, field or widget changes the shape and
+ *    invalidates every harness key derived from it.
  *
  * Blobs are deterministic text, so two processes given the same module
  * produce byte-identical store contents (pinned by store_test). The
- * store holds everything in memory and optionally write-throughs to a
- * versioned on-disk directory (`dir/<kind>/<key>`); a schema or
- * known-API version mismatch discards the on-disk generation instead
- * of reading incompatible blobs (the invalidation rules are documented
- * in docs/CACHING.md).
+ * decoders (`parseMethodIndex`, `DepIndex::parse`, and
+ * `sierra::parseArtifact`) read a `std::string_view`, and `Store::get`
+ * hands out a view of the stored blob rather than a copy. The store
+ * holds everything in memory and optionally write-throughs to a
+ * versioned on-disk directory (`dir/<kind>/<encoded key>`, where the
+ * key encoding is injective); a schema or known-API version mismatch
+ * discards the on-disk generation instead of reading incompatible
+ * blobs (the invalidation rules are documented in docs/CACHING.md).
  *
  * The `DepIndex` is the reverse-dependency index over the IFDS summary
  * graph: method-level caller<-callee edges recorded when summaries are
@@ -44,6 +55,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sierra::air {
@@ -59,7 +71,7 @@ namespace sierra::analysis::store {
 
 /** Bumped whenever a blob format or hash recipe changes; a mismatch
  *  invalidates the whole on-disk store (see docs/CACHING.md). */
-inline constexpr int kStoreSchemaVersion = 3;
+inline constexpr int kStoreSchemaVersion = 4;
 
 /** FNV-1a over bytes; the deterministic hash every key derives from. */
 uint64_t fnv64(std::string_view bytes,
@@ -71,9 +83,32 @@ uint64_t mixHash(uint64_t acc, uint64_t value);
 /** Fixed-width lowercase hex of a hash (16 chars). */
 std::string hashHex(uint64_t value);
 
+/** Inverse of hashHex: true only for exactly 16 lowercase hex
+ *  digits. */
+bool parseHashHex(std::string_view hex, uint64_t &out);
+
+/** Call `fn(line)` for each line of `blob`, split on '\n', exactly as
+ *  std::getline would yield them: a last line without '\n' counts, an
+ *  empty tail after the final '\n' does not. Lines view `blob`. */
+template <typename Fn>
+void
+forEachLine(std::string_view blob, Fn &&fn)
+{
+    size_t pos = 0;
+    while (pos < blob.size()) {
+        size_t nl = blob.find('\n', pos);
+        if (nl == std::string_view::npos) {
+            fn(blob.substr(pos));
+            return;
+        }
+        fn(blob.substr(pos, nl - pos));
+        pos = nl + 1;
+    }
+}
+
 /**
- * The class-hierarchy slice of one class: its name, transitive super
- * chain, interfaces and field declarations (names and types). Part of
+ * The class-hierarchy slice of one class: its name, super class name,
+ * interfaces and field declarations (names and types). Part of
  * every member method's resolution environment -- a field retyped or a
  * super re-parented re-keys every method of the class.
  */
@@ -83,26 +118,60 @@ uint64_t classSliceHash(const air::Klass &klass);
  *  (see file comment). Stable across processes and jobs counts. */
 uint64_t methodEnvHash(const air::Method &method);
 
-/**
- * Env hashes for every analyzable method of the app: non-framework
- * classes (app code plus synthetic harness classes) with a body,
- * keyed by qualified name. Deterministic iteration order.
- */
-std::map<std::string, uint64_t> hashMethods(const framework::App &app);
+/** One row of a MethodHashTable. */
+struct MethodHashEntry {
+    std::string name;                   //!< qualified method name
+    uint64_t hash{0};                   //!< its methodEnvHash
+    const air::Method *method{nullptr}; //!< the method hashed
+};
 
-/** The app's structural hash: its printed bundle text with the
- *  instruction lines stripped (manifest + layouts + class shapes +
- *  method signatures, no bodies). */
+/**
+ * Env hashes for every analyzable method of an app: methods with a
+ * body in non-framework classes (app code plus synthetic harness
+ * classes), flat and sorted by qualified name. One table per app,
+ * built after harness generation; it reflects the module as it was
+ * then.
+ */
+class MethodHashTable
+{
+  public:
+    MethodHashTable() = default;
+    explicit MethodHashTable(const framework::App &app);
+
+    const std::vector<MethodHashEntry> &entries() const
+    {
+        return _entries;
+    }
+    size_t size() const { return _entries.size(); }
+
+    /** The row of a qualified name; null when absent. */
+    const MethodHashEntry *find(std::string_view name) const;
+
+    /** The row of one method of the app; null when it is not in the
+     *  table (framework code, no body, or added after the build). */
+    const MethodHashEntry *find(const air::Method *method) const;
+
+  private:
+    std::vector<MethodHashEntry> _entries;
+    //! (method, row index), sorted by method address
+    std::vector<std::pair<const air::Method *, uint32_t>> _byMethod;
+};
+
+/** The app's structural hash (see file comment): covers exactly what
+ *  `printAppText(app, false)` prints, without printing it. */
 uint64_t shapeHash(const framework::App &app);
 
-/** Serialize a method-name -> env-hash index (one "name\thex" line per
- *  method, sorted). */
-std::string serializeMethodIndex(
-    const std::map<std::string, uint64_t> &index);
+/** Serialize method hashes as an index blob (one "name\thex" line per
+ *  row, in row order -- sorted for a table's rows). */
+std::string serializeMethodIndex(const std::vector<MethodHashEntry> &rows);
 
-/** Parse a serialized method index; malformed lines are dropped. */
-std::map<std::string, uint64_t>
-parseMethodIndex(const std::string &blob);
+/** One decoded method-index row; the name views the blob. */
+using MethodIndexRow = std::pair<std::string_view, uint64_t>;
+
+/** Decode a serialized method index into rows sorted by name, one per
+ *  name (the last line wins); malformed lines are dropped. The rows
+ *  view `blob`. */
+std::vector<MethodIndexRow> parseMethodIndex(std::string_view blob);
 
 /**
  * Reverse-dependency index over the IFDS summary graph at method
@@ -114,7 +183,7 @@ class DepIndex
 {
   public:
     /** Record "caller's summary depends on callee's summary". */
-    void addEdge(const std::string &caller, const std::string &callee);
+    void addEdge(std::string_view caller, std::string_view callee);
 
     /** Union another index in (idempotent). */
     void merge(const DepIndex &other);
@@ -132,11 +201,13 @@ class DepIndex
     int64_t numEdges() const;
 
     std::string serialize() const;
-    static DepIndex parse(const std::string &blob);
+    /** Decode a serialized index; lines without a tab-separated
+     *  caller and callee are dropped. */
+    static DepIndex parse(std::string_view blob);
 
   private:
     //! callee -> set of callers
-    std::map<std::string, std::set<std::string>> _callers;
+    std::map<std::string, std::set<std::string>, std::less<>> _callers;
 };
 
 /** One SCCP constant fact: register `reg` holds `value` just before
@@ -193,22 +264,35 @@ class Store
     bool onDisk() const { return !_dir.empty(); }
     const std::string &dir() const { return _dir; }
 
-    std::optional<std::string> get(const std::string &kind,
-                                   const std::string &key);
-    void put(const std::string &kind, const std::string &key,
-             const std::string &blob);
+    /** The blob stored under (kind, key), as a view that stays valid
+     *  until the next put of the same (kind, key) or the store's
+     *  destruction. */
+    std::optional<std::string_view> get(std::string_view kind,
+                                        std::string_view key);
+    void put(std::string_view kind, std::string_view key,
+             std::string_view blob);
 
     /** All keys of one kind (sorted; includes on-disk-only keys). */
-    std::vector<std::string> keys(const std::string &kind) const;
+    std::vector<std::string> keys(std::string_view kind) const;
 
     const StoreStats &stats() const { return _stats; }
 
+    /** The file name a key is stored under: every byte outside
+     *  [A-Za-z0-9_-] becomes `%XX` (upper-case hex), so distinct keys
+     *  never share a file and no key escapes its kind directory. */
+    static std::string encodeKey(std::string_view key);
+    /** Inverse of encodeKey; nullopt for a name it never produces. */
+    static std::optional<std::string> decodeKey(std::string_view name);
+
   private:
-    std::string pathFor(const std::string &kind,
-                        const std::string &key) const;
+    std::string pathFor(std::string_view kind, std::string_view key) const;
 
     std::string _dir; //!< empty = memory only
-    std::map<std::string, std::string> _blobs;
+    //! kind -> key -> blob
+    std::map<std::string,
+             std::map<std::string, std::string, std::less<>>,
+             std::less<>>
+        _blobs;
     StoreStats _stats;
 };
 

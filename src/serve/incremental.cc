@@ -1,6 +1,7 @@
 #include "incremental.hh"
 
-#include <map>
+#include <optional>
+#include <string_view>
 
 #include "air/method.hh"
 #include "util/trace.hh"
@@ -42,50 +43,83 @@ IncrementalAnalyzer::analyze(framework::App &app,
 
     IncrementalResult res;
 
-    // Harness generation happens at detector construction, so hashing
-    // after it covers the synthetic harness classes too -- they are
-    // part of every harness's footprint.
+    // Harness generation happens at detector construction, and the
+    // detector's method-hash table is taken right after it, so it
+    // covers the synthetic harness classes too -- they are part of
+    // every harness's footprint.
     SierraDetector detector(app, options);
+    const store::MethodHashTable &hashes = detector.methodHashes();
 
     const uint64_t opts_hash = optionsFingerprint(options);
-    const std::map<std::string, uint64_t> hashes =
-        store::hashMethods(app);
-    const uint64_t shape = store::mixHash(store::shapeHash(app),
-                                          opts_hash);
+    uint64_t shape;
+    {
+        SIERRA_TRACE_SPAN(hash_span, "store", "store.hash",
+                          util::trace::arg("app", app.name()));
+        shape = store::mixHash(store::shapeHash(app), opts_hash);
+    }
     res.shapeHash = store::hashHex(shape);
     res.methodsTotal = static_cast<int>(hashes.size());
 
-    // Diff against the previous submission of the same app name.
-    const std::string app_key = app.name();
+    // Diff against the previous submission of the same app name: a
+    // merge walk over two name-sorted lists.
+    const std::string &app_key = app.name();
     std::set<std::string> changed;
-    store::DepIndex deps;
+    std::optional<std::string_view> prev_deps;
     if (auto prev = _store.get("methods", app_key)) {
         res.firstSubmission = false;
-        const std::map<std::string, uint64_t> prev_index =
-            store::parseMethodIndex(*prev);
-        for (const auto &[name, hash] : hashes) {
-            auto it = prev_index.find(name);
-            if (it == prev_index.end() || it->second != hash)
-                changed.insert(name);
+        std::vector<store::MethodIndexRow> prev_index;
+        {
+            SIERRA_TRACE_SPAN(decode_span, "store", "store.decode",
+                              util::trace::arg("kind", "methods"));
+            prev_index = store::parseMethodIndex(*prev);
         }
-        for (const auto &[name, hash] : prev_index) {
-            if (!hashes.count(name))
-                changed.insert(name); // removed bodies dirty callers
+        const std::vector<store::MethodHashEntry> &rows = hashes.entries();
+        size_t i = 0, j = 0;
+        while (i < rows.size() || j < prev_index.size()) {
+            if (j == prev_index.size() ||
+                (i < rows.size() &&
+                 std::string_view(rows[i].name) < prev_index[j].first)) {
+                changed.insert(rows[i++].name); // a new body
+            } else if (i == rows.size() ||
+                       prev_index[j].first < rows[i].name) {
+                // a removed body dirties its callers
+                changed.emplace(prev_index[j++].first);
+            } else {
+                if (rows[i].hash != prev_index[j].second)
+                    changed.insert(rows[i].name);
+                ++i;
+                ++j;
+            }
         }
-        if (auto prev_deps = _store.get("deps", app_key))
-            deps = store::DepIndex::parse(*prev_deps);
+        prev_deps = _store.get("deps", app_key);
         if (auto prev_shape = _store.get("shape", app_key))
             res.shapeChanged = *prev_shape != res.shapeHash;
         else
             res.shapeChanged = true;
     } else {
         res.firstSubmission = true;
-        for (const auto &[name, hash] : hashes)
-            changed.insert(name);
+        for (const store::MethodHashEntry &row : hashes.entries())
+            changed.insert(row.name);
         res.shapeChanged = true;
     }
     res.methodsChanged = static_cast<int>(changed.size());
-    res.dirty = deps.dirtyClosure(changed);
+
+    // The previous dependency index is decoded only when something
+    // needs it: a dirty closure to take, or the state to roll forward.
+    // It views the store's "deps" blob, which no put below replaces
+    // before it is decoded.
+    std::optional<store::DepIndex> deps;
+    auto prevDeps = [&]() -> store::DepIndex & {
+        if (!deps) {
+            SIERRA_TRACE_SPAN(decode_span, "store", "store.decode",
+                              util::trace::arg("kind", "deps"));
+            deps = prev_deps ? store::DepIndex::parse(*prev_deps)
+                             : store::DepIndex();
+        }
+        return *deps;
+    };
+    if (!changed.empty())
+        res.dirty = prevDeps().dirtyClosure(changed);
 
     // Per-harness reuse. The artifact key folds the activity into the
     // shape+options hash; the stored footprint then proves the
@@ -101,12 +135,17 @@ IncrementalAnalyzer::analyze(framework::App &app,
         auto blob = _store.get("harness", key);
         if (!blob)
             return false;
-        auto parsed = parseArtifact(*blob);
+        std::optional<HarnessArtifact> parsed;
+        {
+            SIERRA_TRACE_SPAN(decode_span, "store", "store.decode",
+                              util::trace::arg("kind", "harness"));
+            parsed = parseArtifact(*blob);
+        }
         if (!parsed || parsed->activity != plan.activityClass)
             return false;
         for (const auto &[method, hash] : parsed->footprint) {
-            auto it = hashes.find(method);
-            if (it == hashes.end() || it->second != hash)
+            const store::MethodHashEntry *row = hashes.find(method);
+            if (!row || row->hash != hash)
                 return false; // a reachable body changed: recompute
         }
         out = std::move(*parsed);
@@ -129,10 +168,10 @@ IncrementalAnalyzer::analyze(framework::App &app,
             for (const auto &sum : ha.inter->exportSummaries()) {
                 for (const std::string &callee : sum.callees)
                     new_deps.addEdge(sum.method, callee);
-                auto it = hashes.find(sum.method);
-                if (it == hashes.end())
+                const store::MethodHashEntry *row = hashes.find(sum.method);
+                if (!row)
                     continue;
-                const std::string mkey = store::hashHex(it->second);
+                const std::string mkey = store::hashHex(row->hash);
                 if (!_store.get("ifds", mkey)) {
                     _store.put("ifds", mkey,
                                analysis::serializeSummaries({sum}));
@@ -161,28 +200,15 @@ IncrementalAnalyzer::analyze(framework::App &app,
 
     // Persist per-body facts for every *changed* method (cheap, local
     // solves) so diagnostics can inspect them without a pipeline run.
-    if (!changed.empty()) {
-        std::map<std::string, const air::Method *> by_name;
-        for (const air::Klass *klass : app.module().classes()) {
-            if (klass->isFramework())
-                continue;
-            for (const auto &m : klass->methods()) {
-                if (m->hasBody())
-                    by_name.emplace(m->qualifiedName(), m.get());
-            }
-        }
-        for (const std::string &name : changed) {
-            auto hit = hashes.find(name);
-            auto mit = by_name.find(name);
-            if (hit == hashes.end() || mit == by_name.end())
-                continue;
-            const std::string mkey = store::hashHex(hit->second);
-            if (_store.get("cfg", mkey))
-                continue;
-            _store.put("cfg", mkey, store::cfgDigest(*mit->second));
-            _store.put("sccp", mkey,
-                       store::sccpFactsBlob(*mit->second));
-        }
+    for (const std::string &name : changed) {
+        const store::MethodHashEntry *row = hashes.find(name);
+        if (!row)
+            continue; // a removed body
+        const std::string mkey = store::hashHex(row->hash);
+        if (_store.get("cfg", mkey))
+            continue;
+        _store.put("cfg", mkey, store::cfgDigest(*row->method));
+        _store.put("sccp", mkey, store::sccpFactsBlob(*row->method));
     }
 
     // Roll the app's incremental state forward: union the dependency
@@ -190,19 +216,20 @@ IncrementalAnalyzer::analyze(framework::App &app,
     // are still valid -- their methods did not change), then prune to
     // methods that still exist. A fully clean re-submission (nothing
     // changed, nothing computed) leaves the state bit-identical, so
-    // skip the re-serialization entirely.
+    // skip the decode and the re-serialization entirely.
     const bool state_dirty = res.firstSubmission || !changed.empty() ||
                              new_deps.numEdges() > 0 ||
                              res.shapeChanged;
     if (state_dirty) {
-        deps.merge(new_deps);
+        store::DepIndex &rolled = prevDeps();
+        rolled.merge(new_deps);
         std::set<std::string> keep;
-        for (const auto &[name, hash] : hashes)
-            keep.insert(name);
-        deps.prune(keep);
+        for (const store::MethodHashEntry &row : hashes.entries())
+            keep.insert(keep.end(), row.name);
+        rolled.prune(keep);
         _store.put("methods", app_key,
-                   store::serializeMethodIndex(hashes));
-        _store.put("deps", app_key, deps.serialize());
+                   store::serializeMethodIndex(hashes.entries()));
+        _store.put("deps", app_key, rolled.serialize());
         _store.put("shape", app_key, res.shapeHash);
     }
 

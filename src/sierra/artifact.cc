@@ -1,11 +1,12 @@
 #include "artifact.hh"
 
 #include <algorithm>
-#include <map>
+#include <charconv>
 #include <sstream>
 #include <tuple>
 
 #include "air/klass.hh"
+#include "air/logging.hh"
 #include "air/method.hh"
 #include "analysis/store.hh"
 #include "detector.hh"
@@ -37,8 +38,10 @@ esc(const std::string &s)
 }
 
 std::string
-unesc(const std::string &s)
+unesc(std::string_view s)
 {
+    if (s.find('\\') == std::string_view::npos)
+        return std::string(s);
     std::string out;
     out.reserve(s.size());
     for (size_t i = 0; i < s.size(); ++i) {
@@ -56,61 +59,59 @@ unesc(const std::string &s)
     return out;
 }
 
-/** Split a line on raw tabs (escaped tabs survive as "\\t"). */
-std::vector<std::string>
-fields(const std::string &line)
+/** Split a line on raw tabs (escaped tabs survive as "\\t") into
+ *  `out`, as views of the line. */
+void
+splitFields(std::string_view line, std::vector<std::string_view> &out)
 {
-    std::vector<std::string> out;
+    out.clear();
     size_t start = 0;
     while (true) {
         size_t tab = line.find('\t', start);
-        if (tab == std::string::npos) {
+        if (tab == std::string_view::npos) {
             out.push_back(line.substr(start));
-            return out;
+            return;
         }
         out.push_back(line.substr(start, tab - start));
         start = tab + 1;
     }
 }
 
+/** isspace() in the "C" locale. */
 bool
-parseInt(const std::string &s, int64_t &out)
+isSpace(char c)
 {
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    long long v = std::strtoll(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
+    return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
+/**
+ * A whole field as a base-10 int64, with std::strtoll's grammar:
+ * optional leading whitespace, an optional sign, at least one digit,
+ * nothing after the digits, and no overflow.
+ */
 bool
-parseHex64(const std::string &hex, uint64_t &out)
+parseInt(std::string_view s, int64_t &out)
 {
-    if (hex.size() != 16)
+    size_t i = 0;
+    while (i < s.size() && isSpace(s[i]))
+        ++i;
+    size_t first = i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-'))
+        ++i;
+    if (i >= s.size() || s[i] < '0' || s[i] > '9')
         return false;
-    uint64_t value = 0;
-    for (char c : hex) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            return false;
-        value = (value << 4) | static_cast<uint64_t>(digit);
-    }
-    out = value;
-    return true;
+    if (s[first] == '+')
+        ++first; // from_chars takes a '-' but no '+'
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data() + first, end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 } // namespace
 
 HarnessArtifact
-makeArtifact(const HarnessAnalysis &ha)
+makeArtifact(const HarnessAnalysis &ha,
+             const analysis::store::MethodHashTable *hashes)
 {
     HarnessArtifact art;
     art.activity = ha.activity;
@@ -150,20 +151,30 @@ makeArtifact(const HarnessAnalysis &ha)
     // Footprint: every distinct non-framework method with a body that
     // appears in the harness's call graph (under any context). A body
     // edit to any of them re-keys its entry and invalidates the
-    // artifact; methods outside the footprint cannot affect it.
-    std::map<std::string, uint64_t> fp;
+    // artifact; methods outside the footprint cannot affect it. The
+    // rows come from the app's method-hash table, which holds every
+    // such method (the pipeline adds none after it is built); marking
+    // them by row index keeps them sorted by name.
+    if (!hashes)
+        return art;
+    const std::vector<analysis::store::MethodHashEntry> &rows =
+        hashes->entries();
+    std::vector<char> in_footprint(rows.size(), 0);
     const analysis::CallGraph &cg = ha.pta->cg;
     for (int n = 0; n < cg.numNodes(); ++n) {
         const air::Method *m = cg.node(n).method;
-        if (!m || !m->hasBody())
+        if (!m || !m->hasBody() || m->owner()->isFramework())
             continue;
-        if (m->owner() && m->owner()->isFramework())
-            continue;
-        std::string name = m->qualifiedName();
-        if (!fp.count(name))
-            fp[name] = analysis::store::methodEnvHash(*m);
+        const analysis::store::MethodHashEntry *row = hashes->find(m);
+        if (!row)
+            panic("method ", m->qualifiedName(),
+                  " is missing from the app's method-hash table");
+        in_footprint[row - rows.data()] = 1;
     }
-    art.footprint.assign(fp.begin(), fp.end());
+    for (size_t i = 0; i < rows.size(); ++i) {
+        if (in_footprint[i])
+            art.footprint.emplace_back(rows[i].name, rows[i].hash);
+    }
     return art;
 }
 
@@ -207,20 +218,23 @@ serializeArtifact(const HarnessArtifact &a)
 }
 
 std::optional<HarnessArtifact>
-parseArtifact(const std::string &blob)
+parseArtifact(std::string_view blob)
 {
-    std::istringstream in(blob);
-    std::string line;
-    if (!std::getline(in, line) || line != kMagic)
+    // As std::getline: an empty blob has no first line.
+    if (blob.empty())
+        return std::nullopt;
+    const size_t first_nl = blob.find('\n');
+    if (blob.substr(0, first_nl) != kMagic)
         return std::nullopt;
 
     HarnessArtifact a;
-    bool saw_activity = false, saw_counts = false;
-    while (std::getline(in, line)) {
+    bool saw_activity = false, saw_counts = false, ok = true;
+    std::vector<std::string_view> f;
+    auto parseLine = [&](std::string_view line) {
         if (line.empty())
-            continue;
-        std::vector<std::string> f = fields(line);
-        const std::string &tag = f[0];
+            return true;
+        splitFields(line, f);
+        const std::string_view tag = f[0];
         if (tag == "activity" && f.size() == 2) {
             a.activity = unesc(f[1]);
             saw_activity = true;
@@ -228,7 +242,7 @@ parseArtifact(const std::string &blob)
             int64_t v[6];
             for (int i = 0; i < 6; ++i) {
                 if (!parseInt(f[i + 1], v[i]))
-                    return std::nullopt;
+                    return false;
             }
             a.actions = static_cast<int>(v[0]);
             a.hbEdges = v[1];
@@ -242,9 +256,9 @@ parseArtifact(const std::string &blob)
             int64_t i1, i2, prio, refuted;
             if (!parseInt(f[2], i1) || !parseInt(f[4], i2) ||
                 !parseInt(f[6], prio) || !parseInt(f[7], refuted))
-                return std::nullopt;
+                return false;
             if (!analysis::nullVerdictFromName(f[8], r.severity))
-                return std::nullopt;
+                return false;
             r.m1 = unesc(f[1]);
             r.i1 = static_cast<int>(i1);
             r.m2 = unesc(f[3]);
@@ -259,7 +273,7 @@ parseArtifact(const std::string &blob)
             analysis::UseAfterDestroyFinding u;
             int64_t wi, ri;
             if (!parseInt(f[6], wi) || !parseInt(f[7], ri))
-                return std::nullopt;
+                return false;
             u.fieldKey = unesc(f[1]);
             u.teardownAction = unesc(f[2]);
             u.useAction = unesc(f[3]);
@@ -269,17 +283,19 @@ parseArtifact(const std::string &blob)
             u.readInstr = static_cast<int>(ri);
             a.useAfterDestroy.push_back(std::move(u));
         } else if (tag == "dl" && f.size() >= 2) {
+            // n edges of 5 fields each after the tag and the count.
             int64_t n;
             if (!parseInt(f[1], n) || n < 0 ||
-                f.size() != static_cast<size_t>(2 + n * 5))
-                return std::nullopt;
+                (f.size() - 2) % 5 != 0 ||
+                static_cast<uint64_t>(n) != (f.size() - 2) / 5)
+                return false;
             analysis::DeadlockFinding d;
             for (int64_t i = 0; i < n; ++i) {
                 size_t base = 2 + static_cast<size_t>(i) * 5;
                 analysis::DeadlockEdge e;
                 int64_t instr;
                 if (!parseInt(f[base + 3], instr))
-                    return std::nullopt;
+                    return false;
                 e.heldLock = unesc(f[base]);
                 e.acquiredLock = unesc(f[base + 1]);
                 e.method = unesc(f[base + 2]);
@@ -290,14 +306,21 @@ parseArtifact(const std::string &blob)
             a.deadlocks.push_back(std::move(d));
         } else if (tag == "fp" && f.size() == 3) {
             uint64_t hash;
-            if (!parseHex64(f[2], hash))
-                return std::nullopt;
+            if (!analysis::store::parseHashHex(f[2], hash))
+                return false;
             a.footprint.emplace_back(unesc(f[1]), hash);
         } else {
-            return std::nullopt;
+            return false;
         }
+        return true;
+    };
+    if (first_nl != std::string_view::npos) {
+        analysis::store::forEachLine(
+            blob.substr(first_nl + 1), [&](std::string_view line) {
+                ok = ok && parseLine(line);
+            });
     }
-    if (!saw_activity || !saw_counts)
+    if (!ok || !saw_activity || !saw_counts)
         return std::nullopt;
     return a;
 }

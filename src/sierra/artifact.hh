@@ -26,12 +26,14 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analysis/deadlock.hh"
 #include "analysis/ifds.hh"
 #include "analysis/nullflow.hh"
+#include "analysis/store.hh"
 
 namespace sierra {
 
@@ -70,20 +72,24 @@ struct HarnessArtifact {
     std::vector<analysis::UseAfterDestroyFinding> useAfterDestroy;
     std::vector<analysis::DeadlockFinding> deadlocks;
     //! validity certificate: sorted (method, env hash) over the
-    //! harness's reachable non-framework methods
+    //! harness's reachable non-framework methods (empty on an artifact
+    //! made without a method-hash table, i.e. not for the store)
     std::vector<std::pair<std::string, uint64_t>> footprint;
 };
 
-/** Project a computed analysis into its artifact (fills the footprint
- *  from the call graph). */
-HarnessArtifact makeArtifact(const HarnessAnalysis &ha);
+/** Project a computed analysis into its artifact. The footprint lists
+ *  the call graph's methods with their rows of the app's method-hash
+ *  table `hashes`; with no table it stays empty (only the store reads
+ *  it). */
+HarnessArtifact makeArtifact(const HarnessAnalysis &ha,
+                             const analysis::store::MethodHashTable *hashes);
 
 /** Deterministic text serialization (byte-stable across processes). */
 std::string serializeArtifact(const HarnessArtifact &artifact);
 
 /** Parse a serialized artifact; nullopt on malformed or
  *  version-mismatched input. */
-std::optional<HarnessArtifact> parseArtifact(const std::string &blob);
+std::optional<HarnessArtifact> parseArtifact(std::string_view blob);
 
 } // namespace sierra
 

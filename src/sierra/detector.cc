@@ -293,6 +293,20 @@ SierraDetector::SierraDetector(framework::App &app,
         _iccStats = gen.icc()->stats();
 }
 
+const analysis::store::MethodHashTable &
+SierraDetector::methodHashes()
+{
+    // Never before generation (the constructor ran it), so the
+    // synthetic harness classes -- part of every harness's footprint --
+    // are hashed too.
+    if (!_methodHashes) {
+        SIERRA_TRACE_SPAN(span, "store", "store.hash",
+                          util::trace::arg("app", _app.name()));
+        _methodHashes.emplace(_app);
+    }
+    return *_methodHashes;
+}
+
 const harness::HarnessPlan &
 SierraDetector::planFor(const std::string &activity)
 {
@@ -502,12 +516,15 @@ SierraDetector::analyze(const SierraOptions &options,
     }
 
     // Project fresh results into artifacts (serially, in plan order)
-    // and offer them for persistence.
+    // and offer them for persistence. Only a persisted artifact needs
+    // its footprint: the merge below never reads it.
+    const bool persist = reuse && reuse->onComputed;
     for (int i = 0; i < num_plans; ++i) {
         if (reused[i])
             continue;
-        artifacts[i] = makeArtifact(analyses[i]);
-        if (reuse && reuse->onComputed)
+        artifacts[i] =
+            makeArtifact(analyses[i], persist ? &methodHashes() : nullptr);
+        if (persist)
             reuse->onComputed(_plans[i], analyses[i], artifacts[i]);
     }
 

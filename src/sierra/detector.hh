@@ -18,6 +18,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -336,6 +337,12 @@ class SierraDetector
     /** ICC scan counters (all zero when icc was off at construction). */
     const framework::IccStats &iccStats() const { return _iccStats; }
 
+    /** Env hashes of every analyzable method, harness classes included:
+     *  built on first use (so after harness generation), then kept.
+     *  Artifact footprints and the serve store's diff read them; a
+     *  plain analyze() without persistence never builds it. */
+    const analysis::store::MethodHashTable &methodHashes();
+
   private:
     const harness::HarnessPlan &planFor(const std::string &activity);
 
@@ -354,6 +361,7 @@ class SierraDetector
     framework::App &_app;
     std::vector<harness::HarnessPlan> _plans;
     framework::IccStats _iccStats;
+    std::optional<analysis::store::MethodHashTable> _methodHashes;
 };
 
 /**

@@ -2,7 +2,9 @@
  * @file
  * The hostile-input sweeps of parser_robustness_test.cc, as plain input
  * lists: air_parser_diff_test.cc replays every one of them against the
- * reference parser.
+ * reference parser. The mutation and truncation helpers also drive the
+ * store decoder sweeps (store_decoder_diff_test.cc) and the jsonl
+ * protocol sweeps (serve_sweep_test.cc).
  */
 
 #ifndef SIERRA_TESTS_PARSER_SWEEPS_HH
@@ -94,6 +96,43 @@ randomBundleInputs()
     return out;
 }
 
+/** Copies of `text`, each corrupted at one position: a byte of `junk`
+ *  replaces a byte, or an overflow digit run is spliced in front of the
+ *  next number. `text` must not be empty. */
+inline std::vector<std::string>
+mutatedInputs(const std::string &text, uint32_t seed, int count,
+              const std::string &junk)
+{
+    std::mt19937 rng(seed);
+    const auto &runs = overflowDigits();
+    std::vector<std::string> out;
+    for (int i = 0; i < count; ++i) {
+        std::string mutated = text;
+        size_t pos = rng() % mutated.size();
+        size_t pick = rng() % (junk.size() + runs.size());
+        if (pick < junk.size()) {
+            mutated[pos] = junk[pick];
+        } else {
+            pos = std::min(mutated.find_first_of("0123456789", pos),
+                           mutated.size());
+            mutated.insert(pos, runs[pick - junk.size()]);
+        }
+        out.push_back(std::move(mutated));
+    }
+    return out;
+}
+
+/** Prefixes of `text`, about `pieces` of them, shortest first. */
+inline std::vector<std::string>
+prefixInputs(const std::string &text, size_t pieces)
+{
+    std::vector<std::string> out;
+    for (size_t cut = 0; cut < text.size();
+         cut += std::max<size_t>(1, text.size() / pieces))
+        out.push_back(text.substr(0, cut));
+    return out;
+}
+
 /** A real printed module, each copy corrupted at one position: a junk
  *  character replaces a byte, or an overflow digit run is spliced in
  *  front of the next number (a register, index, target, `regs=` or
@@ -102,26 +141,8 @@ inline std::vector<std::string>
 mutatedModuleInputs()
 {
     corpus::BuiltApp built = corpus::buildNamedApp("VuDroid");
-    std::string text = air::printModule(built.app->module());
-    std::mt19937 rng(0xCAFE);
-    static const char junk[] = {'@', '{', '}', '"', 'x', '0', '-',
-                                '.', '\n', '('};
-    const auto &runs = overflowDigits();
-    std::vector<std::string> out;
-    for (int i = 0; i < 300; ++i) {
-        std::string mutated = text;
-        size_t pos = rng() % mutated.size();
-        size_t pick = rng() % (sizeof(junk) + runs.size());
-        if (pick < sizeof(junk)) {
-            mutated[pos] = junk[pick];
-        } else {
-            pos = std::min(mutated.find_first_of("0123456789", pos),
-                           mutated.size());
-            mutated.insert(pos, runs[pick - sizeof(junk)]);
-        }
-        out.push_back(std::move(mutated));
-    }
-    return out;
+    return mutatedInputs(air::printModule(built.app->module()), 0xCAFE,
+                         300, "@{}\"x0-.\n(");
 }
 
 /** Prefixes of a real app bundle. */
@@ -129,12 +150,7 @@ inline std::vector<std::string>
 truncatedBundleInputs()
 {
     corpus::BuiltApp built = corpus::buildNamedApp("TippyTipper");
-    std::string text = framework::printAppText(*built.app);
-    std::vector<std::string> out;
-    for (size_t cut = 0; cut < text.size();
-         cut += std::max<size_t>(1, text.size() / 120))
-        out.push_back(text.substr(0, cut));
-    return out;
+    return prefixInputs(framework::printAppText(*built.app), 120);
 }
 
 /** An app header of many unmatched braces. */

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
@@ -47,6 +48,17 @@ struct TempDir {
     }
 };
 
+/** An app's method-hash table as a name -> hash map. */
+std::map<std::string, uint64_t>
+hashMethods(const framework::App &app)
+{
+    std::map<std::string, uint64_t> out;
+    const store::MethodHashTable table(app);
+    for (const store::MethodHashEntry &row : table.entries())
+        out[row.name] = row.hash;
+    return out;
+}
+
 TEST(Store, MethodHashesStableAcrossFreshBuilds)
 {
     // Two independent builds of the same corpus app (fresh modules,
@@ -55,7 +67,7 @@ TEST(Store, MethodHashesStableAcrossFreshBuilds)
     corpus::BuiltApp a = corpus::buildNamedApp("OpenSudoku");
     corpus::BuiltApp b = corpus::buildNamedApp("OpenSudoku");
     SierraDetector da(*a.app), db(*b.app); // generate harnesses too
-    EXPECT_EQ(store::hashMethods(*a.app), store::hashMethods(*b.app));
+    EXPECT_EQ(hashMethods(*a.app), hashMethods(*b.app));
     EXPECT_EQ(store::shapeHash(*a.app), store::shapeHash(*b.app));
 }
 
@@ -67,8 +79,8 @@ TEST(Store, MethodHashesStableAcrossParseRoundTrip)
     ASSERT_TRUE(reparsed.ok()) << reparsed.error;
     // Harness generation mutates the module; hash only app methods
     // here by not constructing detectors.
-    EXPECT_EQ(store::hashMethods(*built.app),
-              store::hashMethods(*reparsed.app));
+    EXPECT_EQ(hashMethods(*built.app),
+              hashMethods(*reparsed.app));
 }
 
 TEST(Store, BodyEditChangesMethodHashButNotShape)
@@ -93,8 +105,8 @@ TEST(Store, BodyEditChangesMethodHashButNotShape)
     }
     ASSERT_NE(edited, nullptr);
 
-    auto ha = store::hashMethods(*a.app);
-    auto hb = store::hashMethods(*b.app);
+    auto ha = hashMethods(*a.app);
+    auto hb = hashMethods(*b.app);
     EXPECT_NE(ha.at(edited->qualifiedName()),
               hb.at(edited->qualifiedName()));
     int differing = 0;
@@ -127,8 +139,8 @@ TEST(Store, ClassSliceChangesRekeyMemberMethods)
                                 false});
     EXPECT_NE(store::classSliceHash(*victim), before);
 
-    auto ha = store::hashMethods(*a.app);
-    auto hb = store::hashMethods(*b.app);
+    auto ha = hashMethods(*a.app);
+    auto hb = hashMethods(*b.app);
     for (const auto &m : victim->methods()) {
         if (m->hasBody())
             EXPECT_NE(ha.at(m->qualifiedName()),
@@ -138,16 +150,31 @@ TEST(Store, ClassSliceChangesRekeyMemberMethods)
 
 TEST(Store, MethodIndexRoundTrip)
 {
-    std::map<std::string, uint64_t> index{
-        {"A.foo", 0x1234abcd5678ef00ULL},
-        {"B.bar", 42},
-        {"C.<init>", 0},
+    std::vector<store::MethodHashEntry> rows{
+        {"A.foo", 0x1234abcd5678ef00ULL, nullptr},
+        {"B.bar", 42, nullptr},
+        {"C.<init>", 0, nullptr},
     };
-    std::string blob = store::serializeMethodIndex(index);
-    EXPECT_EQ(store::parseMethodIndex(blob), index);
-    // Serialization is deterministic (sorted by name).
-    EXPECT_EQ(blob, store::serializeMethodIndex(
-                        store::parseMethodIndex(blob)));
+    std::string blob = store::serializeMethodIndex(rows);
+    std::vector<store::MethodIndexRow> back =
+        store::parseMethodIndex(blob);
+    ASSERT_EQ(back.size(), rows.size());
+    std::vector<store::MethodHashEntry> again;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(back[i].first, rows[i].name);
+        EXPECT_EQ(back[i].second, rows[i].hash);
+        again.push_back({std::string(back[i].first), back[i].second,
+                         nullptr});
+    }
+    // Serialization is deterministic (rows in name order).
+    EXPECT_EQ(blob, store::serializeMethodIndex(again));
+    // An unsorted blob with a repeated name decodes sorted, the last
+    // line winning.
+    back = store::parseMethodIndex("B.x\t0000000000000002\n"
+                                   "A.y\t0000000000000001\n"
+                                   "B.x\t0000000000000003\n");
+    EXPECT_EQ(back, (std::vector<store::MethodIndexRow>{{"A.y", 1},
+                                                        {"B.x", 3}}));
 }
 
 TEST(Store, DepIndexDirtyClosureIsExact)
@@ -206,6 +233,58 @@ TEST(Store, DiskStoreWarmStartsAcrossInstances)
     EXPECT_EQ(second.stats().diskReads, 1);
     EXPECT_EQ(second.keys("kind"),
               (std::vector<std::string>{"key1", "key2"}));
+}
+
+TEST(Store, DiskKeysAreInjective)
+{
+    // Keys that the old `[A-Za-z0-9._-]`-else-'_' file naming merged,
+    // keys that name directories or escape them, and the encoding's own
+    // escape character.
+    const std::vector<std::string> keys = {
+        "K-9 Mail", "K-9_Mail", "K-9%20Mail", "K-9%2520Mail", "..", ".",
+        "", "%", "a/b", "a_b", "../escape", "x.tmp", "x", "tab\there",
+        "\xff\x01", std::string("nul\0byte", 8), "UPPER", "upper"};
+    TempDir dir;
+    {
+        store::Store first(dir.path);
+        for (size_t i = 0; i < keys.size(); ++i)
+            first.put("methods", keys[i], "blob " + std::to_string(i));
+    }
+    // A fresh store on the same directory reads every key back as its
+    // own blob: no two keys share a file.
+    store::Store second(dir.path);
+    for (size_t i = 0; i < keys.size(); ++i) {
+        auto blob = second.get("methods", keys[i]);
+        ASSERT_TRUE(blob.has_value()) << "key #" << i;
+        EXPECT_EQ(*blob, "blob " + std::to_string(i)) << "key #" << i;
+    }
+    EXPECT_EQ(second.stats().diskReads,
+              static_cast<int64_t>(keys.size()));
+    std::vector<std::string> sorted(keys);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(second.keys("methods"), sorted);
+
+    // Every file stays inside the kind directory, one per key.
+    int files = 0;
+    for (const auto &entry :
+         fs::recursive_directory_iterator(dir.path)) {
+        if (!entry.is_regular_file() ||
+            entry.path().filename() == "VERSION")
+            continue;
+        EXPECT_EQ(entry.path().parent_path(),
+                  fs::path(dir.path) / "methods")
+            << entry.path();
+        ++files;
+    }
+    EXPECT_EQ(files, static_cast<int>(keys.size()));
+
+    // The encoding round-trips and rejects names it never produces.
+    for (const std::string &key : keys)
+        EXPECT_EQ(store::Store::decodeKey(store::Store::encodeKey(key)),
+                  key);
+    EXPECT_EQ(store::Store::encodeKey("K-9 Mail"), "K-9%20Mail");
+    for (const char *name : {"x.tmp", "%2", "%zz", "%41", "%2f", ""})
+        EXPECT_FALSE(store::Store::decodeKey(name).has_value()) << name;
 }
 
 TEST(Store, VersionMismatchDiscardsGeneration)
