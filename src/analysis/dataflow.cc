@@ -1,13 +1,8 @@
 #include "dataflow.hh"
 
-#include <algorithm>
-
-#include "air/logging.hh"
-
 namespace sierra::analysis {
 
 using air::Instruction;
-using air::Opcode;
 
 namespace dataflow_detail {
 
@@ -47,252 +42,6 @@ blockOrder(const Cfg &cfg, DataflowDirection dir)
 }
 
 } // namespace dataflow_detail
-
-// ---------------------------------------------------------------------
-// Constant propagation
-// ---------------------------------------------------------------------
-
-namespace {
-
-ConstVal
-constTop()
-{
-    ConstVal v;
-    v.state = ConstVal::State::Top;
-    return v;
-}
-
-ConstVal
-constOf(int64_t value)
-{
-    ConstVal v;
-    v.state = ConstVal::State::Const;
-    v.value = value;
-    return v;
-}
-
-/** Meet of two (Const | Top) values. */
-ConstVal
-constMeet(const ConstVal &a, const ConstVal &b)
-{
-    if (a.isConst() && b.isConst() && a.value == b.value)
-        return a;
-    return constTop();
-}
-
-/**
- * Decide a conditional branch under a register environment.
- * @return 1 = always taken, 0 = never taken, -1 = unknown.
- */
-int
-evalBranch(const Instruction &instr, const std::vector<ConstVal> &env)
-{
-    const ConstVal &lhs = env[instr.srcs[0]];
-    if (!lhs.isConst())
-        return -1;
-    int64_t rhs = 0;
-    if (instr.op == Opcode::If) {
-        const ConstVal &r = env[instr.srcs[1]];
-        if (!r.isConst())
-            return -1;
-        rhs = r.value;
-    }
-    return air::evalCond(instr.cond, lhs.value, rhs) ? 1 : 0;
-}
-
-/** The conditional-constant-propagation problem for the solver. */
-struct ConstProblem {
-    using Domain = std::vector<ConstVal>;
-    static constexpr DataflowDirection kDirection =
-        DataflowDirection::Forward;
-
-    int numRegisters;
-
-    Domain
-    boundary() const
-    {
-        // Parameters (and, conservatively, uninitialized temporaries)
-        // hold arbitrary values: facts must cover every invocation.
-        return Domain(static_cast<size_t>(numRegisters), constTop());
-    }
-
-    bool
-    merge(Domain &into, const Domain &from) const
-    {
-        bool changed = false;
-        for (size_t r = 0; r < into.size(); ++r) {
-            ConstVal met = constMeet(into[r], from[r]);
-            if (met.state != into[r].state ||
-                (met.isConst() && met.value != into[r].value)) {
-                into[r] = met;
-                changed = true;
-            }
-        }
-        return changed;
-    }
-
-    void
-    transfer(int, const Instruction &instr, Domain &d) const
-    {
-        MethodConstants::transferInstr(instr, d);
-    }
-
-    bool
-    edgeTransfer(const Cfg &cfg, int from, int to, Domain &d) const
-    {
-        const auto &fb = cfg.blocks()[from];
-        if (fb.first > fb.last)
-            return true; // synthetic exit block
-        const Instruction &last = cfg.method().instr(fb.last);
-        if (!last.isConditionalBranch())
-            return true;
-        const int target_block = cfg.blockOf(last.target);
-        const int fall_block =
-            fb.last + 1 < cfg.method().numInstrs()
-                ? cfg.blockOf(fb.last + 1)
-                : -1;
-        if (target_block == fall_block)
-            return true; // one edge either way: no information
-
-        // `d` is the post-block state, i.e. the environment at the
-        // branch; transferInstr is a no-op for branches.
-        const bool is_target_edge = to == target_block;
-        const int verdict = evalBranch(last, d);
-        if (verdict == 1 && !is_target_edge)
-            return false;
-        if (verdict == 0 && is_target_edge)
-            return false;
-
-        // Refine an equality edge: after "if (r == c)" is taken (or
-        // "if (r != c)" falls through), r is known to be c.
-        air::CondKind effective =
-            is_target_edge ? last.cond : air::negateCond(last.cond);
-        if (effective == air::CondKind::Eq) {
-            int reg = -1;
-            int64_t value = 0;
-            if (last.op == Opcode::IfZ) {
-                reg = last.srcs[0];
-                value = 0;
-            } else if (d[last.srcs[1]].isConst()) {
-                reg = last.srcs[0];
-                value = d[last.srcs[1]].value;
-            } else if (d[last.srcs[0]].isConst()) {
-                reg = last.srcs[1];
-                value = d[last.srcs[0]].value;
-            }
-            if (reg >= 0 && !d[reg].isConst())
-                d[reg] = constOf(value);
-        }
-        return true;
-    }
-};
-
-} // namespace
-
-void
-MethodConstants::transferInstr(const Instruction &instr,
-                               std::vector<ConstVal> &env)
-{
-    switch (instr.op) {
-      case Opcode::ConstInt:
-        env[instr.dst] = constOf(instr.intValue);
-        break;
-      case Opcode::ConstNull:
-        env[instr.dst] = constOf(0);
-        break;
-      case Opcode::Move:
-        env[instr.dst] = env[instr.srcs[0]];
-        break;
-      case Opcode::BinOp: {
-        const ConstVal &l = env[instr.srcs[0]];
-        const ConstVal &r = env[instr.srcs[1]];
-        env[instr.dst] =
-            l.isConst() && r.isConst()
-                ? constOf(air::evalBinOp(instr.binop, l.value, r.value))
-                : constTop();
-        break;
-      }
-      case Opcode::UnOp: {
-        const ConstVal &s = env[instr.srcs[0]];
-        if (s.isConst()) {
-            // Matches the dynamic interpreter: Not is logical.
-            env[instr.dst] = constOf(instr.unop == air::UnOpKind::Not
-                                         ? (s.value == 0 ? 1 : 0)
-                                         : -s.value);
-        } else {
-            env[instr.dst] = constTop();
-        }
-        break;
-      }
-      default:
-        // Loads, calls, allocations, ConstStr: unknown value. (New is
-        // non-null but not a *known* integer; modeling it as a constant
-        // would fold comparisons between two distinct allocations.)
-        if (instr.dst >= 0)
-            env[instr.dst] = constTop();
-        break;
-    }
-}
-
-MethodConstants::MethodConstants(const Cfg &cfg) : _method(&cfg.method())
-{
-    const air::Method &m = cfg.method();
-    const int n = m.numInstrs();
-    _reachable.assign(n, 0);
-    _before.assign(
-        n, std::vector<ConstVal>(static_cast<size_t>(m.numRegisters())));
-
-    ConstProblem problem{m.numRegisters()};
-    DataflowResult<ConstProblem::Domain> r =
-        solveDataflow(cfg, problem);
-
-    for (const BasicBlock &block : cfg.blocks()) {
-        if (block.first > block.last)
-            continue; // synthetic exit
-        if (!r.reached[block.id])
-            continue; // whole block statically unreachable
-        std::vector<ConstVal> env = r.atEntry[block.id];
-        for (int i = block.first; i <= block.last; ++i) {
-            _reachable[i] = 1;
-            _before[i] = env;
-            transferInstr(m.instr(i), env);
-        }
-
-        // Record branch edges the fixpoint proved infeasible, keyed by
-        // instruction indices for the backward executor.
-        const Instruction &last = m.instr(block.last);
-        if (!last.isConditionalBranch())
-            continue;
-        const int target_block = cfg.blockOf(last.target);
-        const int fall_block =
-            block.last + 1 < n ? cfg.blockOf(block.last + 1) : -1;
-        if (target_block == fall_block)
-            continue;
-        const int verdict = evalBranch(last, _before[block.last]);
-        if (verdict == 1 && fall_block >= 0)
-            _infeasible.insert({block.last, block.last + 1});
-        else if (verdict == 0)
-            _infeasible.insert({block.last, last.target});
-    }
-}
-
-ConstVal
-MethodConstants::before(int instr, int reg) const
-{
-    if (!_reachable[instr])
-        return {}; // Bottom: the instruction cannot execute
-    return _before[instr][reg];
-}
-
-ConstVal
-MethodConstants::after(int instr, int reg) const
-{
-    if (!_reachable[instr])
-        return {};
-    std::vector<ConstVal> env = _before[instr];
-    transferInstr(_method->instr(instr), env);
-    return env[reg];
-}
 
 // ---------------------------------------------------------------------
 // Reaching definitions

@@ -37,22 +37,24 @@
  * run concurrently from the per-plan parallel tasks of the detector:
  * each thread solves its own problem instances.
  *
- * Shipped clients: constant propagation with infeasible-edge detection
- * (MethodConstants), reaching definitions (ReachingDefs), and live
- * registers (Liveness). They power the AIR lint driver (analysis/lint.cc),
- * and MethodConstants' transfer function drives the interprocedural
- * solver (analysis/ifds.cc) whose facts guide the symbolic refuter.
+ * Shipped clients: reaching definitions (ReachingDefs) and live
+ * registers (Liveness); the AIR lint driver (analysis/lint.cc) uses
+ * Liveness. The lock-set and enablement stages and lint define their
+ * own problems, and conditional constant propagation lives in the
+ * interprocedural solver (analysis/ifds.cc), whose per-method problem
+ * is seeded with parameter and callee-return facts; its facts guide
+ * the symbolic refuter.
  */
 
 #ifndef SIERRA_ANALYSIS_DATAFLOW_HH
 #define SIERRA_ANALYSIS_DATAFLOW_HH
 
+#include <concepts>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "cfg.hh"
-#include "points_to.hh" // ConstVal
 
 namespace sierra::analysis {
 
@@ -189,72 +191,7 @@ solveDataflow(const Cfg &cfg, const Problem &problem)
 }
 
 // ---------------------------------------------------------------------
-// Client 1: conditional constant propagation
-// ---------------------------------------------------------------------
-
-/**
- * Flow-sensitive constant facts for one method.
- *
- * Registers are propagated through const/move/arith instructions;
- * loads, calls and allocations produce Top, and method parameters start
- * at Top, so every fact holds for *all* invocations of the method.
- * Branches whose condition folds to a constant kill the untaken edge,
- * making the analysis conditional: code behind a constant guard is
- * recognized as unreachable and constants are only merged over
- * feasible paths.
- *
- * Facts are per instruction: `before(i, r)` is the value of register r
- * when instruction i starts executing. The symbolic refuter uses
- * `after()` to concretize otherwise-unknown register writes and
- * `edgeFeasible()` to avoid exploring branch edges that cannot execute
- * (see symbolic/executor.cc).
- */
-class MethodConstants
-{
-  public:
-    explicit MethodConstants(const Cfg &cfg);
-
-    /** Value of `reg` just before instruction `instr` executes. */
-    ConstVal before(int instr, int reg) const;
-    /** Value of `reg` just after instruction `instr` executes. */
-    ConstVal after(int instr, int reg) const;
-
-    /** Can instruction `instr` execute at all? */
-    bool reachable(int instr) const
-    {
-        return _reachable[instr] != 0;
-    }
-
-    /**
-     * Is the CFG edge from the branch at `from_instr` to the block
-     * starting at `to_instr` feasible? True for any pair that is not a
-     * recorded infeasible branch edge.
-     */
-    bool edgeFeasible(int from_instr, int to_instr) const
-    {
-        return !_infeasible.count({from_instr, to_instr});
-    }
-
-    /** Number of branch edges statically killed. */
-    int numInfeasibleEdges() const
-    {
-        return static_cast<int>(_infeasible.size());
-    }
-
-    /** Apply one instruction's effect on a register environment
-     *  (exposed for the solver's problem object and for tests). */
-    static void transferInstr(const air::Instruction &instr,
-                              std::vector<ConstVal> &env);
-
-  private:
-    const air::Method *_method;
-    std::vector<std::vector<ConstVal>> _before; //!< per instr, per reg
-    std::vector<char> _reachable;               //!< per instr
-    std::set<std::pair<int, int>> _infeasible;  //!< (branch, succ) instrs
-};
-
-// ---------------------------------------------------------------------
-// Client 2: reaching definitions
+// Client 1: reaching definitions
 // ---------------------------------------------------------------------
 
 /**
@@ -287,7 +224,7 @@ class ReachingDefs
 };
 
 // ---------------------------------------------------------------------
-// Client 3: live registers
+// Client 2: live registers
 // ---------------------------------------------------------------------
 
 /** Classic backward liveness of registers, per instruction. */

@@ -79,6 +79,53 @@ evalBranch(const Instruction &instr, const std::vector<ConstVal> &env)
     return air::evalCond(instr.cond, lhs.value, rhs) ? 1 : 0;
 }
 
+/** Apply one non-invoke instruction's effect on a register
+ *  environment: constants and moves propagate, arithmetic folds, and
+ *  every other write (loads, allocations, strings) is unknown. */
+void
+transferInstr(const Instruction &instr, std::vector<ConstVal> &env)
+{
+    switch (instr.op) {
+      case Opcode::ConstInt:
+        env[instr.dst] = constOf(instr.intValue);
+        break;
+      case Opcode::ConstNull:
+        env[instr.dst] = constOf(0);
+        break;
+      case Opcode::Move:
+        env[instr.dst] = env[instr.srcs[0]];
+        break;
+      case Opcode::BinOp: {
+        const ConstVal &l = env[instr.srcs[0]];
+        const ConstVal &r = env[instr.srcs[1]];
+        env[instr.dst] =
+            l.isConst() && r.isConst()
+                ? constOf(air::evalBinOp(instr.binop, l.value, r.value))
+                : constTop();
+        break;
+      }
+      case Opcode::UnOp: {
+        const ConstVal &s = env[instr.srcs[0]];
+        if (s.isConst()) {
+            // Matches the dynamic interpreter: Not is logical.
+            env[instr.dst] = constOf(instr.unop == air::UnOpKind::Not
+                                         ? (s.value == 0 ? 1 : 0)
+                                         : -s.value);
+        } else {
+            env[instr.dst] = constTop();
+        }
+        break;
+      }
+      default:
+        // Loads, calls, allocations, ConstStr: unknown value. (New is
+        // non-null but not a *known* integer; modeling it as a constant
+        // would fold comparisons between two distinct allocations.)
+        if (instr.dst >= 0)
+            env[instr.dst] = constTop();
+        break;
+    }
+}
+
 /** Identity of one field in the may/must-write summaries (string
  * identity: IFDS summaries are method-scoped and cross harnesses, so
  * they cannot use per-result interned ids). */
@@ -356,7 +403,7 @@ struct SeededConstProblem {
             }
             return;
         }
-        MethodConstants::transferInstr(instr, d);
+        transferInstr(instr, d);
     }
 
     bool
@@ -383,7 +430,9 @@ struct SeededConstProblem {
         if (verdict == 0 && is_target_edge)
             return false;
 
-        // Refine an equality edge, as the intraprocedural SCCP does.
+        // Refine an equality edge: after "if (r == c)" is taken (or
+        // "if (r != c)" falls through), r is known to be c. `d` is the
+        // environment at the branch (branches write no register).
         air::CondKind effective =
             is_target_edge ? last.cond : air::negateCond(last.cond);
         if (effective == air::CondKind::Eq) {
@@ -483,7 +532,7 @@ InterConstants::solveOne(int idx)
                 }
                 problem.transfer(i, instr, env);
             } else {
-                MethodConstants::transferInstr(instr, env);
+                transferInstr(instr, env);
             }
             if (instr.op == Opcode::Return)
                 ret = constJoin(
@@ -635,8 +684,8 @@ InterConstants::computeMustWrites()
         const air::Method &m = *mi.method;
         const Cfg &cfg = *mi.cfg;
 
-        auto transferInstr = [&](int i, const Instruction &instr,
-                                 MustEnv &env) {
+        auto mustTransfer = [&](int i, const Instruction &instr,
+                                MustEnv &env) {
             ++_stats.statesVisited;
             switch (instr.op) {
               case Opcode::PutField: {
@@ -779,7 +828,7 @@ InterConstants::computeMustWrites()
                             mustMeet(exit_env, env);
                         }
                     }
-                    transferInstr(i, instr, env);
+                    mustTransfer(i, instr, env);
                 }
             }
             for (int s : block.succs) {
@@ -909,7 +958,7 @@ InterConstants::after(const air::Method *m, int instr, int reg) const
             env[static_cast<size_t>(in.dst)] = v;
         }
     } else {
-        MethodConstants::transferInstr(in, env);
+        transferInstr(in, env);
     }
     return env[static_cast<size_t>(reg)];
 }
@@ -964,7 +1013,7 @@ InterConstants::solveCountOf(const air::Method *m) const
 }
 
 // ---------------------------------------------------------------------
-// Summary export (consumed by analysis/store and docs/CACHING.md)
+// Summary export (consumed by the store's DepIndex, docs/CACHING.md)
 // ---------------------------------------------------------------------
 
 std::vector<InterConstants::ExportedSummary>
@@ -975,10 +1024,6 @@ InterConstants::exportSummaries() const
     for (const MethodInfo &mi : _methods) {
         ExportedSummary s;
         s.method = mi.method->qualifiedName();
-        s.open = mi.open;
-        s.params = mi.params;
-        s.ret = mi.ret;
-        s.mustWrites = mi.mustWrites;
         std::set<std::string> callees;
         for (const auto &[instr, at] : mi.calleesAt) {
             for (int callee : at) {
@@ -993,105 +1038,6 @@ InterConstants::exportSummaries() const
               [](const ExportedSummary &a, const ExportedSummary &b) {
                   return a.method < b.method;
               });
-    return out;
-}
-
-namespace {
-
-char
-stateChar(ConstVal::State s)
-{
-    switch (s) {
-      case ConstVal::State::Bottom: return 'B';
-      case ConstVal::State::Const: return 'C';
-      case ConstVal::State::Top: return 'T';
-    }
-    return 'T';
-}
-
-bool
-parseStateChar(char c, ConstVal::State &out)
-{
-    switch (c) {
-      case 'B': out = ConstVal::State::Bottom; return true;
-      case 'C': out = ConstVal::State::Const; return true;
-      case 'T': out = ConstVal::State::Top; return true;
-      default: return false;
-    }
-}
-
-} // namespace
-
-std::string
-serializeSummaries(const std::vector<InterConstants::ExportedSummary> &s)
-{
-    std::ostringstream os;
-    for (const auto &sum : s) {
-        os << "m " << sum.method << " " << (sum.open ? 1 : 0) << " "
-           << stateChar(sum.ret.state) << " " << sum.ret.value << "\n";
-        for (size_t i = 0; i < sum.params.size(); ++i) {
-            os << "p " << i << " " << stateChar(sum.params[i].state)
-               << " " << sum.params[i].value << "\n";
-        }
-        for (const auto &w : sum.mustWrites) {
-            os << "w " << w.field.className << " " << w.field.fieldName
-               << " " << (w.isStatic ? 1 : 0) << " "
-               << (w.exclusive ? 1 : 0) << " " << w.value << "\n";
-        }
-        for (const std::string &callee : sum.callees)
-            os << "c " << callee << "\n";
-    }
-    return os.str();
-}
-
-std::vector<InterConstants::ExportedSummary>
-parseSummaries(const std::string &blob)
-{
-    std::vector<InterConstants::ExportedSummary> out;
-    std::istringstream in(blob);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        if (!(ls >> tag))
-            continue;
-        if (tag == "m") {
-            InterConstants::ExportedSummary s;
-            int open;
-            char st;
-            if (!(ls >> s.method >> open >> st >> s.ret.value) ||
-                !parseStateChar(st, s.ret.state))
-                continue;
-            s.open = open != 0;
-            out.push_back(std::move(s));
-        } else if (out.empty()) {
-            continue; // facts before the first method row: malformed
-        } else if (tag == "p") {
-            size_t idx;
-            char st;
-            ConstVal v;
-            if (!(ls >> idx >> st >> v.value) ||
-                !parseStateChar(st, v.state))
-                continue;
-            auto &params = out.back().params;
-            if (params.size() <= idx)
-                params.resize(idx + 1);
-            params[idx] = v;
-        } else if (tag == "w") {
-            InterConstants::MustWrite w;
-            int is_static, exclusive;
-            if (!(ls >> w.field.className >> w.field.fieldName >>
-                  is_static >> exclusive >> w.value))
-                continue;
-            w.isStatic = is_static != 0;
-            w.exclusive = exclusive != 0;
-            out.back().mustWrites.push_back(std::move(w));
-        } else if (tag == "c") {
-            std::string callee;
-            if (ls >> callee)
-                out.back().callees.push_back(std::move(callee));
-        }
-    }
     return out;
 }
 

@@ -3,8 +3,10 @@
  * Summary-based interprocedural dataflow (IFDS/IDE-style) over the
  * call graph of one harness, plus its two shipped clients.
  *
- * The engine lifts the PR-2 intraprocedural SCCP facts across calls.
- * Each method in the harness's call-graph envelope gets a *summary*:
+ * The engine runs conditional constant propagation (SCCP) over each
+ * method body -- the repository's only constant solver -- and lifts
+ * its facts across calls. Each method in the harness's call-graph
+ * envelope gets a *summary*:
  *  - the constant lattice value of every formal parameter, joined over
  *    the actuals of every call site that can reach the method
  *    (framework-invoked entry points are pinned to Top);
@@ -129,24 +131,19 @@ class InterConstants
     const std::vector<MustWrite> &mustWrites(const air::Method *m) const;
 
     /**
-     * One method's converged summary in exportable form: the facts a
-     * later run could reuse, plus the callee list the summary was
-     * composed from. The callee lists are what the store layer's
-     * reverse-dependency index (analysis/store DepIndex) is built
-     * from -- a callee edit dirties every transitive caller exactly
-     * because callers embed callee facts (params join, returnConst,
-     * must-write composition).
+     * One method's callee list: the methods whose summaries its own
+     * summary was composed from. The store layer's reverse-dependency
+     * index (analysis/store DepIndex) is built from these lists -- a
+     * callee edit dirties every transitive caller exactly because
+     * callers embed callee facts (params join, returnConst, must-write
+     * composition).
      */
     struct ExportedSummary {
-        std::string method; //!< qualified name
-        bool open{false};   //!< framework-invoked (params pinned Top)
-        std::vector<ConstVal> params; //!< per formal register
-        ConstVal ret;
-        std::vector<MustWrite> mustWrites;
+        std::string method;               //!< qualified name
         std::vector<std::string> callees; //!< sorted unique, with bodies
     };
 
-    /** Every method's summary, sorted by qualified name
+    /** Every method's callee list, sorted by qualified name
      *  (deterministic across processes and jobs counts). */
     std::vector<ExportedSummary> exportSummaries() const;
 
@@ -177,15 +174,6 @@ class InterConstants
     /** Callees whose parameter summaries the current solve widened. */
     std::set<int> _paramsDirty;
 };
-
-/** Deterministic text blob for a summary export (byte-stable; the
- *  store layer persists it under the per-method artifact keys). */
-std::string
-serializeSummaries(const std::vector<InterConstants::ExportedSummary> &s);
-
-/** Parse a `serializeSummaries` blob (malformed rows dropped). */
-std::vector<InterConstants::ExportedSummary>
-parseSummaries(const std::string &blob);
 
 /** One use-after-destroy finding: a field nulled in a teardown
  *  callback that a posted task can still read afterward. */

@@ -7,8 +7,6 @@
 
 #include "air/klass.hh"
 #include "air/method.hh"
-#include "analysis/cfg.hh"
-#include "analysis/dataflow.hh"
 #include "framework/app.hh"
 #include "framework/known_api.hh"
 
@@ -529,82 +527,6 @@ DepIndex::parse(std::string_view blob)
 }
 
 // ---------------------------------------------------------------------
-// Per-method facts
-// ---------------------------------------------------------------------
-
-std::string
-sccpFactsBlob(const air::Method &method)
-{
-    Cfg cfg(method);
-    MethodConstants consts(cfg);
-    std::ostringstream os;
-    for (int i = 0; i < method.numInstrs(); ++i) {
-        if (!consts.reachable(i))
-            continue;
-        for (int r = 0; r < method.numRegisters(); ++r) {
-            ConstVal v = consts.before(i, r);
-            if (v.isConst())
-                os << "const " << i << " " << r << " " << v.value
-                   << "\n";
-        }
-    }
-    // Record killed branch edges too: they are the facts the refuter
-    // prunes paths with.
-    for (int i = 0; i < method.numInstrs(); ++i) {
-        const air::Instruction &instr = method.instr(i);
-        if (!instr.isBranch())
-            continue;
-        for (int succ : {instr.target, i + 1}) {
-            if (succ >= 0 && succ < method.numInstrs() &&
-                !consts.edgeFeasible(i, succ))
-                os << "infeasible " << i << " " << succ << "\n";
-        }
-    }
-    return os.str();
-}
-
-std::vector<SccpFact>
-parseSccpFacts(const std::string &blob)
-{
-    std::vector<SccpFact> out;
-    std::istringstream in(blob);
-    std::string tag;
-    while (in >> tag) {
-        if (tag == "const") {
-            SccpFact f;
-            if (in >> f.instr >> f.reg >> f.value)
-                out.push_back(f);
-        } else {
-            std::string rest;
-            std::getline(in, rest);
-        }
-    }
-    return out;
-}
-
-std::string
-cfgDigest(const air::Method &method)
-{
-    Cfg cfg(method);
-    std::ostringstream structure;
-    int64_t edges = 0;
-    for (int b = 0; b < cfg.numBlocks(); ++b) {
-        const BasicBlock &block = cfg.blocks()[b];
-        structure << b << ":" << block.first << "-" << block.last
-                  << "->";
-        for (int succ : block.succs) {
-            structure << succ << ",";
-            ++edges;
-        }
-        structure << ";";
-    }
-    std::ostringstream os;
-    os << "blocks " << cfg.numBlocks() << " edges " << edges
-       << " hash " << hashHex(fnv64(structure.str()));
-    return os.str();
-}
-
-// ---------------------------------------------------------------------
 // Store
 // ---------------------------------------------------------------------
 
@@ -774,9 +696,17 @@ Store::put(std::string_view kind, std::string_view key,
     fs::create_directories(fs::path(_dir) / kind, ec);
     const std::string path = pathFor(kind, key);
     const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        out << blob;
+    std::ofstream out(tmp, std::ios::binary);
+    out << blob;
+    out.close();
+    if (!out) {
+        // A short write (disk full, file-size limit) is never
+        // committed: a later process would read the cut blob as a hit.
+        // Drop it and any older blob of the key, so the disk has none;
+        // the memory copy still answers this process.
+        fs::remove(tmp, ec);
+        fs::remove(path, ec);
+        return;
     }
     fs::rename(tmp, path, ec);
 }

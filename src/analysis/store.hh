@@ -210,26 +210,6 @@ class DepIndex
     std::map<std::string, std::set<std::string>, std::less<>> _callers;
 };
 
-/** One SCCP constant fact: register `reg` holds `value` just before
- *  instruction `instr` executes (on every invocation). */
-struct SccpFact {
-    int instr{0};
-    int reg{0};
-    int64_t value{0};
-};
-
-/** Run the intraprocedural SCCP solver over one method body and export
- *  its constant facts as a deterministic blob (one "instr reg value"
- *  line per fact, plus infeasible branch edges). */
-std::string sccpFactsBlob(const air::Method &method);
-
-/** Parse the constant rows of a `sccpFactsBlob` (edge rows skipped). */
-std::vector<SccpFact> parseSccpFacts(const std::string &blob);
-
-/** Structural digest of one method's CFG ("blocks N edges M hash H"),
- *  a cheap integrity check stored beside the per-method facts. */
-std::string cfgDigest(const air::Method &method);
-
 /** Store traffic counters (surfaced as `store.*` metrics). */
 struct StoreStats {
     int64_t gets{0};         //!< lookups issued
@@ -269,6 +249,9 @@ class Store
      *  destruction. */
     std::optional<std::string_view> get(std::string_view kind,
                                         std::string_view key);
+    /** Store a blob. On disk it is written to a temporary file and
+     *  renamed into place only when the write succeeded; a failed
+     *  write leaves no file for the key. */
     void put(std::string_view kind, std::string_view key,
              std::string_view blob);
 

@@ -127,13 +127,12 @@ findRacyPairs(const PointsToResult &result, const hb::Shbg &shbg,
                         continue;
                     const Action &act1 = result.actions.get(a1);
                     const Action &act2 = result.actions.get(a2);
-                    if (options.requireSameLooper) {
-                        if (act1.runsOnLooper() &&
-                            act2.runsOnLooper() &&
-                            result.looperOfAction(a1) !=
-                                result.looperOfAction(a2)) {
-                            continue;
-                        }
+                    // Paper Section 4.4: two looper actions race only
+                    // when they run on the same looper.
+                    if (act1.runsOnLooper() && act2.runsOnLooper() &&
+                        result.looperOfAction(a1) !=
+                            result.looperOfAction(a2)) {
+                        continue;
                     }
                     if (!signatures
                              .insert({act1.creationSite,

@@ -73,9 +73,6 @@ struct RacyStats {
 
 /** Options for racy-pair detection. */
 struct RacyOptions {
-    //! skip pairs where both actions run on different loopers (paper
-    //! Section 4.4: handlers must refer to the same looper)
-    bool requireSameLooper{true};
     /**
      * Optional field-effect summaries (analysis::FieldEffects) used as
      * a cheap prefilter: an access pair whose enclosing methods have

@@ -126,7 +126,6 @@ IncrementalAnalyzer::analyze(framework::App &app,
     // artifact is still valid under the *current* method bodies.
     store::DepIndex new_deps;
     int hits = 0, misses = 0;
-    int64_t ifds_saved = 0;
     HarnessReuse reuse;
     reuse.tryLoad = [&](const harness::HarnessPlan &plan,
                         HarnessArtifact &out) {
@@ -159,37 +158,13 @@ IncrementalAnalyzer::analyze(framework::App &app,
         const std::string key = store::hashHex(store::mixHash(
             shape, store::fnv64(plan.activityClass)));
         _store.put("harness", key, serializeArtifact(art));
-
-        // Per-method facts under content-hash keys: IFDS summaries
-        // feed the dependency index; SCCP facts and CFG digests are
-        // stored on first sight of a body (their key already encodes
-        // the body, so a hit can never be stale).
+        // The IFDS summaries' callee lists feed the dependency index.
         if (ha.inter) {
             for (const auto &sum : ha.inter->exportSummaries()) {
                 for (const std::string &callee : sum.callees)
                     new_deps.addEdge(sum.method, callee);
-                const store::MethodHashEntry *row = hashes.find(sum.method);
-                if (!row)
-                    continue;
-                const std::string mkey = store::hashHex(row->hash);
-                if (!_store.get("ifds", mkey)) {
-                    _store.put("ifds", mkey,
-                               analysis::serializeSummaries({sum}));
-                    ++ifds_saved;
-                }
             }
         }
-        // Refutation verdicts: one row per race site pair. These are
-        // the persistable face of the symbolic stage -- the in-memory
-        // refuted-node cache holds process-local node ids and is
-        // deliberately not serialized (docs/CACHING.md explains why).
-        std::string verdicts;
-        for (const ArtifactRace &r : art.races) {
-            verdicts += r.m1 + "\t" + std::to_string(r.i1) + "\t" +
-                        r.m2 + "\t" + std::to_string(r.i2) + "\t" +
-                        r.key + "\t" + (r.refuted ? "1" : "0") + "\n";
-        }
-        _store.put("refute", key, verdicts);
     };
 
     res.report = detector.analyze(options, &reuse);
@@ -197,19 +172,6 @@ IncrementalAnalyzer::analyze(framework::App &app,
     res.harnessesTotal = res.report.harnesses;
     res.harnessesReused = hits;
     res.harnessesComputed = misses;
-
-    // Persist per-body facts for every *changed* method (cheap, local
-    // solves) so diagnostics can inspect them without a pipeline run.
-    for (const std::string &name : changed) {
-        const store::MethodHashEntry *row = hashes.find(name);
-        if (!row)
-            continue; // a removed body
-        const std::string mkey = store::hashHex(row->hash);
-        if (_store.get("cfg", mkey))
-            continue;
-        _store.put("cfg", mkey, store::cfgDigest(*row->method));
-        _store.put("sccp", mkey, store::sccpFactsBlob(*row->method));
-    }
 
     // Roll the app's incremental state forward: union the dependency
     // edges (reused harnesses contributed none, but their old edges
@@ -239,7 +201,6 @@ IncrementalAnalyzer::analyze(framework::App &app,
         _metrics->add("store.methods_changed", res.methodsChanged);
         _metrics->add("store.dirty_methods",
                       static_cast<int64_t>(res.dirty.size()));
-        _metrics->add("store.ifds_saved", ifds_saved);
     }
     return res;
 }

@@ -12,6 +12,10 @@
  * still validates are merged as-is; everything else re-runs the full
  * pipeline for its harness. Because the detector merge consumes only
  * artifact fields, a warm report is byte-identical to a cold one.
+ *
+ * The store keeps only what a later submission reads back: per app
+ * the method index (`methods`), the dependency index (`deps`) and the
+ * shape hash (`shape`), plus one `harness` artifact per harness key.
  */
 
 #ifndef SIERRA_SERVE_INCREMENTAL_HH

@@ -1,5 +1,7 @@
-/** @file Tests for the intraprocedural dataflow framework and its
- *  three shipped clients (constants, reaching defs, liveness). */
+/** @file Tests for the intraprocedural dataflow framework, its two
+ *  shipped clients (reaching defs, liveness) and field effects.
+ *  Constant propagation is tested with the interprocedural solver
+ *  that runs it (ifds_test.cc). */
 
 #include <gtest/gtest.h>
 
@@ -18,128 +20,6 @@ parseMethod(std::unique_ptr<air::Module> &hold, const std::string &body)
     EXPECT_TRUE(r.ok()) << r.status.error;
     hold = std::move(r.module);
     return hold->getClass("T")->methods().front().get();
-}
-
-TEST(DataflowConstants, StraightLineFolding)
-{
-    std::unique_ptr<air::Module> hold;
-    air::Method *m = parseMethod(hold, R"(
-    method f(): void regs=4 {
-        @0: r1 = const 6
-        @1: r2 = const 7
-        @2: r3 = mul r1, r2
-        @3: return-void
-    })");
-    Cfg cfg(*m);
-    MethodConstants facts(cfg);
-    EXPECT_TRUE(facts.before(2, 1).isConst());
-    EXPECT_EQ(facts.before(2, 1).value, 6);
-    ASSERT_TRUE(facts.after(2, 3).isConst());
-    EXPECT_EQ(facts.after(2, 3).value, 42);
-    EXPECT_EQ(facts.numInfeasibleEdges(), 0);
-}
-
-TEST(DataflowConstants, MergeOfDifferentValuesIsTop)
-{
-    std::unique_ptr<air::Module> hold;
-    // r2 is 1 on one arm and 2 on the other; at the join it is Top,
-    // but on each arm it stays constant.
-    air::Method *m = parseMethod(hold, R"(
-    method f(p0: int): void regs=4 {
-        @0: r2 = const 1
-        @1: ifz r1 eq goto @3
-        @2: r2 = const 2
-        @3: return-void
-    })");
-    Cfg cfg(*m);
-    MethodConstants facts(cfg);
-    EXPECT_TRUE(facts.after(2, 2).isConst());
-    EXPECT_EQ(facts.after(2, 2).value, 2);
-    EXPECT_FALSE(facts.before(3, 2).isConst());
-    // The parameter is never constant.
-    EXPECT_FALSE(facts.before(1, 1).isConst());
-}
-
-TEST(DataflowConstants, ConstantGuardKillsEdgeAndCode)
-{
-    std::unique_ptr<air::Module> hold;
-    // r1 is always 0, so "ifz r1 eq" always jumps: the fallthrough
-    // edge is infeasible and @2 is unreachable.
-    air::Method *m = parseMethod(hold, R"(
-    method f(): void regs=4 {
-        @0: r1 = const 0
-        @1: ifz r1 eq goto @3
-        @2: r2 = const 5
-        @3: return-void
-    })");
-    Cfg cfg(*m);
-    MethodConstants facts(cfg);
-    EXPECT_EQ(facts.numInfeasibleEdges(), 1);
-    EXPECT_FALSE(facts.edgeFeasible(1, 2));
-    EXPECT_TRUE(facts.edgeFeasible(1, 3));
-    EXPECT_FALSE(facts.reachable(2));
-    EXPECT_TRUE(facts.reachable(3));
-    // Values in dead code are Bottom, not Const.
-    EXPECT_FALSE(facts.after(2, 2).isConst());
-}
-
-TEST(DataflowConstants, ConditionalPropagationThroughKilledEdge)
-{
-    std::unique_ptr<air::Module> hold;
-    // The loop-free chain: r1 = 1; if r1 != 0 skip the r2 = 99
-    // assignment. Conditional propagation must see r2 = 7 at the join
-    // (the killed edge's state is never merged).
-    air::Method *m = parseMethod(hold, R"(
-    method f(): void regs=4 {
-        @0: r1 = const 1
-        @1: r2 = const 7
-        @2: ifz r1 ne goto @4
-        @3: r2 = const 99
-        @4: return-void
-    })");
-    Cfg cfg(*m);
-    MethodConstants facts(cfg);
-    ASSERT_TRUE(facts.before(4, 2).isConst());
-    EXPECT_EQ(facts.before(4, 2).value, 7);
-    EXPECT_FALSE(facts.reachable(3));
-}
-
-TEST(DataflowConstants, EqEdgeRefinement)
-{
-    std::unique_ptr<air::Module> hold;
-    // Nothing is known about the parameter, but on the taken edge of
-    // "ifz p eq" the register is known to be 0.
-    air::Method *m = parseMethod(hold, R"(
-    method f(p0: int): void regs=4 {
-        @0: ifz r1 eq goto @2
-        @1: return-void
-        @2: r2 = r1
-        @3: return-void
-    })");
-    Cfg cfg(*m);
-    MethodConstants facts(cfg);
-    ASSERT_TRUE(facts.before(3, 2).isConst());
-    EXPECT_EQ(facts.before(3, 2).value, 0);
-}
-
-TEST(DataflowConstants, LoopReachesFixpoint)
-{
-    std::unique_ptr<air::Module> hold;
-    // r1 counts down from an unknown start: must converge to Top
-    // without spinning (widening guards unbounded lattices; the const
-    // lattice has height 2 so plain iteration terminates).
-    air::Method *m = parseMethod(hold, R"(
-    method f(p0: int): void regs=4 {
-        @0: r2 = const 1
-        @1: r1 = sub r1, r2
-        @2: ifz r1 gt goto @1
-        @3: return-void
-    })");
-    Cfg cfg(*m);
-    MethodConstants facts(cfg);
-    EXPECT_FALSE(facts.before(3, 1).isConst());
-    // The decrement is constant though.
-    EXPECT_TRUE(facts.before(1, 2).isConst());
 }
 
 TEST(DataflowReachingDefs, EntryAndLocalDefs)

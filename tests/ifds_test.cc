@@ -1,8 +1,9 @@
 /** @file Tests for the interprocedural IFDS engine (analysis/ifds):
  *  summary propagation, summary-cache reuse, must-write-constant
- *  facts, the use-after-destroy client, and the end-to-end guarantees
- *  of the detector stage (more refutation power, no lost true races,
- *  jobs-determinism). */
+ *  facts, the use-after-destroy client, the end-to-end guarantees of
+ *  the detector stage (more refutation power, no lost true races,
+ *  jobs-determinism), and conditional constant propagation within one
+ *  method. */
 
 #include <set>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "analysis/points_to.hh"
 #include "corpus/named_apps.hh"
 #include "corpus/patterns.hh"
+#include "framework/app_text.hh"
 #include "framework/known_api.hh"
 #include "test_helpers.hh"
 #include "util/metrics.hh"
@@ -396,6 +398,185 @@ TEST(Ifds, IfdsStageIsJobsDeterministic)
     for (size_t i = 0; i < r1.useAfterDestroy.size(); ++i)
         EXPECT_EQ(r1.useAfterDestroy[i].toString(),
                   r4.useAfterDestroy[i].toString());
+}
+
+// ---------------------------------------------------------------------
+// Conditional constant propagation within one method. The solver is
+// the only constant propagation in the repository; these cases pin its
+// intraprocedural behaviour on a callback whose parameters are Top.
+// ---------------------------------------------------------------------
+
+/**
+ * Interprocedural constant facts for the GUI callback `A.onTap(p0)`
+ * with the given AIR body. The framework invokes the callback, so it
+ * is open: its parameter r1, like every register at its entry, is Top.
+ */
+class CallbackConstants
+{
+  public:
+    explicit CallbackConstants(const std::string &body)
+    {
+        framework::AppTextResult parsed = framework::parseAppText(
+            R"(
+app "callback-constants" {
+    package t
+    activity A main
+    layout A {
+        widget 1 "tap" android.widget.Button onclick onTap
+    }
+}
+class A extends android.app.Activity {
+    method <init>(): void regs=1 { @0: return-void }
+    method onTap(p0: android.view.View): void regs=4 {)" +
+            body + "}\n}\n");
+        if (!parsed.ok()) {
+            ADD_FAILURE() << parsed.error << " at line "
+                          << parsed.errorLine;
+            return;
+        }
+        _app = std::move(parsed.app);
+        _detector = std::make_unique<SierraDetector>(*_app);
+        PointsToAnalysis pta(*_app, _detector->plans()[0], {});
+        _pta = pta.run();
+        _inter = std::make_unique<InterConstants>(*_pta);
+        _method = _app->module().getClass("A")->findMethod("onTap");
+    }
+
+    /** The callback was solved (it is in the summary universe). */
+    bool ok() const { return _inter && _inter->solveCountOf(_method) > 0; }
+
+    ConstVal before(int instr, int reg) const
+    {
+        return _inter->before(_method, instr, reg);
+    }
+    ConstVal after(int instr, int reg) const
+    {
+        return _inter->after(_method, instr, reg);
+    }
+    bool reachable(int instr) const
+    {
+        return _inter->reachable(_method, instr);
+    }
+    bool edgeFeasible(int from, int to) const
+    {
+        return _inter->edgeFeasible(_method, from, to);
+    }
+
+  private:
+    std::unique_ptr<framework::App> _app;
+    std::unique_ptr<SierraDetector> _detector;
+    std::unique_ptr<PointsToResult> _pta;
+    std::unique_ptr<InterConstants> _inter;
+    const air::Method *_method{nullptr};
+};
+
+TEST(IfdsConstants, StraightLineFolding)
+{
+    CallbackConstants facts(R"(
+        @0: r1 = const 6
+        @1: r2 = const 7
+        @2: r3 = mul r1, r2
+        @3: return-void
+    )");
+    ASSERT_TRUE(facts.ok());
+    EXPECT_TRUE(facts.before(2, 1).isConst());
+    EXPECT_EQ(facts.before(2, 1).value, 6);
+    ASSERT_TRUE(facts.after(2, 3).isConst());
+    EXPECT_EQ(facts.after(2, 3).value, 42);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(facts.reachable(i)) << "@" << i;
+}
+
+TEST(IfdsConstants, MergeOfDifferentValuesIsTop)
+{
+    // r2 is 1 on one arm and 2 on the other; at the join it is Top,
+    // but on each arm it stays constant.
+    CallbackConstants facts(R"(
+        @0: r2 = const 1
+        @1: ifz r1 eq goto @3
+        @2: r2 = const 2
+        @3: return-void
+    )");
+    ASSERT_TRUE(facts.ok());
+    EXPECT_TRUE(facts.after(2, 2).isConst());
+    EXPECT_EQ(facts.after(2, 2).value, 2);
+    EXPECT_FALSE(facts.before(3, 2).isConst());
+    // The parameter of a framework-invoked callback is never constant,
+    // so both branch edges stay feasible.
+    EXPECT_FALSE(facts.before(1, 1).isConst());
+    EXPECT_TRUE(facts.edgeFeasible(1, 2));
+    EXPECT_TRUE(facts.edgeFeasible(1, 3));
+}
+
+TEST(IfdsConstants, ConstantGuardKillsEdgeAndCode)
+{
+    // r1 is always 0, so "ifz r1 eq" always jumps: the fallthrough
+    // edge is infeasible and @2 is unreachable.
+    CallbackConstants facts(R"(
+        @0: r1 = const 0
+        @1: ifz r1 eq goto @3
+        @2: r2 = const 5
+        @3: return-void
+    )");
+    ASSERT_TRUE(facts.ok());
+    EXPECT_FALSE(facts.edgeFeasible(1, 2));
+    EXPECT_TRUE(facts.edgeFeasible(1, 3));
+    EXPECT_FALSE(facts.reachable(2));
+    EXPECT_TRUE(facts.reachable(3));
+    // Dead code yields no constant.
+    EXPECT_FALSE(facts.after(2, 2).isConst());
+}
+
+TEST(IfdsConstants, ConditionalPropagationThroughKilledEdge)
+{
+    // The loop-free chain: r1 = 1; if r1 != 0 skip the r2 = 99
+    // assignment. Conditional propagation must see r2 = 7 at the join
+    // (the killed edge's state is never merged).
+    CallbackConstants facts(R"(
+        @0: r1 = const 1
+        @1: r2 = const 7
+        @2: ifz r1 ne goto @4
+        @3: r2 = const 99
+        @4: return-void
+    )");
+    ASSERT_TRUE(facts.ok());
+    ASSERT_TRUE(facts.before(4, 2).isConst());
+    EXPECT_EQ(facts.before(4, 2).value, 7);
+    EXPECT_FALSE(facts.reachable(3));
+}
+
+TEST(IfdsConstants, EqEdgeRefinement)
+{
+    // Nothing is known about the parameter, but on the taken edge of
+    // "ifz p eq" the register is known to be 0.
+    CallbackConstants facts(R"(
+        @0: ifz r1 eq goto @2
+        @1: return-void
+        @2: r2 = r1
+        @3: return-void
+    )");
+    ASSERT_TRUE(facts.ok());
+    ASSERT_TRUE(facts.before(3, 2).isConst());
+    EXPECT_EQ(facts.before(3, 2).value, 0);
+    EXPECT_FALSE(facts.before(1, 1).isConst())
+        << "the fallthrough edge learns nothing";
+}
+
+TEST(IfdsConstants, LoopReachesFixpoint)
+{
+    // r1 counts down from an unknown start: must converge to Top
+    // without spinning (the const lattice has height 2, so plain
+    // iteration terminates).
+    CallbackConstants facts(R"(
+        @0: r2 = const 1
+        @1: r1 = sub r1, r2
+        @2: ifz r1 gt goto @1
+        @3: return-void
+    )");
+    ASSERT_TRUE(facts.ok());
+    EXPECT_FALSE(facts.before(3, 1).isConst());
+    // The decrement is constant though.
+    EXPECT_TRUE(facts.before(1, 2).isConst());
 }
 
 } // namespace

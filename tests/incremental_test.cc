@@ -5,15 +5,19 @@
  * per-harness artifact and reproduces the cold report bytes exactly
  * (which are themselves the golden-snapshot bytes); editing one method
  * body dirties exactly the DepIndex closure of the edit and recomputes
- * only the harnesses whose footprint covers it.
+ * only the harnesses whose footprint covers it. The store holds only
+ * the kinds the driver reads back.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "analysis/store.hh"
 #include "corpus/named_apps.hh"
@@ -29,6 +33,7 @@ namespace sierra {
 namespace {
 
 namespace store = analysis::store;
+namespace fs = std::filesystem;
 
 std::string
 goldenPath(const std::string &app_name)
@@ -208,8 +213,7 @@ TEST(Incremental, StoreContentsIndependentOfJobsCount)
     EXPECT_EQ(serial.reportText, parallel.reportText);
     EXPECT_EQ(serial.shapeHash, parallel.shapeHash)
         << "jobs must not feed the options fingerprint";
-    for (const std::string &kind :
-         {"methods", "deps", "shape", "harness", "ifds", "refute"}) {
+    for (const char *kind : {"methods", "deps", "shape", "harness"}) {
         auto keys = serial_store.keys(kind);
         ASSERT_EQ(keys, parallel_store.keys(kind)) << kind;
         for (const std::string &key : keys) {
@@ -218,6 +222,56 @@ TEST(Incremental, StoreContentsIndependentOfJobsCount)
                 << kind << "/" << key;
         }
     }
+}
+
+TEST(Incremental, StoreHoldsOnlyKindsItReads)
+{
+    // The store keeps only what a later request reads back: after a
+    // cold, a warm and a one-method-edit submission, the disk store
+    // holds the version stamp and the four kinds the driver gets.
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("sierra_incremental_test_" + std::to_string(::getpid()));
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+    {
+        store::Store st(dir.string());
+        serve::IncrementalAnalyzer analyzer(st);
+        SierraOptions options;
+
+        corpus::BuiltApp cold_app = corpus::buildNamedApp("OpenSudoku");
+        serve::IncrementalResult cold =
+            analyzer.analyze(*cold_app.app, options);
+        EXPECT_GT(cold.harnessesComputed, 0);
+
+        corpus::BuiltApp warm_app = corpus::buildNamedApp("OpenSudoku");
+        serve::IncrementalResult warm =
+            analyzer.analyze(*warm_app.app, options);
+        EXPECT_EQ(warm.harnessesComputed, 0);
+
+        corpus::BuiltApp edit_app = corpus::buildNamedApp("OpenSudoku");
+        std::string edited;
+        for (air::Klass *klass : edit_app.app->module().classes()) {
+            if (klass->isFramework() || klass->isSynthetic())
+                continue;
+            for (const auto &m : klass->methods()) {
+                if (m->hasBody() && edited.empty())
+                    edited = m->qualifiedName();
+            }
+        }
+        ASSERT_FALSE(edited.empty());
+        appendNop(*edit_app.app, edited);
+        serve::IncrementalResult edit =
+            analyzer.analyze(*edit_app.app, options);
+        EXPECT_EQ(edit.methodsChanged, 1);
+    }
+
+    std::set<std::string> entries;
+    for (const auto &entry : fs::directory_iterator(dir, ec))
+        entries.insert(entry.path().filename().string());
+    EXPECT_EQ(entries, (std::set<std::string>{"VERSION", "deps", "harness",
+                                              "methods", "shape"}));
+    fs::remove_all(dir, ec);
 }
 
 TEST(Incremental, OptionsFingerprintSeparatesAblations)

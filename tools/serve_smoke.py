@@ -5,7 +5,8 @@ Exercises what the unit tests cannot: the real binary, over real
 stdio, across two daemon *processes* sharing one on-disk store.
 
   1. Process A (fresh store): submit an app -> cold, everything
-     computed; submit it again -> warm in-process.
+     computed; submit it again -> warm in-process. The store then
+     holds exactly its VERSION stamp and the four kinds it reads.
   2. Process B (same store dir): submit the same bundle -> warm
      across processes (the disk store faults the artifacts in), and
      the report is byte-identical to process A's cold report.
@@ -17,12 +18,16 @@ Usage: tools/serve_smoke.py [path/to/sierra]
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
 
 SIERRA = sys.argv[1] if len(sys.argv) > 1 else "./build/tools/sierra"
 APP = "OpenSudoku"
+# The on-disk store: its version stamp plus the four kinds a later
+# request reads back (docs/CACHING.md, "Store layout").
+STORE_LAYOUT = ["VERSION", "deps", "harness", "methods", "shape"]
 
 failures = []
 
@@ -83,6 +88,10 @@ def main():
         check(
             a[1]["result"]["report"] == cold_report,
             "in-process warm report is byte-identical",
+        )
+        check(
+            sorted(os.listdir(store)) == STORE_LAYOUT,
+            "store holds exactly VERSION and the kinds it reads back",
         )
 
         # --- process B: same store, warm across processes ---
