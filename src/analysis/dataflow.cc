@@ -44,74 +44,6 @@ blockOrder(const Cfg &cfg, DataflowDirection dir)
 } // namespace dataflow_detail
 
 // ---------------------------------------------------------------------
-// Reaching definitions
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct ReachingProblem {
-    using Domain = std::vector<std::set<int>>;
-    static constexpr DataflowDirection kDirection =
-        DataflowDirection::Forward;
-
-    int numRegisters;
-    int firstTempReg;
-
-    Domain
-    boundary() const
-    {
-        Domain d(static_cast<size_t>(numRegisters));
-        for (int r = 0; r < firstTempReg; ++r)
-            d[r].insert(ReachingDefs::kEntryDef);
-        return d;
-    }
-
-    bool
-    merge(Domain &into, const Domain &from) const
-    {
-        bool changed = false;
-        for (size_t r = 0; r < into.size(); ++r) {
-            for (int def : from[r])
-                changed |= into[r].insert(def).second;
-        }
-        return changed;
-    }
-
-    void
-    transfer(int idx, const Instruction &instr, Domain &d) const
-    {
-        if (instr.writesRegister())
-            d[instr.dst] = {idx};
-    }
-};
-
-} // namespace
-
-ReachingDefs::ReachingDefs(const Cfg &cfg) : _cfg(cfg)
-{
-    ReachingProblem problem{cfg.method().numRegisters(),
-                            cfg.method().firstTempReg()};
-    DataflowResult<ReachingProblem::Domain> r =
-        solveDataflow(cfg, problem);
-    _atBlockEntry = std::move(r.atEntry);
-    _reached = std::move(r.reached);
-}
-
-std::vector<int>
-ReachingDefs::reaching(int instr, int reg) const
-{
-    const int b = _cfg.blockOf(instr);
-    if (!_reached[b])
-        return {};
-    ReachingProblem::Domain env = _atBlockEntry[b];
-    ReachingProblem problem{_cfg.method().numRegisters(),
-                            _cfg.method().firstTempReg()};
-    for (int i = _cfg.blocks()[b].first; i < instr; ++i)
-        problem.transfer(i, _cfg.method().instr(i), env);
-    return {env[reg].begin(), env[reg].end()};
-}
-
-// ---------------------------------------------------------------------
 // Liveness
 // ---------------------------------------------------------------------
 

@@ -37,13 +37,12 @@
  * run concurrently from the per-plan parallel tasks of the detector:
  * each thread solves its own problem instances.
  *
- * Shipped clients: reaching definitions (ReachingDefs) and live
- * registers (Liveness); the AIR lint driver (analysis/lint.cc) uses
- * Liveness. The lock-set and enablement stages and lint define their
- * own problems, and conditional constant propagation lives in the
- * interprocedural solver (analysis/ifds.cc), whose per-method problem
- * is seeded with parameter and callee-return facts; its facts guide
- * the symbolic refuter.
+ * Shipped client: live registers (Liveness), which the AIR lint
+ * driver (analysis/lint.cc) uses. The lock-set and enablement stages
+ * and lint define their own problems, and conditional constant
+ * propagation lives in the interprocedural solver (analysis/ifds.cc),
+ * whose per-method problem is seeded with parameter and callee-return
+ * facts; its facts guide the symbolic refuter.
  */
 
 #ifndef SIERRA_ANALYSIS_DATAFLOW_HH
@@ -191,40 +190,7 @@ solveDataflow(const Cfg &cfg, const Problem &problem)
 }
 
 // ---------------------------------------------------------------------
-// Client 1: reaching definitions
-// ---------------------------------------------------------------------
-
-/**
- * Which definition sites of each register may reach each instruction.
- * Definition sites are instruction indices; kEntryDef stands for the
- * implicit definition of `this` and the parameters at method entry.
- */
-class ReachingDefs
-{
-  public:
-    static constexpr int kEntryDef = -1;
-
-    explicit ReachingDefs(const Cfg &cfg);
-
-    /** Definition sites of `reg` that may reach `instr` (sorted). */
-    std::vector<int> reaching(int instr, int reg) const;
-
-    /** True if some definition of `reg` (incl. the entry definition of
-     *  parameters) may reach `instr`. */
-    bool anyDefReaches(int instr, int reg) const
-    {
-        return !reaching(instr, reg).empty();
-    }
-
-  private:
-    const Cfg &_cfg;
-    //! per block: per register, the def sites reaching block entry
-    std::vector<std::vector<std::set<int>>> _atBlockEntry;
-    std::vector<char> _reached;
-};
-
-// ---------------------------------------------------------------------
-// Client 2: live registers
+// Client: live registers
 // ---------------------------------------------------------------------
 
 /** Classic backward liveness of registers, per instruction. */

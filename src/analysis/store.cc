@@ -481,15 +481,6 @@ DepIndex::dirtyClosure(const std::set<std::string> &changed) const
     return dirty;
 }
 
-std::vector<std::string>
-DepIndex::callersOf(const std::string &method) const
-{
-    auto it = _callers.find(method);
-    if (it == _callers.end())
-        return {};
-    return {it->second.begin(), it->second.end()};
-}
-
 int64_t
 DepIndex::numEdges() const
 {

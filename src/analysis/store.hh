@@ -195,9 +195,6 @@ class DepIndex
     std::set<std::string>
     dirtyClosure(const std::set<std::string> &changed) const;
 
-    /** Direct callers of one method (sorted). */
-    std::vector<std::string> callersOf(const std::string &method) const;
-
     int64_t numEdges() const;
 
     std::string serialize() const;

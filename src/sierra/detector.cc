@@ -214,6 +214,7 @@ fillMetrics(util::metrics::Registry &m, const HarnessAnalysis &ha,
     m.add("symbolic.budget_exhausted", ref.exec.budgetExhausted);
     m.add("symbolic.inter_pruned", ref.exec.interPruned);
     m.add("symbolic.inter_applied", ref.exec.interApplied);
+    m.add("symbolic.phase_b_reuses", ref.exec.phaseBReuses);
 
     if (ha.inter) {
         const analysis::IfdsStats &ifds = ha.inter->stats();

@@ -1,5 +1,6 @@
 #include "executor.hh"
 
+#include <algorithm>
 #include <span>
 
 #include "air/logging.hh"
@@ -423,7 +424,7 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
 }
 
 bool
-BackwardExecutor::startPhaseB(const PathState &st, int action_b,
+BackwardExecutor::startPhaseB(PathState st, int action_b,
                               std::vector<PathState> &stack)
 {
     const analysis::Action &b = _r.actions.get(action_b);
@@ -432,7 +433,87 @@ BackwardExecutor::startPhaseB(const PathState &st, int action_b,
         // constraints, so the ordering is feasible if the store is.
         return st.store.consistent();
     }
-    const air::Method *bm = _r.cg.node(b.entryNode).method;
+    // One stack entry stands for the whole phase-B walk; walkPhaseB
+    // runs it when the query pops it.
+    st.phase = 1;
+    stack.push_back(std::move(st));
+    return false;
+}
+
+size_t
+BackwardExecutor::PhaseBKeyHash::operator()(const PhaseBKey &k) const
+{
+    uint64_t h = static_cast<uint64_t>(k.action);
+    auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+    auto mixOperand = [&](const Operand &op) {
+        mix(static_cast<uint64_t>(op.kind));
+        mix(static_cast<uint64_t>(op.value));
+        mix(static_cast<uint64_t>(op.reg));
+        mix(static_cast<uint64_t>(op.loc.obj));
+        mix(op.loc.key.id);
+    };
+    for (const Atom &a : k.atoms) {
+        mixOperand(a.lhs);
+        mix(static_cast<uint64_t>(a.cond));
+        mixOperand(a.rhs);
+    }
+    return static_cast<size_t>(h);
+}
+
+namespace {
+
+/** Every field, so that equal operands behave the same in every store
+ *  operation (MemLoc::operator== ignores the key flags). */
+bool
+sameOperand(const Operand &x, const Operand &y)
+{
+    return x.kind == y.kind && x.value == y.value && x.reg == y.reg &&
+           x.loc.isStatic == y.loc.isStatic && x.loc.obj == y.loc.obj &&
+           x.loc.key.id == y.loc.key.id &&
+           x.loc.key.flags == y.loc.key.flags;
+}
+
+} // namespace
+
+bool
+BackwardExecutor::PhaseBKey::operator==(const PhaseBKey &o) const
+{
+    return action == o.action &&
+           std::equal(atoms.begin(), atoms.end(), o.atoms.begin(),
+                      o.atoms.end(), [](const Atom &x, const Atom &y) {
+                          return x.cond == y.cond &&
+                                 sameOperand(x.lhs, y.lhs) &&
+                                 sameOperand(x.rhs, y.rhs);
+                      });
+}
+
+QueryVerdict
+BackwardExecutor::walkPhaseB(const PathState &entry, int action_a,
+                             int action_b, Walk &walk)
+{
+    PhaseBKey key{action_b, entry.store.atoms()};
+    if (auto it = _phaseB.find(key);
+        it != _phaseB.end() &&
+        entry.depth + it->second.depth <= _opts.maxDepth) {
+        // Replay. Both counters only grow, so a fresh walk fails its
+        // budget check at some pop iff it fails it at the last one.
+        const PhaseBRun &run = it->second;
+        ++_stats.phaseBReuses;
+        if (run.pops > 0 &&
+            (walk.steps + run.pops > _opts.maxSteps ||
+             walk.paths + run.pathsBeforeLast > _opts.maxPaths)) {
+            return QueryVerdict::Budget;
+        }
+        walk.steps += run.pops;
+        walk.paths += run.paths;
+        return run.feasible ? QueryVerdict::Feasible
+                            : QueryVerdict::Infeasible;
+    }
+
+    // Walk back from every exit of B's entry method.
+    const NodeId b_entry = _r.actions.get(action_b).entryNode;
+    const air::Method *bm = _r.cg.node(b_entry).method;
+    std::vector<PathState> stack;
     for (int i = 0; i < bm->numInstrs(); ++i) {
         const Instruction &instr = bm->instr(i);
         if (instr.op == Opcode::Return ||
@@ -440,17 +521,37 @@ BackwardExecutor::startPhaseB(const PathState &st, int action_b,
             instr.op == Opcode::Throw) {
             PathState next;
             next.phase = 1;
-            next.node = b.entryNode;
+            next.node = b_entry;
             next.instr = i;
             next.skipEffect = true;
-            next.depth = st.depth + 1;
-            next.frame = 0;
-            next.nextFrame = 1;
-            next.store = st.store;
+            next.depth = entry.depth + 1;
+            next.store = entry.store;
             stack.push_back(std::move(next));
         }
     }
-    return false;
+
+    const Walk start = walk;
+    PhaseBRun run;
+    bool hit_depth = false;
+    while (!stack.empty()) {
+        run.pathsBeforeLast = walk.paths - start.paths;
+        if (overBudget(walk))
+            return QueryVerdict::Budget; // cut short: not recorded
+        PathState st = std::move(stack.back());
+        stack.pop_back();
+        run.depth = std::max(run.depth, st.depth - entry.depth);
+        hit_depth |= st.depth > _opts.maxDepth;
+        if (expand(st, action_a, action_b, stack, walk.paths)) {
+            run.feasible = true;
+            break;
+        }
+    }
+    run.pops = walk.steps - start.steps;
+    run.paths = walk.paths - start.paths;
+    // A walk the depth limit cut depends on its start depth.
+    if (!hit_depth)
+        _phaseB.emplace(std::move(key), run);
+    return run.feasible ? QueryVerdict::Feasible : QueryVerdict::Infeasible;
 }
 
 bool
@@ -537,8 +638,114 @@ BackwardExecutor::atEntry(PathState st, int action_a, int action_b,
         return false;
 
     if (st.phase == 0)
-        return startPhaseB(st, action_b, stack);
+        return startPhaseB(std::move(st), action_b, stack);
     return true; // phase B entry with a consistent store: feasible
+}
+
+bool
+BackwardExecutor::overBudget(Walk &walk) const
+{
+    return ++walk.steps > _opts.maxSteps || walk.paths > _opts.maxPaths;
+}
+
+bool
+BackwardExecutor::expand(PathState &st, int action_a, int action_b,
+                         std::vector<PathState> &stack, int &paths)
+{
+    ++_stats.statesExpanded;
+
+    if (st.depth > _opts.maxDepth) {
+        ++paths;
+        return false;
+    }
+    if (_opts.useNodeCache && st.phase == 0) {
+        if (_refutedNodes.count(st.node)) {
+            ++_stats.cacheHits;
+            ++paths;
+            return false;
+        }
+        _queryVisited.insert(st.node);
+    }
+
+    const air::Method *m = _r.cg.node(st.node).method;
+    const Instruction &instr = m->instr(st.instr);
+
+    if (!st.skipEffect) {
+        if (instr.op == Opcode::Invoke) {
+            if (!handleInvoke(st, instr, stack)) {
+                ++paths;
+                return false;
+            }
+        } else if (!transfer(st, instr)) {
+            ++paths;
+            return false;
+        }
+    }
+    st.skipEffect = false;
+
+    std::span<const int> preds = cfgOf(m).instrPreds(st.instr);
+    if (st.instr == 0) {
+        // The method entry is one continuation; a back edge into
+        // instruction 0 is another, so also fall through to the
+        // predecessor exploration below.
+        bool feasible = preds.empty()
+                            ? atEntry(std::move(st), action_a, action_b,
+                                      stack)
+                            : atEntry(st, action_a, action_b, stack);
+        if (feasible)
+            return true;
+    }
+    if (preds.empty()) {
+        ++paths;
+        return false;
+    }
+    const int here = st.instr;
+    const int depth = st.depth;
+    const int frame = st.frame;
+    for (size_t i = 0; i < preds.size(); ++i) {
+        const int q = preds[i];
+        const Instruction &pred = m->instr(q);
+        if (_opts.inter && (!_opts.inter->reachable(m, q) ||
+                            !_opts.inter->edgeFeasible(m, q, here))) {
+            // The constant facts prove no execution flows along
+            // this edge: don't walk it.
+            ++_stats.interPruned;
+            ++paths;
+            continue;
+        }
+        // The last predecessor takes the state itself.
+        PathState next =
+            i + 1 == preds.size() ? std::move(st) : PathState(st);
+        next.instr = q;
+        next.depth = depth + 1;
+
+        if (pred.isConditionalBranch()) {
+            bool via_target = pred.target == here;
+            bool via_fall = q + 1 == here;
+            CondKind cond = pred.cond;
+            bool add = true;
+            if (via_target && via_fall) {
+                add = false; // both edges reach here: no constraint
+            } else if (!via_target && via_fall) {
+                cond = air::negateCond(cond);
+            }
+            if (add) {
+                Atom atom;
+                atom.lhs = Operand::regOp(regKey(frame, pred.srcs[0]));
+                atom.cond = cond;
+                atom.rhs =
+                    pred.op == Opcode::IfZ
+                        ? Operand::constant(0)
+                        : Operand::regOp(regKey(frame, pred.srcs[1]));
+                if (!next.store.add(atom)) {
+                    ++paths;
+                    continue;
+                }
+            }
+        }
+        stack.push_back(std::move(next));
+    }
+    return false;
 }
 
 QueryVerdict
@@ -568,120 +775,41 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
         stack.push_back(std::move(init));
     }
 
-    int paths = 0;
-    int steps = 0;
-    while (!stack.empty()) {
-        if (++steps > _opts.maxSteps || paths > _opts.maxPaths) {
-            ++_stats.budgetExhausted;
-            _queryMemo[memo_key] = QueryVerdict::Budget;
-            return QueryVerdict::Budget;
-        }
-        PathState st = std::move(stack.back());
-        stack.pop_back();
-        ++_stats.statesExpanded;
-
-        if (st.depth > _opts.maxDepth) {
-            ++paths;
-            continue;
-        }
-        if (_opts.useNodeCache && st.phase == 0 &&
-            _refutedNodes.count(st.node)) {
-            ++_stats.cacheHits;
-            ++paths;
-            continue;
-        }
-        if (_opts.useNodeCache && st.phase == 0)
-            _queryVisited.insert(st.node);
-
-        const air::Method *m = _r.cg.node(st.node).method;
-        const Instruction &instr = m->instr(st.instr);
-
-        if (!st.skipEffect) {
-            if (instr.op == Opcode::Invoke) {
-                if (!handleInvoke(st, instr, stack)) {
-                    ++paths;
-                    continue;
-                }
-            } else if (!transfer(st, instr)) {
-                ++paths;
-                continue;
-            }
-        }
-        st.skipEffect = false;
-
-        std::span<const int> preds = cfgOf(m).instrPreds(st.instr);
-        if (st.instr == 0) {
-            // The method entry is one continuation; a back edge into
-            // instruction 0 is another, so also fall through to the
-            // predecessor exploration below.
-            bool feasible = preds.empty()
-                                ? atEntry(std::move(st), action_a,
-                                          action_b, stack)
-                                : atEntry(st, action_a, action_b, stack);
-            if (feasible) {
-                ++_stats.pathsExplored;
-                _queryMemo[memo_key] = QueryVerdict::Feasible;
-                return QueryVerdict::Feasible;
-            }
-        }
-        if (preds.empty()) {
-            ++paths;
-            continue;
-        }
-        const int here = st.instr;
-        const int depth = st.depth;
-        const int frame = st.frame;
-        for (size_t i = 0; i < preds.size(); ++i) {
-            const int q = preds[i];
-            const Instruction &pred = m->instr(q);
-            if (_opts.inter &&
-                (!_opts.inter->reachable(m, q) ||
-                 !_opts.inter->edgeFeasible(m, q, here))) {
-                // The constant facts prove no execution flows along
-                // this edge: don't walk it.
-                ++_stats.interPruned;
-                ++paths;
-                continue;
-            }
-            // The last predecessor takes the state itself.
-            PathState next =
-                i + 1 == preds.size() ? std::move(st) : PathState(st);
-            next.instr = q;
-            next.depth = depth + 1;
-
-            if (pred.isConditionalBranch()) {
-                bool via_target = pred.target == here;
-                bool via_fall = q + 1 == here;
-                CondKind cond = pred.cond;
-                bool add = true;
-                if (via_target && via_fall) {
-                    add = false; // both edges reach here: no constraint
-                } else if (!via_target && via_fall) {
-                    cond = air::negateCond(cond);
-                }
-                if (add) {
-                    Atom atom;
-                    atom.lhs = Operand::regOp(regKey(frame, pred.srcs[0]));
-                    atom.cond = cond;
-                    atom.rhs =
-                        pred.op == Opcode::IfZ
-                            ? Operand::constant(0)
-                            : Operand::regOp(regKey(frame, pred.srcs[1]));
-                    if (!next.store.add(atom)) {
-                        ++paths;
-                        continue;
-                    }
-                }
-            }
-            stack.push_back(std::move(next));
+    Walk walk;
+    QueryVerdict verdict = QueryVerdict::Infeasible;
+    while (!stack.empty() && verdict == QueryVerdict::Infeasible) {
+        if (stack.back().phase == 1) {
+            // A whole phase-B walk (startPhaseB).
+            PathState entry = std::move(stack.back());
+            stack.pop_back();
+            verdict = walkPhaseB(entry, action_a, action_b, walk);
+        } else if (overBudget(walk)) {
+            verdict = QueryVerdict::Budget;
+        } else {
+            PathState st = std::move(stack.back());
+            stack.pop_back();
+            if (expand(st, action_a, action_b, stack, walk.paths))
+                verdict = QueryVerdict::Feasible;
         }
     }
 
-    // Every path pruned: the ordering is infeasible.
-    if (_opts.useNodeCache)
-        _refutedNodes.insert(_queryVisited.begin(), _queryVisited.end());
-    _queryMemo[memo_key] = QueryVerdict::Infeasible;
-    return QueryVerdict::Infeasible;
+    switch (verdict) {
+      case QueryVerdict::Feasible:
+        ++_stats.pathsExplored;
+        break;
+      case QueryVerdict::Budget:
+        ++_stats.budgetExhausted;
+        break;
+      case QueryVerdict::Infeasible:
+        // Every path pruned: the ordering is infeasible.
+        if (_opts.useNodeCache) {
+            _refutedNodes.insert(_queryVisited.begin(),
+                                 _queryVisited.end());
+        }
+        break;
+    }
+    _queryMemo[memo_key] = verdict;
+    return verdict;
 }
 
 } // namespace sierra::symbolic

@@ -82,12 +82,23 @@ struct ExecutorStats {
     int64_t interPruned{0};
     //! interprocedural concretizations (returns, must-write fields)
     int64_t interApplied{0};
+    //! phase-B walks replayed from an earlier walk of the same action
+    //! from the same entry store (their states are not expanded again)
+    int64_t phaseBReuses{0};
 };
 
 /**
  * Backward symbolic executor over one pointer-analysis result. The
- * refuted-node cache persists across queries (by design, see paper).
- * An executor is single-threaded.
+ * refuted-node cache persists across queries (by design, see paper),
+ * and so do the query memo and the recorded phase-B walks. An executor
+ * is single-threaded.
+ *
+ * Phase B -- the walk back through action B from its exits to its
+ * entry -- depends only on B, the entry store phase A reached and that
+ * store's depth. Each completed walk is recorded under (B, store) and
+ * replayed when another phase-A path, in this or a later query,
+ * reaches the same store: same verdict, budget trips included
+ * (docs/INTERNALS.md section 5).
  */
 class BackwardExecutor
 {
@@ -115,7 +126,9 @@ class BackwardExecutor
     };
 
     struct PathState {
-        int phase{0}; //!< 0 = inside A, 1 = inside B
+        //! 0 = inside A, 1 = inside B; on a query's own stack a phase-1
+        //! state is a whole phase-B walk from its store (startPhaseB)
+        int phase{0};
         analysis::NodeId node{-1};
         int instr{0};
         bool skipEffect{false};
@@ -176,8 +189,30 @@ class BackwardExecutor
                    int callee_frame, const air::Instruction &call,
                    int caller_frame);
 
-    bool startPhaseB(const PathState &st, int action_b,
+    /** Push the phase-B walk from `st`, a consistent store at A's
+     *  entry; returns true when B has no body (feasible at once). */
+    bool startPhaseB(PathState st, int action_b,
                      std::vector<PathState> &stack);
+
+    //! a query's budget counters; both only grow
+    struct Walk {
+        int steps{0}; //!< states popped (maxSteps)
+        int paths{0}; //!< paths ended (maxPaths)
+    };
+
+    /** Count one pop; true when the query's budget is spent. */
+    bool overBudget(Walk &walk) const;
+
+    /** Expand one popped state, pushing its successors. Returns true
+     *  when the state witnesses the whole ordering. */
+    bool expand(PathState &st, int action_a, int action_b,
+                std::vector<PathState> &stack, int &paths);
+
+    /** Run the phase-B walk `entry` (see startPhaseB) to its end over
+     *  its own stack, or replay the recorded one. Infeasible means
+     *  every B path was pruned. */
+    QueryVerdict walkPhaseB(const PathState &entry, int action_a,
+                            int action_b, Walk &walk);
 
     bool resolveLoc(analysis::NodeId n, int reg,
                     const air::FieldRef &field, race::MemLoc &out);
@@ -218,6 +253,27 @@ class BackwardExecutor
     //! sound memoization of whole queries
     std::map<std::tuple<analysis::SiteId, int, int>, QueryVerdict>
         _queryMemo;
+
+    //! a phase-B walk's inputs besides its depth: action B and the
+    //! exact atoms of the entry store (register-free by then)
+    struct PhaseBKey {
+        int action;
+        std::vector<Atom> atoms;
+        bool operator==(const PhaseBKey &o) const;
+    };
+    struct PhaseBKeyHash {
+        size_t operator()(const PhaseBKey &k) const;
+    };
+    //! what a completed phase-B walk did to the query
+    struct PhaseBRun {
+        int pops{0};            //!< states popped
+        int pathsBeforeLast{0}; //!< paths ended before the last pop
+        int paths{0};           //!< paths ended in all
+        int depth{0};           //!< deepest pop, relative to the entry
+        bool feasible{false};   //!< reached B's entry (else exhausted)
+    };
+    //! completed walks the depth limit never cut
+    std::unordered_map<PhaseBKey, PhaseBRun, PhaseBKeyHash> _phaseB;
 };
 
 } // namespace sierra::symbolic

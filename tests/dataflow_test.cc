@@ -1,5 +1,5 @@
-/** @file Tests for the intraprocedural dataflow framework, its two
- *  shipped clients (reaching defs, liveness) and field effects.
+/** @file Tests for the intraprocedural dataflow framework, its
+ *  shipped client (liveness) and field effects.
  *  Constant propagation is tested with the interprocedural solver
  *  that runs it (ifds_test.cc). */
 
@@ -20,30 +20,6 @@ parseMethod(std::unique_ptr<air::Module> &hold, const std::string &body)
     EXPECT_TRUE(r.ok()) << r.status.error;
     hold = std::move(r.module);
     return hold->getClass("T")->methods().front().get();
-}
-
-TEST(DataflowReachingDefs, EntryAndLocalDefs)
-{
-    std::unique_ptr<air::Module> hold;
-    air::Method *m = parseMethod(hold, R"(
-    method f(p0: int): void regs=4 {
-        @0: r2 = const 1
-        @1: ifz r1 eq goto @3
-        @2: r2 = const 2
-        @3: return-void
-    })");
-    Cfg cfg(*m);
-    ReachingDefs rd(cfg);
-    // The parameter's entry def reaches everywhere.
-    EXPECT_EQ(rd.reaching(3, 1),
-              std::vector<int>{ReachingDefs::kEntryDef});
-    // Both stores to r2 reach the join.
-    EXPECT_EQ(rd.reaching(3, 2), (std::vector<int>{0, 2}));
-    // Inside the branch arm only def @0 has happened.
-    EXPECT_EQ(rd.reaching(2, 2), std::vector<int>{0});
-    // r3 is never defined.
-    EXPECT_TRUE(rd.reaching(3, 3).empty());
-    EXPECT_FALSE(rd.anyDefReaches(3, 3));
 }
 
 TEST(DataflowLiveness, StraightLineAndBranch)

@@ -213,12 +213,13 @@ TEST(Store, DepIndexSerializeRoundTripAndPrune)
     store::DepIndex back = store::DepIndex::parse(dep.serialize());
     EXPECT_EQ(back.serialize(), dep.serialize());
     EXPECT_EQ(back.numEdges(), 2);
-    EXPECT_EQ(back.callersOf("leaf"),
-              std::vector<std::string>{"helper"});
+    EXPECT_EQ(back.dirtyClosure({"leaf"}),
+              (std::set<std::string>{"leaf", "helper", "main"}));
 
     back.prune({"main", "helper"}); // leaf was deleted
     EXPECT_EQ(back.numEdges(), 1);
-    EXPECT_TRUE(back.callersOf("leaf").empty());
+    EXPECT_EQ(back.dirtyClosure({"leaf"}),
+              std::set<std::string>{"leaf"});
 }
 
 TEST(Store, DiskStoreWarmStartsAcrossInstances)

@@ -8,6 +8,13 @@
 #include "test_helpers.hh"
 
 namespace sierra::symbolic {
+
+void
+PrintTo(QueryVerdict v, std::ostream *os)
+{
+    *os << queryVerdictName(v);
+}
+
 namespace {
 
 using test::makePipeline;
@@ -283,6 +290,205 @@ TEST(Executor, CallHavocCoversWritesOfARecursiveCycle)
     EXPECT_EQ(exec.orderFeasible(*resume_write, resume, pause),
               QueryVerdict::Feasible)
         << "bounce() may re-arm the guard through arm()";
+}
+
+/**
+ * onResume writes mX next to its entry and mY past a long straight run
+ * and a branch whose fallthrough contradicts a constant; onPause clears
+ * mZ and returns along one arm that needs mZ == 0 and one that needs
+ * mZ != 0. Both walks back from onResume reach its entry with an empty
+ * store, so the two queries ordering onPause first share one phase-B
+ * walk; the mY query starts it deeper and after more steps and paths.
+ */
+struct PhaseBQueries {
+    Analyzed a;
+    const race::Access *shallow{nullptr}; //!< the mX write
+    const race::Access *deep{nullptr};    //!< the mY write
+    int resume{-1};
+    int pause{-1};
+};
+
+PhaseBQueries
+phaseBQueries()
+{
+    PhaseBQueries q{analyze("exec-phaseb", [](corpus::AppFactory &f) {
+        auto &act = f.addActivity("PbActivity");
+        const std::string cls = act.name();
+        act.addField("mX", air::Type::intTy());
+        act.addField("mY", air::Type::intTy());
+        act.addField("mZ", air::Type::intTy());
+        act.on("onResume", [=](air::MethodBuilder &b) {
+            int one = b.newReg();
+            b.constInt(one, 1);
+            b.putField(b.thisReg(), corpus::fieldRef(cls, "mX"), one);
+            int t = b.newReg();
+            for (int i = 0; i < 24; ++i)
+                b.constInt(t, i);
+            air::Label l_write = b.newLabel();
+            b.ifz(one, air::CondKind::Ne, l_write);
+            b.nop(); // reached only if one == 0: a path that ends
+            b.bind(l_write);
+            b.putField(b.thisReg(), corpus::fieldRef(cls, "mY"), one);
+        });
+        act.on("onPause", [=](air::MethodBuilder &b) {
+            int zero = b.newReg();
+            b.constInt(zero, 0);
+            b.putField(b.thisReg(), corpus::fieldRef(cls, "mZ"), zero);
+            int z = b.newReg();
+            b.getField(z, b.thisReg(), corpus::fieldRef(cls, "mZ"));
+            air::Label l_set = b.newLabel();
+            b.ifz(z, air::CondKind::Ne, l_set);
+            b.retVoid();
+            b.bind(l_set);
+            b.retVoid();
+        });
+    })};
+    q.resume = test::findAction(*q.a.pta, "onResume");
+    q.pause = test::findAction(*q.a.pta, "onPause");
+    for (const auto &acc : q.a.accesses) {
+        if (!acc.isWrite ||
+            !q.a.pta->cg.actionsOf(acc.node).count(q.resume)) {
+            continue;
+        }
+        if (acc.fieldName == "mX")
+            q.shallow = &acc;
+        if (acc.fieldName == "mY")
+            q.deep = &acc;
+    }
+    return q;
+}
+
+/** `second`'s verdict (onResume after onPause) once `first` ran on the
+ *  same executor; `reused` tells whether it replayed a phase-B walk. */
+QueryVerdict
+after(const PhaseBQueries &q, const race::Access &first,
+      const race::Access &second, ExecutorOptions opts,
+      bool *reused = nullptr)
+{
+    BackwardExecutor exec(*q.a.pta, opts);
+    exec.orderFeasible(first, q.resume, q.pause);
+    const int64_t before = exec.stats().phaseBReuses;
+    QueryVerdict v = exec.orderFeasible(second, q.resume, q.pause);
+    if (reused)
+        *reused = exec.stats().phaseBReuses > before;
+    return v;
+}
+
+/** `access`'s verdict on a fresh executor. */
+QueryVerdict
+alone(const PhaseBQueries &q, const race::Access &access,
+      ExecutorOptions opts)
+{
+    BackwardExecutor exec(*q.a.pta, opts);
+    return exec.orderFeasible(access, q.resume, q.pause);
+}
+
+TEST(Executor, SamePhaseBEntryIsWalkedOnce)
+{
+    PhaseBQueries q = phaseBQueries();
+    ASSERT_NE(q.shallow, nullptr);
+    ASSERT_NE(q.deep, nullptr);
+    ASSERT_GE(q.pause, 0);
+
+    BackwardExecutor fresh(*q.a.pta, {});
+    const QueryVerdict alone =
+        fresh.orderFeasible(*q.deep, q.resume, q.pause);
+    EXPECT_EQ(fresh.stats().phaseBReuses, 0);
+
+    BackwardExecutor exec(*q.a.pta, {});
+    EXPECT_EQ(exec.orderFeasible(*q.shallow, q.resume, q.pause),
+              QueryVerdict::Feasible);
+    const int64_t states = exec.stats().statesExpanded;
+    EXPECT_EQ(exec.orderFeasible(*q.deep, q.resume, q.pause), alone);
+    EXPECT_EQ(alone, QueryVerdict::Feasible);
+    EXPECT_EQ(exec.stats().phaseBReuses, 1);
+    EXPECT_LT(exec.stats().statesExpanded - states,
+              fresh.stats().statesExpanded)
+        << "the replayed phase B expands no state";
+}
+
+TEST(Executor, PhaseBReplayTripsTheBudgetWhereAWalkWould)
+{
+    PhaseBQueries q = phaseBQueries();
+    ASSERT_NE(q.shallow, nullptr);
+    ASSERT_NE(q.deep, nullptr);
+
+    // Without reuse every pop is an expansion: N is the step count
+    // the deep query needs.
+    BackwardExecutor fresh(*q.a.pta, {});
+    ASSERT_EQ(fresh.orderFeasible(*q.deep, q.resume, q.pause),
+              QueryVerdict::Feasible);
+    ASSERT_EQ(fresh.stats().phaseBReuses, 0);
+    const int n = static_cast<int>(fresh.stats().statesExpanded);
+
+    const race::Access &shallow = *q.shallow;
+    const race::Access &deep = *q.deep;
+    bool reused = false;
+    EXPECT_EQ(after(q, shallow, deep, {.maxSteps = n}, &reused),
+              QueryVerdict::Feasible);
+    EXPECT_TRUE(reused);
+    EXPECT_EQ(after(q, shallow, deep, {.maxSteps = n - 1}, &reused),
+              QueryVerdict::Budget);
+    EXPECT_TRUE(reused) << "the shallow query fits in " << n - 1
+                        << " steps and records the walk";
+
+    // The same for paths: M is the fewest maxPaths a fresh walk of the
+    // deep query needs.
+    int m = 0;
+    while (alone(q, deep, {.maxPaths = m}) == QueryVerdict::Budget)
+        ++m;
+    ASSERT_GT(m, 0);
+    EXPECT_EQ(after(q, shallow, deep, {.maxPaths = m}, &reused),
+              QueryVerdict::Feasible);
+    EXPECT_TRUE(reused);
+    EXPECT_EQ(after(q, shallow, deep, {.maxPaths = m - 1}, &reused),
+              QueryVerdict::Budget);
+    EXPECT_TRUE(reused);
+
+    // Every budget on either side of both boundaries agrees with a
+    // fresh walk.
+    for (int steps = 1; steps <= n + 1; ++steps) {
+        EXPECT_EQ(after(q, shallow, deep, {.maxSteps = steps}),
+                  alone(q, deep, {.maxSteps = steps}))
+            << "maxSteps " << steps;
+    }
+    for (int paths = 0; paths <= m + 1; ++paths) {
+        EXPECT_EQ(after(q, shallow, deep, {.maxPaths = paths}),
+                  alone(q, deep, {.maxPaths = paths}))
+            << "maxPaths " << paths;
+    }
+}
+
+TEST(Executor, PhaseBWalkIsNotReplayedPastMaxDepth)
+{
+    PhaseBQueries q = phaseBQueries();
+    ASSERT_NE(q.shallow, nullptr);
+    ASSERT_NE(q.deep, nullptr);
+    const race::Access &shallow = *q.shallow;
+    const race::Access &deep = *q.deep;
+
+    // Somewhere the shallow query's phase B fits under maxDepth while
+    // the deep query's, started deeper, does not. There a replay of
+    // the shallow walk would turn the deep query's Infeasible into
+    // Feasible, and a record of the deep walk, which the limit cut,
+    // would turn the shallow query's Feasible into Infeasible.
+    bool boundary_seen = false;
+    for (int depth = 1; depth <= 64; ++depth) {
+        const ExecutorOptions opts{.maxDepth = depth};
+        bool reused = false;
+        const QueryVerdict deep_alone = alone(q, deep, opts);
+        EXPECT_EQ(after(q, shallow, deep, opts, &reused), deep_alone)
+            << "maxDepth " << depth;
+        EXPECT_EQ(after(q, deep, shallow, opts),
+                  alone(q, shallow, opts))
+            << "maxDepth " << depth;
+        if (alone(q, shallow, opts) == QueryVerdict::Feasible &&
+            deep_alone == QueryVerdict::Infeasible) {
+            boundary_seen = true;
+            EXPECT_FALSE(reused) << "maxDepth " << depth;
+        }
+    }
+    EXPECT_TRUE(boundary_seen);
 }
 
 TEST(Refuter, MarksTrapsAndKeepsTrueRaces)
