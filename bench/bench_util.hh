@@ -7,7 +7,9 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "corpus/generator.hh"
@@ -158,7 +160,8 @@ median(std::vector<T> values)
  * `BENCH {...}` stdout line and mirrors the same JSON object to
  * `BENCH_<name>.json` so runs leave a diffable artifact (the committed
  * snapshots under bench/trajectory/ form the in-repo perf trajectory).
- * Files go to the current directory unless SIERRA_BENCH_DIR is set.
+ * Files go to the current directory unless SIERRA_BENCH_DIR is set;
+ * that directory is created if missing, and a failed write exits 1.
  */
 inline void
 benchJson(const char *name, const char *fmt, ...)
@@ -170,15 +173,18 @@ benchJson(const char *name, const char *fmt, ...)
     va_end(args);
     std::printf("\nBENCH %s\n", buf);
 
-    const char *dir = std::getenv("SIERRA_BENCH_DIR");
-    std::string path = std::string(dir && *dir ? dir : ".") +
-                       "/BENCH_" + name + ".json";
-    if (FILE *f = std::fopen(path.c_str(), "w")) {
-        std::fprintf(f, "%s\n", buf);
-        std::fclose(f);
-    } else {
-        std::fprintf(stderr, "warning: cannot write %s\n",
-                     path.c_str());
+    const char *env = std::getenv("SIERRA_BENCH_DIR");
+    const std::string dir = env && *env ? env : ".";
+    const std::string path = dir + "/BENCH_" + name + ".json";
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    FILE *f = std::fopen(path.c_str(), "w");
+    bool written = f && std::fprintf(f, "%s\n", buf) >= 0;
+    if (f)
+        written = std::fclose(f) == 0 && written;
+    if (!written) {
+        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+        std::exit(1);
     }
 }
 

@@ -53,10 +53,13 @@ Cfg::Cfg(const air::Method &method) : _method(method)
     // Identify leaders: instruction 0, branch targets, and fallthroughs
     // after branches/terminators.
     std::set<int> leaders{0};
+    _jumpTarget.assign(n, 0);
     for (int i = 0; i < n; ++i) {
         const Instruction &instr = method.instr(i);
-        if (instr.isBranch())
+        if (instr.isBranch()) {
             leaders.insert(instr.target);
+            _jumpTarget[instr.target] = 1;
+        }
         if ((instr.isBranch() || instr.isTerminator()) && i + 1 < n)
             leaders.insert(i + 1);
     }

@@ -46,6 +46,9 @@ class Cfg
     /** Block containing the given instruction index. */
     int blockOf(int instr_idx) const { return _blockOfInstr[instr_idx]; }
 
+    /** True if some branch of the method jumps to the instruction. */
+    bool isJumpTarget(int instr_idx) const { return _jumpTarget[instr_idx]; }
+
     /** Instruction-level successor indices of an instruction. */
     std::vector<int> instrSuccs(int instr_idx) const;
     /** Instruction-level predecessor indices of an instruction: the
@@ -67,6 +70,7 @@ class Cfg
     const air::Method &_method;
     std::vector<BasicBlock> _blocks;
     std::vector<int> _blockOfInstr;
+    std::vector<char> _jumpTarget;
     //! instrPreds(i) is _predInstrs[_predStart[i] .. _predStart[i+1])
     std::vector<int> _predStart;
     std::vector<int> _predInstrs;

@@ -7,6 +7,7 @@
 
 #include "dataflow.hh"
 #include "framework/known_api.hh"
+#include "nullflow.hh"
 
 namespace sierra::analysis {
 
@@ -197,8 +198,7 @@ struct EnablementAnalysis::TypestateProblem {
                 break;
             const int slot = slot_it->second;
             const ObjSet &view = result.pointsTo(node, in.srcs[0]);
-            if (framework::KnownApis::isListenerClear(method,
-                                                      instr_idx)) {
+            if (isListenerClear(result.cfg(method), instr_idx)) {
                 // Clearing never enables: a must-alias view gains the
                 // off fact, an ambiguous one changes nothing.
                 if (singleton(view)) {
@@ -345,7 +345,7 @@ EnablementAnalysis::scanSites()
                 if (cb.empty())
                     break;
                 const int slot = slotOf(cb);
-                if (framework::KnownApis::isListenerClear(*m, idx)) {
+                if (isListenerClear(_result.cfg(*m), idx)) {
                     _hasDisableSite[node] = 1;
                     ++_stats.disableSites;
                     break;
@@ -460,7 +460,7 @@ EnablementAnalysis::buildRecords()
             case EnablementKind::Listener:
                 conforms =
                     api == ApiKind::SetListener &&
-                    !framework::KnownApis::isListenerClear(*m, idx);
+                    !isListenerClear(_result.cfg(*m), idx);
                 if (conforms) {
                     for (int v :
                          _result.pointsTo(e->creator, in.srcs[0]))
@@ -532,7 +532,7 @@ EnablementAnalysis::solveTypestate(NodeId node) const
     const air::Method *m = _result.cg.node(node).method;
     if (m == nullptr || m->instrs().empty())
         return {};
-    const Cfg cfg(*m);
+    const Cfg &cfg = _result.cfg(*m);
 
     // Per-invoke transitive may-enable mask of the resolved callees.
     std::unordered_map<int, uint8_t> callee_mask;

@@ -128,24 +128,24 @@ transferInstr(const Instruction &instr, std::vector<ConstVal> &env)
 
 /** Identity of one field in the may/must-write summaries (string
  * identity: IFDS summaries are method-scoped and cross harnesses, so
- * they cannot use per-result interned ids). */
+ * they cannot use per-result interned ids). `ref` is the operand of
+ * the first write seen; any operand naming the same class and field
+ * stands for the slot. */
 struct FieldSlot {
     bool isStatic{false};
-    std::string klass;
-    std::string field;
+    const air::FieldRef *ref{nullptr};
 
     bool operator<(const FieldSlot &o) const
     {
         if (isStatic != o.isStatic)
             return isStatic < o.isStatic;
-        if (klass != o.klass)
-            return klass < o.klass;
-        return field < o.field;
+        if (ref->className != o.ref->className)
+            return ref->className < o.ref->className;
+        return ref->fieldName < o.ref->fieldName;
     }
     bool operator==(const FieldSlot &o) const
     {
-        return isStatic == o.isStatic && klass == o.klass &&
-               field == o.field;
+        return isStatic == o.isStatic && *ref == *o.ref;
     }
 };
 
@@ -189,7 +189,7 @@ mustMeet(MustEnv &into, const MustEnv &from)
 
 struct InterConstants::MethodInfo {
     const air::Method *method{nullptr};
-    std::unique_ptr<Cfg> cfg;
+    const Cfg *cfg{nullptr}; //!< the result's CFG of `method`
     /** Framework-invoked (action entry / harness root / no callers):
      *  parameters pinned to Top. */
     bool open{false};
@@ -238,7 +238,7 @@ InterConstants::buildUniverse()
         _index.emplace(m, static_cast<int>(_methods.size()));
         MethodInfo mi;
         mi.method = m;
-        mi.cfg = std::make_unique<Cfg>(*m);
+        mi.cfg = &_r.cfg(*m);
         mi.params.assign(static_cast<size_t>(m->firstTempReg()),
                          ConstVal{});
         mi.thisStable = !m->isStatic();
@@ -624,16 +624,13 @@ InterConstants::computeMayWrites()
                 const Instruction &instr = m.instr(k);
                 switch (instr.op) {
                   case Opcode::PutField:
-                    record({false, instr.field.className,
-                            instr.field.fieldName},
+                    record({false, &instr.field},
                            !m.isStatic() && instr.srcs[0] == 0 &&
                                mi.thisStable);
                     break;
                   case Opcode::PutStatic:
                     // One global cell: "exclusive" by construction.
-                    record({true, instr.field.className,
-                            instr.field.fieldName},
-                           true);
+                    record({true, &instr.field}, true);
                     break;
                   case Opcode::Invoke: {
                     auto at = mi.calleesAt.find(k);
@@ -689,8 +686,7 @@ InterConstants::computeMustWrites()
             ++_stats.statesVisited;
             switch (instr.op) {
               case Opcode::PutField: {
-                FieldSlot id{false, instr.field.className,
-                           instr.field.fieldName};
+                FieldSlot id{false, &instr.field};
                 if (!m.isStatic() && instr.srcs[0] == 0 &&
                     mi.thisStable) {
                     ConstVal v =
@@ -709,8 +705,7 @@ InterConstants::computeMustWrites()
                 ConstVal v =
                     mi.before[static_cast<size_t>(i)]
                              [static_cast<size_t>(instr.srcs[0])];
-                env[FieldSlot{true, instr.field.className,
-                            instr.field.fieldName}] =
+                env[FieldSlot{true, &instr.field}] =
                     v.isConst() ? WriteVal{true, v.value}
                                 : WriteVal{};
                 break;
@@ -741,9 +736,7 @@ InterConstants::computeMustWrites()
                                   !cm.method->isStatic()))
                                 continue;
                             cur.emplace(
-                                FieldSlot{mw.isStatic,
-                                        mw.field.className,
-                                        mw.field.fieldName},
+                                FieldSlot{mw.isStatic, mw.field},
                                 mw);
                         }
                         if (first) {
@@ -848,7 +841,7 @@ InterConstants::computeMustWrites()
                 if (!wv.known)
                     continue;
                 MustWrite mw;
-                mw.field = air::FieldRef{id.klass, id.field};
+                mw.field = id.ref;
                 mw.isStatic = id.isStatic;
                 mw.value = wv.value;
                 auto via = mi.mayWriteOnlyThis.find(id);

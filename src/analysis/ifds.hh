@@ -108,7 +108,8 @@ class InterConstants
      *  every path to every exit. Instance entries are writes through
      *  `this` (transitively, via `this`-receiver calls). */
     struct MustWrite {
-        air::FieldRef field;
+        //! an instruction operand of the module naming the field
+        const air::FieldRef *field{nullptr};
         bool isStatic{false};
         /** Every transitive write to this field from the method goes
          *  through the same cell (statics always; instance fields when
@@ -119,10 +120,10 @@ class InterConstants
 
         bool operator<(const MustWrite &o) const
         {
-            if (field.className != o.field.className)
-                return field.className < o.field.className;
-            if (field.fieldName != o.field.fieldName)
-                return field.fieldName < o.field.fieldName;
+            if (field->className != o.field->className)
+                return field->className < o.field->className;
+            if (field->fieldName != o.field->fieldName)
+                return field->fieldName < o.field->fieldName;
             return isStatic < o.isStatic;
         }
     };

@@ -7,6 +7,7 @@
 #include "cfg.hh"
 #include "dataflow.hh"
 #include "framework/known_api.hh"
+#include "nullflow.hh"
 
 namespace sierra::analysis {
 
@@ -297,7 +298,7 @@ struct MustTeardown {
     static constexpr DataflowDirection kDirection =
         DataflowDirection::Forward;
 
-    const Method *method;
+    const Cfg *cfg;
     const framework::KnownApis *apis;
 
     Domain boundary() const { return {}; }
@@ -324,12 +325,14 @@ struct MustTeardown {
             return;
         framework::ApiKind kind = apis->classify(instr.method);
         if (kind == framework::ApiKind::UnregisterReceiver) {
-            std::string key = fieldKeyOf(*method, idx, instr.srcs[1]);
+            std::string key =
+                fieldKeyOf(cfg->method(), idx, instr.srcs[1]);
             if (!key.empty())
                 d.insert("recv:" + key);
         } else if (kind == framework::ApiKind::SetListener &&
-                   framework::KnownApis::isListenerClear(*method, idx)) {
-            std::string key = fieldKeyOf(*method, idx, instr.srcs[0]);
+                   isListenerClear(*cfg, idx)) {
+            std::string key =
+                fieldKeyOf(cfg->method(), idx, instr.srcs[0]);
             if (!key.empty())
                 d.insert("lsn:" + key + "#" + instr.method.methodName);
         }
@@ -349,7 +352,7 @@ mustTeardownKeys(const air::Klass &klass,
         if (n != "onPause" && n != "onStop" && n != "onDestroy")
             continue;
         const Cfg cfg(*m);
-        MustTeardown problem{m.get(), &apis};
+        MustTeardown problem{&cfg, &apis};
         DataflowResult<MustTeardown::Domain> r =
             solveDataflow(cfg, problem);
         // Meet over every reached return block: a key counts only if
@@ -394,6 +397,7 @@ lintLeakedRegistrations(const air::Klass &klass,
         const std::string &n = m->name();
         if (n != "onCreate" && n != "onStart" && n != "onResume")
             continue;
+        const Cfg cfg(*m);
         for (int i = 0; i < m->numInstrs(); ++i) {
             const Instruction &instr = m->instr(i);
             if (instr.op != Opcode::Invoke || instr.srcs.size() < 2)
@@ -417,7 +421,7 @@ lintLeakedRegistrations(const air::Klass &klass,
                         "teardown callback (onPause/onStop/onDestroy)");
                 }
             } else if (kind == framework::ApiKind::SetListener &&
-                       !framework::KnownApis::isListenerClear(*m, i)) {
+                       !isListenerClear(cfg, i)) {
                 // Only listeners on field-held (long-lived) views leak;
                 // views fetched from the activity's own layout die with
                 // the view tree.

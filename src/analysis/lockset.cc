@@ -150,7 +150,7 @@ LockSetAnalysis::LockSetAnalysis(const PointsToResult &pts)
                 s = _entry[id];
             return;
         }
-        Cfg cfg(*method);
+        const Cfg &cfg = pts.cfg(*method);
         LockProblem problem{pts, id, _entry[id]};
         DataflowResult<LockState> r = solveDataflow(cfg, problem);
         for (const BasicBlock &block : cfg.blocks()) {

@@ -1,8 +1,6 @@
 #include "nullflow.hh"
 
 #include "air/method.hh"
-#include "cfg.hh"
-#include "dominators.hh"
 
 namespace sierra::analysis {
 
@@ -87,23 +85,39 @@ nullCheckedReg(const Instruction &in)
 
 } // namespace
 
-/** Per-method CFG + dominator tree + jump-target mask, built once on
- *  the first guard query against the method. */
-struct NullFlowAnalysis::DomInfo {
-    Cfg cfg;
-    DominatorTree dom;
-    std::vector<char> isTarget;
-
-    explicit DomInfo(const air::Method &m) : cfg(m), dom(cfg)
-    {
-        isTarget.assign(static_cast<size_t>(m.numInstrs()), 0);
-        for (const Instruction &in : m.instrs()) {
-            if (in.isBranch() && in.target >= 0 &&
-                in.target < m.numInstrs())
-                isTarget[static_cast<size_t>(in.target)] = 1;
+int
+soleDefOf(const Cfg &cfg, int before_instr, int reg)
+{
+    const air::Method &m = cfg.method();
+    for (int i = before_instr - 1; i >= 0; --i) {
+        if (cfg.isJumpTarget(i + 1))
+            return -1;
+        const Instruction &in = m.instr(i);
+        if (in.isBranch() || in.isTerminator())
+            return -1;
+        if (in.dst == reg) {
+            if (in.op == Opcode::Move) {
+                reg = in.srcs[0];
+                continue;
+            }
+            return i;
         }
     }
-};
+    return -1;
+}
+
+bool
+isListenerClear(const Cfg &cfg, int instr_idx)
+{
+    const air::Method &m = cfg.method();
+    const Instruction &call = m.instr(instr_idx);
+    if (!call.isInvoke() || call.srcs.size() < 2 ||
+        framework::KnownApis::listenerCallback(call.method.methodName)
+            .empty())
+        return false;
+    const int def = soleDefOf(cfg, instr_idx, call.srcs[1]);
+    return def >= 0 && m.instr(def).op == Opcode::ConstNull;
+}
 
 NullFlowAnalysis::NullFlowAnalysis(
     const PointsToResult &result, const InterConstants *inter,
@@ -174,39 +188,12 @@ NullFlowAnalysis::buildStoreIndex()
     }
 }
 
-const NullFlowAnalysis::DomInfo *
-NullFlowAnalysis::domInfoFor(const air::Method *m)
+const DominatorTree &
+NullFlowAnalysis::dominatorsOf(const air::Method &m)
 {
-    auto it = _doms.find(m);
-    if (it == _doms.end()) {
-        it = _doms.emplace(m, std::make_unique<DomInfo>(*m)).first;
+    if (_domMethods.insert(&m).second)
         ++_stats.domTrees;
-    }
-    return it->second.get();
-}
-
-int
-NullFlowAnalysis::soleDefOf(const air::Method &m, int before_instr,
-                            int reg, const std::vector<char> &is_target)
-{
-    // Backward walk through moves, aborting at any control-flow join,
-    // branch, or terminator: past those the register may hold a value
-    // from another path, and the def must hold on *every* execution.
-    for (int i = before_instr - 1; i >= 0; --i) {
-        if (is_target[static_cast<size_t>(i + 1)])
-            return -1;
-        const Instruction &in = m.instr(i);
-        if (in.isBranch() || in.isTerminator())
-            return -1;
-        if (in.dst == reg) {
-            if (in.op == Opcode::Move) {
-                reg = in.srcs[0];
-                continue;
-            }
-            return i;
-        }
-    }
-    return -1;
+    return _r.dominators(m);
 }
 
 bool
@@ -222,10 +209,10 @@ NullFlowAnalysis::isGuardLoad(const air::Method &m, int read_instr,
     if (reg < 0)
         return false;
     const int n = m.numInstrs();
-    const DomInfo *info = domInfoFor(&m);
+    const Cfg &cfg = dominatorsOf(m).cfg();
     for (int i = read_instr + 1; i < n; ++i) {
         // Another path joins in: the value may escape along it.
-        if (info->isTarget[static_cast<size_t>(i)])
+        if (cfg.isJumpTarget(i))
             return false;
         const Instruction &in = m.instr(i);
         bool uses = false;
@@ -263,12 +250,13 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
                                        const air::FieldRef &field,
                                        std::string *chain)
 {
-    const DomInfo *info = domInfoFor(&m);
+    const DominatorTree &dom = dominatorsOf(m);
+    const Cfg &cfg = dom.cfg();
 
     // Does the register tested at `use_instr` carry a load of the
     // sink's field (directly or through a returning null-check API)?
     auto testsField = [&](int use_instr, int reg) {
-        int d = soleDefOf(m, use_instr, reg, info->isTarget);
+        int d = soleDefOf(cfg, use_instr, reg);
         if (d < 0)
             return false;
         const Instruction &def = m.instr(d);
@@ -279,7 +267,7 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
             int checked = nullCheckedReg(def);
             if (checked < 0)
                 return false;
-            int d2 = soleDefOf(m, d, checked, info->isTarget);
+            int d2 = soleDefOf(cfg, d, checked);
             if (d2 < 0)
                 return false;
             const Instruction &load = m.instr(d2);
@@ -303,7 +291,7 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
             for (int side = 0; side < 2 && !is_guard; ++side) {
                 int fld_reg = in.srcs[static_cast<size_t>(side)];
                 int nul_reg = in.srcs[static_cast<size_t>(1 - side)];
-                int dn = soleDefOf(m, g, nul_reg, info->isTarget);
+                int dn = soleDefOf(cfg, g, nul_reg);
                 if (dn < 0 || m.instr(dn).op != Opcode::ConstNull)
                     continue;
                 is_guard = testsField(g, fld_reg);
@@ -314,7 +302,7 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
             // Throwing check: reaching past it proves non-null.
             int checked = nullCheckedReg(in);
             if (checked >= 0) {
-                int d = soleDefOf(m, g, checked, info->isTarget);
+                int d = soleDefOf(cfg, g, checked);
                 if (d >= 0) {
                     const Instruction &load = m.instr(d);
                     is_guard = isFieldLoad(load) &&
@@ -322,7 +310,7 @@ NullFlowAnalysis::dominatedByNullCheck(const air::Method &m,
                 }
             }
         }
-        if (is_guard && info->dom.instrDominates(g, read_instr)) {
+        if (is_guard && dom.instrDominates(g, read_instr)) {
             if (chain) {
                 *chain = "guard " + m.qualifiedName() + ":" +
                          std::to_string(g) + " dominates the read";

@@ -15,9 +15,9 @@
  * The analysis is a second demand-driven client beside InterConstants
  * (BackDroid-style: start from the few interesting sinks, walk
  * backward): nothing is computed until the first query, and a harness
- * with zero surviving pairs does zero work. The store index and the
- * per-method dominator trees are built lazily and shared across
- * queries of one harness.
+ * with zero surviving pairs does zero work. The store index is built
+ * lazily and shared across queries of one harness; CFGs and dominator
+ * trees come from the PointsToResult, which every stage shares.
  *
  * Layering: like the enablement stage, analysis/ may not depend on
  * race/ or hb/, so the race layer adapts RacyPairs into classifyRead
@@ -31,9 +31,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "framework/known_api.hh"
@@ -70,7 +70,8 @@ struct NullFlowStats {
     int64_t nullStores{0};    //!< of those, proven null on every path
     int64_t guarded{0};       //!< sinks protected by a dominating check
     int64_t harmful{0};       //!< sinks classified harmful
-    int64_t domTrees{0};      //!< dominator trees built on demand
+    int64_t domTrees{0};      //!< distinct methods whose dominators
+                              //!< the guard queries consulted
 };
 
 /** One verdict with its provenance chain (empty for Unknown). */
@@ -84,6 +85,25 @@ struct NullFlowVerdict {
      */
     std::string chain;
 };
+
+/**
+ * Instruction index of the def of `reg` that reaches `before_instr` of
+ * cfg's method on every path: a backward walk through register moves
+ * that gives up (-1) at any jump target, branch or terminator, since
+ * past a control-flow join the register may hold another path's value.
+ */
+int soleDefOf(const Cfg &cfg, int before_instr, int reg);
+
+/**
+ * True when the invoke at `instr_idx` is a listener *clearing* call: a
+ * listener-registration API (`setOnClickListener` and friends) whose
+ * listener argument's sole straight-line def (soleDefOf) is the null
+ * literal, so the answer holds on every execution of the call.
+ * Clearing a slot disables its callback; setting one enables it --
+ * the enablement stage and the leakedRegistration lint both key off
+ * this distinction.
+ */
+bool isListenerClear(const Cfg &cfg, int instr_idx);
 
 /**
  * The null-value-flow classifier for one harness.
@@ -124,16 +144,11 @@ class NullFlowAnalysis
         NodeId node{-1};
         bool isNull{false}; //!< stored value proven null on every path
     };
-    struct DomInfo; //!< Cfg + DominatorTree bundle, built on demand
-
     void buildStoreIndex();
     bool storesProvenNull(NodeId node, const air::Method *m, int instr,
                           int value_reg) const;
-    const DomInfo *domInfoFor(const air::Method *m);
-    /** Instruction index of the def of `reg` reaching `before_instr`
-     *  on every path (move-chasing, join-aborting walk); -1 if mixed. */
-    static int soleDefOf(const air::Method &m, int before_instr,
-                         int reg, const std::vector<char> &is_target);
+    /** The result's dominator tree of `m`, counted in domTrees. */
+    const DominatorTree &dominatorsOf(const air::Method &m);
     bool isGuardLoad(const air::Method &m, int read_instr,
                      std::string *chain);
     bool dominatedByNullCheck(const air::Method &m, int read_instr,
@@ -149,7 +164,8 @@ class NullFlowAnalysis
     //! canonical key string -> every ref-field store to it, in
     //! (node, instr) scan order (deterministic)
     std::map<std::string, std::vector<StoreSite>> _stores;
-    std::map<const air::Method *, std::unique_ptr<DomInfo>> _doms;
+    //! methods whose dominators the guard queries consulted
+    std::unordered_set<const air::Method *> _domMethods;
 };
 
 } // namespace sierra::analysis

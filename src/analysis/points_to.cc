@@ -39,24 +39,72 @@ PointsToResult::constOf(NodeId node, int reg) const
     return regs[reg];
 }
 
+const Cfg &
+PointsToResult::cfg(const air::Method &m) const
+{
+    return _methodFacts.try_emplace(&m, m).first->second.cfg;
+}
+
+const DominatorTree &
+PointsToResult::dominators(const air::Method &m) const
+{
+    MethodFacts &facts = _methodFacts.try_emplace(&m, m).first->second;
+    if (!facts.dom)
+        facts.dom = std::make_unique<DominatorTree>(facts.cfg);
+    return *facts.dom;
+}
+
+template <typename Make>
+FieldKey
+PointsToResult::memoKey(const air::FieldRef *field, ObjId slot,
+                        Make make) const
+{
+    auto [it, inserted] = _keyMemo.try_emplace({field, slot});
+    if (inserted)
+        it->second = make();
+    return it->second;
+}
+
 FieldKey
 PointsToResult::fieldKey(ObjId obj, const air::FieldRef &field) const
 {
-    const std::string &klass = objects.get(obj).klassName;
-    std::string decl = cha.declaringClassOfField(klass, field.fieldName);
-    if (decl.empty())
-        decl = field.className;
-    return FieldKey::intern(keys, decl + "." + field.fieldName);
+    return memoKey(&field, obj, [&] {
+        const std::string &klass = objects.get(obj).klassName;
+        std::string decl =
+            cha.declaringClassOfField(klass, field.fieldName);
+        if (decl.empty())
+            decl = field.className;
+        return internKey(decl + "." + field.fieldName);
+    });
 }
 
 FieldKey
 PointsToResult::staticKey(const air::FieldRef &field) const
 {
-    std::string decl =
-        cha.declaringClassOfField(field.className, field.fieldName);
-    if (decl.empty())
-        decl = field.className;
-    return FieldKey::intern(keys, decl + "." + field.fieldName);
+    return memoKey(&field, kStaticSlot, [&] {
+        std::string decl =
+            cha.declaringClassOfField(field.className, field.fieldName);
+        if (decl.empty())
+            decl = field.className;
+        return internKey(decl + "." + field.fieldName);
+    });
+}
+
+FieldKey
+PointsToResult::declaredKey(const air::FieldRef &field) const
+{
+    return memoKey(&field, kDeclaredSlot, [&] {
+        return internKey(field.className + "." + field.fieldName);
+    });
+}
+
+FieldKey
+PointsToResult::wildcardKey(ObjId obj) const
+{
+    return memoKey(nullptr, obj, [&] {
+        return internKey(arrayWildcardKey(objects.get(obj).klassName),
+                         FieldKey::kArray | FieldKey::kWildcard);
+    });
 }
 
 ObjId
@@ -174,46 +222,6 @@ class PointsToAnalysis::Engine
     void mergeFieldConst(ObjId obj, FieldId key, ConstVal v);
     ConstVal fieldConstOf(ObjId obj, FieldId key) const;
 
-    // --- interned-key memoization (engine-local; single-threaded) ---
-
-    /** Memoized canonical key for (object, field-ref of one instr). */
-    FieldId
-    fieldIdOf(ObjId o, const air::FieldRef &field)
-    {
-        auto key = std::make_pair(static_cast<const void *>(&field), o);
-        auto it = _fieldKeyMemo.find(key);
-        if (it != _fieldKeyMemo.end())
-            return it->second;
-        FieldId id = _r->fieldKey(o, field).id;
-        _fieldKeyMemo.emplace(key, id);
-        return id;
-    }
-
-    FieldId
-    staticIdOf(const air::FieldRef &field)
-    {
-        const void *key = &field;
-        auto it = _staticKeyMemo.find(key);
-        if (it != _staticKeyMemo.end())
-            return it->second;
-        FieldId id = _r->staticKey(field).id;
-        _staticKeyMemo.emplace(key, id);
-        return id;
-    }
-
-    FieldId
-    wildcardIdOf(ObjId o)
-    {
-        auto it = _objWildcard.find(o);
-        if (it != _objWildcard.end())
-            return it->second;
-        FieldId id = _r->internKey(arrayWildcardKey(classOf(o)),
-                                   FieldKey::kArray | FieldKey::kWildcard)
-                         .id;
-        _objWildcard.emplace(o, id);
-        return id;
-    }
-
     /** Exact array-element key for `o`. Only writes (`record=true`,
      *  the ArrayPut path that creates the fieldPts entry) register the
      *  key in the per-object element index — the delta-friendly
@@ -226,7 +234,7 @@ class PointsToAnalysis::Engine
             _r->internKey(arrayElementKey(classOf(o), idx),
                           FieldKey::kArray)
                 .id;
-        _elemWildcard.emplace(id, wildcardIdOf(o));
+        _elemWildcard.emplace(id, _r->wildcardKey(o).id);
         if (record) {
             auto &elems = _arrayElemKeys[o];
             bool known = false;
@@ -339,19 +347,6 @@ class PointsToAnalysis::Engine
     //! only fieldPts entry any Invoke handler reads)
     uint64_t _spawnFieldEpoch{0};
 
-    struct PtrObjHash {
-        size_t
-        operator()(const std::pair<const void *, ObjId> &p) const
-        {
-            return std::hash<const void *>()(p.first) * 1000003u ^
-                   std::hash<int>()(p.second);
-        }
-    };
-    std::unordered_map<std::pair<const void *, ObjId>, FieldId,
-                       PtrObjHash>
-        _fieldKeyMemo;
-    std::unordered_map<const void *, FieldId> _staticKeyMemo;
-    std::unordered_map<ObjId, FieldId> _objWildcard;
     //! exact element key -> its array's wildcard key (for notify)
     std::unordered_map<FieldId, FieldId> _elemWildcard;
     //! per array object: exact element keys seen so far
@@ -761,7 +756,7 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
         // iterated (bitset growth would invalidate the end sentinel).
         const ObjSet bases = copyOf(pts(instr.srcs[0]));
         for (ObjId o : bases) {
-            FieldId key = fieldIdOf(o, instr.field);
+            FieldId key = _r->fieldKey(o, instr.field).id;
             _fieldReaders.try_emplace({o, key}, ObjSet(&_r->arena))
                 .first->second.insert(n);
             auto it = _r->fieldPts.find({o, key});
@@ -773,14 +768,14 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
       }
       case Opcode::PutField: {
         for (ObjId o : pts(instr.srcs[0])) {
-            FieldId key = fieldIdOf(o, instr.field);
+            FieldId key = _r->fieldKey(o, instr.field).id;
             addFieldObjs(o, key, pts(instr.srcs[1]));
             mergeFieldConst(o, key, _r->constOf(n, instr.srcs[1]));
         }
         return false;
       }
       case Opcode::GetStatic: {
-        FieldId key = staticIdOf(instr.field);
+        FieldId key = _r->staticKey(instr.field).id;
         _staticReaders.try_emplace(key, ObjSet(&_r->arena))
             .first->second.insert(n);
         auto it = _r->staticPts.find(key);
@@ -789,7 +784,7 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
         return addObjs(n, instr.dst, it->second);
       }
       case Opcode::PutStatic:
-        addStaticObjs(staticIdOf(instr.field), pts(instr.srcs[0]));
+        addStaticObjs(_r->staticKey(instr.field).id, pts(instr.srcs[0]));
         return false;
       case Opcode::ArrayGet: {
         bool changed = false;
@@ -798,7 +793,7 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
         // Same aliasing guard as GetField: dst can be the array register.
         const ObjSet arrays = copyOf(pts(instr.srcs[0]));
         for (ObjId o : arrays) {
-            std::vector<FieldId> keys{wildcardIdOf(o)};
+            std::vector<FieldId> keys{_r->wildcardKey(o).id};
             if (sensitive && idx.isConst()) {
                 keys.push_back(elemIdOf(o, idx.value, false));
             } else if (sensitive) {
@@ -826,7 +821,7 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
         for (ObjId o : pts(instr.srcs[0])) {
             FieldId key = _opts.indexSensitiveArrays && idx.isConst()
                               ? elemIdOf(o, idx.value, true)
-                              : wildcardIdOf(o);
+                              : _r->wildcardKey(o).id;
             addFieldObjs(o, key, pts(instr.srcs[2]));
         }
         return false;

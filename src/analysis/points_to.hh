@@ -33,8 +33,10 @@
 
 #include "action.hh"
 #include "callgraph.hh"
+#include "cfg.hh"
 #include "class_hierarchy.hh"
 #include "context.hh"
+#include "dominators.hh"
 #include "entry_plan.hh"
 #include "field_key.hh"
 #include "framework/app.hh"
@@ -103,7 +105,9 @@ class PointsToResult
     /** Deterministic field/static key table. Populated by the serial
      *  phases; mutable because later stages intern keys through the
      *  const fieldKey()/staticKey(). Owned, like the whole result, by
-     *  one harness task. */
+     *  one harness task, which is also why the other mutable members
+     *  below (the per-method CFGs and dominator trees, the key memo)
+     *  need no lock. */
     mutable util::StringInterner keys;
 
     SiteTable sites;
@@ -157,9 +161,28 @@ class PointsToResult
     const ObjSet &pointsTo(NodeId node, int reg) const;
     ConstVal constOf(NodeId node, int reg) const;
 
-    /** Canonical "DeclaringClass.field" key for an access, interned. */
+    /** The CFG of a method with a body, built on the first ask. Every
+     *  stage of the harness shares it; the reference stays valid for
+     *  the life of the result. */
+    const Cfg &cfg(const air::Method &m) const;
+    /** The dominator tree over cfg(m), built on the first ask. */
+    const DominatorTree &dominators(const air::Method &m) const;
+
+    /**
+     * Canonical "DeclaringClass.field" key for an access through `obj`,
+     * interned. The key lookups below are memoised by the address of
+     * `field`, so `field` must be an instruction operand of the module
+     * (it outlives the result); a memo hit skips only the re-interning
+     * of a string already interned, so key ids do not depend on it.
+     */
     FieldKey fieldKey(ObjId obj, const air::FieldRef &field) const;
+    /** Key of a static field: its declaring class via the hierarchy. */
     FieldKey staticKey(const air::FieldRef &field) const;
+    /** The field's declared "Class.field" key, no hierarchy walk (what
+     *  a write through an ambiguous base may touch). */
+    FieldKey declaredKey(const air::FieldRef &field) const;
+    /** An array object's unknown-index element key (arrayWildcardKey). */
+    FieldKey wildcardKey(ObjId obj) const;
 
     /** Intern an externally built key string (array element keys). */
     FieldKey
@@ -180,6 +203,38 @@ class PointsToResult
 
   private:
     static const ObjSet _emptySet;
+
+    //! memo slots of keys that are not per object
+    static constexpr ObjId kStaticSlot = -1;
+    static constexpr ObjId kDeclaredSlot = -2;
+
+    template <typename Make>
+    FieldKey memoKey(const air::FieldRef *field, ObjId slot,
+                     Make make) const;
+
+    struct MethodFacts {
+        Cfg cfg;
+        std::unique_ptr<DominatorTree> dom;
+        explicit MethodFacts(const air::Method &m) : cfg(m) {}
+    };
+    //! per-method facts; map nodes never move, so references handed
+    //! out stay valid
+    mutable std::unordered_map<const air::Method *, MethodFacts>
+        _methodFacts;
+
+    struct KeyMemoHash {
+        size_t
+        operator()(const std::pair<const air::FieldRef *, ObjId> &p) const
+        {
+            return std::hash<const void *>()(p.first) * 1000003u ^
+                   std::hash<int>()(p.second);
+        }
+    };
+    //! (field operand, object or slot) -> key; a null field with an
+    //! object is that array object's element wildcard
+    mutable std::unordered_map<std::pair<const air::FieldRef *, ObjId>,
+                               FieldKey, KeyMemoHash>
+        _keyMemo;
 };
 
 /**

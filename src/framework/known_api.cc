@@ -137,45 +137,6 @@ KnownApis::classifyExact(const std::string &class_name,
     return ApiKind::None;
 }
 
-bool
-KnownApis::isListenerClear(const air::Method &method, int instr_idx)
-{
-    const air::Instruction &call = method.instr(instr_idx);
-    if (!call.isInvoke() || call.srcs.size() < 2)
-        return false;
-    if (listenerCallback(call.method.methodName).empty())
-        return false;
-
-    // Follow the listener argument backward through moves. Abort at
-    // any branch, terminator, or jump target: past a control-flow
-    // join the register may hold a value from another path, and the
-    // answer must hold on *every* execution of the call.
-    const int n = static_cast<int>(method.instrs().size());
-    std::vector<char> is_target(n, 0);
-    for (const air::Instruction &in : method.instrs()) {
-        if (in.isBranch() && in.target >= 0 && in.target < n)
-            is_target[in.target] = 1;
-    }
-    int reg = call.srcs[1];
-    for (int i = instr_idx - 1; i >= 0; --i) {
-        if (is_target[i + 1])
-            return false; // another path joins before the call
-        const air::Instruction &in = method.instr(i);
-        if (in.isBranch() || in.isTerminator())
-            return false;
-        if (in.dst == reg) {
-            if (in.op == air::Opcode::ConstNull)
-                return true;
-            if (in.op == air::Opcode::Move) {
-                reg = in.srcs[0];
-                continue;
-            }
-            return false;
-        }
-    }
-    return false;
-}
-
 std::string
 KnownApis::listenerCallback(const std::string &method_name)
 {

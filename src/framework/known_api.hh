@@ -128,20 +128,6 @@ class KnownApis
      */
     static std::string listenerCallback(const std::string &method_name);
 
-    /**
-     * True when the invoke at `instr_idx` is a listener *clearing*
-     * call: a SetListener-kind API whose listener argument is
-     * definitely the null literal (`setOnClickListener(null)` and
-     * friends). The null is recognized by a local backward walk
-     * through register moves that aborts at any branch, terminator,
-     * or jump target, so a `true` answer holds on every execution of
-     * the call. Clearing a slot disables its callback; setting one
-     * enables it — the enablement stage and the leakedRegistration
-     * lint both key off this distinction.
-     */
-    static bool isListenerClear(const air::Method &method,
-                                int instr_idx);
-
     /** True if the class is (or derives from) the given framework class. */
     bool isSubclassOf(const std::string &class_name,
                       const std::string &framework_class) const;

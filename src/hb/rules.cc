@@ -6,15 +6,12 @@
 #include <unordered_map>
 
 #include "air/logging.hh"
-#include "analysis/cfg.hh"
-#include "analysis/dominators.hh"
 #include "util/trace.hh"
 
 namespace sierra::hb {
 
 using analysis::Action;
 using analysis::ActionKind;
-using analysis::Cfg;
 using analysis::DominatorTree;
 using analysis::EntryEventSite;
 using analysis::NodeId;
@@ -34,8 +31,6 @@ class HbBuilder::Impl
     std::unique_ptr<Shbg> build();
 
   private:
-    const DominatorTree &domOf(const air::Method *m);
-
     void ruleInvocation(Shbg &g);
     void ruleAsyncChains(Shbg &g);
     void ruleHarnessDominance(Shbg &g);
@@ -62,29 +57,11 @@ class HbBuilder::Impl
     const framework::App &_app;
     HbOptions _opts;
 
-    std::unordered_map<const air::Method *, std::unique_ptr<Cfg>> _cfgs;
-    std::unordered_map<const air::Method *,
-                       std::unique_ptr<DominatorTree>>
-        _doms;
     //! SiteId of a harness event site -> its description
     std::unordered_map<SiteId, const EntryEventSite *> _harnessSites;
     //! action -> harness event site it was spawned at (if any)
     std::unordered_map<int, const EntryEventSite *> _actionSite;
 };
-
-const DominatorTree &
-HbBuilder::Impl::domOf(const air::Method *m)
-{
-    auto it = _doms.find(m);
-    if (it != _doms.end())
-        return *it->second;
-    auto cfg = std::make_unique<Cfg>(*m);
-    auto dom = std::make_unique<DominatorTree>(*cfg);
-    const DominatorTree &ref = *dom;
-    _cfgs.emplace(m, std::move(cfg));
-    _doms.emplace(m, std::move(dom));
-    return ref;
-}
 
 std::unique_ptr<Shbg>
 HbBuilder::Impl::build()
@@ -170,7 +147,7 @@ HbBuilder::Impl::ruleHarnessDominance(Shbg &g)
     // sites orders their actions. Distinct call sites of the same
     // callback are distinct actions, which is exactly the "onStart '1'"
     // vs "onStart '2'" split of Fig. 5.
-    const DominatorTree &dom = domOf(_plan.mainMethod);
+    const DominatorTree &dom = _r.dominators(*_plan.mainMethod);
     std::vector<std::pair<int, const EntryEventSite *>> acts(
         _actionSite.begin(), _actionSite.end());
     for (const auto &[id_a, ev_a] : acts) {
@@ -267,7 +244,7 @@ HbBuilder::Impl::ruleIntraProcDom(Shbg &g)
                 continue;
             if (g.reaches(s1.actionId, s2.actionId))
                 continue;
-            const DominatorTree &dom = domOf(m);
+            const DominatorTree &dom = _r.dominators(*m);
             if (dom.instrDominates(_r.sites.instrOf(s1.site),
                                    _r.sites.instrOf(s2.site))) {
                 g.addEdge(s1.actionId, s2.actionId,

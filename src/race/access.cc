@@ -1,7 +1,5 @@
 #include "access.hh"
 
-#include <unordered_map>
-
 #include "air/logging.hh"
 #include "analysis/array_keys.hh"
 
@@ -48,40 +46,6 @@ std::vector<Access>
 extractAccesses(const PointsToResult &result)
 {
     std::vector<Access> out;
-    // Memoized key resolution: fieldKey() walks the class hierarchy and
-    // builds a string before interning; one entry per (field ref, base
-    // object) makes the walk amortized O(1) over the extraction sweep.
-    struct PtrObjHash {
-        size_t
-        operator()(const std::pair<const void *, int> &p) const
-        {
-            return std::hash<const void *>()(p.first) * 1000003u ^
-                   std::hash<int>()(p.second);
-        }
-    };
-    std::unordered_map<std::pair<const void *, int>, FieldKey, PtrObjHash>
-        fieldMemo;
-    std::unordered_map<const void *, FieldKey> staticMemo;
-    auto fieldKeyOf = [&](analysis::ObjId o,
-                          const air::FieldRef &field) -> FieldKey {
-        auto key = std::make_pair(static_cast<const void *>(&field), o);
-        auto it = fieldMemo.find(key);
-        if (it != fieldMemo.end())
-            return it->second;
-        FieldKey k = result.fieldKey(o, field);
-        fieldMemo.emplace(key, k);
-        return k;
-    };
-    auto staticKeyOf = [&](const air::FieldRef &field) -> FieldKey {
-        const void *key = &field;
-        auto it = staticMemo.find(key);
-        if (it != staticMemo.end())
-            return it->second;
-        FieldKey k = result.staticKey(field);
-        staticMemo.emplace(key, k);
-        return k;
-    };
-
     for (NodeId n = 0; n < result.cg.numNodes(); ++n) {
         const air::Method *m = result.cg.node(n).method;
         if (!m->hasBody())
@@ -105,7 +69,7 @@ extractAccesses(const PointsToResult &result)
                      result.pointsTo(n, instr.srcs[0])) {
                     MemLoc loc;
                     loc.obj = o;
-                    loc.key = fieldKeyOf(o, instr.field);
+                    loc.key = result.fieldKey(o, instr.field);
                     a.locs.push_back(loc);
                 }
                 const air::Field *f = result.cha.resolveField(
@@ -119,7 +83,7 @@ extractAccesses(const PointsToResult &result)
                 a.fieldName = instr.field.fieldName;
                 MemLoc loc;
                 loc.isStatic = true;
-                loc.key = staticKeyOf(instr.field);
+                loc.key = result.staticKey(instr.field);
                 a.locs.push_back(loc);
                 const air::Field *f = result.cha.resolveField(
                     instr.field.className, instr.field.fieldName);
@@ -139,17 +103,13 @@ extractAccesses(const PointsToResult &result)
                      result.pointsTo(n, instr.srcs[0])) {
                     MemLoc loc;
                     loc.obj = o;
-                    const std::string &klass =
-                        result.objects.get(o).klassName;
                     loc.key =
                         exact ? result.internKey(
-                                    analysis::arrayElementKey(klass,
-                                                              idx.value),
+                                    analysis::arrayElementKey(
+                                        result.objects.get(o).klassName,
+                                        idx.value),
                                     FieldKey::kArray)
-                              : result.internKey(
-                                    analysis::arrayWildcardKey(klass),
-                                    FieldKey::kArray |
-                                        FieldKey::kWildcard);
+                              : result.wildcardKey(o);
                     a.locs.push_back(loc);
                 }
                 a.refTyped = true;

@@ -31,60 +31,6 @@ BackwardExecutor::BackwardExecutor(const analysis::PointsToResult &result,
 {
 }
 
-const analysis::Cfg &
-BackwardExecutor::cfgOf(const air::Method *m)
-{
-    auto it = _cfgs.find(m);
-    if (it != _cfgs.end())
-        return *it->second;
-    auto cfg = std::make_unique<analysis::Cfg>(*m);
-    const analysis::Cfg &ref = *cfg;
-    _cfgs.emplace(m, std::move(cfg));
-    return ref;
-}
-
-template <typename Make>
-analysis::FieldKey
-BackwardExecutor::memoKey(const air::FieldRef *field, analysis::ObjId slot,
-                          Make make)
-{
-    auto [it, inserted] = _keyMemo.try_emplace({field, slot});
-    if (inserted)
-        it->second = make();
-    return it->second;
-}
-
-analysis::FieldKey
-BackwardExecutor::fieldKeyOf(const air::FieldRef &field, analysis::ObjId o)
-{
-    return memoKey(&field, o, [&] { return _r.fieldKey(o, field); });
-}
-
-analysis::FieldKey
-BackwardExecutor::staticKeyOf(const air::FieldRef &field)
-{
-    return memoKey(&field, kStaticSlot,
-                   [&] { return _r.staticKey(field); });
-}
-
-analysis::FieldKey
-BackwardExecutor::declaredKeyOf(const air::FieldRef &field)
-{
-    return memoKey(&field, kDeclaredSlot, [&] {
-        return _r.internKey(field.className + "." + field.fieldName);
-    });
-}
-
-analysis::FieldKey
-BackwardExecutor::elemsKeyOf(analysis::ObjId o)
-{
-    return memoKey(nullptr, o, [&] {
-        return _r.internKey(_r.objects.get(o).klassName + ".$elems",
-                            analysis::FieldKey::kArray |
-                                analysis::FieldKey::kWildcard);
-    });
-}
-
 const std::vector<analysis::FieldKey> &
 BackwardExecutor::mayWriteKeys(NodeId n)
 {
@@ -116,15 +62,15 @@ BackwardExecutor::collectMayWrites(NodeId n,
         switch (instr.op) {
           case Opcode::PutField:
             for (analysis::ObjId o : _r.pointsTo(n, instr.srcs[0]))
-                keys.insert(fieldKeyOf(instr.field, o));
-            keys.insert(declaredKeyOf(instr.field));
+                keys.insert(_r.fieldKey(o, instr.field));
+            keys.insert(_r.declaredKey(instr.field));
             break;
           case Opcode::PutStatic:
-            keys.insert(staticKeyOf(instr.field));
+            keys.insert(_r.staticKey(instr.field));
             break;
           case Opcode::ArrayPut:
             for (analysis::ObjId o : _r.pointsTo(n, instr.srcs[0]))
-                keys.insert(elemsKeyOf(o));
+                keys.insert(_r.wildcardKey(o));
             break;
           default:
             break;
@@ -150,7 +96,7 @@ BackwardExecutor::resolveLoc(NodeId n, int reg,
         return false;
     out.isStatic = false;
     out.obj = *pts.begin();
-    out.key = fieldKeyOf(field, out.obj);
+    out.key = _r.fieldKey(out.obj, field);
     return true;
 }
 
@@ -212,22 +158,22 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
                 loc, Operand::regOp(regKey(f, instr.srcs[1])));
         }
         // Ambiguous base: weak update, havoc by key.
-        store.dropLocsByKey({declaredKeyOf(instr.field)});
+        store.dropLocsByKey({_r.declaredKey(instr.field)});
         for (analysis::ObjId o : _r.pointsTo(st.node, instr.srcs[0]))
-            store.dropLocsByKey({fieldKeyOf(instr.field, o)});
+            store.dropLocsByKey({_r.fieldKey(o, instr.field)});
         return !store.failed();
       }
       case Opcode::GetStatic: {
         MemLoc loc;
         loc.isStatic = true;
-        loc.key = staticKeyOf(instr.field);
+        loc.key = _r.staticKey(instr.field);
         return store.substituteReg(regKey(f, instr.dst),
                                    Operand::locOp(loc));
       }
       case Opcode::PutStatic: {
         MemLoc loc;
         loc.isStatic = true;
-        loc.key = staticKeyOf(instr.field);
+        loc.key = _r.staticKey(instr.field);
         return store.substituteLoc(
             loc, Operand::regOp(regKey(f, instr.srcs[0])));
       }
@@ -236,7 +182,7 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
                                    Operand::unknown());
       case Opcode::ArrayPut:
         for (analysis::ObjId o : _r.pointsTo(st.node, instr.srcs[0]))
-            store.dropLocsByKey({elemsKeyOf(o)});
+            store.dropLocsByKey({_r.wildcardKey(o)});
         return !store.failed();
       default:
         return !store.failed();
@@ -327,7 +273,7 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
                     MemLoc loc;
                     if (mw.isStatic) {
                         loc.isStatic = true;
-                        loc.key = staticKeyOf(mw.field);
+                        loc.key = _r.staticKey(*mw.field);
                     } else {
                         // Instance facts are writes through the
                         // callee's `this`: usable only when that
@@ -336,7 +282,7 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
                         if (pts.size() != 1)
                             continue;
                         loc.obj = *pts.begin();
-                        loc.key = fieldKeyOf(mw.field, loc.obj);
+                        loc.key = _r.fieldKey(loc.obj, *mw.field);
                     }
                     cur.emplace(loc,
                                 std::make_pair(mw.value,
@@ -532,7 +478,6 @@ BackwardExecutor::walkPhaseB(const PathState &entry, int action_a,
 
     const Walk start = walk;
     PhaseBRun run;
-    bool hit_depth = false;
     while (!stack.empty()) {
         run.pathsBeforeLast = walk.paths - start.paths;
         if (overBudget(walk))
@@ -540,17 +485,18 @@ BackwardExecutor::walkPhaseB(const PathState &entry, int action_a,
         PathState st = std::move(stack.back());
         stack.pop_back();
         run.depth = std::max(run.depth, st.depth - entry.depth);
-        hit_depth |= st.depth > _opts.maxDepth;
-        if (expand(st, action_a, action_b, stack, walk.paths)) {
+        const QueryVerdict v =
+            expand(st, action_a, action_b, stack, walk.paths);
+        if (v == QueryVerdict::Budget)
+            return v; // cut by the depth limit: not recorded
+        if (v == QueryVerdict::Feasible) {
             run.feasible = true;
             break;
         }
     }
     run.pops = walk.steps - start.steps;
     run.paths = walk.paths - start.paths;
-    // A walk the depth limit cut depends on its start depth.
-    if (!hit_depth)
-        _phaseB.emplace(std::move(key), run);
+    _phaseB.emplace(std::move(key), run);
     return run.feasible ? QueryVerdict::Feasible : QueryVerdict::Infeasible;
 }
 
@@ -648,21 +594,20 @@ BackwardExecutor::overBudget(Walk &walk) const
     return ++walk.steps > _opts.maxSteps || walk.paths > _opts.maxPaths;
 }
 
-bool
+QueryVerdict
 BackwardExecutor::expand(PathState &st, int action_a, int action_b,
                          std::vector<PathState> &stack, int &paths)
 {
     ++_stats.statesExpanded;
 
-    if (st.depth > _opts.maxDepth) {
-        ++paths;
-        return false;
-    }
+    // Past the depth limit the walk is incomplete, not refuted.
+    if (st.depth > _opts.maxDepth)
+        return QueryVerdict::Budget;
     if (_opts.useNodeCache && st.phase == 0) {
         if (_refutedNodes.count(st.node)) {
             ++_stats.cacheHits;
             ++paths;
-            return false;
+            return QueryVerdict::Infeasible;
         }
         _queryVisited.insert(st.node);
     }
@@ -674,16 +619,16 @@ BackwardExecutor::expand(PathState &st, int action_a, int action_b,
         if (instr.op == Opcode::Invoke) {
             if (!handleInvoke(st, instr, stack)) {
                 ++paths;
-                return false;
+                return QueryVerdict::Infeasible;
             }
         } else if (!transfer(st, instr)) {
             ++paths;
-            return false;
+            return QueryVerdict::Infeasible;
         }
     }
     st.skipEffect = false;
 
-    std::span<const int> preds = cfgOf(m).instrPreds(st.instr);
+    std::span<const int> preds = _r.cfg(*m).instrPreds(st.instr);
     if (st.instr == 0) {
         // The method entry is one continuation; a back edge into
         // instruction 0 is another, so also fall through to the
@@ -693,11 +638,11 @@ BackwardExecutor::expand(PathState &st, int action_a, int action_b,
                                       stack)
                             : atEntry(st, action_a, action_b, stack);
         if (feasible)
-            return true;
+            return QueryVerdict::Feasible;
     }
     if (preds.empty()) {
         ++paths;
-        return false;
+        return QueryVerdict::Infeasible;
     }
     const int here = st.instr;
     const int depth = st.depth;
@@ -745,7 +690,7 @@ BackwardExecutor::expand(PathState &st, int action_a, int action_b,
         }
         stack.push_back(std::move(next));
     }
-    return false;
+    return QueryVerdict::Infeasible;
 }
 
 QueryVerdict
@@ -788,8 +733,7 @@ BackwardExecutor::orderFeasible(const race::Access &access, int action_a,
         } else {
             PathState st = std::move(stack.back());
             stack.pop_back();
-            if (expand(st, action_a, action_b, stack, walk.paths))
-                verdict = QueryVerdict::Feasible;
+            verdict = expand(st, action_a, action_b, stack, walk.paths);
         }
     }
 

@@ -16,13 +16,11 @@
 #ifndef SIERRA_SYMBOLIC_EXECUTOR_HH
 #define SIERRA_SYMBOLIC_EXECUTOR_HH
 
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "analysis/cfg.hh"
 #include "analysis/points_to.hh"
 #include "constraint.hh"
 #include "race/access.hh"
@@ -37,7 +35,7 @@ namespace sierra::symbolic {
 enum class QueryVerdict {
     Feasible,   //!< a consistent path witnesses the ordering
     Infeasible, //!< all paths pruned: the ordering cannot happen
-    Budget,     //!< path/step budget exhausted (treated as feasible)
+    Budget,     //!< path/step/depth budget exhausted (treated as feasible)
 };
 
 const char *queryVerdictName(QueryVerdict v);
@@ -45,7 +43,7 @@ const char *queryVerdictName(QueryVerdict v);
 /** Executor tuning knobs. */
 struct ExecutorOptions {
     int maxPaths{5000};   //!< terminated-path budget per query (paper's)
-    int maxDepth{512};    //!< per-path backward step limit
+    int maxDepth{512};    //!< per-path backward step limit (else Budget)
     int maxSteps{200000}; //!< total state-expansion budget per query
     int maxCallDepth{8};  //!< descend limit; deeper calls are havocked
     /**
@@ -145,8 +143,6 @@ class BackwardExecutor
         return frame * kFrameStride + reg;
     }
 
-    const analysis::Cfg &cfgOf(const air::Method *m);
-
     /** Keys of fields possibly written by a node (transitively); used
      *  to havoc calls beyond the descend limit. */
     const std::vector<analysis::FieldKey> &
@@ -155,19 +151,6 @@ class BackwardExecutor
     void collectMayWrites(analysis::NodeId n,
                           std::set<analysis::FieldKey> &keys,
                           std::unordered_set<analysis::NodeId> &seen);
-
-    //! memoised interned keys: the PointsToResult builds each one from
-    //! strings, and the walk asks for the same few over and over
-    analysis::FieldKey fieldKeyOf(const air::FieldRef &field,
-                                  analysis::ObjId o);
-    analysis::FieldKey staticKeyOf(const air::FieldRef &field);
-    //! the field's declared "Class.field" key (weak-update havoc)
-    analysis::FieldKey declaredKeyOf(const air::FieldRef &field);
-    //! an array object's element wildcard key
-    analysis::FieldKey elemsKeyOf(analysis::ObjId o);
-    template <typename Make>
-    analysis::FieldKey memoKey(const air::FieldRef *field,
-                               analysis::ObjId slot, Make make);
 
     /** Apply instruction backward transfer (non-invoke); false=prune. */
     bool transfer(PathState &st, const air::Instruction &instr);
@@ -203,10 +186,11 @@ class BackwardExecutor
     /** Count one pop; true when the query's budget is spent. */
     bool overBudget(Walk &walk) const;
 
-    /** Expand one popped state, pushing its successors. Returns true
-     *  when the state witnesses the whole ordering. */
-    bool expand(PathState &st, int action_a, int action_b,
-                std::vector<PathState> &stack, int &paths);
+    /** Expand one popped state, pushing its successors. Feasible when
+     *  the state witnesses the whole ordering, Budget when it lies past
+     *  maxDepth (the walk is incomplete), Infeasible otherwise. */
+    QueryVerdict expand(PathState &st, int action_a, int action_b,
+                        std::vector<PathState> &stack, int &paths);
 
     /** Run the phase-B walk `entry` (see startPhaseB) to its end over
      *  its own stack, or replay the recorded one. Infeasible means
@@ -221,30 +205,9 @@ class BackwardExecutor
     ExecutorOptions _opts;
     ExecutorStats _stats;
 
-    std::unordered_map<const air::Method *,
-                       std::unique_ptr<analysis::Cfg>>
-        _cfgs;
     std::unordered_map<analysis::NodeId,
                        std::vector<analysis::FieldKey>>
         _mayWrite;
-    //! _keyMemo slots that are not object ids
-    static constexpr analysis::ObjId kStaticSlot = -1;
-    static constexpr analysis::ObjId kDeclaredSlot = -2;
-    struct KeyMemoHash {
-        size_t
-        operator()(
-            const std::pair<const air::FieldRef *, analysis::ObjId> &p)
-            const
-        {
-            return std::hash<const void *>()(p.first) * 1000003u ^
-                   std::hash<int>()(p.second);
-        }
-    };
-    //! (field ref, object or slot) -> key; a null field ref with an
-    //! object is that array object's element wildcard
-    std::unordered_map<std::pair<const air::FieldRef *, analysis::ObjId>,
-                       analysis::FieldKey, KeyMemoHash>
-        _keyMemo;
     //! refuted-query node cache (paper Section 5 "Caching")
     std::unordered_set<analysis::NodeId> _refutedNodes;
     //! nodes visited by the current query's phase-A walk (filled only

@@ -64,6 +64,11 @@ TEST(Cfg, Diamond)
     EXPECT_TRUE(dom.instrDominates(1, 2));
     EXPECT_FALSE(dom.instrDominates(2, 4));
     EXPECT_FALSE(dom.instrDominates(4, 5)) << "one arm does not dominate";
+
+    // Only branch targets are jump targets: the fall-through into @2
+    // and the method entry are not.
+    for (int i = 0; i < m->numInstrs(); ++i)
+        EXPECT_EQ(cfg.isJumpTarget(i), i == 4 || i == 5) << i;
 }
 
 TEST(Cfg, Loop)

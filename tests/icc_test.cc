@@ -171,8 +171,9 @@ TEST(Icc, ConflictingPendingFieldIsDropped)
 
     ASSERT_EQ(icc.stats().pendingSites, 1);
     for (const IccSite &s : icc.sites()) {
-        if (s.pending)
+        if (s.pending) {
             EXPECT_FALSE(s.resolved()) << s.toString();
+        }
     }
     EXPECT_EQ(icc.stats().activityEdges, 0);
 }

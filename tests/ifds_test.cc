@@ -73,14 +73,14 @@ TEST(Ifds, ConstantsPropagateThroughSetterChain)
     const auto &leaf_writes = inter.mustWrites(leaf);
     ASSERT_EQ(leaf_writes.size(), 2u);
     for (const auto &w : leaf_writes) {
-        EXPECT_EQ(w.field.className, cls);
+        EXPECT_EQ(w.field->className, cls);
         EXPECT_EQ(w.value, 0);
         EXPECT_FALSE(w.isStatic);
-        EXPECT_TRUE(w.exclusive) << w.field.fieldName
+        EXPECT_TRUE(w.exclusive) << w.field->fieldName
                                  << ": every write rides `this`";
     }
-    EXPECT_EQ(leaf_writes[0].field.fieldName, "mHits");
-    EXPECT_EQ(leaf_writes[1].field.fieldName, "mOn");
+    EXPECT_EQ(leaf_writes[0].field->fieldName, "mHits");
+    EXPECT_EQ(leaf_writes[1].field->fieldName, "mOn");
 
     // The facts compose through the whole chain: clear0's summary
     // carries the same two facts even though it writes nothing itself.
@@ -141,7 +141,7 @@ TEST(Ifds, SummaryIsComputedOnceAndReusedAcrossCallSites)
     // write is a must-write fact.
     const auto &writes = inter.mustWrites(helper);
     ASSERT_EQ(writes.size(), 1u);
-    EXPECT_EQ(writes[0].field.fieldName, "mode");
+    EXPECT_EQ(writes[0].field->fieldName, "mode");
     EXPECT_EQ(writes[0].value, 3);
 }
 

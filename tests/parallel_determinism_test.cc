@@ -187,9 +187,10 @@ TEST(ParallelDeterminism, LockStagesAreJobsDeterministic)
         EXPECT_EQ(serial.locksetRefuted, j8.locksetRefuted) << label;
         EXPECT_EQ(serial.accessesDropped, j4.accessesDropped) << label;
         EXPECT_EQ(serial.accessesDropped, j8.accessesDropped) << label;
-        if (stages)
+        if (stages) {
             EXPECT_GT(serial.locksetRefuted, 0)
                 << "lockGuarded must exercise the stage";
+        }
         for (size_t h = 0; h < serial.perHarness.size(); ++h) {
             const auto &x = serial.perHarness[h].pairs;
             const auto &y = j8.perHarness[h].pairs;

@@ -147,9 +147,10 @@ TEST(Store, ClassSliceChangesRekeyMemberMethods)
     auto ha = hashMethods(*a.app);
     auto hb = hashMethods(*b.app);
     for (const auto &m : victim->methods()) {
-        if (m->hasBody())
+        if (m->hasBody()) {
             EXPECT_NE(ha.at(m->qualifiedName()),
                       hb.at(m->qualifiedName()));
+        }
     }
 }
 

@@ -194,6 +194,62 @@ TEST(Executor, BudgetExhaustionReportsBudget)
     EXPECT_GT(exec.stats().budgetExhausted, 0);
 }
 
+TEST(Executor, PathPastMaxDepthReportsBudget)
+{
+    // The only path from onResume's mX write back to its entry is 21
+    // instructions long; onPause's is 2. A depth limit of 10 cuts the
+    // long walk whether it is phase A (the onResume write's query) or
+    // phase B (the onPause write's query, walking onResume after
+    // it). A cut walk is unfinished, not refuted: the query answers
+    // Budget, never Infeasible.
+    auto a = analyze("exec-depth", [](corpus::AppFactory &f) {
+        auto &act = f.addActivity("DepthActivity");
+        const std::string cls = act.name();
+        act.addField("mX", air::Type::intTy());
+        act.on("onResume", [=](air::MethodBuilder &b) {
+            int t = b.newReg();
+            for (int i = 0; i < 20; ++i)
+                b.constInt(t, i);
+            b.putField(b.thisReg(), corpus::fieldRef(cls, "mX"), t);
+        });
+        act.on("onPause", [=](air::MethodBuilder &b) {
+            int zero = b.newReg();
+            b.constInt(zero, 0);
+            b.putField(b.thisReg(), corpus::fieldRef(cls, "mX"), zero);
+        });
+    });
+    const int resume = test::findAction(*a.pta, "onResume");
+    const int pause = test::findAction(*a.pta, "onPause");
+    const race::Access *resume_write = nullptr;
+    const race::Access *pause_write = nullptr;
+    for (const auto &acc : a.accesses) {
+        if (!acc.isWrite || acc.fieldName != "mX")
+            continue;
+        const auto &actions = a.pta->cg.actionsOf(acc.node);
+        if (actions.count(resume))
+            resume_write = &acc;
+        if (actions.count(pause))
+            pause_write = &acc;
+    }
+    ASSERT_NE(resume_write, nullptr);
+    ASSERT_NE(pause_write, nullptr);
+
+    BackwardExecutor fits(*a.pta, {});
+    EXPECT_EQ(fits.orderFeasible(*resume_write, resume, pause),
+              QueryVerdict::Feasible);
+    EXPECT_EQ(fits.orderFeasible(*pause_write, pause, resume),
+              QueryVerdict::Feasible);
+
+    BackwardExecutor cut(*a.pta, {.maxDepth = 10});
+    EXPECT_EQ(cut.orderFeasible(*resume_write, resume, pause),
+              QueryVerdict::Budget)
+        << "phase A cut";
+    EXPECT_EQ(cut.orderFeasible(*pause_write, pause, resume),
+              QueryVerdict::Budget)
+        << "phase B cut";
+    EXPECT_EQ(cut.stats().budgetExhausted, 2);
+}
+
 TEST(Executor, CallHavocCoversWritesOfARecursiveCycle)
 {
     // arm() sets the guard mOn and may call bounce(); bounce() may call
@@ -469,9 +525,9 @@ TEST(Executor, PhaseBWalkIsNotReplayedPastMaxDepth)
 
     // Somewhere the shallow query's phase B fits under maxDepth while
     // the deep query's, started deeper, does not. There a replay of
-    // the shallow walk would turn the deep query's Infeasible into
+    // the shallow walk would turn the deep query's Budget into
     // Feasible, and a record of the deep walk, which the limit cut,
-    // would turn the shallow query's Feasible into Infeasible.
+    // would turn the shallow query's Feasible into something else.
     bool boundary_seen = false;
     for (int depth = 1; depth <= 64; ++depth) {
         const ExecutorOptions opts{.maxDepth = depth};
@@ -483,7 +539,7 @@ TEST(Executor, PhaseBWalkIsNotReplayedPastMaxDepth)
                   alone(q, shallow, opts))
             << "maxDepth " << depth;
         if (alone(q, shallow, opts) == QueryVerdict::Feasible &&
-            deep_alone == QueryVerdict::Infeasible) {
+            deep_alone == QueryVerdict::Budget) {
             boundary_seen = true;
             EXPECT_FALSE(reused) << "maxDepth " << depth;
         }
