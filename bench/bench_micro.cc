@@ -286,9 +286,8 @@ BENCHMARK(BM_PtsIterate_ObjBitset)->RangeMultiplier(8)->Range(16, 1024);
  * What a warm `sierra serve` request does besides parsing and merging,
  * on one app of the perfbench heavy-app shape (3 activities x 12
  * patterns, the first app of its pinned pool): arg 0 builds the
- * method-hash table, arg 1 takes the shape hash, arg 2 decodes the
- * app's stored state (method index, dependency index and every harness
- * artifact) as the store hands it out.
+ * method-hash table, arg 1 takes the shape hash, arg 2 decodes every
+ * harness artifact of the app as the store hands it out.
  */
 void
 BM_StoreWarmPath(benchmark::State &state)
@@ -315,10 +314,6 @@ BM_StoreWarmPath(benchmark::State &state)
             benchmark::DoNotOptimize(store::shapeHash(app));
             break;
           default: {
-            auto rows = store::parseMethodIndex(*st.get("methods", app.name()));
-            benchmark::DoNotOptimize(rows.size());
-            auto deps = store::DepIndex::parse(*st.get("deps", app.name()));
-            benchmark::DoNotOptimize(deps.numEdges());
             for (const std::string &key : st.keys("harness")) {
                 auto art = parseArtifact(*st.get("harness", key));
                 benchmark::DoNotOptimize(art->races.size());

@@ -1006,35 +1006,6 @@ InterConstants::solveCountOf(const air::Method *m) const
 }
 
 // ---------------------------------------------------------------------
-// Summary export (consumed by the store's DepIndex, docs/CACHING.md)
-// ---------------------------------------------------------------------
-
-std::vector<InterConstants::ExportedSummary>
-InterConstants::exportSummaries() const
-{
-    std::vector<ExportedSummary> out;
-    out.reserve(_methods.size());
-    for (const MethodInfo &mi : _methods) {
-        ExportedSummary s;
-        s.method = mi.method->qualifiedName();
-        std::set<std::string> callees;
-        for (const auto &[instr, at] : mi.calleesAt) {
-            for (int callee : at) {
-                callees.insert(_methods[static_cast<size_t>(callee)]
-                                   .method->qualifiedName());
-            }
-        }
-        s.callees.assign(callees.begin(), callees.end());
-        out.push_back(std::move(s));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const ExportedSummary &a, const ExportedSummary &b) {
-                  return a.method < b.method;
-              });
-    return out;
-}
-
-// ---------------------------------------------------------------------
 // Client 2: use-after-destroy
 // ---------------------------------------------------------------------
 

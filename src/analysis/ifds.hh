@@ -131,23 +131,6 @@ class InterConstants
     /** Must-write-constant facts of `m`, sorted; empty on a miss. */
     const std::vector<MustWrite> &mustWrites(const air::Method *m) const;
 
-    /**
-     * One method's callee list: the methods whose summaries its own
-     * summary was composed from. The store layer's reverse-dependency
-     * index (analysis/store DepIndex) is built from these lists -- a
-     * callee edit dirties every transitive caller exactly because
-     * callers embed callee facts (params join, returnConst, must-write
-     * composition).
-     */
-    struct ExportedSummary {
-        std::string method;               //!< qualified name
-        std::vector<std::string> callees; //!< sorted unique, with bodies
-    };
-
-    /** Every method's callee list, sorted by qualified name
-     *  (deterministic across processes and jobs counts). */
-    std::vector<ExportedSummary> exportSummaries() const;
-
     /** How many times `m` was (re-)summarized; 0 for unknown methods.
      *  Exposed for the summary-cache unit tests. */
     int solveCountOf(const air::Method *m) const;

@@ -15,6 +15,15 @@ using air::Method;
 using air::Opcode;
 using framework::ApiKind;
 
+namespace {
+
+/** Backstop against runaway action creation: past this many actions,
+ *  a new action folds into an existing one with the same site, entry
+ *  class and callback, else into the root action. */
+constexpr int kMaxActions = 4096;
+
+} // namespace
+
 const ObjSet PointsToResult::_emptySet;
 
 const ObjSet &
@@ -559,9 +568,9 @@ PointsToAnalysis::Engine::spawnAction(ActionKind kind, int creator,
         }
         cur = a.creator;
     }
-    if (_r->actions.size() >= _opts.maxActions) {
+    if (_r->actions.size() >= kMaxActions) {
         if (!_warnedActionCap) {
-            warn("action cap (", _opts.maxActions,
+            warn("action cap (", kMaxActions,
                  ") reached; folding further actions");
             _warnedActionCap = true;
         }

@@ -54,7 +54,6 @@ using ObjSet = util::ObjBitset;
 /** Options controlling one pointer-analysis run. */
 struct PointsToOptions {
     ContextOptions ctx;
-    int maxActions{4096}; //!< backstop against runaway action creation
     /**
      * Optional app-level hierarchy shared across harness tasks. The
      * hierarchy is a pure function of the module and immutable after

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "air/klass.hh"
@@ -45,6 +46,26 @@ hashHex(uint64_t value)
         value >>= 4;
     }
     return out;
+}
+
+bool
+parseHashHex(std::string_view hex, uint64_t &out)
+{
+    if (hex.size() != 16)
+        return false;
+    uint64_t value = 0;
+    for (char c : hex) {
+        int digit;
+        if (c >= '0' && c <= '9')
+            digit = c - '0';
+        else if (c >= 'a' && c <= 'f')
+            digit = c - 'a' + 10;
+        else
+            return false;
+        value = (value << 4) | static_cast<uint64_t>(digit);
+    }
+    out = value;
+    return true;
 }
 
 namespace {
@@ -347,174 +368,6 @@ shapeHash(const framework::App &app)
                                         framework::kKnownApiTableVersion));
     h = mixHash(h, static_cast<uint64_t>(kStoreSchemaVersion));
     return h;
-}
-
-// ---------------------------------------------------------------------
-// Method index
-// ---------------------------------------------------------------------
-
-std::string
-serializeMethodIndex(const std::vector<MethodHashEntry> &rows)
-{
-    std::string out;
-    for (const MethodHashEntry &row : rows) {
-        out += row.name;
-        out += '\t';
-        out += hashHex(row.hash);
-        out += '\n';
-    }
-    return out;
-}
-
-bool
-parseHashHex(std::string_view hex, uint64_t &out)
-{
-    if (hex.size() != 16)
-        return false;
-    uint64_t value = 0;
-    for (char c : hex) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            return false;
-        value = (value << 4) | static_cast<uint64_t>(digit);
-    }
-    out = value;
-    return true;
-}
-
-std::vector<MethodIndexRow>
-parseMethodIndex(std::string_view blob)
-{
-    std::vector<MethodIndexRow> out;
-    bool sorted = true;
-    forEachLine(blob, [&](std::string_view line) {
-        size_t tab = line.find('\t');
-        if (tab == std::string_view::npos)
-            return;
-        std::string_view name = line.substr(0, tab);
-        uint64_t value;
-        if (name.empty() || !parseHashHex(line.substr(tab + 1), value))
-            return;
-        if (!out.empty() && !(out.back().first < name))
-            sorted = false;
-        out.emplace_back(name, value);
-    });
-    if (!sorted) {
-        // Not a blob serializeMethodIndex wrote: sort, one row per
-        // name, the last line wins.
-        std::stable_sort(out.begin(), out.end(),
-                         [](const MethodIndexRow &a, const MethodIndexRow &b) {
-                             return a.first < b.first;
-                         });
-        size_t kept = 0;
-        for (size_t i = 0; i < out.size(); ++i) {
-            if (kept > 0 && out[kept - 1].first == out[i].first)
-                --kept;
-            out[kept++] = out[i];
-        }
-        out.resize(kept);
-    }
-    return out;
-}
-
-// ---------------------------------------------------------------------
-// DepIndex
-// ---------------------------------------------------------------------
-
-void
-DepIndex::addEdge(std::string_view caller, std::string_view callee)
-{
-    if (caller == callee)
-        return;
-    auto it = _callers.find(callee);
-    if (it == _callers.end())
-        it = _callers.emplace(std::string(callee), std::set<std::string>())
-                 .first;
-    it->second.emplace(caller);
-}
-
-void
-DepIndex::merge(const DepIndex &other)
-{
-    for (const auto &[callee, callers] : other._callers)
-        _callers[callee].insert(callers.begin(), callers.end());
-}
-
-void
-DepIndex::prune(const std::set<std::string> &keep)
-{
-    decltype(_callers) pruned;
-    for (const auto &[callee, callers] : _callers) {
-        if (!keep.count(callee))
-            continue;
-        std::set<std::string> kept;
-        for (const std::string &c : callers) {
-            if (keep.count(c))
-                kept.insert(c);
-        }
-        if (!kept.empty())
-            pruned[callee] = std::move(kept);
-    }
-    _callers = std::move(pruned);
-}
-
-std::set<std::string>
-DepIndex::dirtyClosure(const std::set<std::string> &changed) const
-{
-    std::set<std::string> dirty = changed;
-    std::vector<std::string> work(changed.begin(), changed.end());
-    while (!work.empty()) {
-        std::string m = std::move(work.back());
-        work.pop_back();
-        auto it = _callers.find(m);
-        if (it == _callers.end())
-            continue;
-        for (const std::string &caller : it->second) {
-            if (dirty.insert(caller).second)
-                work.push_back(caller);
-        }
-    }
-    return dirty;
-}
-
-int64_t
-DepIndex::numEdges() const
-{
-    int64_t n = 0;
-    for (const auto &[callee, callers] : _callers)
-        n += static_cast<int64_t>(callers.size());
-    return n;
-}
-
-std::string
-DepIndex::serialize() const
-{
-    std::ostringstream os;
-    for (const auto &[callee, callers] : _callers) {
-        for (const std::string &caller : callers)
-            os << caller << "\t" << callee << "\n";
-    }
-    return os.str();
-}
-
-DepIndex
-DepIndex::parse(std::string_view blob)
-{
-    DepIndex out;
-    forEachLine(blob, [&](std::string_view line) {
-        size_t tab = line.find('\t');
-        if (tab == std::string_view::npos)
-            return;
-        std::string_view caller = line.substr(0, tab);
-        std::string_view callee = line.substr(tab + 1);
-        if (!caller.empty() && !callee.empty())
-            out.addEdge(caller, callee);
-    });
-    return out;
 }
 
 // ---------------------------------------------------------------------

@@ -15,9 +15,8 @@
  *    analyzes changes the hash.
  *  - `MethodHashTable` holds those hashes for every analyzable method
  *    of one app, flat and sorted by qualified name. The detector
- *    builds it at most once per app; the incremental diff, the
- *    footprint check of a stored artifact and the footprint of a fresh
- *    one all read it.
+ *    builds it at most once per app; the footprint check of a stored
+ *    artifact and the footprint of a fresh one both read it.
  *  - `shapeHash(app)` keys everything about an app *except* method
  *    bodies: it hashes the manifest, layouts and app-class shapes
  *    (names, supers, interfaces, fields, method signatures and
@@ -30,20 +29,14 @@
  *
  * Blobs are deterministic text, so two processes given the same module
  * produce byte-identical store contents (pinned by store_test). The
- * decoders (`parseMethodIndex`, `DepIndex::parse`, and
- * `sierra::parseArtifact`) read a `std::string_view`, and `Store::get`
- * hands out a view of the stored blob rather than a copy. The store
- * holds everything in memory and optionally write-throughs to a
- * versioned on-disk directory (`dir/<kind>/<encoded key>`, where the
- * key encoding is injective); a schema or known-API version mismatch
- * discards the on-disk generation instead of reading incompatible
- * blobs (the invalidation rules are documented in docs/CACHING.md).
- *
- * The `DepIndex` is the reverse-dependency index over the IFDS summary
- * graph: method-level caller<-callee edges recorded when summaries are
- * exported. `dirtyClosure(changed)` answers "which methods must be
- * re-solved when these bodies changed" -- the changed methods plus
- * every transitive caller whose summary may embed their facts.
+ * decoder (`sierra::parseArtifact`) reads a `std::string_view`, and
+ * `Store::get` hands out a view of the stored blob rather than a copy.
+ * The store holds everything in memory and optionally write-throughs
+ * to a versioned on-disk directory (`dir/<kind>/<encoded key>`, where
+ * the key encoding is injective); a schema or known-API version
+ * mismatch discards the on-disk generation instead of reading
+ * incompatible blobs (the invalidation rules are documented in
+ * docs/CACHING.md).
  */
 
 #ifndef SIERRA_ANALYSIS_STORE_HH
@@ -52,7 +45,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -160,52 +152,6 @@ class MethodHashTable
 /** The app's structural hash (see file comment): covers exactly what
  *  `printAppText(app, false)` prints, without printing it. */
 uint64_t shapeHash(const framework::App &app);
-
-/** Serialize method hashes as an index blob (one "name\thex" line per
- *  row, in row order -- sorted for a table's rows). */
-std::string serializeMethodIndex(const std::vector<MethodHashEntry> &rows);
-
-/** One decoded method-index row; the name views the blob. */
-using MethodIndexRow = std::pair<std::string_view, uint64_t>;
-
-/** Decode a serialized method index into rows sorted by name, one per
- *  name (the last line wins); malformed lines are dropped. The rows
- *  view `blob`. */
-std::vector<MethodIndexRow> parseMethodIndex(std::string_view blob);
-
-/**
- * Reverse-dependency index over the IFDS summary graph at method
- * granularity. Edges point callee -> callers, so dirtying propagates
- * *up* the summary graph: a callee's facts are embedded in every
- * caller summary that consumed them.
- */
-class DepIndex
-{
-  public:
-    /** Record "caller's summary depends on callee's summary". */
-    void addEdge(std::string_view caller, std::string_view callee);
-
-    /** Union another index in (idempotent). */
-    void merge(const DepIndex &other);
-
-    /** Drop edges touching methods not in `keep` (removed bodies). */
-    void prune(const std::set<std::string> &keep);
-
-    /** The changed methods plus every transitive caller. */
-    std::set<std::string>
-    dirtyClosure(const std::set<std::string> &changed) const;
-
-    int64_t numEdges() const;
-
-    std::string serialize() const;
-    /** Decode a serialized index; lines without a tab-separated
-     *  caller and callee are dropped. */
-    static DepIndex parse(std::string_view blob);
-
-  private:
-    //! callee -> set of callers
-    std::map<std::string, std::set<std::string>, std::less<>> _callers;
-};
 
 /** Store traffic counters (surfaced as `store.*` metrics). */
 struct StoreStats {

@@ -2146,6 +2146,96 @@ addRemovedCallback(AppFactory &f, ActivityBuilder &act)
 }
 
 // --------------------------------------------------------------------
+// Fixture: listener cleared in onPause (the enablement stage's
+// listener-disable typestate). Not in the catalog.
+// --------------------------------------------------------------------
+void
+addClearedListener(AppFactory &f, ActivityBuilder &act, bool clear_in_pause)
+{
+    int n = f.nextUnique();
+    int view_id = f.nextViewId();
+    std::string click_cls = "ClearedClick$" + std::to_string(n);
+    std::string read_cls = "ClearedRead$" + std::to_string(n);
+    std::string act_cls = act.name();
+    std::string view_field = "clearedView$" + std::to_string(n);
+    std::string hits_field = "clickHits$" + std::to_string(n);
+
+    air::Module &mod = f.app().module();
+
+    Klass *click = mod.addClass(click_cls, names::object);
+    click->addInterface(names::onClickListener);
+    click->addField({"act", Type::object(act_cls), false});
+    storingCtor(click, click_cls, "act", Type::object(act_cls));
+    defineMethod(click, "onClick", {Type::object(names::view)},
+                 Type::voidTy(), false, [&](MethodBuilder &b) {
+                     int ra = b.newReg();
+                     int r1 = b.newReg();
+                     b.getField(ra, b.thisReg(),
+                                fieldRef(click_cls, "act"));
+                     b.constInt(r1, 1);
+                     b.putField(ra, fieldRef(act_cls, hits_field), r1);
+                 });
+
+    Klass *read = mod.addClass(read_cls, names::object);
+    read->addInterface(names::runnable);
+    read->addField({"act", Type::object(act_cls), false});
+    storingCtor(read, read_cls, "act", Type::object(act_cls));
+    defineMethod(read, "run", {}, Type::voidTy(), false,
+                 [&](MethodBuilder &b) {
+                     int ra = b.newReg();
+                     int rv = b.newReg();
+                     b.getField(ra, b.thisReg(),
+                                fieldRef(read_cls, "act"));
+                     b.getField(rv, ra, fieldRef(act_cls, hits_field));
+                 });
+
+    act.addField(view_field, Type::object(names::view));
+    act.addField(hits_field, Type::intTy());
+    framework::Widget w;
+    w.id = view_id;
+    w.name = "btnCleared$" + std::to_string(n);
+    w.widgetClass = names::button;
+    act.layout().addWidget(w);
+
+    act.on("onCreate", [=](MethodBuilder &b) {
+        int rid = b.newReg();
+        int rv = b.newReg();
+        int rcl = b.newReg();
+        b.constInt(rid, view_id);
+        b.callTo(rv, b.thisReg(), act_cls, "findViewById", {rid});
+        b.putField(b.thisReg(), fieldRef(act_cls, view_field), rv);
+        b.newObject(rcl, click_cls);
+        b.invoke(-1, InvokeKind::Special, {click_cls, "<init>", 0},
+                 {rcl, b.thisReg()});
+        b.call(rv, names::view, "setOnClickListener", {rcl});
+    });
+    if (clear_in_pause) {
+        act.on("onPause", [=](MethodBuilder &b) {
+            int rv = b.newReg();
+            int rnull = b.newReg();
+            b.getField(rv, b.thisReg(), fieldRef(act_cls, view_field));
+            b.constNull(rnull);
+            b.call(rv, names::view, "setOnClickListener", {rnull});
+        });
+    }
+    act.on("onStop", [=](MethodBuilder &b) {
+        int rh = b.newReg();
+        int rr = b.newReg();
+        b.newObject(rh, names::handler);
+        b.invoke(-1, InvokeKind::Special,
+                 {names::handler, "<init>", 0}, {rh});
+        b.newObject(rr, read_cls);
+        b.invoke(-1, InvokeKind::Special, {read_cls, "<init>", 0},
+                 {rr, b.thisReg()});
+        b.call(rh, names::handler, "post", {rr});
+    });
+
+    f.truth().add(act_cls + "." + hits_field, SeedClass::FpTrap,
+                  "clearedListener: onPause clears the click listener "
+                  "before onStop posts the read");
+}
+
+// --------------------------------------------------------------------
 // Pattern: harmful null race (nullflow HARMFUL). The racing write is
 // the field's ONLY store -- the activity never initializes it -- so a
 // GUI read that loses the race observes the absent-initialization null

@@ -104,6 +104,19 @@ void addNullSourceCrash(AppFactory &f, ActivityBuilder &act);
 void addGuardedNullRead(AppFactory &f, ActivityBuilder &act);
 void addIccNullCrash(AppFactory &f, ActivityBuilder &act);
 
+/**
+ * A click listener set in onCreate on a field-held `findViewById` view
+ * writes a field; onPause clears the listener with
+ * `setOnClickListener(null)`; a Runnable posted from onStop reads the
+ * field (seeded FpTrap). No click can run after the clear, so the pair
+ * is a pure enablement FP of the listener-disable typestate. With
+ * `clear_in_pause` false the onPause clear is left out and the pair is
+ * a real race. Not in the catalog, the named apps or the generator: a
+ * fixture for the enablement stage's listener clearing.
+ */
+void addClearedListener(AppFactory &f, ActivityBuilder &act,
+                        bool clear_in_pause = true);
+
 /** All pattern functions, for sweep-style corpus generation. */
 using PatternFn = void (*)(AppFactory &, ActivityBuilder &);
 struct PatternEntry {

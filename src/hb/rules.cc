@@ -19,6 +19,14 @@ using analysis::PointsToResult;
 using analysis::SiteId;
 using analysis::SpawnEdge;
 
+namespace {
+
+/** State budget of one rule-5 ICFG reachability query; an exhausted
+ *  query answers conservatively (reachable). */
+constexpr int kRule5MaxStates = 200000;
+
+} // namespace
+
 class HbBuilder::Impl
 {
   public:
@@ -273,7 +281,7 @@ HbBuilder::Impl::reachableWithout(int act, NodeId n1, int e1, NodeId n2,
     // Return linkage, built lazily: callee node -> caller resume
     // points discovered when the call was expanded.
     std::map<NodeId, std::set<std::pair<NodeId, int>>> resume_points;
-    int budget = _opts.rule5MaxStates;
+    int budget = kRule5MaxStates;
     while (!work.empty()) {
         auto [n, i] = work.back();
         work.pop_back();

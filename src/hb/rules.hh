@@ -21,7 +21,6 @@ struct HbOptions {
     bool enableRule4{true}; //!< intra-procedural domination
     bool enableRule5{true}; //!< inter-procedural ICFG domination
     bool enableRule6{true}; //!< inter-action transitivity
-    int rule5MaxStates{200000}; //!< ICFG reachability state budget
 };
 
 /**

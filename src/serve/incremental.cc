@@ -1,9 +1,7 @@
 #include "incremental.hh"
 
 #include <optional>
-#include <string_view>
 
-#include "air/method.hh"
 #include "util/trace.hh"
 
 namespace sierra::serve {
@@ -13,24 +11,28 @@ namespace store = analysis::store;
 uint64_t
 IncrementalAnalyzer::optionsFingerprint(const SierraOptions &o)
 {
-    // Only report-affecting toggles participate -- every stage-table
-    // toggle plus ICC: two submissions under different toggles must
+    // Every option that can change a report byte participates: each
+    // stage-table toggle plus ICC, the points-to context settings and
+    // array index sensitivity, the HB rule switches, and the refuter's
+    // node cache, call depth and budgets (a budget change can flip a
+    // refutation verdict). Two submissions under different such options
     // never share artifacts, while jobs and metrics are free to vary
-    // (the pipeline is deterministic in both). Refuter budgets ride
-    // along for safety -- a budget change can flip a refutation
-    // verdict.
+    // (the pipeline is deterministic in both).
     uint64_t bits = o.icc ? 1u : 0u;
     for (const StageDesc &d : stageTable()) {
         if (d.toggle)
             bits = (bits << 1) | (o.*d.toggle ? 1u : 0u);
     }
+    for (bool b : {o.pta.ctx.inflatedViewContext, o.pta.indexSensitiveArrays,
+                   o.hb.enableRule4, o.hb.enableRule5, o.hb.enableRule6,
+                   o.refuter.exec.useNodeCache})
+        bits = (bits << 1) | (b ? 1u : 0u);
     uint64_t h = store::mixHash(store::fnv64("sierra-options"), bits);
-    h = store::mixHash(
-        h, static_cast<uint64_t>(o.refuter.maxActionPairsPerRace));
-    h = store::mixHash(h, static_cast<uint64_t>(o.refuter.exec.maxPaths));
-    h = store::mixHash(h, static_cast<uint64_t>(o.refuter.exec.maxSteps));
-    h = store::mixHash(
-        h, static_cast<uint64_t>(o.refuter.exec.maxDepth));
+    for (int v : {static_cast<int>(o.pta.ctx.policy), o.pta.ctx.k,
+                  o.pta.ctx.heapK, o.refuter.maxActionPairsPerRace,
+                  o.refuter.exec.maxPaths, o.refuter.exec.maxSteps,
+                  o.refuter.exec.maxDepth, o.refuter.exec.maxCallDepth})
+        h = store::mixHash(h, static_cast<uint64_t>(v));
     return h;
 }
 
@@ -50,88 +52,27 @@ IncrementalAnalyzer::analyze(framework::App &app,
     SierraDetector detector(app, options);
     const store::MethodHashTable &hashes = detector.methodHashes();
 
-    const uint64_t opts_hash = optionsFingerprint(options);
     uint64_t shape;
     {
         SIERRA_TRACE_SPAN(hash_span, "store", "store.hash",
                           util::trace::arg("app", app.name()));
-        shape = store::mixHash(store::shapeHash(app), opts_hash);
+        shape = store::mixHash(store::shapeHash(app),
+                               optionsFingerprint(options));
     }
     res.shapeHash = store::hashHex(shape);
     res.methodsTotal = static_cast<int>(hashes.size());
 
-    // Diff against the previous submission of the same app name: a
-    // merge walk over two name-sorted lists.
-    const std::string &app_key = app.name();
-    std::set<std::string> changed;
-    std::optional<std::string_view> prev_deps;
-    if (auto prev = _store.get("methods", app_key)) {
-        res.firstSubmission = false;
-        std::vector<store::MethodIndexRow> prev_index;
-        {
-            SIERRA_TRACE_SPAN(decode_span, "store", "store.decode",
-                              util::trace::arg("kind", "methods"));
-            prev_index = store::parseMethodIndex(*prev);
-        }
-        const std::vector<store::MethodHashEntry> &rows = hashes.entries();
-        size_t i = 0, j = 0;
-        while (i < rows.size() || j < prev_index.size()) {
-            if (j == prev_index.size() ||
-                (i < rows.size() &&
-                 std::string_view(rows[i].name) < prev_index[j].first)) {
-                changed.insert(rows[i++].name); // a new body
-            } else if (i == rows.size() ||
-                       prev_index[j].first < rows[i].name) {
-                // a removed body dirties its callers
-                changed.emplace(prev_index[j++].first);
-            } else {
-                if (rows[i].hash != prev_index[j].second)
-                    changed.insert(rows[i].name);
-                ++i;
-                ++j;
-            }
-        }
-        prev_deps = _store.get("deps", app_key);
-        if (auto prev_shape = _store.get("shape", app_key))
-            res.shapeChanged = *prev_shape != res.shapeHash;
-        else
-            res.shapeChanged = true;
-    } else {
-        res.firstSubmission = true;
-        for (const store::MethodHashEntry &row : hashes.entries())
-            changed.insert(row.name);
-        res.shapeChanged = true;
-    }
-    res.methodsChanged = static_cast<int>(changed.size());
-
-    // The previous dependency index is decoded only when something
-    // needs it: a dirty closure to take, or the state to roll forward.
-    // It views the store's "deps" blob, which no put below replaces
-    // before it is decoded.
-    std::optional<store::DepIndex> deps;
-    auto prevDeps = [&]() -> store::DepIndex & {
-        if (!deps) {
-            SIERRA_TRACE_SPAN(decode_span, "store", "store.decode",
-                              util::trace::arg("kind", "deps"));
-            deps = prev_deps ? store::DepIndex::parse(*prev_deps)
-                             : store::DepIndex();
-        }
-        return *deps;
-    };
-    if (!changed.empty())
-        res.dirty = prevDeps().dirtyClosure(changed);
-
     // Per-harness reuse. The artifact key folds the activity into the
     // shape+options hash; the stored footprint then proves the
     // artifact is still valid under the *current* method bodies.
-    store::DepIndex new_deps;
-    int hits = 0, misses = 0;
+    auto harnessKey = [&](const harness::HarnessPlan &plan) {
+        return store::hashHex(
+            store::mixHash(shape, store::fnv64(plan.activityClass)));
+    };
     HarnessReuse reuse;
     reuse.tryLoad = [&](const harness::HarnessPlan &plan,
                         HarnessArtifact &out) {
-        const std::string key = store::hashHex(store::mixHash(
-            shape, store::fnv64(plan.activityClass)));
-        auto blob = _store.get("harness", key);
+        auto blob = _store.get("harness", harnessKey(plan));
         if (!blob)
             return false;
         std::optional<HarnessArtifact> parsed;
@@ -148,59 +89,22 @@ IncrementalAnalyzer::analyze(framework::App &app,
                 return false; // a reachable body changed: recompute
         }
         out = std::move(*parsed);
-        ++hits;
+        ++res.harnessesReused;
         return true;
     };
     reuse.onComputed = [&](const harness::HarnessPlan &plan,
-                           const HarnessAnalysis &ha,
                            const HarnessArtifact &art) {
-        ++misses;
-        const std::string key = store::hashHex(store::mixHash(
-            shape, store::fnv64(plan.activityClass)));
-        _store.put("harness", key, serializeArtifact(art));
-        // The IFDS summaries' callee lists feed the dependency index.
-        if (ha.inter) {
-            for (const auto &sum : ha.inter->exportSummaries()) {
-                for (const std::string &callee : sum.callees)
-                    new_deps.addEdge(sum.method, callee);
-            }
-        }
+        ++res.harnessesComputed;
+        _store.put("harness", harnessKey(plan), serializeArtifact(art));
     };
 
     res.report = detector.analyze(options, &reuse);
     res.reportText = formatReport(res.report, 50, /*with_times=*/false);
     res.harnessesTotal = res.report.harnesses;
-    res.harnessesReused = hits;
-    res.harnessesComputed = misses;
-
-    // Roll the app's incremental state forward: union the dependency
-    // edges (reused harnesses contributed none, but their old edges
-    // are still valid -- their methods did not change), then prune to
-    // methods that still exist. A fully clean re-submission (nothing
-    // changed, nothing computed) leaves the state bit-identical, so
-    // skip the decode and the re-serialization entirely.
-    const bool state_dirty = res.firstSubmission || !changed.empty() ||
-                             new_deps.numEdges() > 0 ||
-                             res.shapeChanged;
-    if (state_dirty) {
-        store::DepIndex &rolled = prevDeps();
-        rolled.merge(new_deps);
-        std::set<std::string> keep;
-        for (const store::MethodHashEntry &row : hashes.entries())
-            keep.insert(keep.end(), row.name);
-        rolled.prune(keep);
-        _store.put("methods", app_key,
-                   store::serializeMethodIndex(hashes.entries()));
-        _store.put("deps", app_key, rolled.serialize());
-        _store.put("shape", app_key, res.shapeHash);
-    }
 
     if (_metrics) {
-        _metrics->add("store.harness_hits", hits);
-        _metrics->add("store.harness_misses", misses);
-        _metrics->add("store.methods_changed", res.methodsChanged);
-        _metrics->add("store.dirty_methods",
-                      static_cast<int64_t>(res.dirty.size()));
+        _metrics->add("store.harness_hits", res.harnessesReused);
+        _metrics->add("store.harness_misses", res.harnessesComputed);
     }
     return res;
 }

@@ -3,27 +3,23 @@
  * Incremental re-analysis on top of the artifact store: the engine
  * behind `sierra serve` (docs/CACHING.md has the full model).
  *
- * Each submission of an app is diffed against the store's record of
- * the previous submission with the same app name: the per-method
- * content hashes identify *changed* methods, and the reverse
- * dependency index over the IFDS summary graph widens them to the
- * *dirty* set (changed methods plus transitive callers whose
- * summaries embed their facts). Per-harness artifacts whose footprint
- * still validates are merged as-is; everything else re-runs the full
- * pipeline for its harness. Because the detector merge consumes only
- * artifact fields, a warm report is byte-identical to a cold one.
- *
- * The store keeps only what a later submission reads back: per app
- * the method index (`methods`), the dependency index (`deps`) and the
- * shape hash (`shape`), plus one `harness` artifact per harness key.
+ * Each per-harness artifact is stored under a key that folds the
+ * app's structure, the report-affecting options and the activity
+ * together, and carries its footprint: the content hash of every
+ * method its harness reaches. A later submission reuses an artifact
+ * exactly when its key hits and every footprint row still matches the
+ * submission's method hashes; everything else re-runs the full
+ * pipeline for its harness. The footprint is the only invalidation:
+ * nothing about a previous submission is kept but the artifacts
+ * themselves, so the store holds one kind, `harness`. Because the
+ * detector merge consumes only artifact fields, a warm report is
+ * byte-identical to a cold one.
  */
 
 #ifndef SIERRA_SERVE_INCREMENTAL_HH
 #define SIERRA_SERVE_INCREMENTAL_HH
 
-#include <set>
 #include <string>
-#include <vector>
 
 #include "analysis/store.hh"
 #include "sierra/detector.hh"
@@ -39,13 +35,8 @@ struct IncrementalResult {
     int harnessesTotal{0};
     int harnessesReused{0};   //!< artifacts merged without recompute
     int harnessesComputed{0}; //!< full pipeline runs
-    int methodsTotal{0};
-    int methodsChanged{0};    //!< env-hash differs from last submission
-    //! changed plus transitive callers via the IFDS dependency index
-    std::set<std::string> dirty;
-    std::string shapeHash;    //!< hex app-shape hash
-    bool shapeChanged{false}; //!< vs. the previous submission
-    bool firstSubmission{false};
+    int methodsTotal{0};      //!< bodies hashed for the footprints
+    std::string shapeHash;    //!< hex app-shape + options hash
 };
 
 /**
@@ -68,7 +59,7 @@ class IncrementalAnalyzer
     IncrementalResult analyze(framework::App &app,
                               const SierraOptions &options);
 
-    /** The content-hash fingerprint of the ablation-relevant options
+    /** The content-hash fingerprint of every report-affecting option
      *  (jobs and metrics excluded: they never change reports). */
     static uint64_t optionsFingerprint(const SierraOptions &options);
 

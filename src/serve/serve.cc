@@ -113,19 +113,11 @@ ServeSession::handle(const Json &request)
         result.set("afterRefutation",
                    Json::integer(r.report.afterRefutation));
         Json store_info = Json::object();
-        store_info.set("firstSubmission",
-                       Json::boolean(r.firstSubmission));
         store_info.set("harnessesReused",
                        Json::integer(r.harnessesReused));
         store_info.set("harnessesComputed",
                        Json::integer(r.harnessesComputed));
         store_info.set("methodsTotal", Json::integer(r.methodsTotal));
-        store_info.set("methodsChanged",
-                       Json::integer(r.methodsChanged));
-        store_info.set("dirtyMethods",
-                       Json::integer(
-                           static_cast<int64_t>(r.dirty.size())));
-        store_info.set("shapeChanged", Json::boolean(r.shapeChanged));
         result.set("store", std::move(store_info));
         result.set("report", Json::str(r.reportText));
     } else if (kind == "stats") {

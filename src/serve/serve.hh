@@ -29,7 +29,7 @@
 namespace sierra::serve {
 
 /** Wire-protocol schema version (bump on breaking changes). */
-inline constexpr int kProtocolSchemaVersion = 1;
+inline constexpr int kProtocolSchemaVersion = 2;
 
 struct ServeOptions {
     std::string storeDir; //!< empty = memory-only store

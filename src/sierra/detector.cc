@@ -526,7 +526,7 @@ SierraDetector::analyze(const SierraOptions &options,
         artifacts[i] =
             makeArtifact(analyses[i], persist ? &methodHashes() : nullptr);
         if (persist)
-            reuse->onComputed(_plans[i], analyses[i], artifacts[i]);
+            reuse->onComputed(_plans[i], artifacts[i]);
     }
 
     SIERRA_TRACE_SPAN(merge_span, "pipeline", "merge",

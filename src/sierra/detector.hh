@@ -297,10 +297,9 @@ struct HarnessReuse {
      *  plan. Called serially in plan order. */
     std::function<bool(const harness::HarnessPlan &, HarnessArtifact &)>
         tryLoad;
-    /** Offered every freshly computed (plan, analysis, artifact)
-     *  triple, serially in plan order, for persistence. */
-    std::function<void(const harness::HarnessPlan &,
-                       const HarnessAnalysis &, const HarnessArtifact &)>
+    /** Offered every freshly computed (plan, artifact) pair, serially
+     *  in plan order, for persistence. */
+    std::function<void(const harness::HarnessPlan &, const HarnessArtifact &)>
         onComputed;
 };
 

@@ -4,9 +4,9 @@
  * (docs/CACHING.md): re-submitting an unchanged app reuses every
  * per-harness artifact and reproduces the cold report bytes exactly
  * (which are themselves the golden-snapshot bytes); editing one method
- * body dirties exactly the DepIndex closure of the edit and recomputes
- * only the harnesses whose footprint covers it. The store holds only
- * the kinds the driver reads back.
+ * body recomputes exactly the harnesses whose footprint lists it; a
+ * change to any report-affecting option reuses nothing. The store
+ * holds only the harness artifacts the analyzer reads back.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -70,6 +72,41 @@ appendNop(framework::App &app, const std::string &qualified_name)
     FAIL() << "method not found: " << qualified_name;
 }
 
+/** One report-affecting option outside the stage table, set off its
+ *  default. */
+struct OptionChange {
+    const char *name;
+    std::function<void(SierraOptions &)> apply;
+};
+
+const std::vector<OptionChange> &
+optionChanges()
+{
+    static const std::vector<OptionChange> changes = {
+        {"pta.ctx.policy",
+         [](SierraOptions &o) {
+             o.pta.ctx.policy = analysis::ContextPolicy::Insensitive;
+         }},
+        {"pta.ctx.k", [](SierraOptions &o) { o.pta.ctx.k = 2; }},
+        {"pta.ctx.heapK", [](SierraOptions &o) { o.pta.ctx.heapK = 2; }},
+        {"pta.ctx.inflatedViewContext",
+         [](SierraOptions &o) { o.pta.ctx.inflatedViewContext = false; }},
+        {"pta.indexSensitiveArrays",
+         [](SierraOptions &o) { o.pta.indexSensitiveArrays = true; }},
+        {"hb.enableRule4",
+         [](SierraOptions &o) { o.hb.enableRule4 = false; }},
+        {"hb.enableRule5",
+         [](SierraOptions &o) { o.hb.enableRule5 = false; }},
+        {"hb.enableRule6",
+         [](SierraOptions &o) { o.hb.enableRule6 = false; }},
+        {"refuter.exec.useNodeCache",
+         [](SierraOptions &o) { o.refuter.exec.useNodeCache = true; }},
+        {"refuter.exec.maxCallDepth",
+         [](SierraOptions &o) { o.refuter.exec.maxCallDepth = 0; }},
+    };
+    return changes;
+}
+
 TEST(Incremental, WarmEqualsColdOverGoldenCorpus)
 {
     store::Store st; // memory-only
@@ -79,11 +116,9 @@ TEST(Incremental, WarmEqualsColdOverGoldenCorpus)
         corpus::BuiltApp cold_app = corpus::buildNamedApp(spec);
         serve::IncrementalResult cold =
             analyzer.analyze(*cold_app.app, options);
-        EXPECT_TRUE(cold.firstSubmission) << spec.name;
         EXPECT_EQ(cold.harnessesReused, 0) << spec.name;
         EXPECT_EQ(cold.harnessesComputed, cold.harnessesTotal)
             << spec.name;
-        EXPECT_EQ(cold.methodsChanged, cold.methodsTotal) << spec.name;
 
         // The cold bytes are the pinned golden bytes: serving through
         // the store must not perturb the report-preserving contract.
@@ -93,9 +128,8 @@ TEST(Incremental, WarmEqualsColdOverGoldenCorpus)
         corpus::BuiltApp warm_app = corpus::buildNamedApp(spec);
         serve::IncrementalResult warm =
             analyzer.analyze(*warm_app.app, options);
-        EXPECT_FALSE(warm.firstSubmission) << spec.name;
-        EXPECT_EQ(warm.methodsChanged, 0) << spec.name;
-        EXPECT_FALSE(warm.shapeChanged) << spec.name;
+        EXPECT_EQ(warm.shapeHash, cold.shapeHash) << spec.name;
+        EXPECT_EQ(warm.methodsTotal, cold.methodsTotal) << spec.name;
         EXPECT_EQ(warm.harnessesReused, warm.harnessesTotal)
             << spec.name;
         EXPECT_EQ(warm.harnessesComputed, 0) << spec.name;
@@ -104,42 +138,42 @@ TEST(Incremental, WarmEqualsColdOverGoldenCorpus)
     }
 }
 
-TEST(Incremental, BodyEditDirtiesExactlyTheDepClosure)
+TEST(Incremental, BodyEditRecomputesExactlyTheCoveringHarnesses)
 {
     store::Store st;
     serve::IncrementalAnalyzer analyzer(st);
     SierraOptions options;
 
     corpus::BuiltApp first = corpus::buildNamedApp("OpenSudoku");
-    const std::string app_name = first.app->name();
     serve::IncrementalResult cold =
         analyzer.analyze(*first.app, options);
     ASSERT_GE(cold.harnessesTotal, 2)
         << "need >= 2 harnesses to show partial reuse";
 
-    // Load the per-harness footprints the cold run persisted and pick
-    // an *app* method covered by exactly one harness, so the edit must
+    // Load the per-harness artifacts the cold run persisted and pick an
+    // *app* method covered by exactly one harness, so the edit must
     // recompute that harness and reuse every other.
-    std::vector<std::vector<std::string>> footprints;
+    std::map<std::string, std::string> cold_blobs;
+    std::map<std::string, std::vector<std::string>> footprints;
     for (const std::string &key : st.keys("harness")) {
         auto blob = st.get("harness", key);
         ASSERT_TRUE(blob.has_value());
         auto art = parseArtifact(*blob);
         ASSERT_TRUE(art.has_value());
-        std::vector<std::string> names;
+        cold_blobs[key] = std::string(*blob);
         for (const auto &[method, hash] : art->footprint)
-            names.push_back(method);
-        footprints.push_back(std::move(names));
+            footprints[key].push_back(method);
     }
-    ASSERT_EQ(static_cast<int>(footprints.size()),
-              cold.harnessesTotal);
+    ASSERT_EQ(static_cast<int>(cold_blobs.size()), cold.harnessesTotal);
 
+    auto covers = [&](const std::string &key, const std::string &name) {
+        const std::vector<std::string> &fp = footprints[key];
+        return std::find(fp.begin(), fp.end(), name) != fp.end();
+    };
     auto coveringHarnesses = [&](const std::string &name) {
         int n = 0;
-        for (const auto &fp : footprints) {
-            if (std::find(fp.begin(), fp.end(), name) != fp.end())
-                ++n;
-        }
+        for (const auto &[key, blob] : cold_blobs)
+            n += covers(key, name) ? 1 : 0;
         return n;
     };
     std::string edited;
@@ -162,26 +196,28 @@ TEST(Incremental, BodyEditDirtiesExactlyTheDepClosure)
     ASSERT_FALSE(edited.empty())
         << "no app method covered by exactly one harness";
 
-    // The expected dirty set is the DepIndex closure the store itself
-    // recorded: the edited method plus its transitive summary callers.
-    auto deps_blob = st.get("deps", app_name);
-    ASSERT_TRUE(deps_blob.has_value());
-    store::DepIndex deps = store::DepIndex::parse(*deps_blob);
-    std::set<std::string> expected_dirty = deps.dirtyClosure({edited});
-
     corpus::BuiltApp second = corpus::buildNamedApp("OpenSudoku");
     appendNop(*second.app, edited);
     serve::IncrementalResult warm =
         analyzer.analyze(*second.app, options);
 
-    EXPECT_FALSE(warm.firstSubmission);
-    EXPECT_EQ(warm.methodsChanged, 1);
-    EXPECT_FALSE(warm.shapeChanged)
+    EXPECT_EQ(warm.shapeHash, cold.shapeHash)
         << "instruction lines must not feed the shape hash";
-    EXPECT_EQ(warm.dirty, expected_dirty);
     EXPECT_EQ(warm.harnessesComputed, 1)
         << "only the covering harness recomputes";
     EXPECT_EQ(warm.harnessesReused, warm.harnessesTotal - 1);
+    // Harness keys do not see bodies, so the recomputed artifact
+    // replaced the covering harness's blob under the same key, and
+    // every other blob is untouched.
+    ASSERT_EQ(st.keys("harness").size(), cold_blobs.size());
+    for (const auto &[key, blob] : cold_blobs) {
+        auto now = st.get("harness", key);
+        ASSERT_TRUE(now.has_value()) << key;
+        if (covers(key, edited))
+            EXPECT_NE(*now, blob) << "covering harness " << key;
+        else
+            EXPECT_EQ(*now, blob) << "untouched harness " << key;
+    }
 
     // Byte-identity under the edit: the warm report equals a cold
     // fresh-store analysis of an identically edited app.
@@ -213,14 +249,12 @@ TEST(Incremental, StoreContentsIndependentOfJobsCount)
     EXPECT_EQ(serial.reportText, parallel.reportText);
     EXPECT_EQ(serial.shapeHash, parallel.shapeHash)
         << "jobs must not feed the options fingerprint";
-    for (const char *kind : {"methods", "deps", "shape", "harness"}) {
-        auto keys = serial_store.keys(kind);
-        ASSERT_EQ(keys, parallel_store.keys(kind)) << kind;
-        for (const std::string &key : keys) {
-            EXPECT_EQ(serial_store.get(kind, key),
-                      parallel_store.get(kind, key))
-                << kind << "/" << key;
-        }
+    auto keys = serial_store.keys("harness");
+    ASSERT_EQ(keys, parallel_store.keys("harness"));
+    for (const std::string &key : keys) {
+        EXPECT_EQ(serial_store.get("harness", key),
+                  parallel_store.get("harness", key))
+            << key;
     }
 }
 
@@ -228,7 +262,7 @@ TEST(Incremental, StoreHoldsOnlyKindsItReads)
 {
     // The store keeps only what a later request reads back: after a
     // cold, a warm and a one-method-edit submission, the disk store
-    // holds the version stamp and the four kinds the driver gets.
+    // holds the version stamp and the harness artifacts.
     const fs::path dir =
         fs::temp_directory_path() /
         ("sierra_incremental_test_" + std::to_string(::getpid()));
@@ -263,14 +297,14 @@ TEST(Incremental, StoreHoldsOnlyKindsItReads)
         appendNop(*edit_app.app, edited);
         serve::IncrementalResult edit =
             analyzer.analyze(*edit_app.app, options);
-        EXPECT_EQ(edit.methodsChanged, 1);
+        EXPECT_EQ(edit.harnessesReused + edit.harnessesComputed,
+                  edit.harnessesTotal);
     }
 
     std::set<std::string> entries;
     for (const auto &entry : fs::directory_iterator(dir, ec))
         entries.insert(entry.path().filename().string());
-    EXPECT_EQ(entries, (std::set<std::string>{"VERSION", "deps", "harness",
-                                              "methods", "shape"}));
+    EXPECT_EQ(entries, (std::set<std::string>{"VERSION", "harness"}));
     fs::remove_all(dir, ec);
 }
 
@@ -324,6 +358,51 @@ TEST(Incremental, OptionsFingerprintSeparatesAblations)
         seen.insert(serve::IncrementalAnalyzer::optionsFingerprint(no_icc))
             .second)
         << "--no-icc shares a fingerprint";
+    // And for the report-affecting options outside the table.
+    for (const OptionChange &change : optionChanges()) {
+        SierraOptions changed = base;
+        change.apply(changed);
+        EXPECT_TRUE(
+            seen.insert(
+                    serve::IncrementalAnalyzer::optionsFingerprint(changed))
+                .second)
+            << change.name << " shares a fingerprint";
+    }
+}
+
+TEST(Incremental, ChangedOptionReusesNothing)
+{
+    // Submit with defaults, then resubmit the same app to the same
+    // store with one option changed: nothing may be reused, and the
+    // report must equal a fresh-store analysis under that option.
+    int reports_changed = 0;
+    for (const OptionChange &change : optionChanges()) {
+        store::Store st;
+        serve::IncrementalAnalyzer analyzer(st);
+        SierraOptions defaults;
+        SierraOptions changed = defaults;
+        change.apply(changed);
+
+        corpus::BuiltApp first = corpus::buildNamedApp("K-9 Mail");
+        serve::IncrementalResult base = analyzer.analyze(*first.app, defaults);
+        corpus::BuiltApp second = corpus::buildNamedApp("K-9 Mail");
+        serve::IncrementalResult warm = analyzer.analyze(*second.app, changed);
+
+        store::Store fresh;
+        serve::IncrementalAnalyzer cold_analyzer(fresh);
+        corpus::BuiltApp third = corpus::buildNamedApp("K-9 Mail");
+        serve::IncrementalResult cold =
+            cold_analyzer.analyze(*third.app, changed);
+
+        EXPECT_EQ(warm.harnessesReused, 0) << change.name;
+        EXPECT_EQ(warm.harnessesComputed, warm.harnessesTotal)
+            << change.name;
+        EXPECT_EQ(warm.reportText, cold.reportText) << change.name;
+        reports_changed += cold.reportText != base.reportText ? 1 : 0;
+    }
+    // The check bites: on this app, the context policy, index
+    // sensitivity, rules 4 and 6 and the call depth change the report.
+    EXPECT_GE(reports_changed, 5);
 }
 
 } // namespace

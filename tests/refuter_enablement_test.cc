@@ -58,6 +58,59 @@ TEST(RefuterEnablement, RemovedCallbackRefutedOnlyWithEnablement)
     EXPECT_EQ(without.enablementRefuted, 0);
 }
 
+TEST(RefuterEnablement, ClearedListenerRefutedOnlyWithStageAndClear)
+{
+    // clearedListener is the activity's only pattern, so its click
+    // write vs posted read is the harness's one racy pair.
+    struct Outcome {
+        size_t pairs{0};
+        bool refuted{false};
+        race::RefutedBy by{race::RefutedBy::None};
+        bool reported{false};
+    };
+    auto run = [](bool clear, bool stage) {
+        auto p = makePipeline(clear ? "en-cleared" : "en-not-cleared",
+                              [clear](corpus::AppFactory &f) {
+                                  auto &act = f.addActivity("ClearActivity");
+                                  corpus::addClearedListener(f, act, clear);
+                              });
+        std::string trap_key, true_key;
+        splitKeys(p, "clearedListener", trap_key, true_key);
+        EXPECT_FALSE(trap_key.empty());
+        SierraOptions options;
+        options.enablement = stage;
+        HarnessAnalysis ha = p.detector->analyzeActivity(
+            p.app().manifest().activities[0], options);
+        Outcome o;
+        o.pairs = ha.pairs.size();
+        if (!ha.pairs.empty()) {
+            o.refuted = ha.pairs[0].refuted;
+            o.by = ha.pairs[0].refutedBy;
+        }
+        o.reported = reportsKey(p.detector->analyze(options), trap_key);
+        return o;
+    };
+
+    Outcome with = run(/*clear=*/true, /*stage=*/true);
+    ASSERT_EQ(with.pairs, 1u);
+    EXPECT_TRUE(with.refuted);
+    EXPECT_TRUE(with.by == race::RefutedBy::Enablement)
+        << "onPause clears the listener before onStop posts the read";
+    EXPECT_FALSE(with.reported);
+
+    Outcome without = run(/*clear=*/true, /*stage=*/false);
+    ASSERT_EQ(without.pairs, 1u);
+    EXPECT_FALSE(without.refuted);
+    EXPECT_TRUE(without.reported)
+        << "without the stage the trap is a false positive";
+
+    Outcome never_cleared = run(/*clear=*/false, /*stage=*/true);
+    ASSERT_EQ(never_cleared.pairs, 1u);
+    EXPECT_FALSE(never_cleared.refuted);
+    EXPECT_TRUE(never_cleared.reported)
+        << "without the clear a click can follow the posted read";
+}
+
 TEST(RefuterEnablement, UnregisteredReceiverTrapRefutedOnlyWithStage)
 {
     auto p = makePipeline("en-unreg", [](corpus::AppFactory &f) {

@@ -92,7 +92,7 @@ TEST(Serve, PingHelloAndShutdown)
               R"({"id":1,"result":{"pong":true}})");
     EXPECT_EQ(
         session.handleLine(R"({"id":2,"kind":"hello"})"),
-        R"({"id":2,"result":{"server":"sierra","schemaVersion":1,"store":"memory"}})");
+        R"({"id":2,"result":{"server":"sierra","schemaVersion":2,"store":"memory"}})");
     EXPECT_FALSE(session.done());
     EXPECT_EQ(session.handleLine(R"({"id":3,"kind":"shutdown"})"),
               R"({"id":3,"result":{"shutdown":true}})");
@@ -171,21 +171,24 @@ TEST(Serve, AnalyzeWarmHitThroughSessionStore)
     const Json *cold_result = cold.field("result");
     ASSERT_NE(cold_result, nullptr);
     EXPECT_EQ(cold_result->field("app")->asStr(), "OpenSudoku");
-    EXPECT_TRUE(
-        cold_result->field("store")->field("firstSubmission")->asBool());
-    EXPECT_EQ(
-        cold_result->field("store")->field("harnessesReused")->asInt(),
-        0);
+    const Json *cold_store = cold_result->field("store");
+    EXPECT_EQ(cold_store->field("harnessesReused")->asInt(), 0);
+    EXPECT_GT(cold_store->field("harnessesComputed")->asInt(), 0);
+    // The footprint decides reuse; no per-app diff is reported.
+    for (const char *gone : {"firstSubmission", "methodsChanged",
+                             "dirtyMethods", "shapeChanged"})
+        EXPECT_EQ(cold_store->field(gone), nullptr) << gone;
 
     request.set("id", Json::integer(2));
     Json warm = parseOk(session.handleLine(request.dump()));
     const Json *warm_result = warm.field("result");
     ASSERT_NE(warm_result, nullptr);
     const Json *warm_store = warm_result->field("store");
-    EXPECT_FALSE(warm_store->field("firstSubmission")->asBool());
     EXPECT_EQ(warm_store->field("harnessesComputed")->asInt(), 0);
-    EXPECT_GT(warm_store->field("harnessesReused")->asInt(), 0);
-    EXPECT_EQ(warm_store->field("methodsChanged")->asInt(), 0);
+    EXPECT_EQ(warm_store->field("harnessesReused")->asInt(),
+              cold_store->field("harnessesComputed")->asInt());
+    EXPECT_EQ(warm_store->field("methodsTotal")->asInt(),
+              cold_store->field("methodsTotal")->asInt());
     // Warm == cold on the wire too: same report string, same counts.
     EXPECT_EQ(warm_result->field("report")->asStr(),
               cold_result->field("report")->asStr());

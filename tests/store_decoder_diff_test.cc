@@ -1,20 +1,18 @@
 /**
  * @file
- * Differential test of the view-based store decoders against a
- * reference: a copy of the `std::istringstream` decoders they replaced
- * (method index, dependency index, harness artifact). On every blob the
- * corpus and heavy-shape generated apps put in the store, and on the
- * parser_sweeps.hh mutations and truncations of those blobs, both must
- * accept and reject the same inputs and return the same values.
+ * Differential test of the view-based harness-artifact decoder against
+ * a reference: a copy of the `std::istringstream` decoder it replaced.
+ * On every blob the corpus and heavy-shape generated apps put in the
+ * store, and on the parser_sweeps.hh mutations and truncations of those
+ * blobs, both must accept and reject the same inputs and return the
+ * same values.
  */
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <cstdlib>
-#include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,71 +30,6 @@ namespace ref {
 // ---------------------------------------------------------------------
 // The reference: the decoders as they were before the view rewrite.
 // ---------------------------------------------------------------------
-
-std::map<std::string, uint64_t>
-parseMethodIndex(const std::string &blob)
-{
-    std::map<std::string, uint64_t> out;
-    std::istringstream in(blob);
-    std::string line;
-    while (std::getline(in, line)) {
-        size_t tab = line.find('\t');
-        if (tab == std::string::npos)
-            continue;
-        std::string name = line.substr(0, tab);
-        std::string hex = line.substr(tab + 1);
-        if (name.empty() || hex.size() != 16)
-            continue;
-        uint64_t value = 0;
-        bool ok = true;
-        for (char c : hex) {
-            int digit;
-            if (c >= '0' && c <= '9')
-                digit = c - '0';
-            else if (c >= 'a' && c <= 'f')
-                digit = c - 'a' + 10;
-            else {
-                ok = false;
-                break;
-            }
-            value = (value << 4) | static_cast<uint64_t>(digit);
-        }
-        if (ok)
-            out[name] = value;
-    }
-    return out;
-}
-
-/** DepIndex::parse's edges: callee -> callers. */
-std::map<std::string, std::set<std::string>>
-parseDeps(const std::string &blob)
-{
-    std::map<std::string, std::set<std::string>> callers;
-    std::istringstream in(blob);
-    std::string line;
-    while (std::getline(in, line)) {
-        size_t tab = line.find('\t');
-        if (tab == std::string::npos)
-            continue;
-        std::string caller = line.substr(0, tab);
-        std::string callee = line.substr(tab + 1);
-        if (!caller.empty() && !callee.empty() && caller != callee)
-            callers[callee].insert(caller);
-    }
-    return callers;
-}
-
-/** DepIndex::serialize of those edges. */
-std::string
-serializeDeps(const std::map<std::string, std::set<std::string>> &callers)
-{
-    std::ostringstream os;
-    for (const auto &[callee, cs] : callers) {
-        for (const std::string &caller : cs)
-            os << caller << "\t" << callee << "\n";
-    }
-    return os.str();
-}
 
 constexpr const char *kMagic = "harness-artifact v2";
 
@@ -273,27 +206,14 @@ namespace {
 namespace store = analysis::store;
 
 void
-expectSameMethodIndex(const std::string &blob, const std::string &what)
+expectSameHashHex(const std::string &hex)
 {
-    const std::map<std::string, uint64_t> want = ref::parseMethodIndex(blob);
-    const std::vector<store::MethodIndexRow> got =
-        store::parseMethodIndex(blob);
-    std::map<std::string, uint64_t> got_map;
-    for (size_t i = 0; i < got.size(); ++i) {
-        if (i > 0) {
-            EXPECT_LT(got[i - 1].first, got[i].first) << what;
-        }
-        got_map.emplace(std::string(got[i].first), got[i].second);
+    uint64_t want = 0, got = 0;
+    const bool want_ok = ref::parseHex64(hex, want);
+    EXPECT_EQ(store::parseHashHex(hex, got), want_ok) << "'" << hex << "'";
+    if (want_ok) {
+        EXPECT_EQ(got, want) << "'" << hex << "'";
     }
-    EXPECT_EQ(got_map, want) << what;
-}
-
-void
-expectSameDeps(const std::string &blob, const std::string &what)
-{
-    EXPECT_EQ(store::DepIndex::parse(blob).serialize(),
-              ref::serializeDeps(ref::parseDeps(blob)))
-        << what;
 }
 
 void
@@ -308,18 +228,15 @@ expectSameArtifact(const std::string &blob, const std::string &what)
     }
 }
 
-/** Every blob of one kind. */
+/** Stored blobs. */
 using Blobs = std::vector<std::string>;
 
-struct CorpusBlobs {
-    Blobs methods, deps, harness;
-};
-
-/** What the corpus and 20 heavy-shape apps put into a store. */
-const CorpusBlobs &
+/** What the corpus and 20 heavy-shape apps put into a store: their
+ *  harness artifacts. */
+const Blobs &
 corpusBlobs()
 {
-    static const CorpusBlobs blobs = [] {
+    static const Blobs blobs = [] {
         std::vector<corpus::BuiltApp> apps;
         for (const auto &spec : corpus::namedAppSpecs())
             apps.push_back(corpus::buildNamedApp(spec));
@@ -340,20 +257,15 @@ corpusBlobs()
         options.jobs = 1;
         for (corpus::BuiltApp &built : apps)
             analyzer.analyze(*built.app, options);
-        CorpusBlobs out;
-        auto collect = [&](const char *kind, Blobs &into) {
-            for (const std::string &key : st.keys(kind))
-                into.emplace_back(*st.get(kind, key));
-        };
-        collect("methods", out.methods);
-        collect("deps", out.deps);
-        collect("harness", out.harness);
+        Blobs out;
+        for (const std::string &key : st.keys("harness"))
+            out.emplace_back(*st.get("harness", key));
         return out;
     }();
     return blobs;
 }
 
-/** The longest blob of a kind, and the longest one containing `row`. */
+/** The longest blob, and the longest one containing `row`. */
 std::vector<std::string>
 sweepBases(const Blobs &blobs, const std::string &row = "")
 {
@@ -387,47 +299,29 @@ sweepInputs(const std::string &base, uint32_t seed)
 
 TEST(StoreDecoderDiff, CorpusBlobs)
 {
-    const CorpusBlobs &blobs = corpusBlobs();
+    const Blobs &blobs = corpusBlobs();
     const size_t apps = corpus::namedAppSpecs().size() +
                         corpus::kFdroidAppCount + 20;
-    ASSERT_EQ(blobs.methods.size(), apps);
-    ASSERT_EQ(blobs.deps.size(), apps);
-    ASSERT_GE(blobs.harness.size(), apps);
-    for (size_t i = 0; i < blobs.methods.size(); ++i)
-        expectSameMethodIndex(blobs.methods[i], "methods #" + std::to_string(i));
-    for (size_t i = 0; i < blobs.deps.size(); ++i)
-        expectSameDeps(blobs.deps[i], "deps #" + std::to_string(i));
+    ASSERT_GE(blobs.size(), apps);
     int accepted = 0;
-    for (size_t i = 0; i < blobs.harness.size(); ++i) {
-        expectSameArtifact(blobs.harness[i], "harness #" + std::to_string(i));
-        accepted += parseArtifact(blobs.harness[i]).has_value() ? 1 : 0;
+    for (size_t i = 0; i < blobs.size(); ++i) {
+        expectSameArtifact(blobs[i], "harness #" + std::to_string(i));
+        accepted += parseArtifact(blobs[i]).has_value() ? 1 : 0;
     }
-    EXPECT_EQ(accepted, static_cast<int>(blobs.harness.size()))
+    EXPECT_EQ(accepted, static_cast<int>(blobs.size()))
         << "every stored artifact decodes";
 }
 
 TEST(StoreDecoderDiff, MutatedAndTruncatedBlobs)
 {
-    const CorpusBlobs &blobs = corpusBlobs();
-    uint32_t seed = 0x5707E;
+    const Blobs &blobs = corpusBlobs();
+    uint32_t seed = 0x57080;
     int rejected = 0, inputs = 0;
-    for (const std::string &base : sweepBases(blobs.methods)) {
-        for (const std::string &input : sweepInputs(base, seed++)) {
-            expectSameMethodIndex(input, "methods sweep #" +
-                                             std::to_string(inputs++));
-        }
-    }
-    for (const std::string &base : sweepBases(blobs.deps)) {
-        for (const std::string &input : sweepInputs(base, seed++)) {
-            expectSameDeps(input,
-                           "deps sweep #" + std::to_string(inputs++));
-        }
-    }
-    // Artifacts: the longest one, plus the longest with each optional
-    // row kind, so the sweep reaches every row decoder.
-    std::vector<std::string> bases = sweepBases(blobs.harness);
+    // The longest artifact, plus the longest with each optional row
+    // kind, so the sweep reaches every row decoder.
+    std::vector<std::string> bases = sweepBases(blobs);
     for (const char *row : {"\nuad\t", "\ndl\t"}) {
-        std::vector<std::string> more = sweepBases(blobs.harness, row);
+        std::vector<std::string> more = sweepBases(blobs, row);
         if (more.size() > 1)
             bases.push_back(more[1]);
     }
@@ -482,21 +376,12 @@ TEST(StoreDecoderDiff, HandWrittenEdgeCases)
     for (const std::string &blob : artifacts)
         expectSameArtifact(blob, "artifact '" + blob + "'");
 
-    const std::string indexes[] = {
-        "", "\n", "\t", "A\t0123456789abcdef", "A\t0123456789abcdef\n\n",
-        "\t0123456789abcdef\n", "A\t0123456789ABCDEF\n",
-        "A\t0123456789abcde\n", "A\t0123456789abcdef0\n",
-        "B\t0000000000000001\nA\t0000000000000002\nB\t0000000000000003\n",
-        "A\tB\t0000000000000001\n", "A\r\t0000000000000001\r\n",
-    };
-    for (const std::string &blob : indexes) {
-        expectSameMethodIndex(blob, "index '" + blob + "'");
-        expectSameDeps(blob, "deps '" + blob + "'");
-    }
-    for (const char *blob :
-         {"a\ta\n", "a\tb\tc\n", "\tb\n", "a\t\n", "b\ta\nc\ta\nb\ta"}) {
-        expectSameDeps(blob, std::string("deps '") + blob + "'");
-    }
+    // The footprint rows' hash field, through both hex decoders.
+    for (const char *hex :
+         {"", "0123456789abcdef", "0123456789ABCDEF", "0123456789abcde",
+          "0123456789abcdef0", "000000000000000g", "-000000000000001",
+          " 123456789abcdef", "ffffffffffffffff"})
+        expectSameHashHex(hex);
 }
 
 } // namespace

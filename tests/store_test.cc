@@ -2,8 +2,7 @@
  * @file
  * The artifact store's contracts (docs/CACHING.md): content-hash keys
  * are pure functions of the input (stable across fresh builds, jobs
- * counts and processes), the dependency index computes exact dirty
- * closures, serializations round-trip byte-identically, a
+ * counts and processes), serializations round-trip byte-identically, a
  * version-stamp mismatch discards the on-disk generation, and a failed
  * disk write is never served.
  */
@@ -154,73 +153,27 @@ TEST(Store, ClassSliceChangesRekeyMemberMethods)
     }
 }
 
-TEST(Store, MethodIndexRoundTrip)
+TEST(Store, HashHexRoundTrip)
 {
-    std::vector<store::MethodHashEntry> rows{
-        {"A.foo", 0x1234abcd5678ef00ULL, nullptr},
-        {"B.bar", 42, nullptr},
-        {"C.<init>", 0, nullptr},
-    };
-    std::string blob = store::serializeMethodIndex(rows);
-    std::vector<store::MethodIndexRow> back =
-        store::parseMethodIndex(blob);
-    ASSERT_EQ(back.size(), rows.size());
-    std::vector<store::MethodHashEntry> again;
-    for (size_t i = 0; i < rows.size(); ++i) {
-        EXPECT_EQ(back[i].first, rows[i].name);
-        EXPECT_EQ(back[i].second, rows[i].hash);
-        again.push_back({std::string(back[i].first), back[i].second,
-                         nullptr});
+    // The footprint rows of a stored artifact carry their method hashes
+    // as hex; parseHashHex reads back exactly what hashHex writes.
+    for (uint64_t v : {uint64_t{0x1234abcd5678ef00}, uint64_t{42}, uint64_t{0},
+                       ~uint64_t{0}}) {
+        const std::string hex = store::hashHex(v);
+        EXPECT_EQ(hex.size(), 16u);
+        uint64_t back = 1;
+        ASSERT_TRUE(store::parseHashHex(hex, back)) << hex;
+        EXPECT_EQ(back, v);
     }
-    // Serialization is deterministic (rows in name order).
-    EXPECT_EQ(blob, store::serializeMethodIndex(again));
-    // An unsorted blob with a repeated name decodes sorted, the last
-    // line winning.
-    back = store::parseMethodIndex("B.x\t0000000000000002\n"
-                                   "A.y\t0000000000000001\n"
-                                   "B.x\t0000000000000003\n");
-    EXPECT_EQ(back, (std::vector<store::MethodIndexRow>{{"A.y", 1},
-                                                        {"B.x", 3}}));
-}
-
-TEST(Store, DepIndexDirtyClosureIsExact)
-{
-    // main -> helper -> leaf, plus lonely with no edges.
-    store::DepIndex dep;
-    dep.addEdge("main", "helper");
-    dep.addEdge("helper", "leaf");
-    dep.addEdge("other", "leaf");
-
-    // Editing the leaf dirties the whole caller chain.
-    auto dirty = dep.dirtyClosure({"leaf"});
-    EXPECT_EQ(dirty, (std::set<std::string>{"leaf", "helper", "main",
-                                            "other"}));
-    // Editing a mid-chain method dirties only its callers.
-    dirty = dep.dirtyClosure({"helper"});
-    EXPECT_EQ(dirty, (std::set<std::string>{"helper", "main"}));
-    // Editing a root dirties only itself.
-    dirty = dep.dirtyClosure({"main"});
-    EXPECT_EQ(dirty, (std::set<std::string>{"main"}));
-    // Unknown methods pass through unchanged.
-    dirty = dep.dirtyClosure({"lonely"});
-    EXPECT_EQ(dirty, (std::set<std::string>{"lonely"}));
-}
-
-TEST(Store, DepIndexSerializeRoundTripAndPrune)
-{
-    store::DepIndex dep;
-    dep.addEdge("main", "helper");
-    dep.addEdge("helper", "leaf");
-    store::DepIndex back = store::DepIndex::parse(dep.serialize());
-    EXPECT_EQ(back.serialize(), dep.serialize());
-    EXPECT_EQ(back.numEdges(), 2);
-    EXPECT_EQ(back.dirtyClosure({"leaf"}),
-              (std::set<std::string>{"leaf", "helper", "main"}));
-
-    back.prune({"main", "helper"}); // leaf was deleted
-    EXPECT_EQ(back.numEdges(), 1);
-    EXPECT_EQ(back.dirtyClosure({"leaf"}),
-              std::set<std::string>{"leaf"});
+    EXPECT_EQ(store::hashHex(42), "000000000000002a");
+    // Anything hashHex never writes is rejected and leaves `out` alone.
+    for (const char *bad : {"", "000000000000002", "000000000000002a0",
+                            "000000000000002A", "00000000000000-1",
+                            "0x0000000000002a"}) {
+        uint64_t out = 7;
+        EXPECT_FALSE(store::parseHashHex(bad, out)) << bad;
+        EXPECT_EQ(out, 7u) << bad;
+    }
 }
 
 TEST(Store, DiskStoreWarmStartsAcrossInstances)
@@ -255,13 +208,13 @@ TEST(Store, DiskKeysAreInjective)
     {
         store::Store first(dir.path);
         for (size_t i = 0; i < keys.size(); ++i)
-            first.put("methods", keys[i], "blob " + std::to_string(i));
+            first.put("harness", keys[i], "blob " + std::to_string(i));
     }
     // A fresh store on the same directory reads every key back as its
     // own blob: no two keys share a file.
     store::Store second(dir.path);
     for (size_t i = 0; i < keys.size(); ++i) {
-        auto blob = second.get("methods", keys[i]);
+        auto blob = second.get("harness", keys[i]);
         ASSERT_TRUE(blob.has_value()) << "key #" << i;
         EXPECT_EQ(*blob, "blob " + std::to_string(i)) << "key #" << i;
     }
@@ -269,7 +222,7 @@ TEST(Store, DiskKeysAreInjective)
               static_cast<int64_t>(keys.size()));
     std::vector<std::string> sorted(keys);
     std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(second.keys("methods"), sorted);
+    EXPECT_EQ(second.keys("harness"), sorted);
 
     // Every file stays inside the kind directory, one per key.
     int files = 0;
@@ -279,7 +232,7 @@ TEST(Store, DiskKeysAreInjective)
             entry.path().filename() == "VERSION")
             continue;
         EXPECT_EQ(entry.path().parent_path(),
-                  fs::path(dir.path) / "methods")
+                  fs::path(dir.path) / "harness")
             << entry.path();
         ++files;
     }

@@ -4,14 +4,15 @@
 Exercises what the unit tests cannot: the real binary, over real
 stdio, across two daemon *processes* sharing one on-disk store.
 
-  1. Process A (fresh store): submit an app -> cold, everything
-     computed; submit it again -> warm in-process. The store then
-     holds exactly its VERSION stamp and the four kinds it reads.
+  1. Process A (fresh store): submit an app -> cold, nothing
+     reused; submit it again -> warm in-process, nothing computed. The
+     store then holds exactly its VERSION stamp and the harness
+     artifacts.
   2. Process B (same store dir): submit the same bundle -> warm
      across processes (the disk store faults the artifacts in), and
      the report is byte-identical to process A's cold report.
-  3. Process B: submit a one-method nop edit -> exactly one method
-     changed, at least one harness artifact still reuses.
+  3. Process B: submit a one-method nop edit -> at least one harness
+     recomputes, at least one harness artifact still reuses.
 
 Exit 0 on success; prints the failing check and exits 1 otherwise.
 Usage: tools/serve_smoke.py [path/to/sierra]
@@ -25,9 +26,9 @@ import tempfile
 
 SIERRA = sys.argv[1] if len(sys.argv) > 1 else "./build/tools/sierra"
 APP = "OpenSudoku"
-# The on-disk store: its version stamp plus the four kinds a later
+# The on-disk store: its version stamp plus the one kind a later
 # request reads back (docs/CACHING.md, "Store layout").
-STORE_LAYOUT = ["VERSION", "deps", "harness", "methods", "shape"]
+STORE_LAYOUT = ["VERSION", "harness"]
 
 failures = []
 
@@ -81,10 +82,9 @@ def main():
         )
         cold, warm = store_info(a[0]), store_info(a[1])
         cold_report = a[0]["result"]["report"]
-        check(cold["firstSubmission"], "process A first submission is cold")
+        check(cold["harnessesReused"] == 0, "process A first submission is cold")
         check(cold["harnessesComputed"] > 0, "cold computes harnesses")
         check(warm["harnessesComputed"] == 0, "in-process warm computes nothing")
-        check(warm["methodsChanged"] == 0, "in-process warm changes no methods")
         check(
             a[1]["result"]["report"] == cold_report,
             "in-process warm report is byte-identical",
@@ -106,19 +106,14 @@ def main():
         )
         xwarm, edit = store_info(b[0]), store_info(b[1])
         check(
-            not xwarm["firstSubmission"],
-            "process B sees process A's submission",
-        )
-        check(
             xwarm["harnessesComputed"] == 0 and xwarm["harnessesReused"] > 0,
             "cross-process warm reuses every harness artifact",
         )
-        check(xwarm["methodsChanged"] == 0, "cross-process warm changes no methods")
         check(
             b[0]["result"]["report"] == cold_report,
             "cross-process warm report is byte-identical to cold",
         )
-        check(edit["methodsChanged"] == 1, "nop edit dirties exactly one method")
+        check(edit["harnessesComputed"] >= 1, "nop edit recomputes its harness")
         check(edit["harnessesReused"] > 0, "edit still reuses untouched harnesses")
         counters = b[2]["result"]["counters"]
         check(
