@@ -13,6 +13,7 @@
 
 #include "air/parser.hh"
 #include "air/printer.hh"
+#include "analysis/ifds.hh"
 #include "analysis/store.hh"
 #include "bench_util.hh"
 #include "corpus/generator.hh"
@@ -85,6 +86,21 @@ BM_PointsToAnalysis(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PointsToAnalysis)->DenseRange(0, 3);
+
+void
+BM_InterConstants(benchmark::State &state)
+{
+    corpus::BuiltApp built = appFor(state.range(0));
+    SierraDetector detector(*built.app);
+    const auto &plan = detector.plans()[0];
+    analysis::PointsToAnalysis pta(*built.app, plan, {});
+    auto result = pta.run();
+    for (auto _ : state) {
+        analysis::InterConstants inter(*result);
+        benchmark::DoNotOptimize(inter.stats().statesVisited);
+    }
+}
+BENCHMARK(BM_InterConstants)->DenseRange(0, 3);
 
 void
 BM_ShbgConstruction(benchmark::State &state)

@@ -49,13 +49,20 @@ ActionRegistry::create(ActionKind kind, int creator, SiteId creation_site,
                        const std::string &entry_class,
                        const std::string &callback_name)
 {
-    std::string key =
-        strCat(static_cast<int>(kind), "/", creator, "/", creation_site,
-               "/", entry_class, "/", callback_name);
-    auto it = _index.find(key);
-    if (it != _index.end())
-        return it->second;
-
+    // Hashed by the ids only: actions that share them and differ in
+    // entry are rare, and the equality test tells them apart.
+    uint64_t h = util::hashMix(0, static_cast<uint64_t>(kind));
+    h = util::hashMix(h, static_cast<uint64_t>(creator));
+    h = util::hashMix(h, static_cast<uint64_t>(creation_site));
+    int found = _index.find(h, [&](int id) {
+        const Action &a = _actions[static_cast<size_t>(id)];
+        return a.kind == kind && a.creator == creator &&
+               a.creationSite == creation_site &&
+               a.entryClass == entry_class &&
+               a.callbackName == callback_name;
+    });
+    if (found >= 0)
+        return found;
     Action a;
     a.id = static_cast<int>(_actions.size());
     a.kind = kind;
@@ -65,7 +72,7 @@ ActionRegistry::create(ActionKind kind, int creator, SiteId creation_site,
     a.callbackName = callback_name;
     a.label = entry_class + "." + callback_name;
     _actions.push_back(std::move(a));
-    _index.emplace(std::move(key), _actions.back().id);
+    _index.insert(h, _actions.back().id);
     return _actions.back().id;
 }
 

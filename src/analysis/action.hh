@@ -12,10 +12,10 @@
 #define SIERRA_ANALYSIS_ACTION_HH
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sites.hh"
+#include "util/flat_map.hh"
 
 namespace sierra::analysis {
 
@@ -98,7 +98,7 @@ class ActionRegistry
 
   private:
     std::vector<Action> _actions;
-    std::unordered_map<std::string, int> _index;
+    util::IdIndex _index;
 };
 
 } // namespace sierra::analysis

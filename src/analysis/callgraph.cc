@@ -4,30 +4,31 @@
 
 namespace sierra::analysis {
 
-const std::vector<NodeId> CallGraph::_emptyNodes;
-
 NodeId
 CallGraph::internNode(const air::Method *method, CtxId ctx)
 {
-    auto key = std::make_pair(method, ctx);
-    auto it = _index.find(key);
-    if (it != _index.end())
-        return it->second;
-    NodeId id = static_cast<NodeId>(_nodes.size());
+    auto [slot, inserted] = _index.tryEmplace(
+        {method, ctx}, static_cast<NodeId>(_nodes.size()));
+    if (!inserted)
+        return *slot;
+    NodeId id = *slot;
     _nodes.push_back({method, ctx});
     _edges.emplace_back(_arena);
     _reverse.emplace_back();
     _actionsOf.emplace_back(_arena);
-    _index.emplace(key, id);
-    _byMethod[method].push_back(id);
+    auto [midx, new_method] = _methodIndex.tryEmplace(
+        method, static_cast<int>(_methods.size()));
+    if (new_method)
+        _methods.push_back(method);
+    _methodOfNode.push_back(*midx);
     return id;
 }
 
 NodeId
 CallGraph::findNode(const air::Method *method, CtxId ctx) const
 {
-    auto it = _index.find(std::make_pair(method, ctx));
-    return it == _index.end() ? -1 : it->second;
+    const NodeId *id = _index.find({method, ctx});
+    return id ? *id : -1;
 }
 
 bool
@@ -45,11 +46,11 @@ CallGraph::addEdge(NodeId caller, SiteId site, NodeId callee)
     return true;
 }
 
-const std::vector<NodeId> &
-CallGraph::nodesOfMethod(const air::Method *m) const
+int
+CallGraph::methodIndex(const air::Method *m) const
 {
-    auto it = _byMethod.find(m);
-    return it == _byMethod.end() ? _emptyNodes : it->second;
+    const int *idx = _methodIndex.find(m);
+    return idx ? *idx : -1;
 }
 
 } // namespace sierra::analysis

@@ -6,13 +6,13 @@
 #ifndef SIERRA_ANALYSIS_CALLGRAPH_HH
 #define SIERRA_ANALYSIS_CALLGRAPH_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "context.hh"
 #include "sites.hh"
 #include "util/arena.hh"
 #include "util/bitset.hh"
+#include "util/flat_map.hh"
 
 namespace sierra::analysis {
 
@@ -77,13 +77,10 @@ class CallGraph
     void
     addSpawn(SpawnEdge e)
     {
-        for (const auto &s : _spawns) {
-            if (s.creator == e.creator && s.site == e.site &&
-                s.actionId == e.actionId) {
-                return;
-            }
-        }
-        _spawns.push_back(e);
+        const uint64_t at = static_cast<uint64_t>(e.creator) << 32 |
+                            static_cast<uint32_t>(e.site);
+        if (_spawnIndex.tryEmplace({at, e.actionId}).second)
+            _spawns.push_back(e);
     }
     const std::vector<SpawnEdge> &spawns() const { return _spawns; }
 
@@ -98,9 +95,21 @@ class CallGraph
     {
         return _actionsOf[id].insert(action);
     }
+    /** Add every action of `from` to `id`'s set; true if any was new. */
+    bool addActionsOf(NodeId id, NodeId from)
+    {
+        return _actionsOf[id].unionWith(_actionsOf[from]);
+    }
 
-    /** All nodes of a given method, in creation order. */
-    const std::vector<NodeId> &nodesOfMethod(const air::Method *m) const;
+    /** Dense index of a node's method. The harness's methods are
+     *  numbered in the order their first node was interned; per-method
+     *  facts (the points-to engine's resolved instructions, the IFDS
+     *  facts) are kept by it, so a per-node lookup is a vector read. */
+    int methodIndex(NodeId id) const { return _methodOfNode[id]; }
+    /** Dense index of `m`, or -1 when no node runs it. */
+    int methodIndex(const air::Method *m) const;
+    int numMethods() const { return static_cast<int>(_methods.size()); }
+    const air::Method *methodAt(int idx) const { return _methods[idx]; }
 
   private:
     struct KeyHash {
@@ -118,12 +127,21 @@ class CallGraph
     std::vector<std::vector<NodeId>> _reverse;
     std::vector<util::ObjBitset> _actionsOf;
     std::vector<SpawnEdge> _spawns;
-    std::unordered_map<std::pair<const air::Method *, CtxId>, NodeId,
-                       KeyHash>
+    struct SpawnKeyHash {
+        size_t
+        operator()(const std::pair<uint64_t, int> &k) const
+        {
+            return std::hash<uint64_t>()(k.first) * 31 +
+                   std::hash<int>()(k.second);
+        }
+    };
+    //! ((creator, site), action) of every spawn edge
+    util::FlatMap<std::pair<uint64_t, int>, char, SpawnKeyHash> _spawnIndex;
+    util::FlatMap<std::pair<const air::Method *, CtxId>, NodeId, KeyHash>
         _index;
-    std::unordered_map<const air::Method *, std::vector<NodeId>>
-        _byMethod;
-    static const std::vector<NodeId> _emptyNodes;
+    std::vector<int> _methodOfNode;
+    std::vector<const air::Method *> _methods;
+    util::FlatMap<const air::Method *, int> _methodIndex;
 };
 
 } // namespace sierra::analysis

@@ -19,8 +19,10 @@ struct BasicBlock {
     int id{-1};
     int first{0}; //!< index of the first instruction
     int last{0};  //!< index of the last instruction (inclusive)
-    std::vector<int> succs;
-    std::vector<int> preds;
+    //! successor / predecessor block ids (views into the CFG, which
+    //! owns them; predecessors ascend)
+    std::span<const int> succs;
+    std::span<const int> preds;
 };
 
 /**
@@ -34,6 +36,11 @@ class Cfg
 {
   public:
     explicit Cfg(const air::Method &method);
+    // Blocks view storage of this object: not copyable (moves keep
+    // the storage).
+    Cfg(const Cfg &) = delete;
+    Cfg &operator=(const Cfg &) = delete;
+    Cfg(Cfg &&) = default;
 
     const air::Method &method() const { return _method; }
 
@@ -69,6 +76,8 @@ class Cfg
   private:
     const air::Method &_method;
     std::vector<BasicBlock> _blocks;
+    //! every block's successors, then every block's predecessors
+    std::vector<int> _edges;
     std::vector<int> _blockOfInstr;
     std::vector<char> _jumpTarget;
     //! instrPreds(i) is _predInstrs[_predStart[i] .. _predStart[i+1])

@@ -114,15 +114,24 @@ std::string
 ClassHierarchy::declaringClassOfField(const std::string &class_name,
                                       const std::string &field_name) const
 {
+    const std::string *decl =
+        findDeclaringClassOfField(class_name, field_name);
+    return decl ? *decl : std::string();
+}
+
+const std::string *
+ClassHierarchy::findDeclaringClassOfField(const std::string &class_name,
+                                          const std::string &field_name) const
+{
     const air::Klass *k = _module.getClass(class_name);
     while (k) {
         if (k->findField(field_name))
-            return k->name();
+            return &k->name();
         if (k->superName().empty())
-            return "";
+            return nullptr;
         k = _module.getClass(k->superName());
     }
-    return "";
+    return nullptr;
 }
 
 } // namespace sierra::analysis

@@ -58,6 +58,11 @@ class ClassHierarchy
      *  string when unresolved. Used to canonicalize field locations. */
     std::string declaringClassOfField(const std::string &class_name,
                                       const std::string &field_name) const;
+    /** The name of that declaring class without a copy; null when
+     *  unresolved. */
+    const std::string *
+    findDeclaringClassOfField(const std::string &class_name,
+                              const std::string &field_name) const;
 
   private:
     const air::Module &_module;

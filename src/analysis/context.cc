@@ -1,5 +1,7 @@
 #include "context.hh"
 
+#include <algorithm>
+
 #include "air/logging.hh"
 
 namespace sierra::analysis {
@@ -18,14 +20,22 @@ contextPolicyName(ContextPolicy p)
 }
 
 CtxId
-ContextTable::intern(const ContextData &data)
+ContextTable::intern(int action_id, std::span<const SiteId> elems)
 {
-    auto it = _index.find(data);
-    if (it != _index.end())
-        return it->second;
+    uint64_t h = util::hashMix(0, static_cast<uint64_t>(action_id));
+    for (SiteId e : elems)
+        h = util::hashMix(h, static_cast<uint64_t>(e));
+    int found = _index.find(h, [&](int id) {
+        const ContextData &d = _contexts[static_cast<size_t>(id)];
+        return d.actionId == action_id &&
+               std::equal(d.elems.begin(), d.elems.end(), elems.begin(),
+                          elems.end());
+    });
+    if (found >= 0)
+        return found;
     CtxId id = static_cast<CtxId>(_contexts.size());
-    _contexts.push_back(data);
-    _index.emplace(data, id);
+    _contexts.push_back({action_id, {elems.begin(), elems.end()}});
+    _index.insert(h, id);
     return id;
 }
 
@@ -33,36 +43,31 @@ CtxId
 ContextTable::pushElem(CtxId base, SiteId elem, int k)
 {
     const ContextData &b = get(base);
-    ContextData d;
-    d.actionId = b.actionId;
-    d.elems.push_back(elem);
+    _scratch.clear();
+    _scratch.push_back(elem);
     for (SiteId e : b.elems) {
-        if (static_cast<int>(d.elems.size()) >= k)
+        if (static_cast<int>(_scratch.size()) >= k)
             break;
-        d.elems.push_back(e);
+        _scratch.push_back(e);
     }
-    return intern(d);
+    return intern(b.actionId, _scratch);
 }
 
 CtxId
-ContextTable::make(int action_id, std::vector<SiteId> elems, int k)
+ContextTable::make(int action_id, const std::vector<SiteId> &elems, int k)
 {
-    ContextData d;
-    d.actionId = action_id;
-    if (static_cast<int>(elems.size()) > k)
-        elems.resize(k);
-    d.elems = std::move(elems);
-    return intern(d);
+    const size_t n = std::min(elems.size(), static_cast<size_t>(std::max(k, 0)));
+    return intern(action_id, std::span<const SiteId>(elems.data(), n));
 }
 
 CtxId
 ContextTable::withAction(CtxId base, int action_id)
 {
-    ContextData d = get(base);
-    if (d.actionId == action_id)
+    if (get(base).actionId == action_id)
         return base;
-    d.actionId = action_id;
-    return intern(d);
+    // Copy the string out: interning may grow the table under `base`.
+    _scratch = get(base).elems;
+    return intern(action_id, _scratch);
 }
 
 std::string

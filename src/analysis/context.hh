@@ -12,11 +12,12 @@
 #ifndef SIERRA_ANALYSIS_CONTEXT_HH
 #define SIERRA_ANALYSIS_CONTEXT_HH
 
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sites.hh"
+#include "util/flat_map.hh"
 
 namespace sierra::analysis {
 
@@ -60,7 +61,11 @@ class ContextTable
   public:
     ContextTable() { intern(ContextData{}); } // id 0 = empty
 
-    CtxId intern(const ContextData &data);
+    CtxId
+    intern(const ContextData &data)
+    {
+        return intern(data.actionId, data.elems);
+    }
     const ContextData &get(CtxId id) const { return _contexts[id]; }
 
     /** Push an element onto the front of a context string, truncating to
@@ -69,7 +74,7 @@ class ContextTable
 
     /** A context whose string is `elems` truncated to k, with the given
      *  action id. */
-    CtxId make(int action_id, std::vector<SiteId> elems, int k);
+    CtxId make(int action_id, const std::vector<SiteId> &elems, int k);
 
     /** Same context data but with a different action id. */
     CtxId withAction(CtxId base, int action_id);
@@ -79,19 +84,13 @@ class ContextTable
     size_t size() const { return _contexts.size(); }
 
   private:
-    struct DataHash {
-        size_t
-        operator()(const ContextData &d) const
-        {
-            size_t h = std::hash<int>()(d.actionId);
-            for (SiteId e : d.elems)
-                h = h * 31 + std::hash<int>()(e);
-            return h;
-        }
-    };
+    /** The id of (action_id, elems), interned when new; a lookup that
+     *  finds it allocates nothing. */
+    CtxId intern(int action_id, std::span<const SiteId> elems);
 
     std::vector<ContextData> _contexts;
-    std::unordered_map<ContextData, CtxId, DataHash> _index;
+    util::IdIndex _index;
+    std::vector<SiteId> _scratch; //!< context string of pushElem, withAction
 };
 
 } // namespace sierra::analysis

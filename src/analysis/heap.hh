@@ -7,11 +7,12 @@
 #define SIERRA_ANALYSIS_HEAP_HH
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "context.hh"
 #include "sites.hh"
+#include "util/flat_map.hh"
 
 namespace sierra::analysis {
 
@@ -35,6 +36,9 @@ struct HeapObject {
     CtxId heapCtx{kEmptyCtx};
     int viewId{-1};        //!< InflatedView key
     int singletonKey{-1};  //!< Singleton key
+    //! dense id of klassName in its table (a function of klassName,
+    //! so not part of the object's identity)
+    int classId{-1};
 
     bool operator==(const HeapObject &o) const
     {
@@ -56,44 +60,38 @@ enum SingletonKey {
 class ObjectTable
 {
   public:
-    ObjId intern(const HeapObject &obj);
+    ObjId
+    intern(const HeapObject &obj)
+    {
+        return intern(obj.kind, obj.klassName, obj.site, obj.heapCtx,
+                      obj.viewId, obj.singletonKey);
+    }
     const HeapObject &get(ObjId id) const { return _objects[id]; }
 
-    ObjId siteObject(const std::string &klass, SiteId site, CtxId heap_ctx)
+    ObjId
+    siteObject(std::string_view klass, SiteId site, CtxId heap_ctx)
     {
-        HeapObject o;
-        o.kind = ObjKind::Site;
-        o.klassName = klass;
-        o.site = site;
-        o.heapCtx = heap_ctx;
-        return intern(o);
+        return intern(ObjKind::Site, klass, site, heap_ctx, -1, -1);
     }
 
-    ObjId inflatedView(const std::string &klass, int view_id)
+    ObjId
+    inflatedView(std::string_view klass, int view_id)
     {
-        HeapObject o;
-        o.kind = ObjKind::InflatedView;
-        o.klassName = klass;
-        o.viewId = view_id;
-        return intern(o);
+        return intern(ObjKind::InflatedView, klass, kNoSite, kEmptyCtx,
+                      view_id, -1);
     }
 
-    ObjId singleton(const std::string &klass, int key)
+    ObjId
+    singleton(std::string_view klass, int key)
     {
-        HeapObject o;
-        o.kind = ObjKind::Singleton;
-        o.klassName = klass;
-        o.singletonKey = key;
-        return intern(o);
+        return intern(ObjKind::Singleton, klass, kNoSite, kEmptyCtx, -1,
+                      key);
     }
 
-    ObjId syntheticObject(const std::string &klass, SiteId site)
+    ObjId
+    syntheticObject(std::string_view klass, SiteId site)
     {
-        HeapObject o;
-        o.kind = ObjKind::Synthetic;
-        o.klassName = klass;
-        o.site = site;
-        return intern(o);
+        return intern(ObjKind::Synthetic, klass, site, kEmptyCtx, -1, -1);
     }
 
     std::string toString(ObjId id, const SiteTable &sites) const;
@@ -101,22 +99,15 @@ class ObjectTable
     size_t size() const { return _objects.size(); }
 
   private:
-    struct ObjHash {
-        size_t
-        operator()(const HeapObject &o) const
-        {
-            size_t h = std::hash<int>()(static_cast<int>(o.kind));
-            h = h * 31 + std::hash<std::string>()(o.klassName);
-            h = h * 31 + std::hash<int>()(o.site);
-            h = h * 31 + std::hash<int>()(o.heapCtx);
-            h = h * 31 + std::hash<int>()(o.viewId);
-            h = h * 31 + std::hash<int>()(o.singletonKey);
-            return h;
-        }
-    };
+    /** The object with these fields, interned when new; a lookup that
+     *  finds it allocates nothing. */
+    ObjId intern(ObjKind kind, std::string_view klass, SiteId site,
+                 CtxId heap_ctx, int view_id, int singleton_key);
 
     std::vector<HeapObject> _objects;
-    std::unordered_map<HeapObject, ObjId, ObjHash> _index;
+    util::IdIndex _index;
+    std::vector<std::string> _classNames;
+    util::IdIndex _classIndex;
 };
 
 } // namespace sierra::analysis

@@ -1,11 +1,17 @@
 #include "ifds.hh"
 
 #include <algorithm>
-#include <optional>
+#include <array>
+#include <bit>
+#include <map>
+#include <set>
+#include <span>
+#include <string_view>
 
 #include "air/logging.hh"
 #include "cfg.hh"
 #include "dataflow.hh"
+#include "util/flat_map.hh"
 
 namespace sierra::analysis {
 
@@ -64,7 +70,7 @@ sameVal(const ConstVal &a, const ConstVal &b)
 /** Decide a conditional branch under a register environment.
  *  @return 1 = always taken, 0 = never taken, -1 = unknown. */
 int
-evalBranch(const Instruction &instr, const std::vector<ConstVal> &env)
+evalBranch(const Instruction &instr, const ConstVal *env)
 {
     const ConstVal &lhs = env[instr.srcs[0]];
     if (!lhs.isConst())
@@ -79,75 +85,50 @@ evalBranch(const Instruction &instr, const std::vector<ConstVal> &env)
     return air::evalCond(instr.cond, lhs.value, rhs) ? 1 : 0;
 }
 
-/** Apply one non-invoke instruction's effect on a register
- *  environment: constants and moves propagate, arithmetic folds, and
- *  every other write (loads, allocations, strings) is unknown. */
-void
-transferInstr(const Instruction &instr, std::vector<ConstVal> &env)
+/** The value one non-invoke instruction writes to its destination:
+ *  constants and moves propagate, arithmetic folds, and every other
+ *  write (loads, allocations, strings) is unknown. */
+ConstVal
+evalInstr(const Instruction &instr, const ConstVal *env)
 {
     switch (instr.op) {
       case Opcode::ConstInt:
-        env[instr.dst] = constOf(instr.intValue);
-        break;
+        return constOf(instr.intValue);
       case Opcode::ConstNull:
-        env[instr.dst] = constOf(0);
-        break;
+        return constOf(0);
       case Opcode::Move:
-        env[instr.dst] = env[instr.srcs[0]];
-        break;
+        return env[instr.srcs[0]];
       case Opcode::BinOp: {
         const ConstVal &l = env[instr.srcs[0]];
         const ConstVal &r = env[instr.srcs[1]];
-        env[instr.dst] =
-            l.isConst() && r.isConst()
-                ? constOf(air::evalBinOp(instr.binop, l.value, r.value))
-                : constTop();
-        break;
+        return l.isConst() && r.isConst()
+                   ? constOf(air::evalBinOp(instr.binop, l.value, r.value))
+                   : constTop();
       }
       case Opcode::UnOp: {
         const ConstVal &s = env[instr.srcs[0]];
-        if (s.isConst()) {
-            // Matches the dynamic interpreter: Not is logical.
-            env[instr.dst] = constOf(instr.unop == air::UnOpKind::Not
-                                         ? (s.value == 0 ? 1 : 0)
-                                         : -s.value);
-        } else {
-            env[instr.dst] = constTop();
-        }
-        break;
+        if (!s.isConst())
+            return constTop();
+        // Matches the dynamic interpreter: Not is logical.
+        return constOf(instr.unop == air::UnOpKind::Not
+                           ? (s.value == 0 ? 1 : 0)
+                           : -s.value);
       }
       default:
         // Loads, calls, allocations, ConstStr: unknown value. (New is
         // non-null but not a *known* integer; modeling it as a constant
         // would fold comparisons between two distinct allocations.)
-        if (instr.dst >= 0)
-            env[instr.dst] = constTop();
-        break;
+        return constTop();
     }
 }
 
-/** Identity of one field in the may/must-write summaries (string
- * identity: IFDS summaries are method-scoped and cross harnesses, so
- * they cannot use per-result interned ids). `ref` is the operand of
- * the first write seen; any operand naming the same class and field
- * stands for the slot. */
-struct FieldSlot {
-    bool isStatic{false};
-    const air::FieldRef *ref{nullptr};
-
-    bool operator<(const FieldSlot &o) const
-    {
-        if (isStatic != o.isStatic)
-            return isStatic < o.isStatic;
-        if (ref->className != o.ref->className)
-            return ref->className < o.ref->className;
-        return ref->fieldName < o.ref->fieldName;
-    }
-    bool operator==(const FieldSlot &o) const
-    {
-        return isStatic == o.isStatic && *ref == *o.ref;
-    }
-};
+/** Apply one non-invoke instruction's effect on a register row. */
+void
+transferInstr(const Instruction &instr, ConstVal *env)
+{
+    if (instr.dst >= 0)
+        env[instr.dst] = evalInstr(instr, env);
+}
 
 /** "Definitely written on every path; last value if known." */
 struct WriteVal {
@@ -155,7 +136,29 @@ struct WriteVal {
     int64_t value{0};
 };
 
-using MustEnv = std::map<FieldSlot, WriteVal>;
+/** Must-write environment: (slot, value) sorted by slot. */
+using MustEnv = std::vector<std::pair<int, WriteVal>>;
+
+WriteVal *
+envFind(MustEnv &env, int slot)
+{
+    auto it = std::lower_bound(
+        env.begin(), env.end(), slot,
+        [](const auto &e, int s) { return e.first < s; });
+    return it != env.end() && it->first == slot ? &it->second : nullptr;
+}
+
+void
+envSet(MustEnv &env, int slot, WriteVal v)
+{
+    auto it = std::lower_bound(
+        env.begin(), env.end(), slot,
+        [](const auto &e, int s) { return e.first < s; });
+    if (it != env.end() && it->first == slot)
+        it->second = v;
+    else
+        env.insert(it, {slot, v});
+}
 
 /** Meet of two must-write environments: intersect keys, values must
  *  agree to stay known. Returns true if `into` changed. */
@@ -163,25 +166,66 @@ bool
 mustMeet(MustEnv &into, const MustEnv &from)
 {
     bool changed = false;
-    for (auto it = into.begin(); it != into.end();) {
-        auto jt = from.find(it->first);
-        if (jt == from.end()) {
-            it = into.erase(it);
+    size_t out = 0;
+    auto jt = from.begin();
+    for (size_t i = 0; i < into.size(); ++i) {
+        auto &[slot, wv] = into[i];
+        while (jt != from.end() && jt->first < slot)
+            ++jt;
+        if (jt == from.end() || jt->first != slot) {
             changed = true;
             continue;
         }
-        if (it->second.known &&
-            (!jt->second.known ||
-             jt->second.value != it->second.value)) {
-            it->second.known = false;
+        if (wv.known && (!jt->second.known || jt->second.value != wv.value)) {
+            wv.known = false;
             changed = true;
         }
-        ++it;
+        into[out++] = into[i];
     }
+    into.resize(out);
     return changed;
 }
 
 } // namespace
+
+/**
+ * A set of priorities 0..n-1 that pops its smallest member. Each
+ * method (block) has its own priority, so popping the smallest one is
+ * exactly what the (priority, id) std::set worklists it replaces did.
+ */
+class InterConstants::Worklist
+{
+  public:
+    void
+    reset(int n)
+    {
+        _words.assign(static_cast<size_t>((n + 63) / 64), 0);
+        _lowest = 0;
+    }
+    void
+    push(int p)
+    {
+        const size_t w = static_cast<size_t>(p) >> 6;
+        _words[w] |= uint64_t{1} << (p & 63);
+        _lowest = std::min(_lowest, w);
+    }
+    /** The smallest member, removed; -1 when empty. */
+    int
+    pop()
+    {
+        while (_lowest < _words.size() && _words[_lowest] == 0)
+            ++_lowest;
+        if (_lowest == _words.size())
+            return -1;
+        const int bit = std::countr_zero(_words[_lowest]);
+        _words[_lowest] &= _words[_lowest] - 1;
+        return static_cast<int>(_lowest * 64) + bit;
+    }
+
+  private:
+    std::vector<uint64_t> _words;
+    size_t _lowest{0};
+};
 
 // ---------------------------------------------------------------------
 // Engine state
@@ -197,67 +241,186 @@ struct InterConstants::MethodInfo {
     bool thisStable{false};
     int rpo{0};
     int solves{0};
+    int numRegs{0};
+
+    // Views into the engine's flat arrays (one segment per method).
 
     /** Join of actuals over every call site (size firstTempReg). */
-    std::vector<ConstVal> params;
+    std::span<ConstVal> params;
     /** Join of the values the method can return. */
     ConstVal ret;
 
-    /** Per call instruction: universe indices of resolvable callees. */
-    std::map<int, std::vector<int>> calleesAt;
-    /** Call instructions that may also dispatch to a bodiless target
-     *  (return value must stay unknown). */
-    std::set<int> unresolvedAt;
-    std::vector<int> callers; //!< universe indices, sorted unique
+    /** Universe indices of the resolvable callees of instruction i,
+     *  sorted: callees[calleeStart[i] .. calleeStart[i + 1]). */
+    std::span<int> calleeStart;
+    std::span<int> callees;
+    /** Per instruction: a call that may also dispatch to a bodiless
+     *  target (its return value stays unknown). */
+    std::span<char> unresolved;
+    std::span<int> callers; //!< universe indices, sorted unique
+    /** Per block: its rank in forward reverse post-order, and back. */
+    std::span<int> blockRank;
+    std::span<int> rankBlock;
+    /** Per instruction: the slot a PutField/PutStatic writes, else -1. */
+    std::span<int> writeSlot;
 
     // Final per-instruction facts (from the converged last solve).
-    std::vector<std::vector<ConstVal>> before;
-    std::vector<char> reachable;
-    std::set<std::pair<int, int>> infeasible;
+    std::span<ConstVal> before; //!< instructions x registers
+    std::span<char> reachable;
+    //! per conditional branch: the successor proven infeasible, or -1
+    std::span<int> infeasibleTo;
 
-    // Summaries of field writes.
-    std::map<FieldSlot, char> mayWriteOnlyThis; //!< present = may write
     std::vector<MustWrite> mustWrites;
+    std::vector<int> mustSlots; //!< the slot of each mustWrites entry
     bool mustDone{false};
+
+    std::span<const int>
+    calleesAt(int i) const
+    {
+        const size_t start =
+            static_cast<size_t>(calleeStart[static_cast<size_t>(i)]);
+        return std::span<const int>(callees).subspan(
+            start,
+            static_cast<size_t>(calleeStart[static_cast<size_t>(i) + 1]) -
+                start);
+    }
+    /** The register row before instruction i (i == numInstrs: the
+     *  end of the last row). */
+    ConstVal *
+    row(int i) const
+    {
+        return before.data() +
+               static_cast<size_t>(i) * static_cast<size_t>(numRegs);
+    }
 };
 
 int
 InterConstants::indexOf(const air::Method *m) const
 {
-    auto it = _index.find(m);
-    return it == _index.end() ? -1 : it->second;
+    const int d = _r.cg.methodIndex(m);
+    return d < 0 ? -1 : _infoOf[static_cast<size_t>(d)];
 }
+
+int
+InterConstants::indexOf(NodeId n) const
+{
+    return _infoOf[static_cast<size_t>(_r.cg.methodIndex(n))];
+}
+
+namespace {
+
+/** The `count` elements of `all` from `first` on. */
+template <typename T>
+std::span<T>
+segment(std::vector<T> &all, size_t first, size_t count)
+{
+    return std::span<T>(all.data() + first, count);
+}
+
+} // namespace
 
 void
 InterConstants::buildUniverse()
 {
-    for (NodeId n = 0; n < _r.cg.numNodes(); ++n) {
-        const air::Method *m = _r.cg.node(n).method;
-        if (!m || !m->hasBody() || _index.count(m))
+    // Dense method indices number methods in first-node order, so the
+    // universe keeps the order of a walk over the nodes.
+    _infoOf.assign(static_cast<size_t>(_r.cg.numMethods()), -1);
+    _methods.reserve(static_cast<size_t>(_r.cg.numMethods()));
+    size_t ninstrs = 0;
+    size_t nregs = 0;
+    size_t nblocks = 0;
+    size_t nparams = 0;
+    for (int d = 0; d < _r.cg.numMethods(); ++d) {
+        const air::Method *m = _r.cg.methodAt(d);
+        if (!m->hasBody())
             continue;
-        _index.emplace(m, static_cast<int>(_methods.size()));
+        _infoOf[static_cast<size_t>(d)] = static_cast<int>(_methods.size());
         MethodInfo mi;
         mi.method = m;
         mi.cfg = &_r.cfg(*m);
-        mi.params.assign(static_cast<size_t>(m->firstTempReg()),
-                         ConstVal{});
-        mi.thisStable = !m->isStatic();
-        for (int i = 0; i < m->numInstrs() && mi.thisStable; ++i) {
-            if (m->instr(i).dst == 0)
-                mi.thisStable = false;
-        }
-        _methods.push_back(std::move(mi));
+        mi.numRegs = m->numRegisters();
+        ninstrs += static_cast<size_t>(m->numInstrs());
+        nregs += static_cast<size_t>(m->numInstrs()) *
+                 static_cast<size_t>(mi.numRegs);
+        nblocks += static_cast<size_t>(mi.cfg->numBlocks());
+        nparams += static_cast<size_t>(m->firstTempReg());
+        _methods.push_back(mi);
     }
     _stats.methods = static_cast<int64_t>(_methods.size());
+
+    // One allocation per array for the whole universe.
+    _params.assign(nparams, ConstVal{});
+    _calleeStarts.assign(ninstrs + _methods.size(), 0);
+    _unresolved.assign(ninstrs, 0);
+    _writeSlots.assign(ninstrs, -1);
+    _blockRanks.assign(nblocks * 2, 0);
+    _before.assign(nregs, ConstVal{});
+    _reachable.assign(ninstrs, 0);
+    _infeasibleTo.assign(ninstrs, -1);
+    size_t param = 0, instr_at = 0, block = 0, reg = 0;
+    util::IdIndex slot_ids;
+    for (size_t idx = 0; idx < _methods.size(); ++idx) {
+        MethodInfo &mi = _methods[idx];
+        const air::Method &m = *mi.method;
+        const size_t n = static_cast<size_t>(m.numInstrs());
+        const size_t b = static_cast<size_t>(mi.cfg->numBlocks());
+        const size_t np = static_cast<size_t>(m.firstTempReg());
+        const size_t nr = n * static_cast<size_t>(mi.numRegs);
+        mi.params = segment(_params, param, np);
+        mi.calleeStart = segment(_calleeStarts, instr_at + idx, n + 1);
+        mi.unresolved = segment(_unresolved, instr_at, n);
+        mi.writeSlot = segment(_writeSlots, instr_at, n);
+        mi.reachable = segment(_reachable, instr_at, n);
+        mi.infeasibleTo = segment(_infeasibleTo, instr_at, n);
+        mi.blockRank = segment(_blockRanks, 2 * block, b);
+        mi.rankBlock = segment(_blockRanks, 2 * block + b, b);
+        mi.before = segment(_before, reg, nr);
+        param += np;
+        instr_at += n;
+        block += b;
+        reg += nr;
+
+        mi.thisStable = !m.isStatic();
+        for (size_t i = 0; i < n; ++i) {
+            const Instruction &instr = m.instr(static_cast<int>(i));
+            if (instr.dst == 0)
+                mi.thisStable = false;
+            if (instr.op != Opcode::PutField &&
+                instr.op != Opcode::PutStatic)
+                continue;
+            const bool is_static = instr.op == Opcode::PutStatic;
+            const air::FieldRef &f = instr.field;
+            std::hash<std::string_view> h;
+            const uint64_t key = util::hashMix(
+                util::hashMix(is_static, h(f.className)), h(f.fieldName));
+            int slot = slot_ids.find(key, [&](int id) {
+                const Slot &s = _slots[static_cast<size_t>(id)];
+                return s.isStatic == is_static && s.ref->className ==
+                       f.className && s.ref->fieldName == f.fieldName;
+            });
+            if (slot < 0) {
+                slot = static_cast<int>(_slots.size());
+                _slots.push_back({is_static, &f});
+                slot_ids.insert(key, slot);
+            }
+            mi.writeSlot[i] = slot;
+        }
+        const std::vector<int> order =
+            dataflow_detail::blockOrder(*mi.cfg, DataflowDirection::Forward);
+        std::copy(order.begin(), order.end(), mi.rankBlock.begin());
+        for (size_t p = 0; p < b; ++p)
+            mi.blockRank[static_cast<size_t>(mi.rankBlock[p])] =
+                static_cast<int>(p);
+    }
 
     // Framework-invoked entries: every action entry plus the harness
     // root. Their parameters carry framework values -- pin them Top.
     auto markOpen = [&](NodeId n) {
         if (n < 0)
             return;
-        int idx = indexOf(_r.cg.node(n).method);
+        int idx = indexOf(n);
         if (idx >= 0)
-            _methods[idx].open = true;
+            _methods[static_cast<size_t>(idx)].open = true;
     };
     markOpen(_r.rootNode);
     for (const Action &a : _r.actions.all())
@@ -267,31 +430,54 @@ InterConstants::buildUniverse()
 void
 InterConstants::buildCallLists()
 {
-    std::vector<std::set<int>> callers(_methods.size());
+    // (caller, instruction, callee) and (callee, caller) pairs, sorted
+    // into one flat segment per method.
+    std::vector<std::array<int, 3>> calls;
+    std::vector<std::pair<int, int>> callers;
     for (NodeId n = 0; n < _r.cg.numNodes(); ++n) {
-        int caller = indexOf(_r.cg.node(n).method);
+        int caller = indexOf(n);
         if (caller < 0)
             continue;
-        MethodInfo &mi = _methods[caller];
+        MethodInfo &mi = _methods[static_cast<size_t>(caller)];
         for (const CGEdge &edge : _r.cg.edgesOf(n)) {
             int instr = _r.sites.instrOf(edge.site);
-            const air::Method *cm = _r.cg.node(edge.callee).method;
-            int callee = cm ? indexOf(cm) : -1;
+            int callee = indexOf(edge.callee);
             if (callee < 0) {
-                mi.unresolvedAt.insert(instr);
+                mi.unresolved[static_cast<size_t>(instr)] = 1;
                 continue;
             }
-            std::vector<int> &at = mi.calleesAt[instr];
-            if (std::find(at.begin(), at.end(), callee) == at.end())
-                at.push_back(callee);
-            callers[static_cast<size_t>(callee)].insert(caller);
+            calls.push_back({caller, instr, callee});
+            callers.push_back({callee, caller});
         }
     }
+    std::sort(calls.begin(), calls.end());
+    calls.erase(std::unique(calls.begin(), calls.end()), calls.end());
+    std::sort(callers.begin(), callers.end());
+    callers.erase(std::unique(callers.begin(), callers.end()),
+                  callers.end());
+
+    _callees.resize(calls.size());
+    _callers.resize(callers.size());
+    size_t next_callee = 0, next_caller = 0;
+    auto call = calls.begin();
+    auto by = callers.begin();
     for (size_t i = 0; i < _methods.size(); ++i) {
         MethodInfo &mi = _methods[i];
-        for (auto &[instr, at] : mi.calleesAt)
-            std::sort(at.begin(), at.end());
-        mi.callers.assign(callers[i].begin(), callers[i].end());
+        const int idx = static_cast<int>(i);
+        const size_t first = next_callee;
+        for (; call != calls.end() && (*call)[0] == idx; ++call) {
+            ++mi.calleeStart[static_cast<size_t>((*call)[1]) + 1];
+            _callees[next_callee++] = (*call)[2];
+        }
+        mi.callees = std::span<int>(_callees.data() + first,
+                                    next_callee - first);
+        for (size_t k = 1; k < mi.calleeStart.size(); ++k)
+            mi.calleeStart[k] += mi.calleeStart[k - 1];
+        const size_t first_caller = next_caller;
+        for (; by != callers.end() && by->first == idx; ++by)
+            _callers[next_caller++] = by->second;
+        mi.callers = std::span<int>(_callers.data() + first_caller,
+                                    next_caller - first_caller);
         // A method no harness code calls is framework-invoked too.
         if (mi.callers.empty())
             mi.open = true;
@@ -303,28 +489,36 @@ InterConstants::computeRpo()
 {
     // Reverse post-order over the method-level call graph from the
     // open (framework-invoked) methods, so callers generally solve
-    // before their callees and actuals are seeded early.
+    // before their callees and actuals are seeded early. A method's
+    // successors are its distinct callees, ascending.
     const int n = static_cast<int>(_methods.size());
+    std::vector<int> succs;
+    std::vector<size_t> succ_start(static_cast<size_t>(n) + 1, 0);
+    for (int i = 0; i < n; ++i) {
+        const std::span<int> cs = _methods[static_cast<size_t>(i)].callees;
+        const size_t first = succs.size();
+        succs.insert(succs.end(), cs.begin(), cs.end());
+        std::sort(succs.begin() + static_cast<std::ptrdiff_t>(first),
+                  succs.end());
+        succs.erase(std::unique(succs.begin() +
+                                    static_cast<std::ptrdiff_t>(first),
+                                succs.end()),
+                    succs.end());
+        succ_start[static_cast<size_t>(i) + 1] = succs.size();
+    }
     std::vector<int> postorder;
     std::vector<char> seen(static_cast<size_t>(n), 0);
+    std::vector<std::pair<int, size_t>> stack;
     auto dfs = [&](int root) {
-        std::vector<std::pair<int, size_t>> stack{{root, 0}};
+        stack.push_back({root, 0});
         seen[static_cast<size_t>(root)] = 1;
-        std::vector<std::vector<int>> succs_cache(
-            static_cast<size_t>(n));
         while (!stack.empty()) {
             auto &[m, cursor] = stack.back();
-            std::vector<int> &succs =
-                succs_cache[static_cast<size_t>(m)];
-            if (succs.empty() && cursor == 0) {
-                std::set<int> s;
-                for (const auto &[instr, at] :
-                     _methods[static_cast<size_t>(m)].calleesAt)
-                    s.insert(at.begin(), at.end());
-                succs.assign(s.begin(), s.end());
-            }
-            if (cursor < succs.size()) {
-                int t = succs[cursor++];
+            const size_t end = succ_start[static_cast<size_t>(m) + 1];
+            const size_t at = succ_start[static_cast<size_t>(m)] + cursor;
+            if (at < end) {
+                ++cursor;
+                int t = succs[at];
                 if (!seen[static_cast<size_t>(t)]) {
                     seen[static_cast<size_t>(t)] = 1;
                     stack.push_back({t, 0});
@@ -344,123 +538,88 @@ InterConstants::computeRpo()
         if (!seen[static_cast<size_t>(i)])
             dfs(i);
     }
-    int next = 0;
-    for (auto it = postorder.rbegin(); it != postorder.rend(); ++it)
-        _methods[static_cast<size_t>(*it)].rpo = next++;
+    _rpoMethod.assign(postorder.rbegin(), postorder.rend());
+    for (size_t r = 0; r < _rpoMethod.size(); ++r)
+        _methods[static_cast<size_t>(_rpoMethod[r])].rpo =
+            static_cast<int>(r);
 }
 
 namespace {
 
-/** The per-method SCCP problem, seeded with the interprocedural
- *  parameter facts and callee return summaries. */
-struct SeededConstProblem {
-    using Domain = std::vector<ConstVal>;
-    static constexpr DataflowDirection kDirection =
-        DataflowDirection::Forward;
-
-    int numRegisters;
-    int numFrameRegs;
-    bool open;
-    const std::vector<ConstVal> *params;
-    /** dst value of each Invoke instruction under current summaries. */
-    const std::map<int, ConstVal> *invokeReturns;
-
-    Domain
-    boundary() const
-    {
-        Domain d(static_cast<size_t>(numRegisters), constTop());
-        if (!open) {
-            for (int r = 0; r < numFrameRegs; ++r)
-                d[static_cast<size_t>(r)] =
-                    (*params)[static_cast<size_t>(r)];
-        }
-        return d;
-    }
-
-    bool
-    merge(Domain &into, const Domain &from) const
-    {
-        bool changed = false;
-        for (size_t r = 0; r < into.size(); ++r) {
-            ConstVal met = constMeet(into[r], from[r]);
-            if (!sameVal(met, into[r])) {
-                into[r] = met;
-                changed = true;
-            }
-        }
-        return changed;
-    }
-
-    void
-    transfer(int instr_idx, const Instruction &instr, Domain &d) const
-    {
-        if (instr.op == Opcode::Invoke) {
-            if (instr.dst >= 0) {
-                auto it = invokeReturns->find(instr_idx);
-                d[static_cast<size_t>(instr.dst)] =
-                    it != invokeReturns->end() ? it->second
-                                               : constTop();
-            }
-            return;
-        }
-        transferInstr(instr, d);
-    }
-
-    bool
-    edgeTransfer(const Cfg &cfg, int from, int to, Domain &d) const
-    {
-        const auto &fb = cfg.blocks()[from];
-        if (fb.first > fb.last)
-            return true; // synthetic exit block
-        const Instruction &last = cfg.method().instr(fb.last);
-        if (!last.isConditionalBranch())
-            return true;
-        const int target_block = cfg.blockOf(last.target);
-        const int fall_block =
-            fb.last + 1 < cfg.method().numInstrs()
-                ? cfg.blockOf(fb.last + 1)
-                : -1;
-        if (target_block == fall_block)
-            return true; // one edge either way: no information
-
-        const bool is_target_edge = to == target_block;
-        const int verdict = evalBranch(last, d);
-        if (verdict == 1 && !is_target_edge)
-            return false;
-        if (verdict == 0 && is_target_edge)
-            return false;
-
-        // Refine an equality edge: after "if (r == c)" is taken (or
-        // "if (r != c)" falls through), r is known to be c. `d` is the
-        // environment at the branch (branches write no register).
-        air::CondKind effective =
-            is_target_edge ? last.cond : air::negateCond(last.cond);
-        if (effective == air::CondKind::Eq) {
-            int reg = -1;
-            int64_t value = 0;
-            if (last.op == Opcode::IfZ) {
-                reg = last.srcs[0];
-                value = 0;
-            } else if (d[last.srcs[1]].isConst()) {
-                reg = last.srcs[0];
-                value = d[last.srcs[1]].value;
-            } else if (d[last.srcs[0]].isConst()) {
-                reg = last.srcs[1];
-                value = d[last.srcs[0]].value;
-            }
-            if (reg >= 0 && !d[reg].isConst())
-                d[reg] = constOf(value);
-        }
+/** Refine the state flowing along the CFG edge `from` -> `to` of a
+ *  conditional branch, or kill it (false) when the branch cannot go
+ *  that way. `d` is the environment at the branch (branches write no
+ *  register). */
+bool
+edgeTransfer(const Cfg &cfg, int from, int to, ConstVal *d)
+{
+    const auto &fb = cfg.blocks()[static_cast<size_t>(from)];
+    if (fb.first > fb.last)
+        return true; // synthetic exit block
+    const Instruction &last = cfg.method().instr(fb.last);
+    if (!last.isConditionalBranch())
         return true;
+    const int target_block = cfg.blockOf(last.target);
+    const int fall_block = fb.last + 1 < cfg.method().numInstrs()
+                               ? cfg.blockOf(fb.last + 1)
+                               : -1;
+    if (target_block == fall_block)
+        return true; // one edge either way: no information
+
+    const bool is_target_edge = to == target_block;
+    const int verdict = evalBranch(last, d);
+    if (verdict == 1 && !is_target_edge)
+        return false;
+    if (verdict == 0 && is_target_edge)
+        return false;
+
+    // Refine an equality edge: after "if (r == c)" is taken (or
+    // "if (r != c)" falls through), r is known to be c.
+    air::CondKind effective =
+        is_target_edge ? last.cond : air::negateCond(last.cond);
+    if (effective == air::CondKind::Eq) {
+        int reg = -1;
+        int64_t value = 0;
+        if (last.op == Opcode::IfZ) {
+            reg = last.srcs[0];
+            value = 0;
+        } else if (d[last.srcs[1]].isConst()) {
+            reg = last.srcs[0];
+            value = d[last.srcs[1]].value;
+        } else if (d[last.srcs[0]].isConst()) {
+            reg = last.srcs[1];
+            value = d[last.srcs[0]].value;
+        }
+        if (reg >= 0 && !d[reg].isConst())
+            d[reg] = constOf(value);
     }
-};
+    return true;
+}
+
+/** Meet `from` into `into` over `n` registers; true on change. */
+bool
+mergeRow(ConstVal *into, const ConstVal *from, int n)
+{
+    bool changed = false;
+    for (int r = 0; r < n; ++r) {
+        ConstVal met = constMeet(into[r], from[r]);
+        if (!sameVal(met, into[r])) {
+            into[r] = met;
+            changed = true;
+        }
+    }
+    return changed;
+}
 
 } // namespace
 
 /**
  * (Re-)summarize one method under the current interprocedural facts:
- * record its per-instruction facts, join its actuals into callee
- * parameter summaries, and recompute its return summary.
+ * solve its conditional constant propagation (seeded with parameter
+ * facts and callee return summaries), record its per-instruction
+ * facts, join its actuals into callee parameter summaries (queueing
+ * each callee whose summary widened), and recompute its return
+ * summary.
  * @return true if the return summary changed.
  */
 bool
@@ -470,78 +629,116 @@ InterConstants::solveOne(int idx)
     const air::Method &m = *mi.method;
     const Cfg &cfg = *mi.cfg;
     const int n = m.numInstrs();
+    const int regs = mi.numRegs;
+    const size_t width = static_cast<size_t>(regs);
+    const size_t nblocks = static_cast<size_t>(cfg.numBlocks());
 
-    // The callee return summary of each call, fixed for this solve.
-    std::map<int, ConstVal> invoke_returns;
-    for (const auto &[instr, at] : mi.calleesAt) {
-        if (mi.unresolvedAt.count(instr)) {
-            invoke_returns.emplace(instr, constTop());
+    // The destination value of each call, fixed for this solve (a
+    // solve changes no return summary until it ends).
+    _invokeRet.assign(static_cast<size_t>(n), constTop());
+    for (int i = 0; i < n; ++i) {
+        std::span<const int> at = mi.calleesAt(i);
+        if (at.empty() || mi.unresolved[static_cast<size_t>(i)])
             continue;
-        }
         ConstVal v; // Bottom
         for (int c : at)
             v = constJoin(v, _methods[static_cast<size_t>(c)].ret);
-        invoke_returns.emplace(instr, v);
+        _invokeRet[static_cast<size_t>(i)] = v;
+    }
+    auto transfer = [&](int i, const Instruction &instr, ConstVal *env) {
+        if (instr.op != Opcode::Invoke) {
+            transferInstr(instr, env);
+        } else if (instr.dst >= 0) {
+            env[instr.dst] = _invokeRet[static_cast<size_t>(i)];
+        }
+    };
+
+    // Block fixpoint over one flat blocks x registers buffer, in the
+    // forward reverse post-order; the boundary is the parameter facts.
+    _blockIn.resize(nblocks * width);
+    _blockReached.assign(nblocks, 0);
+    _env.resize(width);
+    _edgeEnv.resize(width);
+    auto in = [&](int b) {
+        return _blockIn.data() + static_cast<size_t>(b) * width;
+    };
+    {
+        ConstVal *entry = in(cfg.entryBlock());
+        std::fill(entry, entry + regs, constTop());
+        if (!mi.open)
+            std::copy(mi.params.begin(), mi.params.end(), entry);
+    }
+    _blockReached[static_cast<size_t>(cfg.entryBlock())] = 1;
+    _blockWork->reset(static_cast<int>(nblocks));
+    _blockWork->push(mi.blockRank[static_cast<size_t>(cfg.entryBlock())]);
+    for (int p; (p = _blockWork->pop()) >= 0;) {
+        const int b = mi.rankBlock[static_cast<size_t>(p)];
+        const BasicBlock &block = cfg.blocks()[static_cast<size_t>(b)];
+        std::copy(in(b), in(b) + regs, _env.begin());
+        for (int i = block.first; i <= block.last; ++i)
+            transfer(i, m.instr(i), _env.data());
+        for (int t : block.succs) {
+            std::copy(_env.begin(), _env.end(), _edgeEnv.begin());
+            if (!edgeTransfer(cfg, b, t, _edgeEnv.data()))
+                continue; // statically infeasible edge
+            bool changed;
+            char &reached = _blockReached[static_cast<size_t>(t)];
+            if (!reached) {
+                std::copy(_edgeEnv.begin(), _edgeEnv.end(), in(t));
+                reached = 1;
+                changed = true;
+            } else {
+                changed = mergeRow(in(t), _edgeEnv.data(), regs);
+            }
+            if (changed)
+                _blockWork->push(mi.blockRank[static_cast<size_t>(t)]);
+        }
     }
 
-    SeededConstProblem problem{m.numRegisters(), m.firstTempReg(),
-                               mi.open, &mi.params, &invoke_returns};
-    DataflowResult<SeededConstProblem::Domain> r =
-        solveDataflow(cfg, problem);
-
-    mi.reachable.assign(static_cast<size_t>(n), 0);
-    mi.before.assign(static_cast<size_t>(n),
-                     std::vector<ConstVal>(
-                         static_cast<size_t>(m.numRegisters())));
-    mi.infeasible.clear();
+    std::fill(mi.reachable.begin(), mi.reachable.end(), 0);
+    std::fill(mi.infeasibleTo.begin(), mi.infeasibleTo.end(), -1);
 
     ConstVal ret; // Bottom
     for (const BasicBlock &block : cfg.blocks()) {
-        if (block.first > block.last || !r.reached[block.id])
+        if (block.first > block.last)
             continue;
-        std::vector<ConstVal> env = r.atEntry[block.id];
+        if (!_blockReached[static_cast<size_t>(block.id)]) {
+            // No facts for unreached code (Bottom, as fresh rows hold).
+            std::fill(mi.row(block.first), mi.row(block.last + 1),
+                      ConstVal{});
+            continue;
+        }
+        std::copy(in(block.id), in(block.id) + regs, _env.begin());
         for (int i = block.first; i <= block.last; ++i) {
             ++_stats.statesVisited;
             mi.reachable[static_cast<size_t>(i)] = 1;
-            mi.before[static_cast<size_t>(i)] = env;
+            std::copy(_env.begin(), _env.end(), mi.row(i));
             const Instruction &instr = m.instr(i);
             if (instr.op == Opcode::Invoke) {
                 // Flow actuals into the formal summaries of callees.
-                auto at = mi.calleesAt.find(i);
-                if (at != mi.calleesAt.end()) {
-                    for (int c : at->second) {
-                        MethodInfo &cm =
-                            _methods[static_cast<size_t>(c)];
-                        if (cm.open)
-                            continue;
-                        for (size_t a = 0; a < cm.params.size();
-                             ++a) {
-                            ConstVal v =
-                                a < instr.srcs.size()
-                                    ? env[static_cast<size_t>(
-                                          instr.srcs[a])]
-                                    : constTop();
-                            ConstVal joined =
-                                constJoin(cm.params[a], v);
-                            if (!sameVal(joined, cm.params[a])) {
-                                cm.params[a] = joined;
-                                _paramsDirty.insert(c);
-                            }
+                for (int c : mi.calleesAt(i)) {
+                    MethodInfo &cm = _methods[static_cast<size_t>(c)];
+                    if (cm.open)
+                        continue;
+                    for (size_t a = 0; a < cm.params.size(); ++a) {
+                        ConstVal v =
+                            a < instr.srcs.size()
+                                ? _env[static_cast<size_t>(instr.srcs[a])]
+                                : constTop();
+                        ConstVal joined = constJoin(cm.params[a], v);
+                        if (!sameVal(joined, cm.params[a])) {
+                            cm.params[a] = joined;
+                            _methodWork->push(cm.rpo);
                         }
                     }
                 }
-                problem.transfer(i, instr, env);
-            } else {
-                transferInstr(instr, env);
             }
+            transfer(i, instr, _env.data());
             if (instr.op == Opcode::Return)
-                ret = constJoin(
-                    ret, mi.before[static_cast<size_t>(i)]
-                                  [static_cast<size_t>(
-                                      instr.srcs[0])]);
+                ret = constJoin(ret, mi.row(i)[instr.srcs[0]]);
         }
 
-        // Record branch edges the fixpoint proved infeasible.
+        // Record the branch edge the fixpoint proved infeasible.
         const Instruction &last = m.instr(block.last);
         if (!last.isConditionalBranch())
             continue;
@@ -550,12 +747,12 @@ InterConstants::solveOne(int idx)
             block.last + 1 < n ? cfg.blockOf(block.last + 1) : -1;
         if (target_block == fall_block)
             continue;
-        const int verdict =
-            evalBranch(last, mi.before[static_cast<size_t>(block.last)]);
+        const int verdict = evalBranch(last, mi.row(block.last));
         if (verdict == 1 && fall_block >= 0)
-            mi.infeasible.insert({block.last, block.last + 1});
+            mi.infeasibleTo[static_cast<size_t>(block.last)] =
+                block.last + 1;
         else if (verdict == 0)
-            mi.infeasible.insert({block.last, last.target});
+            mi.infeasibleTo[static_cast<size_t>(block.last)] = last.target;
     }
 
     // Monotone replacement keeps termination independent of
@@ -570,14 +767,12 @@ InterConstants::solveOne(int idx)
 void
 InterConstants::runFixpoint()
 {
-    std::set<std::pair<int, int>> worklist; // (rpo, index)
-    for (size_t i = 0; i < _methods.size(); ++i)
-        worklist.insert({_methods[i].rpo, static_cast<int>(i)});
+    _methodWork->reset(static_cast<int>(_methods.size()));
+    for (const MethodInfo &mi : _methods)
+        _methodWork->push(mi.rpo);
 
-    while (!worklist.empty()) {
-        auto [rpo, idx] = *worklist.begin();
-        (void)rpo;
-        worklist.erase(worklist.begin());
+    for (int p; (p = _methodWork->pop()) >= 0;) {
+        const int idx = _rpoMethod[static_cast<size_t>(p)];
         MethodInfo &mi = _methods[static_cast<size_t>(idx)];
         if (mi.solves >= _opts.maxSolvesPerMethod ||
             _stats.statesVisited > _opts.maxStates) {
@@ -586,15 +781,10 @@ InterConstants::runFixpoint()
         }
         ++mi.solves;
         ++_stats.summaryComputations;
-        _paramsDirty.clear();
-        bool ret_changed = solveOne(idx);
-        for (int c : _paramsDirty)
-            worklist.insert({_methods[static_cast<size_t>(c)].rpo, c});
-        if (ret_changed) {
+        if (solveOne(idx)) {
             for (int caller : mi.callers)
-                worklist.insert(
-                    {_methods[static_cast<size_t>(caller)].rpo,
-                     caller});
+                _methodWork->push(
+                    _methods[static_cast<size_t>(caller)].rpo);
         }
     }
 }
@@ -602,63 +792,71 @@ InterConstants::runFixpoint()
 void
 InterConstants::computeMayWrites()
 {
-    // Transitive may-write sets with an "only via this" flag per
-    // field, to fixpoint (entries only appear, flags only drop).
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (size_t i = 0; i < _methods.size(); ++i) {
-            MethodInfo &mi = _methods[i];
-            const air::Method &m = *mi.method;
-            auto record = [&](const FieldSlot &id, bool via_this) {
-                auto [it, inserted] =
-                    mi.mayWriteOnlyThis.emplace(id, via_this ? 1 : 0);
-                if (inserted) {
-                    changed = true;
-                } else if (it->second && !via_this) {
-                    it->second = 0;
-                    changed = true;
-                }
-            };
-            for (int k = 0; k < m.numInstrs(); ++k) {
-                const Instruction &instr = m.instr(k);
-                switch (instr.op) {
-                  case Opcode::PutField:
-                    record({false, &instr.field},
-                           !m.isStatic() && instr.srcs[0] == 0 &&
-                               mi.thisStable);
-                    break;
-                  case Opcode::PutStatic:
-                    // One global cell: "exclusive" by construction.
-                    record({true, &instr.field}, true);
-                    break;
-                  case Opcode::Invoke: {
-                    auto at = mi.calleesAt.find(k);
-                    if (at == mi.calleesAt.end())
-                        break;
-                    bool this_recv =
-                        !m.isStatic() && mi.thisStable &&
-                        !instr.srcs.empty() && instr.srcs[0] == 0;
-                    for (int c : at->second) {
-                        const MethodInfo &cm =
-                            _methods[static_cast<size_t>(c)];
-                        for (const auto &[id, via] :
-                             cm.mayWriteOnlyThis) {
-                            bool keeps_chain =
-                                id.isStatic ||
-                                (via && this_recv &&
-                                 !cm.method->isStatic());
-                            record(id, id.isStatic ? true
-                                                   : keeps_chain &&
-                                                         via);
-                        }
-                    }
-                    break;
-                  }
-                  default:
-                    break;
+    // Transitive may-write sets with an "only via this" flag per slot:
+    // entries only appear and flags only drop, so the least fixpoint is
+    // reached in any order. Own writes first, then a caller worklist.
+    const size_t nslots = _slots.size();
+    _mayWrite.assign(_methods.size() * nslots, kMayNot);
+    auto record = [&](size_t i, int slot, bool via_this) {
+        char &st = _mayWrite[i * nslots + static_cast<size_t>(slot)];
+        const char want = via_this ? kMayOnlyThis : kMayAny;
+        if (st == kMayNot || (st == kMayOnlyThis && want == kMayAny)) {
+            st = want;
+            return true;
+        }
+        return false;
+    };
+    for (size_t i = 0; i < _methods.size(); ++i) {
+        const MethodInfo &mi = _methods[i];
+        const air::Method &m = *mi.method;
+        for (int k = 0; k < m.numInstrs(); ++k) {
+            const Instruction &instr = m.instr(k);
+            const int slot = mi.writeSlot[static_cast<size_t>(k)];
+            if (instr.op == Opcode::PutField) {
+                record(i, slot,
+                       !m.isStatic() && instr.srcs[0] == 0 &&
+                           mi.thisStable);
+            } else if (instr.op == Opcode::PutStatic) {
+                // One global cell: "exclusive" by construction.
+                record(i, slot, true);
+            }
+        }
+    }
+    Worklist &work = *_methodWork;
+    work.reset(static_cast<int>(_methods.size()));
+    for (size_t i = 0; i < _methods.size(); ++i)
+        work.push(static_cast<int>(i));
+    for (int i; (i = work.pop()) >= 0;) {
+        const MethodInfo &mi = _methods[static_cast<size_t>(i)];
+        const air::Method &m = *mi.method;
+        bool changed = false;
+        for (int k = 0; k < m.numInstrs(); ++k) {
+            std::span<const int> at = mi.calleesAt(k);
+            if (at.empty())
+                continue;
+            const Instruction &instr = m.instr(k);
+            const bool this_recv = !m.isStatic() && mi.thisStable &&
+                                   !instr.srcs.empty() &&
+                                   instr.srcs[0] == 0;
+            for (int c : at) {
+                const bool keeps_chain =
+                    this_recv &&
+                    !_methods[static_cast<size_t>(c)].method->isStatic();
+                const char *from =
+                    _mayWrite.data() + static_cast<size_t>(c) * nslots;
+                for (size_t s = 0; s < nslots; ++s) {
+                    if (from[s] == kMayNot)
+                        continue;
+                    changed |= record(
+                        static_cast<size_t>(i), static_cast<int>(s),
+                        _slots[s].isStatic ||
+                            (from[s] == kMayOnlyThis && keeps_chain));
                 }
             }
+        }
+        if (changed) {
+            for (int caller : mi.callers)
+                work.push(caller);
         }
     }
 }
@@ -668,112 +866,108 @@ InterConstants::computeMustWrites()
 {
     // Callees first (descending RPO); recursive edges to a method not
     // yet summarized fall back to may-write invalidation only.
-    std::vector<int> order(_methods.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = static_cast<int>(i);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-        return _methods[static_cast<size_t>(a)].rpo >
-               _methods[static_cast<size_t>(b)].rpo;
-    });
-
-    for (int idx : order) {
+    const size_t nslots = _slots.size();
+    std::vector<MustEnv> in;
+    std::vector<char> has_in;
+    MustEnv env;
+    MustEnv exit_env;
+    // (slot, (value, exclusive)) applied by one call, sorted by slot
+    std::vector<std::pair<int, std::pair<int64_t, bool>>> applied;
+    std::vector<std::pair<int, std::pair<int64_t, bool>>> cur;
+    for (auto it = _rpoMethod.rbegin(); it != _rpoMethod.rend(); ++it) {
+        const int idx = *it;
         MethodInfo &mi = _methods[static_cast<size_t>(idx)];
         const air::Method &m = *mi.method;
         const Cfg &cfg = *mi.cfg;
 
         auto mustTransfer = [&](int i, const Instruction &instr,
-                                MustEnv &env) {
+                                MustEnv &e) {
             ++_stats.statesVisited;
             switch (instr.op) {
               case Opcode::PutField: {
-                FieldSlot id{false, &instr.field};
+                const int slot = mi.writeSlot[static_cast<size_t>(i)];
                 if (!m.isStatic() && instr.srcs[0] == 0 &&
                     mi.thisStable) {
-                    ConstVal v =
-                        mi.before[static_cast<size_t>(i)]
-                                 [static_cast<size_t>(instr.srcs[1])];
-                    env[id] = v.isConst() ? WriteVal{true, v.value}
-                                          : WriteVal{};
-                } else if (auto it = env.find(id); it != env.end()) {
+                    ConstVal v = mi.row(i)[instr.srcs[1]];
+                    envSet(e, slot,
+                           v.isConst() ? WriteVal{true, v.value}
+                                       : WriteVal{});
+                } else if (WriteVal *w = envFind(e, slot)) {
                     // A write through a maybe-aliasing base: the
                     // last value of the `this` cell is now unknown.
-                    it->second.known = false;
+                    w->known = false;
                 }
                 break;
               }
               case Opcode::PutStatic: {
-                ConstVal v =
-                    mi.before[static_cast<size_t>(i)]
-                             [static_cast<size_t>(instr.srcs[0])];
-                env[FieldSlot{true, &instr.field}] =
-                    v.isConst() ? WriteVal{true, v.value}
-                                : WriteVal{};
+                ConstVal v = mi.row(i)[instr.srcs[0]];
+                envSet(e, mi.writeSlot[static_cast<size_t>(i)],
+                       v.isConst() ? WriteVal{true, v.value}
+                                   : WriteVal{});
                 break;
               }
               case Opcode::Invoke: {
-                auto at = mi.calleesAt.find(i);
-                if (at == mi.calleesAt.end())
+                std::span<const int> at = mi.calleesAt(i);
+                if (at.empty())
                     break; // framework call: no app-field writes
-                bool this_recv =
-                    !m.isStatic() && mi.thisStable &&
-                    !instr.srcs.empty() && instr.srcs[0] == 0;
+                bool this_recv = !m.isStatic() && mi.thisStable &&
+                                 !instr.srcs.empty() && instr.srcs[0] == 0;
                 // Intersection of the callee summaries (a virtual
                 // call runs exactly one of them).
-                std::map<FieldSlot, MustWrite> applied;
-                bool first = true;
+                applied.clear();
                 bool all_done = true;
-                for (int c : at->second)
-                    all_done &= _methods[static_cast<size_t>(c)]
-                                    .mustDone;
-                if (all_done) {
-                    for (int c : at->second) {
-                        const MethodInfo &cm =
-                            _methods[static_cast<size_t>(c)];
-                        std::map<FieldSlot, MustWrite> cur;
-                        for (const MustWrite &mw : cm.mustWrites) {
-                            if (!mw.isStatic &&
-                                !(this_recv &&
-                                  !cm.method->isStatic()))
-                                continue;
-                            cur.emplace(
-                                FieldSlot{mw.isStatic, mw.field},
-                                mw);
-                        }
-                        if (first) {
-                            applied = std::move(cur);
-                            first = false;
-                        } else {
-                            for (auto it = applied.begin();
-                                 it != applied.end();) {
-                                auto jt = cur.find(it->first);
-                                if (jt == cur.end() ||
-                                    jt->second.value !=
-                                        it->second.value) {
-                                    it = applied.erase(it);
-                                } else {
-                                    it->second.exclusive &=
-                                        jt->second.exclusive;
-                                    ++it;
-                                }
-                            }
-                        }
+                for (int c : at)
+                    all_done &= _methods[static_cast<size_t>(c)].mustDone;
+                bool first = true;
+                for (int c : all_done ? at : std::span<const int>()) {
+                    const MethodInfo &cm = _methods[static_cast<size_t>(c)];
+                    cur.clear();
+                    for (size_t w = 0; w < cm.mustWrites.size(); ++w) {
+                        const MustWrite &mw = cm.mustWrites[w];
+                        if (!mw.isStatic &&
+                            !(this_recv && !cm.method->isStatic()))
+                            continue;
+                        cur.push_back({cm.mustSlots[w],
+                                       {mw.value, mw.exclusive}});
                     }
+                    std::sort(cur.begin(), cur.end());
+                    if (first) {
+                        applied.swap(cur);
+                        first = false;
+                        continue;
+                    }
+                    size_t out = 0;
+                    auto jt = cur.begin();
+                    for (auto &a : applied) {
+                        while (jt != cur.end() && jt->first < a.first)
+                            ++jt;
+                        if (jt == cur.end() || jt->first != a.first ||
+                            jt->second.first != a.second.first)
+                            continue;
+                        a.second.second &= jt->second.second;
+                        applied[out++] = a;
+                    }
+                    applied.resize(out);
                 }
                 // Everything else the callees may write loses its
                 // known last value.
-                for (int c : at->second) {
-                    const MethodInfo &cm =
-                        _methods[static_cast<size_t>(c)];
-                    for (const auto &[id, via] :
-                         cm.mayWriteOnlyThis) {
-                        if (applied.count(id))
-                            continue;
-                        if (auto it = env.find(id); it != env.end())
-                            it->second.known = false;
+                for (auto &[slot, wv] : e) {
+                    auto ap = std::lower_bound(
+                        applied.begin(), applied.end(), slot,
+                        [](const auto &a, int s) { return a.first < s; });
+                    if (ap != applied.end() && ap->first == slot)
+                        continue;
+                    for (int c : at) {
+                        if (_mayWrite[static_cast<size_t>(c) * nslots +
+                                      static_cast<size_t>(slot)] !=
+                            kMayNot) {
+                            wv.known = false;
+                            break;
+                        }
                     }
                 }
-                for (const auto &[id, mw] : applied)
-                    env[id] = WriteVal{true, mw.value};
+                for (const auto &[slot, val] : applied)
+                    envSet(e, slot, WriteVal{true, val.first});
                 break;
               }
               default:
@@ -783,75 +977,71 @@ InterConstants::computeMustWrites()
 
         // Forward block fixpoint with intersection meet. The domain
         // only descends, so plain iteration terminates.
-        const std::vector<int> block_order =
-            dataflow_detail::blockOrder(cfg,
-                                        DataflowDirection::Forward);
-        std::vector<int> priority(
-            static_cast<size_t>(cfg.numBlocks()), 0);
-        for (size_t p = 0; p < block_order.size(); ++p)
-            priority[static_cast<size_t>(block_order[p])] =
-                static_cast<int>(p);
-        std::vector<std::optional<MustEnv>> in(
-            static_cast<size_t>(cfg.numBlocks()));
-        in[static_cast<size_t>(cfg.entryBlock())] = MustEnv{};
-        std::set<std::pair<int, int>> worklist{
-            {priority[static_cast<size_t>(cfg.entryBlock())],
-             cfg.entryBlock()}};
-        MustEnv exit_env;
+        const size_t nblocks = static_cast<size_t>(cfg.numBlocks());
+        in.resize(nblocks);
+        has_in.assign(nblocks, 0);
+        in[static_cast<size_t>(cfg.entryBlock())].clear();
+        has_in[static_cast<size_t>(cfg.entryBlock())] = 1;
+        Worklist &work = *_blockWork;
+        work.reset(static_cast<int>(nblocks));
+        work.push(mi.blockRank[static_cast<size_t>(cfg.entryBlock())]);
         bool exit_seen = false;
-        while (!worklist.empty()) {
-            int b = worklist.begin()->second;
-            worklist.erase(worklist.begin());
-            const BasicBlock &block =
-                cfg.blocks()[static_cast<size_t>(b)];
-            MustEnv env = *in[static_cast<size_t>(b)];
-            if (block.first <= block.last) {
-                for (int i = block.first; i <= block.last; ++i) {
-                    const Instruction &instr = m.instr(i);
-                    const bool is_exit =
-                        instr.op == Opcode::Return ||
-                        instr.op == Opcode::ReturnVoid ||
-                        instr.op == Opcode::Throw;
-                    if (is_exit &&
-                        mi.reachable[static_cast<size_t>(i)]) {
-                        if (!exit_seen) {
-                            exit_env = env;
-                            exit_seen = true;
-                        } else {
-                            mustMeet(exit_env, env);
-                        }
+        exit_env.clear();
+        for (int p; (p = work.pop()) >= 0;) {
+            const int b = mi.rankBlock[static_cast<size_t>(p)];
+            const BasicBlock &block = cfg.blocks()[static_cast<size_t>(b)];
+            env = in[static_cast<size_t>(b)];
+            for (int i = block.first; i <= block.last; ++i) {
+                const Instruction &instr = m.instr(i);
+                const bool is_exit = instr.op == Opcode::Return ||
+                                     instr.op == Opcode::ReturnVoid ||
+                                     instr.op == Opcode::Throw;
+                if (is_exit && mi.reachable[static_cast<size_t>(i)]) {
+                    if (!exit_seen) {
+                        exit_env = env;
+                        exit_seen = true;
+                    } else {
+                        mustMeet(exit_env, env);
                     }
-                    mustTransfer(i, instr, env);
                 }
+                mustTransfer(i, instr, env);
             }
             for (int s : block.succs) {
-                auto &succ_in = in[static_cast<size_t>(s)];
-                if (!succ_in) {
-                    succ_in = env;
-                } else if (!mustMeet(*succ_in, env)) {
+                const size_t su = static_cast<size_t>(s);
+                if (!has_in[su]) {
+                    in[su] = env;
+                    has_in[su] = 1;
+                } else if (!mustMeet(in[su], env)) {
                     continue;
                 }
-                worklist.insert(
-                    {priority[static_cast<size_t>(s)], s});
+                work.push(mi.blockRank[su]);
             }
         }
 
         if (exit_seen) {
-            for (const auto &[id, wv] : exit_env) {
+            std::vector<std::pair<MustWrite, int>> facts;
+            for (const auto &[slot, wv] : exit_env) {
                 if (!wv.known)
                     continue;
+                const Slot &s = _slots[static_cast<size_t>(slot)];
                 MustWrite mw;
-                mw.field = id.ref;
-                mw.isStatic = id.isStatic;
+                mw.field = s.ref;
+                mw.isStatic = s.isStatic;
                 mw.value = wv.value;
-                auto via = mi.mayWriteOnlyThis.find(id);
                 mw.exclusive =
-                    id.isStatic ||
-                    (via != mi.mayWriteOnlyThis.end() &&
-                     via->second != 0);
-                mi.mustWrites.push_back(std::move(mw));
+                    s.isStatic ||
+                    _mayWrite[static_cast<size_t>(idx) * nslots +
+                              static_cast<size_t>(slot)] == kMayOnlyThis;
+                facts.push_back({mw, slot});
             }
-            std::sort(mi.mustWrites.begin(), mi.mustWrites.end());
+            std::sort(facts.begin(), facts.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first < b.first;
+                      });
+            for (const auto &[mw, slot] : facts) {
+                mi.mustWrites.push_back(mw);
+                mi.mustSlots.push_back(slot);
+            }
         }
         mi.mustDone = true;
     }
@@ -860,7 +1050,7 @@ InterConstants::computeMustWrites()
 void
 InterConstants::countSummaryStats()
 {
-    std::set<int> used;
+    std::vector<char> used(_methods.size(), 0);
     for (const MethodInfo &mi : _methods) {
         if (!mi.open) {
             for (const ConstVal &p : mi.params)
@@ -869,19 +1059,20 @@ InterConstants::countSummaryStats()
         _stats.returnConsts += mi.ret.isConst() ? 1 : 0;
         _stats.mustWriteFacts +=
             static_cast<int64_t>(mi.mustWrites.size());
-        for (const auto &[instr, at] : mi.calleesAt) {
-            for (int c : at) {
-                ++_stats.callSites;
-                if (!used.insert(c).second)
-                    ++_stats.summaryReuses;
-            }
+        for (int c : mi.callees) {
+            ++_stats.callSites;
+            char &u = used[static_cast<size_t>(c)];
+            if (u)
+                ++_stats.summaryReuses;
+            u = 1;
         }
     }
 }
 
 InterConstants::InterConstants(const PointsToResult &result,
                                IfdsOptions options)
-    : _r(result), _opts(options)
+    : _r(result), _opts(options), _methodWork(std::make_unique<Worklist>()),
+      _blockWork(std::make_unique<Worklist>())
 {
     buildUniverse();
     buildCallLists();
@@ -893,12 +1084,11 @@ InterConstants::InterConstants(const PointsToResult &result,
         computeMustWrites();
     if (_stats.budgetExhausted) {
         // Partial fixpoints are not sound facts: degrade to "know
-        // nothing" rather than answer from a stale lattice.
+        // nothing" rather than answer from a stale lattice (every
+        // query checks the flag first).
         for (MethodInfo &mi : _methods) {
-            mi.before.clear();
-            mi.reachable.clear();
-            mi.infeasible.clear();
             mi.mustWrites.clear();
+            mi.mustSlots.clear();
             mi.ret = constTop();
         }
     }
@@ -907,95 +1097,83 @@ InterConstants::InterConstants(const PointsToResult &result,
 
 InterConstants::~InterConstants() = default;
 
+const InterConstants::MethodInfo *
+InterConstants::known(const air::Method *m) const
+{
+    const int idx = indexOf(m);
+    if (idx < 0 || _stats.budgetExhausted)
+        return nullptr;
+    return &_methods[static_cast<size_t>(idx)];
+}
+
 ConstVal
 InterConstants::before(const air::Method *m, int instr, int reg) const
 {
-    int idx = indexOf(m);
-    if (idx < 0 || _stats.budgetExhausted)
+    const MethodInfo *mi = known(m);
+    if (!mi || instr < 0 ||
+        static_cast<size_t>(instr) >= mi->reachable.size() ||
+        !mi->reachable[static_cast<size_t>(instr)])
         return constTop();
-    const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
-    if (instr < 0 ||
-        static_cast<size_t>(instr) >= mi.reachable.size() ||
-        !mi.reachable[static_cast<size_t>(instr)])
-        return constTop();
-    return mi.before[static_cast<size_t>(instr)]
-                    [static_cast<size_t>(reg)];
+    return mi->row(instr)[reg];
 }
 
 ConstVal
 InterConstants::after(const air::Method *m, int instr, int reg) const
 {
-    int idx = indexOf(m);
-    if (idx < 0 || _stats.budgetExhausted)
+    const MethodInfo *mi = known(m);
+    if (!mi || instr < 0 ||
+        static_cast<size_t>(instr) >= mi->reachable.size() ||
+        !mi->reachable[static_cast<size_t>(instr)])
         return constTop();
-    const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
-    if (instr < 0 ||
-        static_cast<size_t>(instr) >= mi.reachable.size() ||
-        !mi.reachable[static_cast<size_t>(instr)])
+    const ConstVal *row = mi->row(instr);
+    const Instruction &in = mi->method->instr(instr);
+    if (in.dst < 0 || in.dst != reg)
+        return row[reg];
+    if (in.op != Opcode::Invoke)
+        return evalInstr(in, row);
+    std::span<const int> at = mi->calleesAt(instr);
+    if (at.empty() || mi->unresolved[static_cast<size_t>(instr)])
         return constTop();
-    std::vector<ConstVal> env = mi.before[static_cast<size_t>(instr)];
-    const Instruction &in = m->instr(instr);
-    if (in.op == Opcode::Invoke) {
-        if (in.dst >= 0) {
-            ConstVal v = constTop();
-            if (!mi.unresolvedAt.count(instr)) {
-                auto at = mi.calleesAt.find(instr);
-                if (at != mi.calleesAt.end()) {
-                    v = ConstVal{};
-                    for (int c : at->second)
-                        v = constJoin(
-                            v,
-                            _methods[static_cast<size_t>(c)].ret);
-                }
-            }
-            env[static_cast<size_t>(in.dst)] = v;
-        }
-    } else {
-        transferInstr(in, env);
-    }
-    return env[static_cast<size_t>(reg)];
+    ConstVal v; // Bottom
+    for (int c : at)
+        v = constJoin(v, _methods[static_cast<size_t>(c)].ret);
+    return v;
 }
 
 bool
 InterConstants::reachable(const air::Method *m, int instr) const
 {
-    int idx = indexOf(m);
-    if (idx < 0 || _stats.budgetExhausted)
+    const MethodInfo *mi = known(m);
+    if (!mi || instr < 0 ||
+        static_cast<size_t>(instr) >= mi->reachable.size())
         return true;
-    const MethodInfo &mi = _methods[static_cast<size_t>(idx)];
-    if (instr < 0 || static_cast<size_t>(instr) >= mi.reachable.size())
-        return true;
-    return mi.reachable[static_cast<size_t>(instr)] != 0;
+    return mi->reachable[static_cast<size_t>(instr)] != 0;
 }
 
 bool
 InterConstants::edgeFeasible(const air::Method *m, int from_instr,
                              int to_instr) const
 {
-    int idx = indexOf(m);
-    if (idx < 0 || _stats.budgetExhausted)
+    const MethodInfo *mi = known(m);
+    if (!mi || from_instr < 0 ||
+        static_cast<size_t>(from_instr) >= mi->infeasibleTo.size())
         return true;
-    return !_methods[static_cast<size_t>(idx)].infeasible.count(
-        {from_instr, to_instr});
+    return mi->infeasibleTo[static_cast<size_t>(from_instr)] != to_instr;
 }
 
 ConstVal
 InterConstants::returnConst(const air::Method *m) const
 {
-    int idx = indexOf(m);
-    if (idx < 0 || _stats.budgetExhausted)
-        return constTop();
-    return _methods[static_cast<size_t>(idx)].ret;
+    const MethodInfo *mi = known(m);
+    return mi ? mi->ret : constTop();
 }
 
 const std::vector<InterConstants::MustWrite> &
 InterConstants::mustWrites(const air::Method *m) const
 {
     static const std::vector<MustWrite> empty;
-    int idx = indexOf(m);
-    if (idx < 0 || _stats.budgetExhausted)
-        return empty;
-    return _methods[static_cast<size_t>(idx)].mustWrites;
+    const MethodInfo *mi = known(m);
+    return mi ? mi->mustWrites : empty;
 }
 
 int
@@ -1066,7 +1244,9 @@ findUseAfterDestroy(const PointsToResult &result,
         const air::Method *method;
         int instr;
     };
-    std::map<std::string, std::vector<NullStore>> nulled;
+    // Keyed by field key id; the printable key is built only for a
+    // finding.
+    std::map<FieldId, std::vector<NullStore>> nulled;
 
     for (NodeId n = 0; n < result.cg.numNodes(); ++n) {
         const air::Method *m = result.cg.node(n).method;
@@ -1097,16 +1277,16 @@ findUseAfterDestroy(const PointsToResult &result,
             ConstVal v = inter.before(m, i, value_reg);
             if (!v.isConst() || v.value != 0)
                 continue;
-            std::vector<std::string> keys;
+            std::vector<FieldKey> keys;
             if (instr.op == Opcode::PutStatic) {
-                keys.push_back(result.staticKey(instr.field).str());
+                keys.push_back(result.staticKey(instr.field));
             } else {
                 for (ObjId o : result.pointsTo(n, instr.srcs[0]))
-                    keys.push_back(result.fieldKey(o, instr.field).str());
+                    keys.push_back(result.fieldKey(o, instr.field));
             }
-            for (const std::string &key : keys) {
+            for (const FieldKey &key : keys) {
                 for (int t : here)
-                    nulled[key].push_back({t, m, i});
+                    nulled[key.id].push_back({t, m, i});
             }
         }
     }
@@ -1127,17 +1307,17 @@ findUseAfterDestroy(const PointsToResult &result,
             continue;
         for (int i = 0; i < m->numInstrs(); ++i) {
             const Instruction &instr = m->instr(i);
-            std::vector<std::string> keys;
+            std::vector<FieldKey> keys;
             if (instr.op == Opcode::GetField) {
                 for (ObjId o : result.pointsTo(n, instr.srcs[0]))
-                    keys.push_back(result.fieldKey(o, instr.field).str());
+                    keys.push_back(result.fieldKey(o, instr.field));
             } else if (instr.op == Opcode::GetStatic) {
-                keys.push_back(result.staticKey(instr.field).str());
+                keys.push_back(result.staticKey(instr.field));
             } else {
                 continue;
             }
-            for (const std::string &key : keys) {
-                auto stores = nulled.find(key);
+            for (const FieldKey &key : keys) {
+                auto stores = nulled.find(key.id);
                 if (stores == nulled.end())
                     continue;
                 for (const NullStore &ns : stores->second) {
@@ -1149,7 +1329,7 @@ findUseAfterDestroy(const PointsToResult &result,
                         if (happensBefore(use, ns.teardown))
                             continue;
                         UseAfterDestroyFinding f;
-                        f.fieldKey = key;
+                        f.fieldKey = key.str();
                         f.teardownAction =
                             result.actions.get(ns.teardown).label;
                         f.useAction =

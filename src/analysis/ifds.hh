@@ -43,8 +43,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -139,8 +138,27 @@ class InterConstants
 
   private:
     struct MethodInfo;
+    class Worklist;
 
+    /** One field the write summaries track: its declaring class and
+     *  name, static or not. `ref` is the operand of the first write
+     *  seen; any operand naming the same class and field stands for
+     *  the slot. Slot ids are dense, in first-write order. */
+    struct Slot {
+        bool isStatic{false};
+        const air::FieldRef *ref{nullptr};
+    };
+    //! _mayWrite states of one (method, slot)
+    static constexpr char kMayNot = 0;      //!< never written
+    static constexpr char kMayOnlyThis = 1; //!< written, only via `this`
+    static constexpr char kMayAny = 2;      //!< written through any base
+
+    /** Universe index of `m` / of a node's method; -1 on a miss. */
     int indexOf(const air::Method *m) const;
+    int indexOf(NodeId n) const;
+    /** The facts of `m`, null on a miss or once the budget ran out. */
+    const MethodInfo *known(const air::Method *m) const;
+
     void buildUniverse();
     void buildCallLists();
     void computeRpo();
@@ -154,9 +172,41 @@ class InterConstants
     IfdsOptions _opts;
     IfdsStats _stats;
     std::vector<MethodInfo> _methods;
-    std::map<const air::Method *, int> _index;
-    /** Callees whose parameter summaries the current solve widened. */
-    std::set<int> _paramsDirty;
+    // The per-method arrays, one segment per method (MethodInfo holds
+    // the views): parameters, per-instruction callee offsets, callees,
+    // callers, unresolved-call flags, written slots, block ranks (rank
+    // of each block, then block of each rank), and the facts: register
+    // rows before each instruction, reachability, infeasible edges.
+    std::vector<ConstVal> _params;
+    std::vector<int> _calleeStarts;
+    std::vector<int> _callees;
+    std::vector<int> _callers;
+    std::vector<char> _unresolved;
+    std::vector<int> _writeSlots;
+    std::vector<int> _blockRanks;
+    std::vector<ConstVal> _before;
+    std::vector<char> _reachable;
+    std::vector<int> _infeasibleTo;
+    //! per dense method index of the call graph: universe index or -1
+    std::vector<int> _infoOf;
+    //! universe indices by RPO rank
+    std::vector<int> _rpoMethod;
+    std::vector<Slot> _slots;
+    //! methods x slots: kMayNot / kMayOnlyThis / kMayAny
+    std::vector<char> _mayWrite;
+    //! methods by RPO rank, queued for a solve
+    std::unique_ptr<Worklist> _methodWork;
+    //! blocks of the method being solved, by forward RPO rank
+    std::unique_ptr<Worklist> _blockWork;
+    // Scratch of solveOne, reused by every solve: per block entry
+    // states (blocks x registers), which blocks were reached, a
+    // register row being transferred and one flowing along an edge,
+    // and the destination value of each call.
+    std::vector<ConstVal> _blockIn;
+    std::vector<char> _blockReached;
+    std::vector<ConstVal> _env;
+    std::vector<ConstVal> _edgeEnv;
+    std::vector<ConstVal> _invokeRet;
 };
 
 /** One use-after-destroy finding: a field nulled in a teardown

@@ -5,6 +5,7 @@
 #include "air/logging.hh"
 #include "array_keys.hh"
 #include "framework/known_api.hh"
+#include "util/flat_map.hh"
 #include "util/trace.hh"
 
 namespace sierra::analysis {
@@ -48,16 +49,25 @@ PointsToResult::constOf(NodeId node, int reg) const
     return regs[reg];
 }
 
+PointsToResult::MethodFacts &
+PointsToResult::factsOf(const air::Method &m) const
+{
+    auto [facts, inserted] = _factsOf.tryEmplace(&m, nullptr);
+    if (inserted)
+        *facts = &_methodFacts.emplace_back(m);
+    return **facts;
+}
+
 const Cfg &
 PointsToResult::cfg(const air::Method &m) const
 {
-    return _methodFacts.try_emplace(&m, m).first->second.cfg;
+    return factsOf(m).cfg;
 }
 
 const DominatorTree &
 PointsToResult::dominators(const air::Method &m) const
 {
-    MethodFacts &facts = _methodFacts.try_emplace(&m, m).first->second;
+    MethodFacts &facts = factsOf(m);
     if (!facts.dom)
         facts.dom = std::make_unique<DominatorTree>(facts.cfg);
     return *facts.dom;
@@ -68,35 +78,42 @@ FieldKey
 PointsToResult::memoKey(const air::FieldRef *field, ObjId slot,
                         Make make) const
 {
-    auto [it, inserted] = _keyMemo.try_emplace({field, slot});
-    if (inserted)
-        it->second = make();
-    return it->second;
+    if (const FieldKey *key = _keyMemo.find({field, slot}))
+        return *key;
+    // `make` may intern keys, never memo entries: insert after it.
+    FieldKey key = make();
+    _keyMemo.tryEmplace({field, slot}, key);
+    return key;
 }
 
 FieldKey
 PointsToResult::fieldKey(ObjId obj, const air::FieldRef &field) const
 {
-    return memoKey(&field, obj, [&] {
-        const std::string &klass = objects.get(obj).klassName;
-        std::string decl =
-            cha.declaringClassOfField(klass, field.fieldName);
-        if (decl.empty())
-            decl = field.className;
-        return internKey(decl + "." + field.fieldName);
+    // The key depends on the object's class only.
+    return memoKey(&field, objects.get(obj).classId, [&] {
+        return declaringKey(objects.get(obj).klassName, field);
     });
 }
 
 FieldKey
 PointsToResult::staticKey(const air::FieldRef &field) const
 {
-    return memoKey(&field, kStaticSlot, [&] {
-        std::string decl =
-            cha.declaringClassOfField(field.className, field.fieldName);
-        if (decl.empty())
-            decl = field.className;
-        return internKey(decl + "." + field.fieldName);
-    });
+    return memoKey(&field, kStaticSlot,
+                   [&] { return declaringKey(field.className, field); });
+}
+
+FieldKey
+PointsToResult::declaringKey(const std::string &klass,
+                             const air::FieldRef &field) const
+{
+    const std::string *decl =
+        cha.findDeclaringClassOfField(klass, field.fieldName);
+    // Built in a reused buffer: interning a key already seen copies
+    // nothing.
+    _keyText.assign(decl ? *decl : field.className);
+    _keyText += '.';
+    _keyText += field.fieldName;
+    return internKey(_keyText);
 }
 
 FieldKey
@@ -110,7 +127,7 @@ PointsToResult::declaredKey(const air::FieldRef &field) const
 FieldKey
 PointsToResult::wildcardKey(ObjId obj) const
 {
-    return memoKey(nullptr, obj, [&] {
+    return memoKey(nullptr, objects.get(obj).classId, [&] {
         return internKey(arrayWildcardKey(objects.get(obj).klassName),
                          FieldKey::kArray | FieldKey::kWildcard);
     });
@@ -160,12 +177,105 @@ class PointsToAnalysis::Engine
            PointsToOptions options)
         : _app(app), _plan(plan), _opts(options), _apis(app.module())
     {
+        for (const char *name : kCallbackNames)
+            nameIdOf(name);
     }
 
     std::unique_ptr<PointsToResult> run();
 
   private:
     static constexpr uint64_t kNoSig = ~uint64_t{0};
+
+    /** Callback names the intrinsics dispatch on; interned first, so
+     *  each one's name id is its index here. */
+    static constexpr const char *kCallbackNames[] = {
+        "run", "handleMessage", "onReceive", "onServiceConnected",
+        "onPreExecute", "doInBackground", "onPostExecute",
+    };
+    enum CallbackName {
+        kRun, kHandleMessage, kOnReceive, kOnServiceConnected,
+        kOnPreExecute, kDoInBackground, kOnPostExecute,
+    };
+
+    /** How the engine handles one invoke instruction of a method,
+     *  resolved on its first visit in any node of the method and reused
+     *  by every later visit. Every entry is a pure function of the
+     *  module and the plan. */
+    struct InstrFacts {
+        bool invokeResolved{false};
+        ApiKind api{ApiKind::None};
+        const EntryEventSite *event{nullptr};
+        //! Static/Special invokes: the resolved target (may be null)
+        const Method *directTarget{nullptr};
+        //! Virtual/Interface invokes: the method-name id to dispatch
+        int nameId{-1};
+    };
+
+    /** Packed (a, b) key of two non-negative 32-bit ids. */
+    static uint64_t
+    pack(int64_t a, int64_t b)
+    {
+        return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+               static_cast<uint32_t>(b);
+    }
+
+    InstrFacts &
+    factsOf(NodeId n, int idx)
+    {
+        return _instrFacts[static_cast<size_t>(_r->cg.methodIndex(n))]
+                          [static_cast<size_t>(idx)];
+    }
+
+    /** The invoke facts of instruction `idx`, resolved on the first
+     *  ask. Returned by value: resolving interns nothing, but callers
+     *  go on to intern nodes and methods. */
+    InstrFacts invokeFacts(NodeId n, const Method *m, int idx);
+
+    int
+    nameIdOf(const std::string &name)
+    {
+        auto [it, inserted] = _nameIds.try_emplace(
+            name, static_cast<int>(_names.size()));
+        if (inserted)
+            _names.push_back(&it->first);
+        return it->second;
+    }
+
+    /** Virtual dispatch of name `name_id` on the dynamic class of `o`,
+     *  memoised by (class id, name id). */
+    const Method *dispatch(ObjId o, int name_id);
+
+    /** A snapshot of a set's members for a loop whose body may change
+     *  the set or reallocate the node tables. The buffer comes from a
+     *  pool and returns to it, so a snapshot allocates only while the
+     *  pool warms up. */
+    class Snapshot
+    {
+      public:
+        Snapshot(Engine &e, const ObjSet &s) : _e(e)
+        {
+            if (!_e._snapshotPool.empty()) {
+                _ids = std::move(_e._snapshotPool.back());
+                _e._snapshotPool.pop_back();
+            }
+            for (ObjId o : s)
+                _ids.push_back(o);
+        }
+        ~Snapshot()
+        {
+            _ids.clear();
+            _e._snapshotPool.push_back(std::move(_ids));
+        }
+        Snapshot(const Snapshot &) = delete;
+        Snapshot &operator=(const Snapshot &) = delete;
+
+        auto begin() const { return _ids.begin(); }
+        auto end() const { return _ids.end(); }
+
+      private:
+        Engine &_e;
+        std::vector<ObjId> _ids;
+    };
 
     bool asMode() const
     {
@@ -213,10 +323,21 @@ class PointsToAnalysis::Engine
     bool processInstr(NodeId n, const Method *m, int idx);
     bool processInvoke(NodeId n, const Method *m, int idx);
     bool handleEventSite(NodeId n, const Method *m, int idx,
-                         const EntryEventSite &ev);
+                         const InstrFacts &f);
     bool handleIntrinsic(NodeId n, const Method *m, int idx,
                          ApiKind kind);
-    bool normalCall(NodeId n, const Method *m, int idx);
+    bool normalCall(NodeId n, const Method *m, int idx,
+                    const InstrFacts &f);
+    /** Register `n` as a reader of (o, key) and add what is stored
+     *  there to `dst`. */
+    void
+    readField(NodeId n, ObjId o, FieldId key, int dst, bool &changed)
+    {
+        _fieldReaders.tryEmplace(pack(o, key), ObjSet(&_r->arena))
+            .first->insert(n);
+        if (ObjSet **stored = _fieldPtsOf.find(pack(o, key)))
+            changed |= addObjs(n, dst, **stored);
+    }
 
     /** Bind call args into a callee node; true if anything changed. */
     bool bindArgs(NodeId caller, const Instruction &instr,
@@ -272,16 +393,25 @@ class PointsToAnalysis::Engine
 
     // --- delta-propagation signatures ---
 
+    /** The registers of the node being processed: views into its rows
+     *  of regPts and regConst. Rows never move (a new node appends a
+     *  row; the rows' own storage stays put), so the views hold for a
+     *  whole processNode. */
+    struct NodeRegs {
+        const ObjSet *pts;
+        const ConstVal *consts;
+        int count;
+    };
+
     /** Version of one register as an instruction input: points-to set
      *  mutation counter plus the (monotone) constant lattice state. */
-    uint64_t
-    inSig(NodeId n, int reg) const
+    static uint64_t
+    inSig(const NodeRegs &regs, int reg)
     {
-        const auto &regs = _r->regPts[n];
-        if (reg < 0 || reg >= static_cast<int>(regs.size()))
+        if (reg < 0 || reg >= regs.count)
             return 0;
-        return regs[reg].version() +
-               static_cast<uint64_t>(_r->regConst[n][reg].state);
+        return regs.pts[reg].version() +
+               static_cast<uint64_t>(regs.consts[reg].state);
     }
 
     /** Sum of the monotone versions of everything the instruction's
@@ -289,25 +419,26 @@ class PointsToAnalysis::Engine
      *  re-execution is a no-op and is skipped. Opcodes with no dynamic
      *  inputs return a constant (run exactly once). */
     uint64_t
-    instrSignature(NodeId n, const Instruction &instr) const
+    instrSignature(NodeId n, const NodeRegs &regs,
+                   const Instruction &instr) const
     {
         switch (instr.op) {
           case Opcode::Move:
           case Opcode::Return:
           case Opcode::PutStatic:
-            return inSig(n, instr.srcs[0]);
+            return inSig(regs, instr.srcs[0]);
           case Opcode::GetField:
-            return inSig(n, instr.srcs[0]) + _fieldEpoch;
+            return inSig(regs, instr.srcs[0]) + _fieldEpoch;
           case Opcode::PutField:
-            return inSig(n, instr.srcs[0]) + inSig(n, instr.srcs[1]);
+            return inSig(regs, instr.srcs[0]) + inSig(regs, instr.srcs[1]);
           case Opcode::GetStatic:
             return _staticEpoch;
           case Opcode::ArrayGet:
-            return inSig(n, instr.srcs[0]) + inSig(n, instr.srcs[1]) +
+            return inSig(regs, instr.srcs[0]) + inSig(regs, instr.srcs[1]) +
                    _fieldEpoch;
           case Opcode::ArrayPut:
-            return inSig(n, instr.srcs[0]) + inSig(n, instr.srcs[1]) +
-                   inSig(n, instr.srcs[2]);
+            return inSig(regs, instr.srcs[0]) + inSig(regs, instr.srcs[1]) +
+                   inSig(regs, instr.srcs[2]);
           case Opcode::Invoke: {
             // Calls read argument registers, the node's action set
             // (spawn creators / propagation), handler->looper bindings,
@@ -318,7 +449,7 @@ class PointsToAnalysis::Engine
             uint64_t s = _r->cg.actionsOf(n).version() + _constEpoch +
                          _spawnFieldEpoch + _looperEpoch;
             for (int r : instr.srcs)
-                s += inSig(n, r);
+                s += inSig(regs, r);
             return s;
           }
           default:
@@ -335,14 +466,43 @@ class PointsToAnalysis::Engine
     std::deque<NodeId> _worklist;
     std::vector<char> _queued;
 
-    std::map<std::pair<ObjId, FieldId>, ObjSet> _fieldReaders;
-    std::map<FieldId, ObjSet> _staticReaders;
-    //! callee -> (dst node, dst reg) forwarding of return values
-    std::map<NodeId, std::vector<std::pair<NodeId, int>>> _returnFlows;
-    std::map<std::pair<ObjId, FieldId>, ConstVal> _fieldConst;
+    //! packed (object, field key) -> nodes reading it
+    util::FlatMap<uint64_t, ObjSet> _fieldReaders;
+    //! static key -> nodes reading it
+    util::FlatMap<FieldId, ObjSet> _staticReaders;
+    //! per callee node: (dst node, dst reg) forwarding of return values
+    std::vector<std::vector<std::pair<NodeId, int>>> _returnFlows;
+    //! packed (object, field key) -> constant stored there
+    util::FlatMap<uint64_t, ConstVal> _fieldConst;
+    //! packed (object, field key) -> its set in the result's fieldPts
+    //! (map nodes never move)
+    util::FlatMap<uint64_t, ObjSet *> _fieldPtsOf;
 
-    //! per-node, per-instruction last-execution signature
-    std::vector<std::vector<uint64_t>> _instrSig;
+    //! per dense method index (CallGraph::methodIndex), per
+    //! instruction: resolved facts
+    std::vector<std::vector<InstrFacts>> _instrFacts;
+    //! per-node, per-instruction last-execution signature: node n's
+    //! instruction i at _instrSig[_sigStart[n] + i]
+    std::vector<uint64_t> _instrSig;
+    std::vector<size_t> _sigStart;
+
+    //! method names by id (keys of _nameIds)
+    std::unordered_map<std::string, int> _nameIds;
+    std::vector<const std::string *> _names;
+    //! packed (class id, name id) -> dispatch target (may be null)
+    util::FlatMap<uint64_t, const Method *> _dispatch;
+    //! per context: its heap context (-1 = not yet)
+    std::vector<CtxId> _heapCtxOf;
+    //! packed (receiver + 1, action + 1) -> receiver-object context
+    util::FlatMap<uint64_t, CtxId> _objCtx;
+    //! packed (caller context, site) -> call-string context
+    util::FlatMap<uint64_t, CtxId> _pushedCtx;
+    //! packed (context, action + 1) -> the context with that action
+    util::FlatMap<uint64_t, CtxId> _withAction;
+    //! packed (site, heap context) -> the allocation's object
+    util::FlatMap<uint64_t, ObjId> _allocObj;
+    //! buffers lent to Snapshot
+    std::vector<std::vector<ObjId>> _snapshotPool;
     //! bumped on every fieldPts / field-constant change
     uint64_t _fieldEpoch{0};
     //! bumped on every staticPts change
@@ -382,9 +542,13 @@ PointsToAnalysis::Engine::internNode(const Method *method, CtxId ctx)
     }
     _r->returnPts.emplace_back(&_r->arena);
     _r->regConst.emplace_back(method->numRegisters());
-    _instrSig.emplace_back(
-        method->hasBody() ? static_cast<size_t>(method->numInstrs()) : 0,
-        kNoSig);
+    const size_t ninstrs =
+        method->hasBody() ? static_cast<size_t>(method->numInstrs()) : 0;
+    _sigStart.push_back(_instrSig.size());
+    _instrSig.resize(_instrSig.size() + ninstrs, kNoSig);
+    if (_r->cg.methodIndex(n) == static_cast<int>(_instrFacts.size()))
+        _instrFacts.emplace_back(ninstrs);
+    _returnFlows.emplace_back();
     _queued.push_back(false);
     enqueue(n);
     return n;
@@ -438,10 +602,7 @@ PointsToAnalysis::Engine::addReturn(NodeId n, const ObjSet &objs)
 {
     if (!_r->returnPts[n].unionWith(objs))
         return;
-    auto it = _returnFlows.find(n);
-    if (it == _returnFlows.end())
-        return;
-    for (auto [dst_node, dst_reg] : it->second)
+    for (auto [dst_node, dst_reg] : _returnFlows[n])
         addObjs(dst_node, dst_reg, _r->returnPts[n]);
 }
 
@@ -462,18 +623,20 @@ bool
 PointsToAnalysis::Engine::addFieldObjs(ObjId obj, FieldId key,
                                        const ObjSet &objs)
 {
-    auto [entry, created] =
-        _r->fieldPts.try_emplace({obj, key}, ObjSet(&_r->arena));
-    (void)created;
-    bool changed = entry->second.unionWith(objs);
+    ObjSet **slot = _fieldPtsOf.tryEmplace(pack(obj, key)).first;
+    if (!*slot) {
+        *slot = &_r->fieldPts.try_emplace({obj, key}, ObjSet(&_r->arena))
+                     .first->second;
+    }
+    ObjSet *entry = *slot;
+    bool changed = entry->unionWith(objs);
     if (changed) {
         ++_fieldEpoch;
         if (key == _threadTargetKey)
             ++_spawnFieldEpoch;
         auto notify = [&](FieldId k) {
-            auto it = _fieldReaders.find({obj, k});
-            if (it != _fieldReaders.end()) {
-                for (NodeId reader : it->second)
+            if (const ObjSet *readers = _fieldReaders.find(pack(obj, k))) {
+                for (NodeId reader : *readers)
                     enqueue(reader);
             }
         };
@@ -498,9 +661,8 @@ PointsToAnalysis::Engine::addStaticObjs(FieldId key, const ObjSet &objs)
     bool changed = entry->second.unionWith(objs);
     if (changed) {
         ++_staticEpoch;
-        auto it = _staticReaders.find(key);
-        if (it != _staticReaders.end()) {
-            for (NodeId reader : it->second)
+        if (const ObjSet *readers = _staticReaders.find(key)) {
+            for (NodeId reader : *readers)
                 enqueue(reader);
         }
     }
@@ -510,9 +672,18 @@ PointsToAnalysis::Engine::addStaticObjs(FieldId key, const ObjSet &objs)
 CtxId
 PointsToAnalysis::Engine::heapCtxOf(CtxId ctx)
 {
-    const ContextData &d = _r->contexts.get(ctx);
-    return _r->contexts.make(asMode() ? d.actionId : -1, d.elems,
-                             _opts.ctx.heapK);
+    if (static_cast<size_t>(ctx) >= _heapCtxOf.size())
+        _heapCtxOf.resize(_r->contexts.size(), -1);
+    if (_heapCtxOf[ctx] < 0) {
+        const ContextData &d = _r->contexts.get(ctx);
+        CtxId heap = _r->contexts.make(asMode() ? d.actionId : -1, d.elems,
+                                       _opts.ctx.heapK);
+        // `make` may have interned a context: index afresh.
+        if (static_cast<size_t>(ctx) >= _heapCtxOf.size())
+            _heapCtxOf.resize(_r->contexts.size(), -1);
+        _heapCtxOf[ctx] = heap;
+    }
+    return _heapCtxOf[ctx];
 }
 
 CtxId
@@ -520,20 +691,37 @@ PointsToAnalysis::Engine::selectCtx(bool is_virtual, CtxId caller,
                                     ObjId recv, SiteId site,
                                     int action_id)
 {
+    // Each context is memoised by the ids it is a function of; a memo
+    // hit skips only a lookup that would find the same interned id.
     const int k = _opts.ctx.k;
+    auto with_action = [&](CtxId base) {
+        auto [ctx, inserted] =
+            _withAction.tryEmplace(pack(base, action_id + 1), kEmptyCtx);
+        if (inserted)
+            *ctx = _r->contexts.withAction(base, action_id);
+        return *ctx;
+    };
     auto obj_ctx = [&]() {
-        std::vector<SiteId> elems;
-        if (recv >= 0) {
-            const HeapObject &o = _r->objects.get(recv);
-            elems.push_back(o.site); // kNoSite for non-site objects
-            for (SiteId e : _r->contexts.get(o.heapCtx).elems)
-                elems.push_back(e);
+        auto [ctx, inserted] =
+            _objCtx.tryEmplace(pack(recv + 1, action_id + 1), kEmptyCtx);
+        if (inserted) {
+            std::vector<SiteId> elems;
+            if (recv >= 0) {
+                const HeapObject &o = _r->objects.get(recv);
+                elems.push_back(o.site); // kNoSite for non-site objects
+                for (SiteId e : _r->contexts.get(o.heapCtx).elems)
+                    elems.push_back(e);
+            }
+            *ctx = _r->contexts.make(action_id, std::move(elems), k);
         }
-        return _r->contexts.make(action_id, std::move(elems), k);
+        return *ctx;
     };
     auto cfa_ctx = [&]() {
-        CtxId pushed = _r->contexts.pushElem(caller, site, k);
-        return _r->contexts.withAction(pushed, action_id);
+        auto [pushed, inserted] =
+            _pushedCtx.tryEmplace(pack(caller, site), kEmptyCtx);
+        if (inserted)
+            *pushed = _r->contexts.pushElem(caller, site, k);
+        return with_action(*pushed);
     };
 
     switch (_opts.ctx.policy) {
@@ -542,8 +730,7 @@ PointsToAnalysis::Engine::selectCtx(bool is_virtual, CtxId caller,
       case ContextPolicy::KCfa:
         return cfa_ctx();
       case ContextPolicy::KObj:
-        return is_virtual ? obj_ctx()
-                          : _r->contexts.withAction(caller, action_id);
+        return is_virtual ? obj_ctx() : with_action(caller);
       case ContextPolicy::Hybrid:
       case ContextPolicy::ActionSensitive:
         return is_virtual ? obj_ctx() : cfa_ctx();
@@ -620,7 +807,7 @@ PointsToAnalysis::Engine::mergeFieldConst(ObjId obj, FieldId key,
 {
     if (v.state == ConstVal::State::Bottom)
         return;
-    ConstVal &cur = _fieldConst[{obj, key}];
+    ConstVal &cur = *_fieldConst.tryEmplace(pack(obj, key)).first;
     if (cur.state == ConstVal::State::Bottom) {
         cur = v;
         ++_fieldEpoch;
@@ -637,8 +824,8 @@ PointsToAnalysis::Engine::mergeFieldConst(ObjId obj, FieldId key,
 ConstVal
 PointsToAnalysis::Engine::fieldConstOf(ObjId obj, FieldId key) const
 {
-    auto it = _fieldConst.find({obj, key});
-    return it == _fieldConst.end() ? ConstVal{} : it->second;
+    const ConstVal *v = _fieldConst.find(pack(obj, key));
+    return v ? *v : ConstVal{};
 }
 
 std::unique_ptr<PointsToResult>
@@ -681,26 +868,28 @@ PointsToAnalysis::Engine::processNode(NodeId n)
     const Method *m = _r->cg.node(n).method;
     if (!m->hasBody())
         return;
+    // Terminates: every pass that reports a change grew a points-to set
+    // or raised a constant up a finite lattice (docs/INTERNALS.md §2).
+    const NodeRegs regs{_r->regPts[n].data(), _r->regConst[n].data(),
+                        static_cast<int>(_r->regPts[n].size())};
     bool changed = true;
-    int guard = 0;
     while (changed) {
         changed = false;
         ++_r->stats.localPasses;
         for (int i = 0; i < m->numInstrs(); ++i) {
             const Instruction &instr = m->instr(i);
-            uint64_t sig = instrSignature(n, instr);
-            // Index _instrSig[n] afresh on every access: processInstr
-            // can intern new nodes, reallocating the outer vector.
-            if (sig == _instrSig[n][i]) {
+            uint64_t sig = instrSignature(n, regs, instr);
+            // Index _instrSig afresh on every access: processInstr can
+            // intern new nodes, reallocating it.
+            uint64_t &last = _instrSig[_sigStart[n] + static_cast<size_t>(i)];
+            if (sig == last) {
                 ++_r->stats.deltaSkips;
                 continue;
             }
-            _instrSig[n][i] = sig;
+            last = sig;
             ++_r->stats.instrVisits;
             changed |= processInstr(n, m, i);
         }
-        if (++guard > 1000)
-            panic("local fixpoint divergence in ", m->qualifiedName());
     }
 }
 
@@ -747,32 +936,39 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
         // never flow here, so only poison the const lattice.
         return mergeConst(n, instr.dst,
                           {ConstVal::State::Top, 0});
-      case Opcode::New: {
-        ObjId o = _r->objects.siteObject(
-            instr.typeName, site, heapCtxOf(_r->cg.node(n).ctx));
-        return addObj(n, instr.dst, o);
-      }
+      case Opcode::New:
       case Opcode::NewArray: {
-        std::string klass =
-            (instr.typeName.empty() ? "int" : instr.typeName) + "[]";
-        ObjId o = _r->objects.siteObject(klass, site,
-                                         heapCtxOf(_r->cg.node(n).ctx));
-        return addObj(n, instr.dst, o);
+        // The site fixes the class, so (site, heap context) is the
+        // object's identity.
+        CtxId heap = heapCtxOf(_r->cg.node(n).ctx);
+        auto [obj, inserted] = _allocObj.tryEmplace(pack(site, heap), -1);
+        if (inserted) {
+            *obj =
+                instr.op == Opcode::New
+                    ? _r->objects.siteObject(instr.typeName, site, heap)
+                    : _r->objects.siteObject(
+                          (instr.typeName.empty() ? "int"
+                                                  : instr.typeName) +
+                              "[]",
+                          site, heap);
+        }
+        return addObj(n, instr.dst, *obj);
       }
       case Opcode::GetField: {
         bool changed = false;
         // dst may alias the base register; never mutate the set being
         // iterated (bitset growth would invalidate the end sentinel).
-        const ObjSet bases = copyOf(pts(instr.srcs[0]));
-        for (ObjId o : bases) {
-            FieldId key = _r->fieldKey(o, instr.field).id;
-            _fieldReaders.try_emplace({o, key}, ObjSet(&_r->arena))
-                .first->second.insert(n);
-            auto it = _r->fieldPts.find({o, key});
-            if (it != _r->fieldPts.end())
-                changed |= addObjs(n, instr.dst, it->second);
-            changed |= mergeConst(n, instr.dst, fieldConstOf(o, key));
-        }
+        auto read = [&](const auto &bases) {
+            for (ObjId o : bases) {
+                FieldId key = _r->fieldKey(o, instr.field).id;
+                readField(n, o, key, instr.dst, changed);
+                changed |= mergeConst(n, instr.dst, fieldConstOf(o, key));
+            }
+        };
+        if (instr.dst == instr.srcs[0])
+            read(Snapshot(*this, pts(instr.srcs[0])));
+        else
+            read(pts(instr.srcs[0]));
         return changed;
       }
       case Opcode::PutField: {
@@ -785,8 +981,7 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
       }
       case Opcode::GetStatic: {
         FieldId key = _r->staticKey(instr.field).id;
-        _staticReaders.try_emplace(key, ObjSet(&_r->arena))
-            .first->second.insert(n);
+        _staticReaders.tryEmplace(key, ObjSet(&_r->arena)).first->insert(n);
         auto it = _r->staticPts.find(key);
         if (it == _r->staticPts.end())
             return false;
@@ -800,29 +995,28 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
         ConstVal idx = _r->constOf(n, instr.srcs[1]);
         bool sensitive = _opts.indexSensitiveArrays;
         // Same aliasing guard as GetField: dst can be the array register.
-        const ObjSet arrays = copyOf(pts(instr.srcs[0]));
-        for (ObjId o : arrays) {
-            std::vector<FieldId> keys{_r->wildcardKey(o).id};
-            if (sensitive && idx.isConst()) {
-                keys.push_back(elemIdOf(o, idx.value, false));
-            } else if (sensitive) {
-                // Unknown index: read every known exact element too
-                // (per-object element index replaces the old string
-                // prefix scan over fieldPts).
-                auto eit = _arrayElemKeys.find(o);
-                if (eit != _arrayElemKeys.end()) {
-                    for (FieldId e : eit->second)
-                        keys.push_back(e);
+        auto read = [&](const auto &arrays) {
+            for (ObjId o : arrays) {
+                readField(n, o, _r->wildcardKey(o).id, instr.dst, changed);
+                if (sensitive && idx.isConst()) {
+                    readField(n, o, elemIdOf(o, idx.value, false),
+                              instr.dst, changed);
+                } else if (sensitive) {
+                    // Unknown index: read every known exact element too
+                    // (per-object element index replaces the old string
+                    // prefix scan over fieldPts).
+                    auto eit = _arrayElemKeys.find(o);
+                    if (eit != _arrayElemKeys.end()) {
+                        for (FieldId e : eit->second)
+                            readField(n, o, e, instr.dst, changed);
+                    }
                 }
             }
-            for (FieldId key : keys) {
-                _fieldReaders.try_emplace({o, key}, ObjSet(&_r->arena))
-                    .first->second.insert(n);
-                auto it = _r->fieldPts.find({o, key});
-                if (it != _r->fieldPts.end())
-                    changed |= addObjs(n, instr.dst, it->second);
-            }
-        }
+        };
+        if (instr.dst == instr.srcs[0])
+            read(Snapshot(*this, pts(instr.srcs[0])));
+        else
+            read(pts(instr.srcs[0]));
         return changed;
       }
       case Opcode::ArrayPut: {
@@ -844,18 +1038,59 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
     return false;
 }
 
+PointsToAnalysis::Engine::InstrFacts
+PointsToAnalysis::Engine::invokeFacts(NodeId n, const Method *m, int idx)
+{
+    InstrFacts &f = factsOf(n, idx);
+    if (f.invokeResolved)
+        return f;
+    f.invokeResolved = true;
+    const Instruction &instr = m->instr(idx);
+    f.event = _plan.siteAt(m, idx);
+    if (f.event) {
+        f.nameId = nameIdOf(instr.method.methodName);
+        return f;
+    }
+    f.api = _apis.classify(instr.method);
+    if (f.api != ApiKind::None)
+        return f;
+    switch (instr.invokeKind) {
+      case InvokeKind::Static:
+        f.directTarget = _r->cha.resolveStatic(instr.method.className,
+                                               instr.method.methodName);
+        break;
+      case InvokeKind::Special:
+        f.directTarget = _r->cha.resolveVirtual(instr.method.className,
+                                                instr.method.methodName);
+        break;
+      case InvokeKind::Virtual:
+      case InvokeKind::Interface:
+        f.nameId = nameIdOf(instr.method.methodName);
+        break;
+    }
+    return f;
+}
+
+const Method *
+PointsToAnalysis::Engine::dispatch(ObjId o, int name_id)
+{
+    auto [target, inserted] = _dispatch.tryEmplace(
+        pack(_r->objects.get(o).classId, name_id));
+    if (inserted)
+        *target = _r->cha.resolveVirtual(classOf(o), *_names[name_id]);
+    return *target;
+}
+
 bool
 PointsToAnalysis::Engine::processInvoke(NodeId n, const Method *m,
                                         int idx)
 {
-    if (const EntryEventSite *ev = _plan.siteAt(m, idx))
-        return handleEventSite(n, m, idx, *ev);
-
-    const Instruction &instr = m->instr(idx);
-    ApiKind kind = _apis.classify(instr.method);
-    if (kind != ApiKind::None)
-        return handleIntrinsic(n, m, idx, kind);
-    return normalCall(n, m, idx);
+    const InstrFacts f = invokeFacts(n, m, idx);
+    if (f.event)
+        return handleEventSite(n, m, idx, f);
+    if (f.api != ApiKind::None)
+        return handleIntrinsic(n, m, idx, f.api);
+    return normalCall(n, m, idx, f);
 }
 
 bool
@@ -885,9 +1120,9 @@ PointsToAnalysis::Engine::bindArgs(NodeId caller,
 
 bool
 PointsToAnalysis::Engine::handleEventSite(NodeId n, const Method *m,
-                                          int idx,
-                                          const EntryEventSite &ev)
+                                          int idx, const InstrFacts &f)
 {
+    const EntryEventSite &ev = *f.event;
     const Instruction &instr = m->instr(idx);
     SiteId site = _r->sites.intern(m, idx);
 
@@ -900,11 +1135,9 @@ PointsToAnalysis::Engine::handleEventSite(NodeId n, const Method *m,
         a.looperObj = _r->mainLooperObj;
     }
 
-    // Copy: spawnEntry interns nodes, which may reallocate regPts.
-    const ObjSet receivers = copyOf(_r->pointsTo(n, instr.srcs[0]));
-    for (ObjId o : receivers) {
-        const Method *target = _r->cha.resolveVirtual(
-            classOf(o), instr.method.methodName);
+    // Snapshot: spawnEntry binds receivers, which may grow this set.
+    for (ObjId o : Snapshot(*this, _r->pointsTo(n, instr.srcs[0]))) {
+        const Method *target = dispatch(o, f.nameId);
         if (!target)
             continue;
         // Even a bodyless (framework default) callback is a real action
@@ -947,8 +1180,7 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
     };
     auto spawn_runnable = [&](ActionKind akind, ObjId runnable,
                               ObjId looper, ThreadAffinity affinity) {
-        const Method *run =
-            _r->cha.resolveVirtual(classOf(runnable), "run");
+        const Method *run = dispatch(runnable, kRun);
         if (!run || !run->hasBody())
             return;
         for (int creator : creators) {
@@ -986,8 +1218,7 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
       }
       case ApiKind::HandlerSendMessage: {
         for (ObjId h : pts(0)) {
-            const Method *target =
-                _r->cha.resolveVirtual(classOf(h), "handleMessage");
+            const Method *target = dispatch(h, kHandleMessage);
             if (!target || !target->hasBody())
                 continue;
             ObjId looper = looper_of_handler(h);
@@ -1039,21 +1270,21 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
             const std::string &cls = classOf(t);
             struct Phase {
                 const char *cb;
+                int nameId;
                 ActionKind kind;
                 ThreadAffinity affinity;
             };
             static const Phase phases[] = {
-                {"onPreExecute", ActionKind::AsyncPre,
+                {"onPreExecute", kOnPreExecute, ActionKind::AsyncPre,
                  ThreadAffinity::MainLooper},
-                {"doInBackground", ActionKind::AsyncBackground,
-                 ThreadAffinity::Background},
-                {"onPostExecute", ActionKind::AsyncPost,
+                {"doInBackground", kDoInBackground,
+                 ActionKind::AsyncBackground, ThreadAffinity::Background},
+                {"onPostExecute", kOnPostExecute, ActionKind::AsyncPost,
                  ThreadAffinity::MainLooper},
             };
             NodeId bg_node = -1;
             for (const auto &phase : phases) {
-                const Method *target =
-                    _r->cha.resolveVirtual(cls, phase.cb);
+                const Method *target = dispatch(t, phase.nameId);
                 if (!target || !target->hasBody())
                     continue;
                 for (int creator : creators) {
@@ -1080,7 +1311,7 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
       }
       case ApiKind::ThreadStart: {
         for (ObjId t : pts(0)) {
-            const Method *run = _r->cha.resolveVirtual(classOf(t), "run");
+            const Method *run = dispatch(t, kRun);
             if (run && run->hasBody()) {
                 spawn_runnable(ActionKind::ThreadRun, t, -1,
                                ThreadAffinity::Background);
@@ -1088,12 +1319,12 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
             }
             // Plain java.lang.Thread wrapping a Runnable.
             FieldId key = _threadTargetKey;
-            _fieldReaders.try_emplace({t, key}, ObjSet(&_r->arena))
-                .first->second.insert(n);
-            auto it = _r->fieldPts.find({t, key});
-            if (it == _r->fieldPts.end())
+            _fieldReaders.tryEmplace(pack(t, key), ObjSet(&_r->arena))
+                .first->insert(n);
+            ObjSet **stored = _fieldPtsOf.find(pack(t, key));
+            if (!stored)
                 continue;
-            const ObjSet targets = copyOf(it->second);
+            const ObjSet targets = copyOf(**stored);
             for (ObjId r : targets) {
                 spawn_runnable(ActionKind::ThreadRun, r, -1,
                                ThreadAffinity::Background);
@@ -1132,8 +1363,7 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
       }
       case ApiKind::RegisterReceiver: {
         for (ObjId r : pts(1)) {
-            const Method *target =
-                _r->cha.resolveVirtual(classOf(r), "onReceive");
+            const Method *target = dispatch(r, kOnReceive);
             if (!target || !target->hasBody())
                 continue;
             for (int creator : creators) {
@@ -1157,8 +1387,7 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
       }
       case ApiKind::BindService: {
         for (ObjId c : pts(2)) {
-            const Method *target = _r->cha.resolveVirtual(
-                classOf(c), "onServiceConnected");
+            const Method *target = dispatch(c, kOnServiceConnected);
             if (!target || !target->hasBody())
                 continue;
             for (int creator : creators) {
@@ -1305,7 +1534,8 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
 }
 
 bool
-PointsToAnalysis::Engine::normalCall(NodeId n, const Method *m, int idx)
+PointsToAnalysis::Engine::normalCall(NodeId n, const Method *m, int idx,
+                                     const InstrFacts &f)
 {
     const Instruction &instr = m->instr(idx);
     SiteId site = _r->sites.intern(m, idx);
@@ -1319,8 +1549,8 @@ PointsToAnalysis::Engine::normalCall(NodeId n, const Method *m, int idx)
             return;
         NodeId n2 = internNode(target, cc);
         _r->cg.addEdge(n, site, n2);
-        for (int a : _r->cg.actionsOf(n))
-            addActionToNode(n2, a);
+        if (_r->cg.addActionsOf(n2, n))
+            enqueue(n2);
         bindArgs(n, instr, target, n2, has_this);
         if (instr.dst >= 0 && target->returnType().isReference())
             addReturnFlow(n2, n, instr.dst);
@@ -1328,8 +1558,7 @@ PointsToAnalysis::Engine::normalCall(NodeId n, const Method *m, int idx)
 
     switch (instr.invokeKind) {
       case InvokeKind::Static: {
-        const Method *target = _r->cha.resolveStatic(
-            instr.method.className, instr.method.methodName);
+        const Method *target = f.directTarget;
         if (!target)
             return false;
         CtxId cc = selectCtx(false, caller_ctx, -1, site, caller_action);
@@ -1337,8 +1566,7 @@ PointsToAnalysis::Engine::normalCall(NodeId n, const Method *m, int idx)
         return changed;
       }
       case InvokeKind::Special: {
-        const Method *target = _r->cha.resolveVirtual(
-            instr.method.className, instr.method.methodName);
+        const Method *target = f.directTarget;
         if (!target)
             return false;
         CtxId cc = selectCtx(false, caller_ctx, -1, site, caller_action);
@@ -1349,20 +1577,18 @@ PointsToAnalysis::Engine::normalCall(NodeId n, const Method *m, int idx)
       case InvokeKind::Interface: {
         if (instr.srcs.empty())
             return false;
-        // Copy: interning callee nodes may reallocate regPts.
-        const ObjSet receivers =
-            copyOf(_r->pointsTo(n, instr.srcs[0]));
-        for (ObjId o : receivers) {
-            const Method *target = _r->cha.resolveVirtual(
-                classOf(o), instr.method.methodName);
+        // Snapshot: binding a callee's receiver and return value may
+        // grow this set.
+        for (ObjId o : Snapshot(*this, _r->pointsTo(n, instr.srcs[0]))) {
+            const Method *target = dispatch(o, f.nameId);
             if (!target || !target->hasBody())
                 continue;
             CtxId cc =
                 selectCtx(true, caller_ctx, o, site, caller_action);
             NodeId n2 = internNode(target, cc);
             _r->cg.addEdge(n, site, n2);
-            for (int a : _r->cg.actionsOf(n))
-                addActionToNode(n2, a);
+            if (_r->cg.addActionsOf(n2, n))
+                enqueue(n2);
             // Precise per-receiver this-binding.
             if (!target->isStatic())
                 addObj(n2, target->thisReg(), o);

@@ -25,6 +25,7 @@
 #ifndef SIERRA_ANALYSIS_POINTS_TO_HH
 #define SIERRA_ANALYSIS_POINTS_TO_HH
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,6 +45,7 @@
 #include "sites.hh"
 #include "util/arena.hh"
 #include "util/bitset.hh"
+#include "util/flat_map.hh"
 #include "util/intern.hh"
 
 namespace sierra::analysis {
@@ -170,9 +172,10 @@ class PointsToResult
     /**
      * Canonical "DeclaringClass.field" key for an access through `obj`,
      * interned. The key lookups below are memoised by the address of
-     * `field`, so `field` must be an instruction operand of the module
-     * (it outlives the result); a memo hit skips only the re-interning
-     * of a string already interned, so key ids do not depend on it.
+     * `field` (and the object's class id), so `field` must be an
+     * instruction operand of the module (it outlives the result); a
+     * memo hit skips only the re-interning of a string already
+     * interned, so key ids do not depend on it.
      */
     FieldKey fieldKey(ObjId obj, const air::FieldRef &field) const;
     /** Key of a static field: its declaring class via the hierarchy. */
@@ -210,16 +213,24 @@ class PointsToResult
     template <typename Make>
     FieldKey memoKey(const air::FieldRef *field, ObjId slot,
                      Make make) const;
+    /** "Declaring class.field" of `field` looked up from `klass`. */
+    FieldKey declaringKey(const std::string &klass,
+                          const air::FieldRef &field) const;
+    //! declaringKey's key text buffer
+    mutable std::string _keyText;
 
     struct MethodFacts {
         Cfg cfg;
         std::unique_ptr<DominatorTree> dom;
         explicit MethodFacts(const air::Method &m) : cfg(m) {}
     };
-    //! per-method facts; map nodes never move, so references handed
-    //! out stay valid
-    mutable std::unordered_map<const air::Method *, MethodFacts>
-        _methodFacts;
+    /** The facts of `m`, made on the first ask. */
+    MethodFacts &factsOf(const air::Method &m) const;
+    //! per-method facts; deque elements never move, so references
+    //! handed out stay valid
+    mutable std::deque<MethodFacts> _methodFacts;
+    mutable util::FlatMap<const air::Method *, MethodFacts *>
+        _factsOf;
 
     struct KeyMemoHash {
         size_t
@@ -229,10 +240,10 @@ class PointsToResult
                    std::hash<int>()(p.second);
         }
     };
-    //! (field operand, object or slot) -> key; a null field with an
-    //! object is that array object's element wildcard
-    mutable std::unordered_map<std::pair<const air::FieldRef *, ObjId>,
-                               FieldKey, KeyMemoHash>
+    //! (field operand, object class id or slot) -> key; a null field
+    //! with a class id is that array class's element wildcard
+    mutable util::FlatMap<std::pair<const air::FieldRef *, ObjId>,
+                          FieldKey, KeyMemoHash>
         _keyMemo;
 };
 

@@ -11,10 +11,10 @@
 #define SIERRA_ANALYSIS_SITES_HH
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "air/method.hh"
+#include "util/flat_map.hh"
 
 namespace sierra::analysis {
 
@@ -31,13 +31,17 @@ class SiteTable
     SiteId
     intern(const air::Method *method, int instr_idx)
     {
-        auto key = std::make_pair(method, instr_idx);
-        auto it = _index.find(key);
-        if (it != _index.end())
-            return it->second;
-        SiteId id = static_cast<SiteId>(_sites.size());
-        _sites.push_back({method, instr_idx});
-        _index.emplace(key, id);
+        auto [slot, inserted] = _methodSlot.tryEmplace(
+            method, static_cast<int>(_byMethod.size()));
+        if (inserted)
+            _byMethod.emplace_back(
+                static_cast<size_t>(method->numInstrs()), kNoSite);
+        SiteId &id = _byMethod[static_cast<size_t>(*slot)]
+                              [static_cast<size_t>(instr_idx)];
+        if (id == kNoSite) {
+            id = static_cast<SiteId>(_sites.size());
+            _sites.push_back({method, instr_idx});
+        }
         return id;
     }
 
@@ -45,8 +49,10 @@ class SiteTable
     SiteId
     find(const air::Method *method, int instr_idx) const
     {
-        auto it = _index.find(std::make_pair(method, instr_idx));
-        return it == _index.end() ? kNoSite : it->second;
+        const int *slot = _methodSlot.find(method);
+        return slot ? _byMethod[static_cast<size_t>(*slot)]
+                               [static_cast<size_t>(instr_idx)]
+                    : kNoSite;
     }
 
     const air::Method *methodOf(SiteId id) const
@@ -67,19 +73,11 @@ class SiteTable
     size_t size() const { return _sites.size(); }
 
   private:
-    struct PairHash {
-        size_t
-        operator()(const std::pair<const air::Method *, int> &p) const
-        {
-            return std::hash<const void *>()(p.first) * 31 +
-                   std::hash<int>()(p.second);
-        }
-    };
-
     std::vector<std::pair<const air::Method *, int>> _sites;
-    std::unordered_map<std::pair<const air::Method *, int>, SiteId,
-                       PairHash>
-        _index;
+    //! per method with a site: its row of site ids by instruction
+    //! (kNoSite = not interned), so a lookup hashes only the method
+    util::FlatMap<const air::Method *, int> _methodSlot;
+    std::vector<std::vector<SiteId>> _byMethod;
 };
 
 } // namespace sierra::analysis

@@ -128,7 +128,13 @@ KnownApis::classifyExact(const std::string &class_name,
         }
         return m;
     }();
-    auto it = index.find(class_name + '\0' + method_name);
+    // The lookup key is built in a per-thread buffer: no allocation
+    // once it has grown to the longest key.
+    thread_local std::string key;
+    key.assign(class_name);
+    key += '\0';
+    key += method_name;
+    auto it = index.find(key);
     if (it != index.end())
         return it->second;
     // Any setXxxListener on a View subclass counts as SetListener.
@@ -156,7 +162,7 @@ KnownApis::listenerCallback(const std::string &method_name)
     return it == table.end() ? std::string() : it->second;
 }
 
-std::string
+const std::string *
 KnownApis::resolveDeclaringFrameworkClass(const air::MethodRef &ref) const
 {
     // Walk the super chain from the named class upward, looking for the
@@ -166,19 +172,19 @@ KnownApis::resolveDeclaringFrameworkClass(const air::MethodRef &ref) const
     // direct framework references (e.g. android.os.Looper.getMainLooper)
     // classify even when the framework model was not installed.
     if (!k)
-        return ref.className;
+        return &ref.className;
     while (k) {
         if (k->findMethod(ref.methodName)) {
             // The first declaration up the chain wins: a user-defined
             // override (e.g. a subclass constructor or a custom run())
             // is a normal call, not a framework intrinsic.
-            return k->isFramework() ? k->name() : "";
+            return k->isFramework() ? &k->name() : nullptr;
         }
         if (k->superName().empty())
             break;
         k = _module.getClass(k->superName());
     }
-    return "";
+    return nullptr;
 }
 
 ApiKind
@@ -189,10 +195,10 @@ KnownApis::classify(const air::MethodRef &ref) const
     ApiKind kind = classifyExact(ref.className, ref.methodName);
     if (kind != ApiKind::None)
         return kind;
-    std::string declaring = resolveDeclaringFrameworkClass(ref);
-    if (declaring.empty())
+    const std::string *declaring = resolveDeclaringFrameworkClass(ref);
+    if (!declaring || declaring->empty())
         return ApiKind::None;
-    return classifyExact(declaring, ref.methodName);
+    return classifyExact(*declaring, ref.methodName);
 }
 
 bool

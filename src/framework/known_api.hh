@@ -136,8 +136,8 @@ class KnownApis
 
   private:
     /** Walk the super chain to the framework class that declares the
-     *  method; empty string if none does. */
-    std::string resolveDeclaringFrameworkClass(
+     *  method; null if none does. */
+    const std::string *resolveDeclaringFrameworkClass(
         const air::MethodRef &ref) const;
 
     const air::Module &_module;

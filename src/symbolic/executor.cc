@@ -213,12 +213,12 @@ bool
 BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
                                std::vector<PathState> &stack)
 {
-    // Callees of this site within the current phase's walk.
-    analysis::SiteId site =
-        _r.sites.find(_r.cg.node(st.node).method, st.instr);
+    // Callees of this site within the current phase's walk. A node's
+    // edges all leave its own method, so the instruction index names
+    // the site.
     std::vector<NodeId> callees;
     for (const auto &edge : _r.cg.edgesOf(st.node)) {
-        if (edge.site == site &&
+        if (_r.sites.instrOf(edge.site) == st.instr &&
             _r.cg.node(edge.callee).method->hasBody()) {
             callees.push_back(edge.callee);
         }
