@@ -7,7 +7,9 @@
  * k = 1, 2) over a fixed app sample and reports racy pairs and scored
  * false positives before refutation. Expected shape: action-sensitive
  * contexts produce the fewest racy pairs; the alias-trap pattern is a
- * false racy pair under every non-AS policy.
+ * false racy pair under every non-AS policy. Exits 1 unless
+ * action-sensitive k = 1 has no more racy pairs and FPs than any other
+ * row, and strictly fewer of both than every other k = 1 row.
  */
 
 #include "bench_util.hh"
@@ -41,6 +43,12 @@ main()
 
     std::printf("%-16s %10s %10s %10s %10s\n", "policy", "racyPairs",
                 "survFP", "nodes", "time ms");
+    struct Row {
+        const PolicyCase *pc;
+        int64_t racy;
+        int fp;
+    };
+    std::vector<Row> rows;
     for (const auto &pc : cases) {
         int64_t racy = 0;
         int fp = 0;
@@ -52,7 +60,6 @@ main()
             SierraOptions opts;
             opts.pta.ctx.policy = pc.policy;
             opts.pta.ctx.k = pc.k;
-            opts.pta.ctx.heapK = pc.k;
             opts.runRefutation = false;
             AppReport report = detector.analyze(opts);
             racy += report.racyPairs;
@@ -65,10 +72,33 @@ main()
         std::printf("%-16s %10lld %10d %10lld %10.2f\n", pc.name,
                     static_cast<long long>(racy), fp,
                     static_cast<long long>(nodes), ms);
+        rows.push_back({&pc, racy, fp});
     }
     std::printf("\nExpected shape: action-sensitive < hybrid <= "
                 "obj/cfa <= insensitive in racy\npairs; the Buffer$ "
                 "alias trap contributes FPs to every non-AS row "
                 "(paper:\n431 -> 80.5 racy pairs, a ~5x reduction).\n");
-    return 0;
+
+    const Row *as1 = nullptr;
+    for (const Row &r : rows) {
+        if (r.pc->policy == ContextPolicy::ActionSensitive && r.pc->k == 1)
+            as1 = &r;
+    }
+    bool ok = true;
+    for (const Row &r : rows) {
+        if (&r == as1)
+            continue;
+        const bool strict = r.pc->k == 1;
+        if (strict ? (as1->racy < r.racy && as1->fp < r.fp)
+                   : (as1->racy <= r.racy && as1->fp <= r.fp))
+            continue;
+        std::fprintf(stderr,
+                     "MISMATCH: action-sens k=1 (%lld/%d) is not %s %s "
+                     "(%lld/%d)\n",
+                     static_cast<long long>(as1->racy), as1->fp,
+                     strict ? "below" : "at or below", r.pc->name,
+                     static_cast<long long>(r.racy), r.fp);
+        ok = false;
+    }
+    return ok ? 0 : 1;
 }

@@ -44,7 +44,8 @@ ContextTable::pushElem(CtxId base, SiteId elem, int k)
 {
     const ContextData &b = get(base);
     _scratch.clear();
-    _scratch.push_back(elem);
+    if (k > 0)
+        _scratch.push_back(elem);
     for (SiteId e : b.elems) {
         if (static_cast<int>(_scratch.size()) >= k)
             break;

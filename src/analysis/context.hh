@@ -39,9 +39,9 @@ const char *contextPolicyName(ContextPolicy p);
 /** Context-selection options. */
 struct ContextOptions {
     ContextPolicy policy{ContextPolicy::ActionSensitive};
-    int k{1};     //!< context string depth
-    int heapK{1}; //!< heap-context depth for allocation sites
-    bool inflatedViewContext{true}; //!< view-id aliasing for findViewById
+    //! context string depth; an allocation's heap context is the
+    //! allocating node's context, so it has the same depth
+    int k{1};
 };
 
 /** The immutable payload of a context. */

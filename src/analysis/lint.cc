@@ -129,8 +129,7 @@ isPureValueOp(Opcode op)
 }
 
 void
-lintInto(const Method &method, const LintOptions &opts,
-         const framework::KnownApis *apis,
+lintInto(const Method &method, const framework::KnownApis *apis,
          std::vector<VerifyIssue> &out)
 {
     if (!method.hasBody())
@@ -158,97 +157,85 @@ lintInto(const Method &method, const LintOptions &opts,
         }
     }
 
-    if (opts.useBeforeDef) {
-        DefiniteAssignment problem{method.numRegisters(),
-                                   method.firstTempReg()};
-        DataflowResult<DefiniteAssignment::Domain> r =
-            solveDataflow(cfg, problem);
-        for (const BasicBlock &block : cfg.blocks()) {
-            if (block.first > block.last || !r.reached[block.id])
-                continue;
-            DefiniteAssignment::Domain env = r.atEntry[block.id];
-            for (int i = block.first; i <= block.last; ++i) {
-                const Instruction &instr = method.instr(i);
-                for (int src : instr.srcs) {
-                    if (!env[src]) {
-                        out.push_back(
-                            {at(i),
-                             strCat("register r", src,
-                                         " may be used before "
-                                         "assignment"),
-                             Severity::Error});
-                    }
-                }
-                problem.transfer(i, instr, env);
-            }
-        }
-    }
-
-    if (opts.unreachableBlocks) {
-        for (const BasicBlock &block : cfg.blocks()) {
-            if (block.first > block.last)
-                continue; // synthetic exit
-            if (block_reachable[block.id])
-                continue;
-            out.push_back(
-                {at(block.first),
-                 strCat("unreachable basic block (instructions ",
-                             block.first, "..", block.last, ")"),
-                 Severity::Warning});
-        }
-    }
-
-    if (opts.lockHeldAtPost) {
-        MonitorDepth problem;
-        DataflowResult<MonitorDepth::Domain> r =
-            solveDataflow(cfg, problem);
-        for (const BasicBlock &block : cfg.blocks()) {
-            if (block.first > block.last || !r.reached[block.id])
-                continue;
-            MonitorDepth::Domain depth = r.atEntry[block.id];
-            for (int i = block.first; i <= block.last; ++i) {
-                const Instruction &instr = method.instr(i);
-                if (instr.op == Opcode::Invoke && depth > 0) {
-                    // With a module-backed classifier the super chain
-                    // resolves app subclasses of Handler etc.; without
-                    // one, direct framework references still match.
-                    framework::ApiKind kind =
-                        apis ? apis->classify(instr.method)
-                             : framework::KnownApis::classifyExact(
-                                   instr.method.className,
-                                   instr.method.methodName);
-                    if (isPostLikeApi(kind)) {
-                        out.push_back(
-                            {at(i),
-                             strCat(instr.method.toString(),
-                                    " called with a monitor held; "
-                                    "the posted callback runs after "
-                                    "the critical section and may "
-                                    "race or re-enter it"),
-                             Severity::Warning});
-                    }
-                }
-                problem.transfer(i, instr, depth);
-            }
-        }
-    }
-
-    if (opts.deadStores) {
-        const Liveness live(cfg);
-        for (const BasicBlock &block : cfg.blocks()) {
-            if (block.first > block.last ||
-                !block_reachable[block.id])
-                continue; // dead code is flagged above, not here
-            for (int i = block.first; i <= block.last; ++i) {
-                const Instruction &instr = method.instr(i);
-                if (instr.dst < 0 || !isPureValueOp(instr.op))
-                    continue;
-                if (!live.liveAfter(i, instr.dst)) {
+    DefiniteAssignment assigned{method.numRegisters(),
+                                method.firstTempReg()};
+    DataflowResult<DefiniteAssignment::Domain> defs =
+        solveDataflow(cfg, assigned);
+    for (const BasicBlock &block : cfg.blocks()) {
+        if (block.first > block.last || !defs.reached[block.id])
+            continue;
+        DefiniteAssignment::Domain env = defs.atEntry[block.id];
+        for (int i = block.first; i <= block.last; ++i) {
+            const Instruction &instr = method.instr(i);
+            for (int src : instr.srcs) {
+                if (!env[src]) {
                     out.push_back(
                         {at(i),
-                         strCat("dead store to r", instr.dst),
+                         strCat("register r", src,
+                                " may be used before assignment"),
+                         Severity::Error});
+                }
+            }
+            assigned.transfer(i, instr, env);
+        }
+    }
+
+    for (const BasicBlock &block : cfg.blocks()) {
+        if (block.first > block.last)
+            continue; // synthetic exit
+        if (block_reachable[block.id])
+            continue;
+        out.push_back(
+            {at(block.first),
+             strCat("unreachable basic block (instructions ",
+                    block.first, "..", block.last, ")"),
+             Severity::Warning});
+    }
+
+    MonitorDepth monitors;
+    DataflowResult<MonitorDepth::Domain> held =
+        solveDataflow(cfg, monitors);
+    for (const BasicBlock &block : cfg.blocks()) {
+        if (block.first > block.last || !held.reached[block.id])
+            continue;
+        MonitorDepth::Domain depth = held.atEntry[block.id];
+        for (int i = block.first; i <= block.last; ++i) {
+            const Instruction &instr = method.instr(i);
+            if (instr.op == Opcode::Invoke && depth > 0) {
+                // With a module-backed classifier the super chain
+                // resolves app subclasses of Handler etc.; without
+                // one, direct framework references still match.
+                framework::ApiKind kind =
+                    apis ? apis->classify(instr.method)
+                         : framework::KnownApis::classifyExact(
+                               instr.method.className,
+                               instr.method.methodName);
+                if (isPostLikeApi(kind)) {
+                    out.push_back(
+                        {at(i),
+                         strCat(instr.method.toString(),
+                                " called with a monitor held; "
+                                "the posted callback runs after "
+                                "the critical section and may "
+                                "race or re-enter it"),
                          Severity::Warning});
                 }
+            }
+            monitors.transfer(i, instr, depth);
+        }
+    }
+
+    const Liveness live(cfg);
+    for (const BasicBlock &block : cfg.blocks()) {
+        if (block.first > block.last || !block_reachable[block.id])
+            continue; // dead code is flagged above, not here
+        for (int i = block.first; i <= block.last; ++i) {
+            const Instruction &instr = method.instr(i);
+            if (instr.dst < 0 || !isPureValueOp(instr.op))
+                continue;
+            if (!live.liveAfter(i, instr.dst)) {
+                out.push_back({at(i), strCat("dead store to r", instr.dst),
+                               Severity::Warning});
             }
         }
     }
@@ -454,23 +441,22 @@ lintLeakedRegistrations(const air::Klass &klass,
 } // namespace
 
 std::vector<VerifyIssue>
-lintMethod(const Method &method, const LintOptions &opts)
+lintMethod(const Method &method)
 {
     std::vector<VerifyIssue> out;
-    lintInto(method, opts, nullptr, out);
+    lintInto(method, nullptr, out);
     return air::dedupeIssues(std::move(out));
 }
 
 std::vector<VerifyIssue>
-lintModule(const air::Module &module, const LintOptions &opts)
+lintModule(const air::Module &module)
 {
     const framework::KnownApis apis(module);
     std::vector<VerifyIssue> out;
     for (const air::Klass *k : module.classes()) {
         for (const auto &m : k->methods())
-            lintInto(*m, opts, &apis, out);
-        if (opts.leakedRegistration)
-            lintLeakedRegistrations(*k, apis, out);
+            lintInto(*m, &apis, out);
+        lintLeakedRegistrations(*k, apis, out);
     }
     return air::dedupeIssues(std::move(out));
 }

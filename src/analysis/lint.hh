@@ -43,22 +43,14 @@
 
 namespace sierra::analysis {
 
-struct LintOptions {
-    bool useBeforeDef{true};
-    bool unreachableBlocks{true};
-    bool deadStores{true};
-    bool lockHeldAtPost{true};
-    bool leakedRegistration{true}; //!< module-scope; no-op in lintMethod
-};
-
 /** Lint one method body; no-op for bodyless methods. */
 std::vector<air::VerifyIssue>
-lintMethod(const air::Method &method, const LintOptions &opts = {});
+lintMethod(const air::Method &method);
 
 /** Lint every method body in the module; issues are de-duplicated and
  *  ordered by module class/method declaration order. */
 std::vector<air::VerifyIssue>
-lintModule(const air::Module &module, const LintOptions &opts = {});
+lintModule(const air::Module &module);
 
 } // namespace sierra::analysis
 

@@ -304,7 +304,6 @@ class PointsToAnalysis::Engine
     bool addFieldObjs(ObjId obj, FieldId key, const ObjSet &objs);
     bool addStaticObjs(FieldId key, const ObjSet &objs);
 
-    CtxId heapCtxOf(CtxId ctx);
     /** Context for a callee per the active policy. `action_id` is the
      *  action the callee runs under (-1 outside AS mode). */
     CtxId selectCtx(bool is_virtual, CtxId caller, ObjId recv,
@@ -491,8 +490,6 @@ class PointsToAnalysis::Engine
     std::vector<const std::string *> _names;
     //! packed (class id, name id) -> dispatch target (may be null)
     util::FlatMap<uint64_t, const Method *> _dispatch;
-    //! per context: its heap context (-1 = not yet)
-    std::vector<CtxId> _heapCtxOf;
     //! packed (receiver + 1, action + 1) -> receiver-object context
     util::FlatMap<uint64_t, CtxId> _objCtx;
     //! packed (caller context, site) -> call-string context
@@ -667,23 +664,6 @@ PointsToAnalysis::Engine::addStaticObjs(FieldId key, const ObjSet &objs)
         }
     }
     return changed;
-}
-
-CtxId
-PointsToAnalysis::Engine::heapCtxOf(CtxId ctx)
-{
-    if (static_cast<size_t>(ctx) >= _heapCtxOf.size())
-        _heapCtxOf.resize(_r->contexts.size(), -1);
-    if (_heapCtxOf[ctx] < 0) {
-        const ContextData &d = _r->contexts.get(ctx);
-        CtxId heap = _r->contexts.make(asMode() ? d.actionId : -1, d.elems,
-                                       _opts.ctx.heapK);
-        // `make` may have interned a context: index afresh.
-        if (static_cast<size_t>(ctx) >= _heapCtxOf.size())
-            _heapCtxOf.resize(_r->contexts.size(), -1);
-        _heapCtxOf[ctx] = heap;
-    }
-    return _heapCtxOf[ctx];
 }
 
 CtxId
@@ -939,8 +919,9 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
       case Opcode::New:
       case Opcode::NewArray: {
         // The site fixes the class, so (site, heap context) is the
-        // object's identity.
-        CtxId heap = heapCtxOf(_r->cg.node(n).ctx);
+        // object's identity. The heap context is the allocating node's
+        // context: every context string is already at most k long.
+        CtxId heap = _r->cg.node(n).ctx;
         auto [obj, inserted] = _allocObj.tryEmplace(pack(site, heap), -1);
         if (inserted) {
             *obj =
@@ -1438,7 +1419,7 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
         ConstVal id = instr.srcs.size() > 1
                           ? _r->constOf(n, instr.srcs[1])
                           : ConstVal{};
-        if (id.isConst() && _opts.ctx.inflatedViewContext) {
+        if (id.isConst()) {
             // Look the id up across the app's layouts.
             const framework::Widget *widget = nullptr;
             for (const auto &[activity, layout] : _app.layouts()) {

@@ -31,8 +31,8 @@ class HbBuilder::Impl
 {
   public:
     Impl(const PointsToResult &r, const analysis::EntryPlan &plan,
-         const framework::App &app, HbOptions options)
-        : _r(r), _plan(plan), _app(app), _opts(options)
+         const framework::App &app)
+        : _r(r), _plan(plan), _app(app)
     {
     }
 
@@ -63,7 +63,6 @@ class HbBuilder::Impl
     const PointsToResult &_r;
     const analysis::EntryPlan &_plan;
     const framework::App &_app;
-    HbOptions _opts;
 
     //! SiteId of a harness event site -> its description
     std::unordered_map<SiteId, const EntryEventSite *> _harnessSites;
@@ -95,12 +94,9 @@ HbBuilder::Impl::build()
     ruleAsyncChains(*g);
     ruleHarnessDominance(*g);
     ruleGuiModel(*g);
-    if (_opts.enableRule4)
-        ruleIntraProcDom(*g);
-    if (_opts.enableRule5)
-        ruleInterProcDom(*g);
-    if (_opts.enableRule6)
-        ruleInterActionTrans(*g);
+    ruleIntraProcDom(*g);
+    ruleInterProcDom(*g);
+    ruleInterActionTrans(*g);
     return g;
 }
 
@@ -443,8 +439,8 @@ HbBuilder::Impl::ruleInterActionTrans(Shbg &g)
 
 HbBuilder::HbBuilder(const PointsToResult &result,
                      const analysis::EntryPlan &plan,
-                     const framework::App &app, HbOptions options)
-    : _impl(std::make_unique<Impl>(result, plan, app, options))
+                     const framework::App &app)
+    : _impl(std::make_unique<Impl>(result, plan, app))
 {
 }
 

@@ -16,13 +16,6 @@
 
 namespace sierra::hb {
 
-/** Knobs for SHBG construction. */
-struct HbOptions {
-    bool enableRule4{true}; //!< intra-procedural domination
-    bool enableRule5{true}; //!< inter-procedural ICFG domination
-    bool enableRule6{true}; //!< inter-action transitivity
-};
-
 /**
  * Applies the HB rules over a pointer-analysis result:
  *
@@ -44,7 +37,7 @@ class HbBuilder
   public:
     HbBuilder(const analysis::PointsToResult &result,
               const analysis::EntryPlan &plan,
-              const framework::App &app, HbOptions options = {});
+              const framework::App &app);
     ~HbBuilder();
 
     std::unique_ptr<Shbg> build();

@@ -13,23 +13,20 @@ IncrementalAnalyzer::optionsFingerprint(const SierraOptions &o)
 {
     // Every option that can change a report byte participates: each
     // stage-table toggle plus ICC, the points-to context settings and
-    // array index sensitivity, the HB rule switches, and the refuter's
-    // node cache, call depth and budgets (a budget change can flip a
-    // refutation verdict). Two submissions under different such options
-    // never share artifacts, while jobs and metrics are free to vary
-    // (the pipeline is deterministic in both).
+    // array index sensitivity, and the refuter's node cache, call depth
+    // and budgets (a budget change can flip a refutation verdict). Two
+    // submissions under different such options never share artifacts,
+    // while jobs and metrics are free to vary (the pipeline is
+    // deterministic in both).
     uint64_t bits = o.icc ? 1u : 0u;
     for (const StageDesc &d : stageTable()) {
         if (d.toggle)
             bits = (bits << 1) | (o.*d.toggle ? 1u : 0u);
     }
-    for (bool b : {o.pta.ctx.inflatedViewContext, o.pta.indexSensitiveArrays,
-                   o.hb.enableRule4, o.hb.enableRule5, o.hb.enableRule6,
-                   o.refuter.exec.useNodeCache})
+    for (bool b : {o.pta.indexSensitiveArrays, o.refuter.exec.useNodeCache})
         bits = (bits << 1) | (b ? 1u : 0u);
     uint64_t h = store::mixHash(store::fnv64("sierra-options"), bits);
     for (int v : {static_cast<int>(o.pta.ctx.policy), o.pta.ctx.k,
-                  o.pta.ctx.heapK, o.refuter.maxActionPairsPerRace,
                   o.refuter.exec.maxPaths, o.refuter.exec.maxSteps,
                   o.refuter.exec.maxDepth, o.refuter.exec.maxCallDepth})
         h = store::mixHash(h, static_cast<uint64_t>(v));

@@ -337,7 +337,7 @@ SierraDetector::runHarness(const harness::HarnessPlan &plan,
         ha.pta = pta.run();
     });
     stage(StageId::Hbg, [&] {
-        hb::HbBuilder hb_builder(*ha.pta, plan, _app, options.hb);
+        hb::HbBuilder hb_builder(*ha.pta, plan, _app);
         ha.shbg = hb_builder.build();
     });
 

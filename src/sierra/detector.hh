@@ -41,7 +41,6 @@ namespace sierra {
 /** All pipeline options in one place. */
 struct SierraOptions {
     analysis::PointsToOptions pta;
-    hb::HbOptions hb;
     race::RacyOptions racy;
     symbolic::RefuterOptions refuter;
     //! symbolic refutation (`--no-refute` skips it)
@@ -134,26 +133,29 @@ struct SierraOptions {
 };
 
 /**
- * Per-stage timers (paper Table 4 columns), split into cpu-seconds and
- * wall-seconds so the numbers stay meaningful under parallelism: the
- * per-stage fields sum each task's own stage time, so they approximate
- * the serial (single-job) cost and are comparable across jobs counts;
- * `total` is the real elapsed wall time of the run, which is what
- * shrinks as jobs grow. Each stage field is named by exactly one
- * stageTable() row; a disabled stage keeps its field at zero.
+ * Per-stage timers (paper Table 4 columns), in per-task wall seconds
+ * (each stage's wall time measured inside the task that ran it), so
+ * the numbers stay meaningful under parallelism: the per-stage fields
+ * sum each task's own stage time, so they approximate the serial
+ * (single-job) cost and are comparable across jobs counts; `total` is
+ * the real elapsed wall time of the run, which is what shrinks as jobs
+ * grow. Each stage field is named by exactly one stageTable() row; a
+ * disabled stage keeps its field at zero.
  */
 struct StageTimes {
-    double cgPa{0};       //!< call graph + pointer analysis (cpu-s)
-    double hbg{0};        //!< SHBG construction (cpu-s)
-    double dataflow{0};   //!< field-effect summaries, app-level (cpu-s)
-    double escape{0};     //!< escape analysis + access filter (cpu-s)
-    double racy{0};       //!< access extraction + racy pairs (cpu-s)
-    double lockset{0};    //!< lock-set analysis + refutation (cpu-s)
-    double deadlock{0};   //!< lock-dependency cycles (cpu-s)
-    double enablement{0}; //!< registration typestate + refutation (cpu-s)
-    double ifds{0};       //!< interprocedural summaries + UAD (cpu-s)
-    double refutation{0}; //!< symbolic refutation (cpu-s)
-    //! null-value-flow severity classification (cpu-s)
+    double cgPa{0};       //!< call graph + pointer analysis (per-task wall s)
+    double hbg{0};        //!< SHBG construction (per-task wall s)
+    //! field-effect summaries, app-level (wall s)
+    double dataflow{0};
+    double escape{0};     //!< escape analysis + access filter (per-task wall s)
+    double racy{0};       //!< access extraction + racy pairs (per-task wall s)
+    double lockset{0};    //!< lock-set analysis + refutation (per-task wall s)
+    double deadlock{0};   //!< lock-dependency cycles (per-task wall s)
+    //! registration typestate + refutation (per-task wall s)
+    double enablement{0};
+    double ifds{0};       //!< interprocedural summaries + UAD (per-task wall s)
+    double refutation{0}; //!< symbolic refutation (per-task wall s)
+    //! null-value-flow severity classification (per-task wall s)
     double nullflow{0};
     //! sum of all per-task stage times; equals the sum of the stage
     //! fields (up to fp rounding) by construction, regardless of task

@@ -6,13 +6,16 @@ namespace sierra::symbolic {
 
 namespace {
 
+/** How many (action1, action2) pairs to try per racy pair; a pair is
+ *  refuted only if every tried pair is refuted. */
+constexpr int kMaxActionPairsPerRace = 16;
+
 /** Decide one racy pair with the given executor; updates the verdict
  *  counters. */
 void
 refutePair(BackwardExecutor &exec,
            const std::vector<race::Access> &accesses,
-           race::RacyPair &pair, const RefuterOptions &options,
-           RefutationStats &stats)
+           race::RacyPair &pair, RefutationStats &stats)
 {
     if (pair.refuted)
         return; // already refuted by an earlier (lock-set) stage
@@ -20,7 +23,7 @@ refutePair(BackwardExecutor &exec,
     bool any_budget = false;
     int tried = 0;
     for (const auto &entry : pair.actionPairs) {
-        if (tried++ >= options.maxActionPairsPerRace) {
+        if (tried++ >= kMaxActionPairsPerRace) {
             // Untried pairs are conservatively assumed to survive.
             any_survives = true;
             break;
@@ -64,7 +67,7 @@ refuteRaces(const analysis::PointsToResult &result,
     RefutationStats stats;
     BackwardExecutor exec(result, options.exec);
     for (race::RacyPair &pair : pairs)
-        refutePair(exec, accesses, pair, options, stats);
+        refutePair(exec, accesses, pair, stats);
     stats.exec = exec.stats();
     return stats;
 }

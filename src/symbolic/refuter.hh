@@ -27,9 +27,6 @@ namespace sierra::symbolic {
 /** Refuter options. */
 struct RefuterOptions {
     ExecutorOptions exec;
-    //! how many (action1, action2) pairs to try per racy pair; a pair is
-    //! refuted only if every tried pair is refuted
-    int maxActionPairsPerRace{16};
 };
 
 /** Aggregate statistics for the evaluation tables. */

@@ -43,6 +43,18 @@ TEST(ContextTable, PushElemTruncatesToK)
     EXPECT_EQ(d.elems[1], 12);
 }
 
+TEST(ContextTable, PushElemAtKZeroKeepsOnlyTheAction)
+{
+    ContextTable table;
+    CtxId base = table.make(4, {7}, 1);
+    CtxId c = table.pushElem(base, 11, 0);
+    const ContextData &d = table.get(c);
+    EXPECT_EQ(d.actionId, 4);
+    EXPECT_TRUE(d.elems.empty());
+    EXPECT_EQ(c, table.make(4, {}, 0));
+    EXPECT_EQ(table.pushElem(kEmptyCtx, 11, 0), kEmptyCtx);
+}
+
 TEST(ContextTable, MakeTruncates)
 {
     ContextTable table;

@@ -87,6 +87,33 @@ TEST(Cli, AnalyzeFlags)
     EXPECT_EQ(missing_value.code, 2);
 }
 
+TEST(Cli, BadFlagsExitTwo)
+{
+    TempFile file(".air");
+    ASSERT_EQ(run({"dump", "TippyTipper", "-o", file.path()}).code, 0);
+    const std::vector<std::vector<std::string>> bad = {
+        {"analyze", file.path(), "--bogus-flag"},
+        {"analyze", file.path(), "--k", "abc"},
+        {"analyze", file.path(), "--k", "1x"},
+        {"analyze", file.path(), "--k", "-1"},
+        {"analyze", file.path(), "--jobs", "many"},
+        {"analyze", file.path(), "--max-races", ""},
+        {"dynamic", file.path(), "--schedules", "2.5"},
+        {"dynamic", file.path(), "--seed", "x"},
+        {"verify", file.path(), "--schedules", "eight"},
+    };
+    for (const auto &args : bad) {
+        CliRun r = run(args);
+        EXPECT_EQ(r.code, 2) << args.back();
+        EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << r.err;
+        EXPECT_TRUE(r.out.empty()) << r.out;
+    }
+
+    CliRun k0 = run({"analyze", file.path(), "--k", "0", "--no-refute",
+                     "--max-races", "3", "--jobs", "1"});
+    EXPECT_EQ(k0.code, 0) << k0.err;
+}
+
 TEST(Cli, AnalyzeJson)
 {
     TempFile file(".air");

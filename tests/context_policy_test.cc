@@ -96,7 +96,6 @@ runPolicy(test::Pipeline &p, ContextPolicy policy, int k)
     PointsToOptions opts;
     opts.ctx.policy = policy;
     opts.ctx.k = k;
-    opts.ctx.heapK = k;
     PointsToAnalysis pta(p.app(), p.detector->plans()[0], opts);
     return pta.run();
 }

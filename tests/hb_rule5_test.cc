@@ -113,14 +113,14 @@ struct Built {
 };
 
 Built
-analyze(test::Pipeline p, HbOptions options = {})
+analyze(test::Pipeline p)
 {
     Built b{std::move(p), nullptr, nullptr};
     analysis::PointsToAnalysis pta(
         b.pipeline.app(), b.pipeline.detector->plans()[0], {});
     b.pta = pta.run();
     HbBuilder builder(*b.pta, b.pipeline.detector->plans()[0],
-                      b.pipeline.app(), options);
+                      b.pipeline.app());
     b.shbg = builder.build();
     return b;
 }
@@ -149,15 +149,18 @@ TEST(HbRule5, GuardedSecondPostStillOrdered)
     EXPECT_TRUE(b.shbg->reaches(first, second));
 }
 
-TEST(HbRule5, DisabledRuleLeavesThemUnordered)
+TEST(HbRule5, Rule5LabelsTheDirectEdge)
 {
-    HbOptions options;
-    options.enableRule5 = false;
-    Built b = analyze(makeApp("r5-off", false), options);
+    // No other rule orders posts in separate methods: the one direct
+    // edge between them is rule 5's.
+    Built b = analyze(makeApp("r5-label", false));
     int first = findAction(*b.pta, "R5First");
     int second = findAction(*b.pta, "R5Second");
-    EXPECT_TRUE(b.shbg->unordered(first, second))
-        << "no other rule orders posts in separate methods";
+    ASSERT_GE(first, 0);
+    ASSERT_GE(second, 0);
+    const HbEdge *edge = test::directEdge(*b.shbg, first, second);
+    ASSERT_NE(edge, nullptr) << "R5First < R5Second is a direct edge";
+    EXPECT_EQ(edge->rule, HbRule::InterProcDom);
 }
 
 TEST(HbRule5, NoEdgeWhenEitherOrderPossible)

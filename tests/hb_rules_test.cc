@@ -22,14 +22,14 @@ struct Built {
 
 template <typename Fill>
 Built
-analyze(const std::string &name, Fill fill, HbOptions hb_opts = {})
+analyze(const std::string &name, Fill fill)
 {
     Built b{makePipeline(name, fill), nullptr, nullptr};
     analysis::PointsToAnalysis pta(
         b.pipeline.app(), b.pipeline.detector->plans()[0], {});
     b.pta = pta.run();
     HbBuilder builder(*b.pta, b.pipeline.detector->plans()[0],
-                      b.pipeline.app(), hb_opts);
+                      b.pipeline.app());
     b.shbg = builder.build();
     return b;
 }
@@ -194,21 +194,21 @@ TEST(HbRules, InterActionTransitivity)
     EXPECT_GE(b.shbg->numEdgesByRule(HbRule::InterActionTrans), 1);
 }
 
-TEST(HbRules, RulesCanBeDisabled)
+TEST(HbRules, Rule4LabelsTheDirectEdge)
 {
-    auto fill = [](corpus::AppFactory &f) {
-        auto &act = f.addActivity("ToggleActivity");
+    // No other rule orders the two posts: the one direct edge between
+    // them is rule 4's.
+    auto b = analyze("hb-rule4", [](corpus::AppFactory &f) {
+        auto &act = f.addActivity("Rule4Activity");
         corpus::addOrderedPosts(f, act);
-    };
-    HbOptions no_rules;
-    no_rules.enableRule4 = false;
-    no_rules.enableRule5 = false;
-    no_rules.enableRule6 = false;
-    auto off = analyze("hb-toggle-off", fill, no_rules);
-    int init = findAction(*off.pta, "InitTask");
-    int use = findAction(*off.pta, "UseTask");
-    EXPECT_TRUE(off.shbg->unordered(init, use))
-        << "without rule 4 the posts stay unordered";
+    });
+    int init = findAction(*b.pta, "InitTask");
+    int use = findAction(*b.pta, "UseTask");
+    ASSERT_GE(init, 0);
+    ASSERT_GE(use, 0);
+    const HbEdge *edge = test::directEdge(*b.shbg, init, use);
+    ASSERT_NE(edge, nullptr) << "InitTask < UseTask is a direct edge";
+    EXPECT_EQ(edge->rule, HbRule::IntraProcDom);
 }
 
 TEST(HbRules, OrderedFractionIsSane)

@@ -33,6 +33,16 @@ hasIssue(const std::vector<VerifyIssue> &issues,
     return false;
 }
 
+/** The issues whose message contains `fragment`: isolates one check. */
+std::vector<VerifyIssue>
+withMessage(std::vector<VerifyIssue> issues, const std::string &fragment)
+{
+    std::erase_if(issues, [&](const VerifyIssue &i) {
+        return i.message.find(fragment) == std::string::npos;
+    });
+    return issues;
+}
+
 TEST(Lint, CleanMethodHasNoIssues)
 {
     auto mod = parse(R"(
@@ -102,12 +112,9 @@ TEST(Lint, UnreachableBlockIsWarning)
             @2: return-void
         }
     })");
-    LintOptions opts;
-    opts.deadStores = false; // isolate the unreachable diagnostic
-    auto issues = lintModule(*mod, opts);
+    auto issues = withMessage(lintModule(*mod), "unreachable basic block");
     ASSERT_EQ(issues.size(), 1u);
-    EXPECT_TRUE(
-        hasIssue(issues, "unreachable basic block", Severity::Warning));
+    EXPECT_EQ(issues[0].severity, Severity::Warning);
     EXPECT_EQ(issues[0].where, "T.f@1");
 }
 
@@ -161,21 +168,6 @@ TEST(Lint, CallsAndStoresAreNotDeadStoreCandidates)
     EXPECT_TRUE(lintModule(*mod).empty());
 }
 
-TEST(Lint, OptionsDisableChecks)
-{
-    auto mod = parse(R"(
-    class T {
-        method f(): int regs=4 {
-            @0: r1 = const 1
-            @1: r1 = const 2
-            @2: return r1
-        }
-    })");
-    LintOptions opts;
-    opts.deadStores = false;
-    EXPECT_TRUE(lintModule(*mod, opts).empty());
-}
-
 TEST(Lint, RepeatedDiagnosticsAreDeduplicated)
 {
     // The same use-before-def register read three times in one method
@@ -189,9 +181,7 @@ TEST(Lint, RepeatedDiagnosticsAreDeduplicated)
             @3: return r2
         }
     })");
-    LintOptions opts;
-    opts.deadStores = false;
-    auto issues = lintModule(*mod, opts);
+    auto issues = withMessage(lintModule(*mod), "may be used before");
     ASSERT_EQ(issues.size(), 1u);
     EXPECT_NE(issues[0].message.find("(x6)"), std::string::npos)
         << issues[0].message;
@@ -261,22 +251,6 @@ TEST(Lint, NonPostCallUnderMonitorIsClean)
         }
     })");
     EXPECT_TRUE(lintModule(*mod).empty());
-}
-
-TEST(Lint, LockHeldAtPostCanBeDisabled)
-{
-    auto mod = parse(R"(
-    class T {
-        method f(p0: java.lang.Object, p1: java.lang.Runnable): void regs=4 {
-            @0: monitor-enter r1
-            @1: invoke-virtual android.os.Handler.post(r1, r2)
-            @2: monitor-exit r1
-            @3: return-void
-        }
-    })");
-    LintOptions opts;
-    opts.lockHeldAtPost = false;
-    EXPECT_TRUE(lintModule(*mod, opts).empty());
 }
 
 TEST(Lint, UnreachableCodeProducesNoUseOrStoreNoise)
@@ -443,24 +417,6 @@ TEST(Lint, ListenerOnLocalViewIsClean)
         }
     })");
     EXPECT_TRUE(lintModule(*mod).empty());
-}
-
-TEST(Lint, LeakedRegistrationCanBeDisabled)
-{
-    auto mod = parse(R"(
-    class A {
-        field recv: java.lang.Object
-        method onCreate(): void regs=4 {
-            @0: r1 = new A
-            @1: putfield r0.A.recv = r1
-            @2: r2 = const "org.example.ACTION"
-            @3: invoke-virtual android.app.Activity.registerReceiver(r0, r1, r2)
-            @4: return-void
-        }
-    })");
-    LintOptions opts;
-    opts.leakedRegistration = false;
-    EXPECT_TRUE(lintModule(*mod, opts).empty());
 }
 
 } // namespace

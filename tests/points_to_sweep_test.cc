@@ -9,9 +9,8 @@
  * lookups must therefore leave each table, each points-to set and
  * each counter exactly as it was. Each row runs the 20 named apps and
  * twelve heavy-shape generated apps (3 activities x 12 patterns) under
- * one (policy, k, heapK), with `inflatedViewContext` and
- * `indexSensitiveArrays` each on and off, and pins one hash of the
- * dumps.
+ * one (policy, k), with `indexSensitiveArrays` off and on, and pins one
+ * hash of the dumps.
  */
 
 #include <gtest/gtest.h>
@@ -175,75 +174,43 @@ sweepHash(const PointsToOptions &opts)
 struct Row {
     ContextPolicy policy;
     int k;
-    int heapK;
-    uint64_t hash; //!< over the four (inflatedViewContext, index) pairs
+    uint64_t hash; //!< over indexSensitiveArrays off, then on
 };
 
 TEST(PointsToSweep, EveryTableSetAndCounterIsPinned)
 {
-    // Captured before the engine resolved instructions once per node.
+    // Taken from the engine that still read a separate heap context
+    // depth, run with it equal to k, so these rows prove that folding
+    // it into k changed nothing. The k = 0 rows of k-cfa and hybrid are
+    // the insensitive row (every context string is empty), and
+    // action-sensitive at k = 0 keeps the action id alone.
     const Row rows[] = {
-        {ContextPolicy::Insensitive, 0, 0, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::Insensitive, 0, 1, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::Insensitive, 0, 2, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::Insensitive, 1, 0, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::Insensitive, 1, 1, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::Insensitive, 1, 2, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::Insensitive, 2, 0, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::Insensitive, 2, 1, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::Insensitive, 2, 2, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::KCfa, 0, 0, 0x85aefc209cf8e864ull},
-        {ContextPolicy::KCfa, 0, 1, 0x85aefc209cf8e864ull},
-        {ContextPolicy::KCfa, 0, 2, 0x85aefc209cf8e864ull},
-        {ContextPolicy::KCfa, 1, 0, 0x85aefc209cf8e864ull},
-        {ContextPolicy::KCfa, 1, 1, 0x85aefc209cf8e864ull},
-        {ContextPolicy::KCfa, 1, 2, 0x85aefc209cf8e864ull},
-        {ContextPolicy::KCfa, 2, 0, 0x8fb03971b145291bull},
-        {ContextPolicy::KCfa, 2, 1, 0x40d03f4ada1be8bfull},
-        {ContextPolicy::KCfa, 2, 2, 0x200cf9bb1654e0deull},
-        {ContextPolicy::KObj, 0, 0, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::KObj, 0, 1, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::KObj, 0, 2, 0x30cce3fe95b13a94ull},
-        {ContextPolicy::KObj, 1, 0, 0x6f8e4651aa2a1775ull},
-        {ContextPolicy::KObj, 1, 1, 0x6f8e4651aa2a1775ull},
-        {ContextPolicy::KObj, 1, 2, 0x6f8e4651aa2a1775ull},
-        {ContextPolicy::KObj, 2, 0, 0x6f8e4651aa2a1775ull},
-        {ContextPolicy::KObj, 2, 1, 0x2ef531a27bf3f634ull},
-        {ContextPolicy::KObj, 2, 2, 0x8e53556f98d27facull},
-        {ContextPolicy::Hybrid, 0, 0, 0x27f85a9122b03c0dull},
-        {ContextPolicy::Hybrid, 0, 1, 0x27f85a9122b03c0dull},
-        {ContextPolicy::Hybrid, 0, 2, 0x27f85a9122b03c0dull},
-        {ContextPolicy::Hybrid, 1, 0, 0xd9ab90755d6264a0ull},
-        {ContextPolicy::Hybrid, 1, 1, 0xd9ab90755d6264a0ull},
-        {ContextPolicy::Hybrid, 1, 2, 0xd9ab90755d6264a0ull},
-        {ContextPolicy::Hybrid, 2, 0, 0x33777c78d0a7aa1dull},
-        {ContextPolicy::Hybrid, 2, 1, 0x72edb0227a15b23bull},
-        {ContextPolicy::Hybrid, 2, 2, 0x7b91a134a7d1428bull},
-        {ContextPolicy::ActionSensitive, 0, 0, 0xb11e63578cd16281ull},
-        {ContextPolicy::ActionSensitive, 0, 1, 0xb11e63578cd16281ull},
-        {ContextPolicy::ActionSensitive, 0, 2, 0xb11e63578cd16281ull},
-        {ContextPolicy::ActionSensitive, 1, 0, 0x7af276a914d08931ull},
-        {ContextPolicy::ActionSensitive, 1, 1, 0x4cd607c0191dc395ull},
-        {ContextPolicy::ActionSensitive, 1, 2, 0x4cd607c0191dc395ull},
-        {ContextPolicy::ActionSensitive, 2, 0, 0x75179530d8b8b110ull},
-        {ContextPolicy::ActionSensitive, 2, 1, 0x4d10ddf44a1d5729ull},
-        {ContextPolicy::ActionSensitive, 2, 2, 0x33ce9ec76679aa67ull},
+        {ContextPolicy::Insensitive, 0, 0xe712b7709500436eull},
+        {ContextPolicy::Insensitive, 1, 0xe712b7709500436eull},
+        {ContextPolicy::Insensitive, 2, 0xe712b7709500436eull},
+        {ContextPolicy::KCfa, 0, 0xe712b7709500436eull},
+        {ContextPolicy::KCfa, 1, 0x04ef9932c7e96b7full},
+        {ContextPolicy::KCfa, 2, 0x53f88048206d2801ull},
+        {ContextPolicy::KObj, 0, 0xe712b7709500436eull},
+        {ContextPolicy::KObj, 1, 0xac8699f7d0a43277ull},
+        {ContextPolicy::KObj, 2, 0x30ba0b1a971136faull},
+        {ContextPolicy::Hybrid, 0, 0xe712b7709500436eull},
+        {ContextPolicy::Hybrid, 1, 0x05f547938e7a2324ull},
+        {ContextPolicy::Hybrid, 2, 0x5d28189f25c5f05eull},
+        {ContextPolicy::ActionSensitive, 0, 0x483f193bfec1c69dull},
+        {ContextPolicy::ActionSensitive, 1, 0x61961f9c54618aefull},
+        {ContextPolicy::ActionSensitive, 2, 0x9ffc5d23abc4d628ull},
     };
     for (const Row &row : rows) {
         SCOPED_TRACE(std::string(contextPolicyName(row.policy)) + " k " +
-                     std::to_string(row.k) + " heapK " +
-                     std::to_string(row.heapK));
+                     std::to_string(row.k));
         uint64_t h = 1469598103934665603ull;
-        for (bool inflated : {true, false}) {
-            for (bool indexed : {false, true}) {
-                PointsToOptions opts;
-                opts.ctx.policy = row.policy;
-                opts.ctx.k = row.k;
-                opts.ctx.heapK = row.heapK;
-                opts.ctx.inflatedViewContext = inflated;
-                opts.indexSensitiveArrays = indexed;
-                h = fnv1a(h, std::to_string(sweepHash(opts)));
-            }
+        for (bool indexed : {false, true}) {
+            PointsToOptions opts;
+            opts.ctx.policy = row.policy;
+            opts.ctx.k = row.k;
+            opts.indexSensitiveArrays = indexed;
+            h = fnv1a(h, std::to_string(sweepHash(opts)));
         }
         EXPECT_EQ(h, row.hash) << std::hex << "0x" << h << "ull";
     }

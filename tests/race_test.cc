@@ -29,7 +29,7 @@ analyze(const std::string &name, Fill fill)
         a.pipeline.app(), a.pipeline.detector->plans()[0], {});
     a.pta = pta.run();
     hb::HbBuilder builder(*a.pta, a.pipeline.detector->plans()[0],
-                          a.pipeline.app(), {});
+                          a.pipeline.app());
     a.shbg = builder.build();
     a.accesses = extractAccesses(*a.pta);
     a.pairs = findRacyPairs(*a.pta, *a.shbg, a.accesses, {});

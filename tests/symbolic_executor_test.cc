@@ -36,7 +36,7 @@ analyze(const std::string &name, Fill fill)
         a.pipeline.app(), a.pipeline.detector->plans()[0], {});
     a.pta = pta.run();
     hb::HbBuilder builder(*a.pta, a.pipeline.detector->plans()[0],
-                          a.pipeline.app(), {});
+                          a.pipeline.app());
     a.shbg = builder.build();
     a.accesses = race::extractAccesses(*a.pta);
     a.pairs =

@@ -60,6 +60,17 @@ countActions(const analysis::PointsToResult &r, analysis::ActionKind k)
     return n;
 }
 
+/** The direct SHBG edge from -> to; null if there is none. */
+inline const hb::HbEdge *
+directEdge(const hb::Shbg &g, int from, int to)
+{
+    for (const hb::HbEdge &e : g.directEdges()) {
+        if (e.from == from && e.to == to)
+            return &e;
+    }
+    return nullptr;
+}
+
 /** True if some surviving race in the report is on the given key. */
 inline bool
 reportsKey(const AppReport &report, const std::string &key)

@@ -1,5 +1,7 @@
 #include "cli.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -51,8 +53,7 @@ commands:
 analyze options:
   --policy P        insensitive | k-cfa | k-obj | hybrid | action-sensitive
                     (default: action-sensitive)
-  --k N             context depth (default 1)
-  --no-inflated-view  disable the InflatedViewContext abstraction
+  --k N             context depth, also of heap contexts (default 1)
   --index-sensitive   per-element array locations (removes the
                       index-insensitivity FP class)
   --node-cache      enable the paper's refuted-node cache
@@ -130,33 +131,32 @@ struct ParsedFlags {
         auto it = values.find(flag);
         return it == values.end() ? fallback : it->second;
     }
+    /** An integer flag's value; parseFlags has checked its syntax. */
     int
     getInt(const std::string &flag, int fallback) const
     {
         auto it = values.find(flag);
-        if (it == values.end())
-            return fallback;
-        try {
-            return std::stoi(it->second);
-        } catch (...) {
-            return fallback;
-        }
+        return it == values.end() ? fallback : std::stoi(it->second);
     }
 };
 
-/** Flags that take a value; all others are booleans. */
+/** Flags whose value is an integer, then those with any other value. */
+constexpr std::string_view kIntFlags[] = {"--k", "--jobs", "--max-races",
+                                          "--schedules", "--seed"};
+constexpr std::string_view kTextFlags[] = {"--policy", "--trace",
+                                           "--store", "--socket", "-o"};
+/** Boolean flags besides the stage table's `--no-X` flags. */
+constexpr std::string_view kSwitches[] = {
+    "--index-sensitive", "--node-cache", "--no-icc", "--show-refuted",
+    "--metrics", "--json", "--errors-only", "--no-coverage-filter"};
+
 bool
-flagTakesValue(const std::string &flag)
+isSwitch(const std::string &flag)
 {
-    static const char *valued[] = {"--policy", "--k", "--max-races",
-                                   "--jobs", "--schedules", "--seed",
-                                   "--trace", "--store", "--socket",
-                                   "-o"};
-    for (const char *v : valued) {
-        if (flag == v)
-            return true;
-    }
-    return false;
+    return std::ranges::count(kSwitches, flag) ||
+           std::ranges::any_of(stageTable(), [&](const StageDesc &d) {
+               return d.flag && flag == d.flag;
+           });
 }
 
 ParsedFlags
@@ -169,15 +169,32 @@ parseFlags(const std::vector<std::string> &args, size_t start)
             out.positional.push_back(a);
             continue;
         }
-        if (flagTakesValue(a)) {
-            if (i + 1 >= args.size()) {
-                out.error = a + " requires a value";
+        if (isSwitch(a)) {
+            out.values[a] = "1";
+            continue;
+        }
+        const bool is_int = std::ranges::count(kIntFlags, a);
+        if (!is_int && !std::ranges::count(kTextFlags, a)) {
+            out.error = "unknown flag '" + a + "' (try 'sierra help')";
+            return out;
+        }
+        if (i + 1 >= args.size()) {
+            out.error = a + " requires a value";
+            return out;
+        }
+        const std::string &value = args[++i];
+        if (is_int) {
+            int v = 0;
+            const char *end = value.data() + value.size();
+            auto [ptr, ec] = std::from_chars(value.data(), end, v);
+            if (ec != std::errc() || ptr != end || (a == "--k" && v < 0)) {
+                out.error = a + " needs a" +
+                            (a == "--k" ? " non-negative" : "n") +
+                            " integer, not '" + value + "'";
                 return out;
             }
-            out.values[a] = args[++i];
-        } else {
-            out.values[a] = "1";
         }
+        out.values[a] = value;
     }
     return out;
 }
@@ -376,9 +393,6 @@ cmdAnalyze(const ParsedFlags &flags, std::ostream &out,
         }
     }
     options.pta.ctx.k = flags.getInt("--k", 1);
-    options.pta.ctx.heapK = options.pta.ctx.k;
-    options.pta.ctx.inflatedViewContext =
-        !flags.has("--no-inflated-view");
     options.refuter.exec.useNodeCache = flags.has("--node-cache");
     options.pta.indexSensitiveArrays = flags.has("--index-sensitive");
     options.jobs = flags.getInt("--jobs", 0);
