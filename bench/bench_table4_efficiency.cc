@@ -23,9 +23,9 @@ main()
     using namespace sierra;
     bench::header("Table 4: SIERRA efficiency (times in milliseconds)");
     std::printf("%-18s %8s %7s %7s %7s %10s %8s %8s\n", "App", "CG+PA",
-                "HBG", "Racy", "Lock", "Refute", "Cpu", "Wall");
+                "HBG", "Racy", "Lock", "Refute", "Stages", "Wall");
 
-    std::vector<double> cg, hbg, racy, lockset, refute, cpu, wall;
+    std::vector<double> cg, hbg, racy, lockset, refute, stages, wall;
     util::metrics::Registry all;
     for (const auto &spec : corpus::namedAppSpecs()) {
         corpus::BuiltApp built = corpus::buildNamedApp(spec);
@@ -39,19 +39,19 @@ main()
                     spec.name.c_str(), t.cgPa * 1e3, t.hbg * 1e3,
                     (t.dataflow + t.escape + t.racy) * 1e3,
                     t.lockset * 1e3, t.refutation * 1e3,
-                    t.totalCpu * 1e3, t.total * 1e3);
+                    t.stages * 1e3, t.total * 1e3);
         cg.push_back(t.cgPa * 1e3);
         hbg.push_back(t.hbg * 1e3);
         racy.push_back((t.dataflow + t.escape + t.racy) * 1e3);
         lockset.push_back(t.lockset * 1e3);
         refute.push_back(t.refutation * 1e3);
-        cpu.push_back(t.totalCpu * 1e3);
+        stages.push_back(t.stages * 1e3);
         wall.push_back(t.total * 1e3);
     }
     std::printf("%-18s %8.2f %7.2f %7.2f %7.2f %10.2f %8.2f %8.2f\n",
                 "Median", bench::median(cg), bench::median(hbg),
                 bench::median(racy), bench::median(lockset),
-                bench::median(refute), bench::median(cpu),
+                bench::median(refute), bench::median(stages),
                 bench::median(wall));
 
     // Counter-derived work rates over the whole corpus, straight from
@@ -61,8 +61,8 @@ main()
     const int64_t queries = all.counter("symbolic.queries");
     const int64_t states = all.counter("symbolic.states_expanded");
     const int64_t hits = all.counter("symbolic.cache_hits");
-    const double cpu_s =
-        all.histogram("harness.cpu.seconds").sum;
+    const double stage_s =
+        all.histogram("harness.stages.seconds").sum;
     std::printf("\ncorpus totals (metrics registry):\n");
     std::printf("  pta worklist iterations: %lld, instr visits: %lld\n",
                 (long long)all.counter("pta.worklist_iterations"),
@@ -75,9 +75,9 @@ main()
                 (long long)considered,
                 considered ? 100.0 * skipped / considered : 0.0);
     std::printf("  symbolic queries: %lld, states expanded: %lld "
-                "(%.0f states/cpu-s), cache hit rate: %.1f%%\n",
+                "(%.0f states/stage-s), cache hit rate: %.1f%%\n",
                 (long long)queries, (long long)states,
-                cpu_s > 0 ? states / cpu_s : 0.0,
+                stage_s > 0 ? states / stage_s : 0.0,
                 (hits + states) ? 100.0 * hits / (hits + states) : 0.0);
     std::printf("  refuted: lockset %lld, symbolic %lld, surviving "
                 "%lld\n",

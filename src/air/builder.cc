@@ -2,11 +2,13 @@
 
 #include "klass.hh"
 #include "logging.hh"
+#include "module.hh"
 
 namespace sierra::air {
 
 MethodBuilder::MethodBuilder(Method *method)
-    : _method(method), _nextReg(method->firstTempReg())
+    : _method(method), _module(method->owner()->module()),
+      _nextReg(method->firstTempReg())
 {
     SIERRA_ASSERT(method->instrs().empty(),
                   "builder requires an empty method: ",
@@ -20,11 +22,11 @@ MethodBuilder::newReg()
 }
 
 int
-MethodBuilder::emit(Instruction instr)
+MethodBuilder::emit(const Instruction &instr)
 {
     SIERRA_ASSERT(!_finished, "emit after finish()");
     int idx = nextIndex();
-    _method->instrs().push_back(std::move(instr));
+    _method->instrs().push_back(instr);
     return idx;
 }
 
@@ -35,17 +37,17 @@ MethodBuilder::constInt(int dst, int64_t value)
     i.op = Opcode::ConstInt;
     i.dst = dst;
     i.intValue = value;
-    emit(std::move(i));
+    emit(i);
 }
 
 void
-MethodBuilder::constStr(int dst, std::string value)
+MethodBuilder::constStr(int dst, std::string_view value)
 {
     Instruction i;
     i.op = Opcode::ConstStr;
     i.dst = dst;
-    i.strValue = std::move(value);
-    emit(std::move(i));
+    i.strValue = _module.intern(value);
+    emit(i);
 }
 
 void
@@ -54,7 +56,7 @@ MethodBuilder::constNull(int dst)
     Instruction i;
     i.op = Opcode::ConstNull;
     i.dst = dst;
-    emit(std::move(i));
+    emit(i);
 }
 
 void
@@ -63,8 +65,8 @@ MethodBuilder::move(int dst, int src)
     Instruction i;
     i.op = Opcode::Move;
     i.dst = dst;
-    i.srcs = {src};
-    emit(std::move(i));
+    i.srcs = _module.regs({src});
+    emit(i);
 }
 
 void
@@ -74,8 +76,8 @@ MethodBuilder::binOp(int dst, BinOpKind op, int lhs, int rhs)
     i.op = Opcode::BinOp;
     i.dst = dst;
     i.binop = op;
-    i.srcs = {lhs, rhs};
-    emit(std::move(i));
+    i.srcs = _module.regs({lhs, rhs});
+    emit(i);
 }
 
 void
@@ -85,70 +87,70 @@ MethodBuilder::unOp(int dst, UnOpKind op, int src)
     i.op = Opcode::UnOp;
     i.dst = dst;
     i.unop = op;
-    i.srcs = {src};
-    emit(std::move(i));
+    i.srcs = _module.regs({src});
+    emit(i);
 }
 
 int
-MethodBuilder::newObject(int dst, std::string class_name)
+MethodBuilder::newObject(int dst, std::string_view class_name)
 {
     Instruction i;
     i.op = Opcode::New;
     i.dst = dst;
-    i.typeName = std::move(class_name);
-    return emit(std::move(i));
+    i.typeName = _module.intern(class_name);
+    return emit(i);
 }
 
 int
-MethodBuilder::newArray(int dst, std::string elem_class, int length_reg)
+MethodBuilder::newArray(int dst, std::string_view elem_class, int length_reg)
 {
     Instruction i;
     i.op = Opcode::NewArray;
     i.dst = dst;
-    i.typeName = std::move(elem_class);
-    i.srcs = {length_reg};
-    return emit(std::move(i));
+    i.typeName = _module.intern(elem_class);
+    i.srcs = _module.regs({length_reg});
+    return emit(i);
 }
 
 void
-MethodBuilder::getField(int dst, int obj, FieldRef field)
+MethodBuilder::getField(int dst, int obj, const FieldSpec &field)
 {
     Instruction i;
     i.op = Opcode::GetField;
     i.dst = dst;
-    i.srcs = {obj};
-    i.field = std::move(field);
-    emit(std::move(i));
+    i.srcs = _module.regs({obj});
+    i.field = _module.fieldRef(field.className, field.fieldName);
+    emit(i);
 }
 
 void
-MethodBuilder::putField(int obj, FieldRef field, int value)
+MethodBuilder::putField(int obj, const FieldSpec &field, int value)
 {
     Instruction i;
     i.op = Opcode::PutField;
-    i.srcs = {obj, value};
-    i.field = std::move(field);
-    emit(std::move(i));
+    i.srcs = _module.regs({obj, value});
+    i.field = _module.fieldRef(field.className, field.fieldName);
+    emit(i);
 }
 
 void
-MethodBuilder::getStatic(int dst, FieldRef field)
+MethodBuilder::getStatic(int dst, const FieldSpec &field)
 {
     Instruction i;
     i.op = Opcode::GetStatic;
     i.dst = dst;
-    i.field = std::move(field);
-    emit(std::move(i));
+    i.field = _module.fieldRef(field.className, field.fieldName);
+    emit(i);
 }
 
 void
-MethodBuilder::putStatic(FieldRef field, int value)
+MethodBuilder::putStatic(const FieldSpec &field, int value)
 {
     Instruction i;
     i.op = Opcode::PutStatic;
-    i.srcs = {value};
-    i.field = std::move(field);
-    emit(std::move(i));
+    i.srcs = _module.regs({value});
+    i.field = _module.fieldRef(field.className, field.fieldName);
+    emit(i);
 }
 
 void
@@ -157,8 +159,8 @@ MethodBuilder::arrayGet(int dst, int arr, int idx)
     Instruction i;
     i.op = Opcode::ArrayGet;
     i.dst = dst;
-    i.srcs = {arr, idx};
-    emit(std::move(i));
+    i.srcs = _module.regs({arr, idx});
+    emit(i);
 }
 
 void
@@ -166,51 +168,82 @@ MethodBuilder::arrayPut(int arr, int idx, int value)
 {
     Instruction i;
     i.op = Opcode::ArrayPut;
-    i.srcs = {arr, idx, value};
-    emit(std::move(i));
+    i.srcs = _module.regs({arr, idx, value});
+    emit(i);
 }
 
 int
-MethodBuilder::invoke(int dst, InvokeKind kind, MethodRef method,
-                      std::vector<int> args)
+MethodBuilder::invoke(int dst, InvokeKind kind, const MethodSpec &method,
+                      std::span<const int> args)
 {
     Instruction i;
     i.op = Opcode::Invoke;
     i.dst = dst;
     i.invokeKind = kind;
-    method.numArgs = static_cast<int>(args.size());
-    i.method = std::move(method);
-    i.srcs = std::move(args);
-    return emit(std::move(i));
+    i.method = _module.methodRef(method.className, method.methodName,
+                                 static_cast<int>(args.size()));
+    i.srcs = _module.regs(args.data(), args.size());
+    return emit(i);
+}
+
+namespace {
+
+/** `receiver` followed by `args`, in a stack buffer when it fits. */
+class ReceiverArgs
+{
+  public:
+    ReceiverArgs(int receiver, std::initializer_list<int> args)
+    {
+        if (args.size() + 1 > kInline)
+            _heap.resize(args.size() + 1);
+        int *out = data();
+        out[0] = receiver;
+        std::copy(args.begin(), args.end(), out + 1);
+        _size = args.size() + 1;
+    }
+    std::span<const int>
+    span()
+    {
+        return {data(), _size};
+    }
+
+  private:
+    static constexpr size_t kInline = 8;
+    int *data() { return _heap.empty() ? _inline : _heap.data(); }
+    int _inline[kInline];
+    std::vector<int> _heap;
+    size_t _size{0};
+};
+
+} // namespace
+
+int
+MethodBuilder::call(int receiver, std::string_view class_name,
+                    std::string_view method_name,
+                    std::initializer_list<int> args)
+{
+    ReceiverArgs all(receiver, args);
+    return invoke(-1, InvokeKind::Virtual, {class_name, method_name},
+                  all.span());
 }
 
 int
-MethodBuilder::call(int receiver, const std::string &class_name,
-                    const std::string &method_name, std::vector<int> args)
+MethodBuilder::callTo(int dst, int receiver, std::string_view class_name,
+                      std::string_view method_name,
+                      std::initializer_list<int> args)
 {
-    std::vector<int> all{receiver};
-    all.insert(all.end(), args.begin(), args.end());
-    return invoke(-1, InvokeKind::Virtual, {class_name, method_name, 0},
-                  std::move(all));
+    ReceiverArgs all(receiver, args);
+    return invoke(dst, InvokeKind::Virtual, {class_name, method_name},
+                  all.span());
 }
 
 int
-MethodBuilder::callTo(int dst, int receiver, const std::string &class_name,
-                      const std::string &method_name, std::vector<int> args)
+MethodBuilder::callStatic(int dst, std::string_view class_name,
+                          std::string_view method_name,
+                          std::initializer_list<int> args)
 {
-    std::vector<int> all{receiver};
-    all.insert(all.end(), args.begin(), args.end());
-    return invoke(dst, InvokeKind::Virtual, {class_name, method_name, 0},
-                  std::move(all));
-}
-
-int
-MethodBuilder::callStatic(int dst, const std::string &class_name,
-                          const std::string &method_name,
-                          std::vector<int> args)
-{
-    return invoke(dst, InvokeKind::Static, {class_name, method_name, 0},
-                  std::move(args));
+    return invoke(dst, InvokeKind::Static, {class_name, method_name},
+                  args);
 }
 
 Label
@@ -238,8 +271,8 @@ MethodBuilder::iff(int lhs, CondKind cond, int rhs, Label target)
     Instruction i;
     i.op = Opcode::If;
     i.cond = cond;
-    i.srcs = {lhs, rhs};
-    int idx = emit(std::move(i));
+    i.srcs = _module.regs({lhs, rhs});
+    int idx = emit(i);
     _patches.emplace_back(idx, target.id);
 }
 
@@ -249,8 +282,8 @@ MethodBuilder::ifz(int src, CondKind cond, Label target)
     Instruction i;
     i.op = Opcode::IfZ;
     i.cond = cond;
-    i.srcs = {src};
-    int idx = emit(std::move(i));
+    i.srcs = _module.regs({src});
+    int idx = emit(i);
     _patches.emplace_back(idx, target.id);
 }
 
@@ -259,7 +292,7 @@ MethodBuilder::gotoLabel(Label target)
 {
     Instruction i;
     i.op = Opcode::Goto;
-    int idx = emit(std::move(i));
+    int idx = emit(i);
     _patches.emplace_back(idx, target.id);
 }
 
@@ -268,8 +301,8 @@ MethodBuilder::ret(int src)
 {
     Instruction i;
     i.op = Opcode::Return;
-    i.srcs = {src};
-    emit(std::move(i));
+    i.srcs = _module.regs({src});
+    emit(i);
 }
 
 void
@@ -277,7 +310,7 @@ MethodBuilder::retVoid()
 {
     Instruction i;
     i.op = Opcode::ReturnVoid;
-    emit(std::move(i));
+    emit(i);
 }
 
 void
@@ -285,8 +318,8 @@ MethodBuilder::throwReg(int src)
 {
     Instruction i;
     i.op = Opcode::Throw;
-    i.srcs = {src};
-    emit(std::move(i));
+    i.srcs = _module.regs({src});
+    emit(i);
 }
 
 void
@@ -294,7 +327,7 @@ MethodBuilder::nop()
 {
     Instruction i;
     i.op = Opcode::Nop;
-    emit(std::move(i));
+    emit(i);
 }
 
 void
@@ -302,8 +335,8 @@ MethodBuilder::monitorEnter(int obj)
 {
     Instruction i;
     i.op = Opcode::MonitorEnter;
-    i.srcs = {obj};
-    emit(std::move(i));
+    i.srcs = _module.regs({obj});
+    emit(i);
 }
 
 void
@@ -311,8 +344,8 @@ MethodBuilder::monitorExit(int obj)
 {
     Instruction i;
     i.op = Opcode::MonitorExit;
-    i.srcs = {obj};
-    emit(std::move(i));
+    i.srcs = _module.regs({obj});
+    emit(i);
 }
 
 void

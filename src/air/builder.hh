@@ -4,17 +4,24 @@
  *
  * The corpus generators and the harness generator build code through this
  * builder; labels hide instruction indices until finish() patches them.
+ * Names are interned into the method's module as they are emitted, and
+ * register lists are copied into its arena.
  */
 
 #ifndef SIERRA_AIR_BUILDER_HH
 #define SIERRA_AIR_BUILDER_HH
 
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "method.hh"
 
 namespace sierra::air {
+
+class Module;
 
 /** An unresolved branch target handed out by MethodBuilder::newLabel(). */
 struct Label {
@@ -53,7 +60,7 @@ class MethodBuilder
 
     // --- constants and moves ------------------------------------------
     void constInt(int dst, int64_t value);
-    void constStr(int dst, std::string value);
+    void constStr(int dst, std::string_view value);
     void constNull(int dst);
     void move(int dst, int src);
     void binOp(int dst, BinOpKind op, int lhs, int rhs);
@@ -61,12 +68,12 @@ class MethodBuilder
 
     // --- heap ---------------------------------------------------------
     /** Allocation site; returns the instruction index (site id). */
-    int newObject(int dst, std::string class_name);
-    int newArray(int dst, std::string elem_class, int length_reg);
-    void getField(int dst, int obj, FieldRef field);
-    void putField(int obj, FieldRef field, int value);
-    void getStatic(int dst, FieldRef field);
-    void putStatic(FieldRef field, int value);
+    int newObject(int dst, std::string_view class_name);
+    int newArray(int dst, std::string_view elem_class, int length_reg);
+    void getField(int dst, int obj, const FieldSpec &field);
+    void putField(int obj, const FieldSpec &field, int value);
+    void getStatic(int dst, const FieldSpec &field);
+    void putStatic(const FieldSpec &field, int value);
     void arrayGet(int dst, int arr, int idx);
     void arrayPut(int arr, int idx, int value);
 
@@ -75,18 +82,27 @@ class MethodBuilder
      * Emit an invoke; args include the receiver first for non-static
      * kinds. Returns the instruction index (call site id).
      */
-    int invoke(int dst, InvokeKind kind, MethodRef method,
-               std::vector<int> args);
+    int invoke(int dst, InvokeKind kind, const MethodSpec &method,
+               std::span<const int> args);
+    int
+    invoke(int dst, InvokeKind kind, const MethodSpec &method,
+           std::initializer_list<int> args)
+    {
+        return invoke(dst, kind, method,
+                      std::span<const int>(args.begin(), args.size()));
+    }
     /** invoke-virtual sugar: receiver + args, discarding the result. */
-    int call(int receiver, const std::string &class_name,
-             const std::string &method_name, std::vector<int> args = {});
+    int call(int receiver, std::string_view class_name,
+             std::string_view method_name,
+             std::initializer_list<int> args = {});
     /** invoke-virtual sugar with a result register. */
-    int callTo(int dst, int receiver, const std::string &class_name,
-               const std::string &method_name, std::vector<int> args = {});
+    int callTo(int dst, int receiver, std::string_view class_name,
+               std::string_view method_name,
+               std::initializer_list<int> args = {});
     /** invoke-static sugar. */
-    int callStatic(int dst, const std::string &class_name,
-                   const std::string &method_name,
-                   std::vector<int> args = {});
+    int callStatic(int dst, std::string_view class_name,
+                   std::string_view method_name,
+                   std::initializer_list<int> args = {});
 
     // --- control flow -------------------------------------------------
     Label newLabel();
@@ -119,9 +135,10 @@ class MethodBuilder
     Method *method() const { return _method; }
 
   private:
-    int emit(Instruction instr);
+    int emit(const Instruction &instr);
 
     Method *_method;
+    Module &_module;
     int _nextReg;
     bool _finished{false};
     std::vector<int> _labelTargets;            //!< label id -> instr index

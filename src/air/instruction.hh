@@ -14,7 +14,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "name.hh"
 
 namespace sierra::air {
 
@@ -66,14 +67,14 @@ enum class UnOpKind : uint8_t { Not, Neg };
 
 /** A named instance or static field on a named class. */
 struct FieldRef {
-    std::string className;
-    std::string fieldName;
+    Name className;
+    Name fieldName;
 
     bool operator==(const FieldRef &o) const
     {
         return className == o.className && fieldName == o.fieldName;
     }
-    std::string toString() const { return className + "." + fieldName; }
+    std::string toString() const { return dotted(className, fieldName); }
 };
 
 /**
@@ -83,15 +84,28 @@ struct FieldRef {
  * argument count is kept for verification only.
  */
 struct MethodRef {
-    std::string className;
-    std::string methodName;
+    Name className;
+    Name methodName;
     int numArgs{0}; //!< including the receiver for non-static invokes
 
     bool operator==(const MethodRef &o) const
     {
         return className == o.className && methodName == o.methodName;
     }
-    std::string toString() const { return className + "." + methodName; }
+    std::string toString() const { return dotted(className, methodName); }
+};
+
+/** A field to reference, by name; MethodBuilder interns it. */
+struct FieldSpec {
+    std::string_view className;
+    std::string_view fieldName;
+};
+
+/** A method to reference, by name; MethodBuilder interns it. */
+struct MethodSpec {
+    std::string_view className;
+    std::string_view methodName;
+    int numArgs{0};
 };
 
 /**
@@ -99,21 +113,24 @@ struct MethodRef {
  *
  * A single struct (rather than a virtual hierarchy) keeps instruction
  * storage dense; only the fields relevant to the opcode are meaningful.
+ * Every name is a handle into the module's NameTable and the source
+ * registers live in the module's arena, so an instruction owns no heap
+ * memory (and is trivially destructible).
  */
 struct Instruction {
     Opcode op{Opcode::Nop};
-    int dst{-1};                //!< destination register, -1 if none
-    std::vector<int> srcs;      //!< source registers (invoke args etc.)
-    int64_t intValue{0};        //!< ConstInt payload
-    std::string strValue;       //!< ConstStr payload
-    std::string typeName;       //!< New/NewArray class name
-    FieldRef field;             //!< Get/Put{Field,Static} target
-    MethodRef method;           //!< Invoke target
     InvokeKind invokeKind{InvokeKind::Virtual};
     CondKind cond{CondKind::Eq};
     BinOpKind binop{BinOpKind::Add};
     UnOpKind unop{UnOpKind::Not};
+    int dst{-1};                //!< destination register, -1 if none
     int target{-1};             //!< branch target (instruction index)
+    RegList srcs;               //!< source registers (invoke args etc.)
+    int64_t intValue{0};        //!< ConstInt payload
+    Name strValue;              //!< ConstStr payload
+    Name typeName;              //!< New/NewArray class name
+    FieldRef field;             //!< Get/Put{Field,Static} target
+    MethodRef method;           //!< Invoke target
 
     bool isBranch() const
     {

@@ -8,50 +8,58 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "method.hh"
+#include "name.hh"
 #include "type.hh"
 
 namespace sierra::air {
 
 /** An instance or static field declaration. */
 struct Field {
-    std::string name;
+    Name name;
     Type type;
     bool isStatic{false};
 };
 
+/** A field to declare (Klass::addField interns its name). */
+struct FieldDecl {
+    std::string_view name;
+    Type type;
+    bool isStatic{false};
+};
+
+class Module;
+
 /**
  * An AIR class: name, super class, interfaces, fields and methods.
  *
- * Named Klass to sidestep the keyword; instances are owned by a Module.
+ * Named Klass to sidestep the keyword; instances are owned by a Module,
+ * whose name table interns every name the class declares and whose
+ * arena holds the class, its lists, its methods and their bodies.
  */
 class Klass
 {
   public:
-    /** `arena` (the owning Module's) backs method bodies; standalone
-     *  Klass instances without one fall back to heap storage. */
-    Klass(std::string name, std::string super_name,
-          util::Arena *arena = nullptr)
-        : _name(std::move(name)), _superName(std::move(super_name)),
-          _arena(arena)
-    {
-    }
+    Klass(Module &module, Name name, Name super_name);
+    ~Klass();
+    Klass(const Klass &) = delete;
+    Klass &operator=(const Klass &) = delete;
 
-    const std::string &name() const { return _name; }
-    const std::string &superName() const { return _superName; }
-    void setSuperName(std::string s) { _superName = std::move(s); }
+    Module &module() const { return *_module; }
 
-    const std::vector<std::string> &interfaces() const
+    Name name() const { return _name; }
+    Name superName() const { return _superName; }
+    void setSuperName(std::string_view s);
+
+    const util::ArenaVector<Name> &interfaces() const
     {
         return _interfaces;
     }
-    void addInterface(std::string iface)
-    {
-        _interfaces.push_back(std::move(iface));
-    }
+    void addInterface(std::string_view iface);
+    void addInterface(Name iface);
 
     bool isInterface() const { return _isInterface; }
     void setInterface(bool v) { _isInterface = v; }
@@ -59,35 +67,39 @@ class Klass
     bool isSynthetic() const { return _isSynthetic; }
     void setSynthetic(bool v) { _isSynthetic = v; }
     /** True for Android framework model classes (android.* etc.). */
-    bool isFramework() const;
+    bool isFramework() const { return _isFramework; }
 
-    const std::vector<Field> &fields() const { return _fields; }
-    void addField(Field f) { _fields.push_back(std::move(f)); }
+    const util::ArenaVector<Field> &fields() const { return _fields; }
+    void addField(FieldDecl f);
     /** Find a field declared directly on this class; null if absent. */
-    const Field *findField(const std::string &name) const;
+    const Field *findField(Name name) const;
+    const Field *findField(std::string_view name) const;
 
     /** Create and register a method; returns a stable pointer. */
-    Method *addMethod(std::string name, std::vector<Type> param_types,
+    Method *addMethod(std::string_view name, std::vector<Type> param_types,
+                      Type return_type, bool is_static);
+    Method *addMethod(Name name, std::vector<Type> param_types,
                       Type return_type, bool is_static);
 
-    /** Find a method declared directly on this class; null if absent. */
-    Method *findMethod(const std::string &name) const;
+    /** Find a method declared directly on this class; null if absent.
+     *  One probe of the module's (class, method) index. */
+    Method *findMethod(Name name) const;
+    Method *findMethod(std::string_view name) const;
 
-    const std::vector<std::unique_ptr<Method>> &methods() const
-    {
-        return _methods;
-    }
+    const util::ArenaVector<Method *> &methods() const { return _methods; }
 
   private:
-    std::string _name;
-    std::string _superName;
-    util::Arena *_arena{nullptr};
-    std::vector<std::string> _interfaces;
+    Module *_module;
+    Name _name;
+    Name _superName;
+    bool _isFramework;
     bool _isInterface{false};
     bool _isSynthetic{false};
-    std::vector<Field> _fields;
-    std::vector<std::unique_ptr<Method>> _methods;
-    std::unordered_map<std::string, Method *> _methodIndex;
+    // Lists and methods live in the module arena; ~Klass runs the
+    // method destructors.
+    util::ArenaVector<Name> _interfaces;
+    util::ArenaVector<Field> _fields;
+    util::ArenaVector<Method *> _methods;
 };
 
 } // namespace sierra::air

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "instruction.hh"
+#include "name.hh"
 #include "type.hh"
 #include "util/arena.hh"
 
@@ -30,10 +31,10 @@ class Method
   public:
     /** `arena`, when given (the owning Module's), backs the instruction
      *  storage; without one the body lives on the heap. */
-    Method(Klass *owner, std::string name, std::vector<Type> param_types,
+    Method(Klass *owner, Name name, std::vector<Type> param_types,
            Type return_type, bool is_static,
            util::Arena *arena = nullptr)
-        : _owner(owner), _name(std::move(name)),
+        : _owner(owner), _name(name),
           _paramTypes(std::move(param_types)),
           _returnType(std::move(return_type)), _isStatic(is_static),
           _instrs(arena)
@@ -41,7 +42,7 @@ class Method
     }
 
     Klass *owner() const { return _owner; }
-    const std::string &name() const { return _name; }
+    Name name() const { return _name; }
     /** "ClassName.methodName", the global identity of this method. */
     std::string qualifiedName() const;
 
@@ -82,7 +83,7 @@ class Method
 
   private:
     Klass *_owner;
-    std::string _name;
+    Name _name;
     std::vector<Type> _paramTypes;
     Type _returnType;
     bool _isStatic;

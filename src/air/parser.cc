@@ -367,6 +367,7 @@ class Parser
     // allocated once, at their final size.
     std::vector<Type> _types;
     std::vector<int> _regs;
+    std::vector<Name> _ifaces;
 };
 
 int
@@ -453,27 +454,27 @@ Parser::parseClass()
     } else {
         expectIdent("class");
     }
-    std::string name(parseDottedName());
-    std::string super;
+    Name name = _module.intern(parseDottedName());
+    Name super;
     if (isIdent("extends")) {
         next();
-        super = parseDottedName();
+        super = _module.intern(parseDottedName());
     }
-    std::vector<std::string> ifaces;
+    _ifaces.clear();
     if (isIdent("implements")) {
         next();
-        ifaces.emplace_back(parseDottedName());
+        _ifaces.push_back(_module.intern(parseDottedName()));
         while (isPunct(',')) {
             next();
-            ifaces.emplace_back(parseDottedName());
+            _ifaces.push_back(_module.intern(parseDottedName()));
         }
     }
     if (_module.getClass(name))
         fail(strCat("duplicate class '", name, "'"));
-    Klass *k = _module.addClass(std::move(name), std::move(super));
+    Klass *k = _module.addClass(name, super);
     k->setInterface(is_interface);
-    for (auto &i : ifaces)
-        k->addInterface(std::move(i));
+    for (Name i : _ifaces)
+        k->addInterface(i);
 
     expectPunct('{');
     while (!isPunct('}')) {
@@ -491,7 +492,7 @@ Parser::parseClass()
             std::string_view fname = expectAnyIdent();
             expectPunct(':');
             Type ftype = parseType();
-            k->addField({std::string(fname), std::move(ftype), is_static});
+            k->addField({fname, std::move(ftype), is_static});
         } else if (isIdent("method")) {
             next();
             parseMethod(k, is_static, is_abstract);
@@ -522,11 +523,11 @@ Parser::parseMethod(Klass *klass, bool is_static, bool is_abstract)
     expectPunct(':');
     Type ret = parseType();
 
-    std::string name(name_text);
+    Name name = _module.intern(name_text);
     if (klass->findMethod(name))
         fail(strCat("duplicate method '", klass->name(), ".", name, "'"));
-    Method *m = klass->addMethod(std::move(name), std::move(params),
-                                 std::move(ret), is_static);
+    Method *m = klass->addMethod(name, std::move(params), std::move(ret),
+                                 is_static);
     m->setAbstract(is_abstract);
 
     if (isPunct(';')) {
@@ -573,11 +574,11 @@ Parser::parseInstruction(Instruction &i)
     } else if (w == "return") {
         next();
         i.op = Opcode::Return;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
     } else if (w == "throw") {
         next();
         i.op = Opcode::Throw;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
     } else if (w == "goto") {
         next();
         i.op = Opcode::Goto;
@@ -590,9 +591,9 @@ Parser::parseInstruction(Instruction &i)
         if (!condFromName(cname, i.cond))
             fail(strCat("bad condition '", cname, "'"));
         if (i.op == Opcode::If)
-            i.srcs = {lhs, parseReg()};
+            i.srcs = _module.regs({lhs, parseReg()});
         else
-            i.srcs = {lhs};
+            i.srcs = _module.regs({lhs});
         expectIdent("goto");
         i.target = parseBranchTarget();
     } else if (w == "putfield") {
@@ -601,26 +602,24 @@ Parser::parseInstruction(Instruction &i)
         int obj = parseReg();
         expectPunct('.');
         auto [cls, fld] = parseMemberRef("field");
-        i.field.className = cls;
-        i.field.fieldName = fld;
+        i.field = _module.fieldRef(cls, fld);
         expectPunct('=');
-        i.srcs = {obj, parseReg()};
+        i.srcs = _module.regs({obj, parseReg()});
     } else if (w == "putstatic") {
         next();
         i.op = Opcode::PutStatic;
         auto [cls, fld] = parseMemberRef("field");
-        i.field.className = cls;
-        i.field.fieldName = fld;
+        i.field = _module.fieldRef(cls, fld);
         expectPunct('=');
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
     } else if (w == "monitor-enter") {
         next();
         i.op = Opcode::MonitorEnter;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
     } else if (w == "monitor-exit") {
         next();
         i.op = Opcode::MonitorExit;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
     } else if (w == "aput") {
         next();
         i.op = Opcode::ArrayPut;
@@ -629,7 +628,7 @@ Parser::parseInstruction(Instruction &i)
         int idx = parseReg();
         expectPunct(']');
         expectPunct('=');
-        i.srcs = {arr, idx, parseReg()};
+        i.srcs = _module.regs({arr, idx, parseReg()});
     } else if (w.substr(0, 7) == "invoke-") {
         // result-less invoke
         parseAssignment(i);
@@ -655,7 +654,7 @@ Parser::parseAssignment(Instruction &i)
             i.intValue = peek().intValue;
         } else if (peek().kind == Tok::Str) {
             i.op = Opcode::ConstStr;
-            i.strValue = peek().text;
+            i.strValue = _module.intern(peek().text);
         } else {
             fail("expected const payload");
         }
@@ -666,28 +665,26 @@ Parser::parseAssignment(Instruction &i)
     } else if (w == "new") {
         next();
         i.op = Opcode::New;
-        i.typeName = parseDottedName();
+        i.typeName = _module.intern(parseDottedName());
     } else if (w == "new-array") {
         next();
         i.op = Opcode::NewArray;
-        i.typeName = parseDottedName();
+        i.typeName = _module.intern(parseDottedName());
         expectPunct('[');
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         expectPunct(']');
     } else if (w == "getfield") {
         next();
         i.op = Opcode::GetField;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         expectPunct('.');
         auto [cls, fld] = parseMemberRef("field");
-        i.field.className = cls;
-        i.field.fieldName = fld;
+        i.field = _module.fieldRef(cls, fld);
     } else if (w == "getstatic") {
         next();
         i.op = Opcode::GetStatic;
         auto [cls, fld] = parseMemberRef("field");
-        i.field.className = cls;
-        i.field.fieldName = fld;
+        i.field = _module.fieldRef(cls, fld);
     } else if (w == "aget") {
         next();
         i.op = Opcode::ArrayGet;
@@ -695,7 +692,7 @@ Parser::parseAssignment(Instruction &i)
         expectPunct('[');
         int idx = parseReg();
         expectPunct(']');
-        i.srcs = {arr, idx};
+        i.srcs = _module.regs({arr, idx});
     } else if (w.substr(0, 7) == "invoke-") {
         next();
         i.op = Opcode::Invoke;
@@ -703,8 +700,7 @@ Parser::parseAssignment(Instruction &i)
         if (!invokeKindFromName(kind_name, i.invokeKind))
             fail(strCat("bad invoke kind '", kind_name, "'"));
         auto [cls, mth] = parseMemberRef("method");
-        i.method.className = cls;
-        i.method.methodName = mth;
+        i.method = _module.methodRef(cls, mth);
         expectPunct('(');
         _regs.clear();
         while (!isPunct(')')) {
@@ -713,22 +709,22 @@ Parser::parseAssignment(Instruction &i)
                 next();
         }
         expectPunct(')');
-        i.srcs.assign(_regs.begin(), _regs.end());
+        i.srcs = _module.regs(_regs.data(), _regs.size());
         i.method.numArgs = static_cast<int>(i.srcs.size());
     } else if (binopFromName(w, i.binop)) {
         next();
         i.op = Opcode::BinOp;
         int lhs = parseReg();
         expectPunct(',');
-        i.srcs = {lhs, parseReg()};
+        i.srcs = _module.regs({lhs, parseReg()});
     } else if (unopFromName(w, i.unop)) {
         next();
         i.op = Opcode::UnOp;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
     } else if (w.size() >= 2 && w[0] == 'r' && inClass(w[1], kDigit)) {
         // Fallback: "rD = rS" move.
         i.op = Opcode::Move;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
     } else {
         fail(strCat("unknown instruction '", w, "'"));
     }

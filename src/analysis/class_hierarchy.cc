@@ -1,74 +1,93 @@
 #include "class_hierarchy.hh"
 
 #include <algorithm>
-#include <unordered_set>
-
-#include "air/logging.hh"
 
 namespace sierra::analysis {
 
-const std::vector<const air::Klass *> ClassHierarchy::_empty;
-
 ClassHierarchy::ClassHierarchy(const air::Module &module) : _module(module)
 {
-    // Compute, for every class, the set of transitive supertypes.
-    for (const air::Klass *k : module.classes()) {
-        std::vector<std::string> supers;
-        std::unordered_set<std::string> seen;
-        // Worklist over the super chain and interfaces.
-        std::vector<const air::Klass *> work{k};
-        std::vector<std::string> unresolved;
+    const air::NameTable &names = module.names();
+    const size_t num_names = names.size();
+    const auto &classes = module.classes();
+    _classIndex.assign(num_names, -1);
+    for (size_t i = 0; i < classes.size(); ++i)
+        _classIndex[classes[i]->name().id()] = static_cast<int>(i);
+
+    // For every class, the set of transitive supertypes: a worklist
+    // over the super chain and interfaces, deduplicated by a per-class
+    // stamp on the name ids.
+    std::vector<uint32_t> stamp(num_names, 0);
+    std::vector<const air::Klass *> work;
+    _superStart.reserve(classes.size() + 1);
+    for (size_t ci = 0; ci < classes.size(); ++ci) {
+        const uint32_t mark = static_cast<uint32_t>(ci) + 1;
+        const size_t start = _superIds.size();
+        _superStart.push_back(static_cast<uint32_t>(start));
+        auto visit = [&](air::Name n) {
+            if (n.empty() || stamp[n.id()] == mark)
+                return;
+            stamp[n.id()] = mark;
+            _superIds.push_back(n.id());
+            // An unknown supertype keeps its name, so subtype tests
+            // against it still succeed.
+            if (_classIndex[n.id()] >= 0)
+                work.push_back(classes[_classIndex[n.id()]]);
+        };
+        visit(classes[ci]->name());
         while (!work.empty()) {
             const air::Klass *cur = work.back();
             work.pop_back();
-            if (!seen.insert(cur->name()).second)
-                continue;
-            supers.push_back(cur->name());
-            auto push_name = [&](const std::string &n) {
-                if (n.empty() || seen.count(n))
-                    return;
-                const air::Klass *s = module.getClass(n);
-                if (s) {
-                    work.push_back(s);
-                } else if (seen.insert(n).second) {
-                    // Unknown supertype: keep the name itself so subtype
-                    // tests against it still succeed.
-                    supers.push_back(n);
-                }
-            };
-            push_name(cur->superName());
-            for (const auto &iface : cur->interfaces())
-                push_name(iface);
+            visit(cur->superName());
+            for (air::Name iface : cur->interfaces())
+                visit(iface);
         }
-        _supers[k->name()] = std::move(supers);
+        std::sort(_superIds.begin() + static_cast<ptrdiff_t>(start),
+                  _superIds.end());
     }
+    _superStart.push_back(static_cast<uint32_t>(_superIds.size()));
 
-    // Invert into concrete-subtype lists, preserving module order for
-    // determinism.
-    for (const air::Klass *k : module.classes()) {
-        if (k->isInterface())
+    // Invert into concrete-subtype lists (counting sort over the name
+    // ids), preserving module order for determinism.
+    _subStart.assign(num_names + 1, 0);
+    for (size_t ci = 0; ci < classes.size(); ++ci) {
+        if (classes[ci]->isInterface())
             continue;
-        for (const auto &super : _supers[k->name()])
-            _concreteSubtypes[super].push_back(k);
+        for (uint32_t s = _superStart[ci]; s < _superStart[ci + 1]; ++s)
+            ++_subStart[_superIds[s] + 1];
+    }
+    for (size_t i = 0; i < num_names; ++i)
+        _subStart[i + 1] += _subStart[i];
+    _subtypes.resize(_subStart[num_names]);
+    std::vector<uint32_t> fill(_subStart.begin(), _subStart.end() - 1);
+    for (size_t ci = 0; ci < classes.size(); ++ci) {
+        if (classes[ci]->isInterface())
+            continue;
+        for (uint32_t s = _superStart[ci]; s < _superStart[ci + 1]; ++s)
+            _subtypes[fill[_superIds[s]]++] = classes[ci];
     }
 }
 
 bool
-ClassHierarchy::isSubtypeOf(const std::string &sub,
-                            const std::string &super) const
+ClassHierarchy::isSubtypeOf(std::string_view sub,
+                            std::string_view super) const
 {
     if (sub == super)
         return true;
-    auto it = _supers.find(sub);
-    if (it == _supers.end())
+    const air::NameTable &names = _module.names();
+    const uint32_t sub_id = names.idOf(sub);
+    const uint32_t super_id = names.idOf(super);
+    if (sub_id >= _classIndex.size() || _classIndex[sub_id] < 0 ||
+        super_id == air::Name::kNoId)
         return false;
-    return std::find(it->second.begin(), it->second.end(), super) !=
-           it->second.end();
+    const size_t ci = static_cast<size_t>(_classIndex[sub_id]);
+    return std::binary_search(_superIds.begin() + _superStart[ci],
+                              _superIds.begin() + _superStart[ci + 1],
+                              super_id);
 }
 
+template <typename C, typename M>
 air::Method *
-ClassHierarchy::resolveVirtual(const std::string &class_name,
-                               const std::string &method_name) const
+ClassHierarchy::dispatch(C class_name, M method_name) const
 {
     const air::Klass *k = _module.getClass(class_name);
     while (k) {
@@ -82,56 +101,80 @@ ClassHierarchy::resolveVirtual(const std::string &class_name,
 }
 
 air::Method *
-ClassHierarchy::resolveStatic(const std::string &class_name,
-                              const std::string &method_name) const
+ClassHierarchy::resolveVirtual(air::Name class_name,
+                               air::Name method_name) const
 {
-    return resolveVirtual(class_name, method_name);
+    return dispatch(class_name, method_name);
 }
 
-const std::vector<const air::Klass *> &
-ClassHierarchy::concreteSubtypes(const std::string &name) const
+air::Method *
+ClassHierarchy::resolveVirtual(std::string_view class_name,
+                               std::string_view method_name) const
 {
-    auto it = _concreteSubtypes.find(name);
-    return it == _concreteSubtypes.end() ? _empty : it->second;
+    return dispatch(class_name, method_name);
 }
 
-const air::Field *
-ClassHierarchy::resolveField(const std::string &class_name,
-                             const std::string &field_name) const
+air::Method *
+ClassHierarchy::resolveVirtual(std::string_view class_name,
+                               air::Name method_name) const
 {
-    const air::Klass *k = _module.getClass(class_name);
-    while (k) {
-        if (const air::Field *f = k->findField(field_name))
-            return f;
-        if (k->superName().empty())
-            return nullptr;
-        k = _module.getClass(k->superName());
-    }
-    return nullptr;
+    return dispatch(class_name, method_name);
 }
 
-std::string
-ClassHierarchy::declaringClassOfField(const std::string &class_name,
-                                      const std::string &field_name) const
+std::span<const air::Klass *const>
+ClassHierarchy::concreteSubtypesById(uint32_t id) const
 {
-    const std::string *decl =
-        findDeclaringClassOfField(class_name, field_name);
-    return decl ? *decl : std::string();
+    if (id >= _subStart.size() - 1)
+        return {};
+    return {_subtypes.data() + _subStart[id],
+            _subStart[id + 1] - _subStart[id]};
 }
 
-const std::string *
-ClassHierarchy::findDeclaringClassOfField(const std::string &class_name,
-                                          const std::string &field_name) const
+template <typename N>
+const air::Klass *
+ClassHierarchy::declaringClass(N class_name, N field_name) const
 {
     const air::Klass *k = _module.getClass(class_name);
     while (k) {
         if (k->findField(field_name))
-            return &k->name();
+            return k;
         if (k->superName().empty())
             return nullptr;
         k = _module.getClass(k->superName());
     }
     return nullptr;
+}
+
+const air::Field *
+ClassHierarchy::resolveField(air::Name class_name,
+                             air::Name field_name) const
+{
+    const air::Klass *k = declaringClass(class_name, field_name);
+    return k ? k->findField(field_name) : nullptr;
+}
+
+const air::Field *
+ClassHierarchy::resolveField(std::string_view class_name,
+                             std::string_view field_name) const
+{
+    const air::Klass *k = declaringClass(class_name, field_name);
+    return k ? k->findField(field_name) : nullptr;
+}
+
+air::Name
+ClassHierarchy::declaringClassOfField(air::Name class_name,
+                                      air::Name field_name) const
+{
+    const air::Klass *k = declaringClass(class_name, field_name);
+    return k ? k->name() : air::Name();
+}
+
+air::Name
+ClassHierarchy::declaringClassOfField(std::string_view class_name,
+                                      std::string_view field_name) const
+{
+    const air::Klass *k = declaringClass(class_name, field_name);
+    return k ? k->name() : air::Name();
 }
 
 } // namespace sierra::analysis

@@ -115,7 +115,7 @@ FieldEffects::FieldEffects(const air::Module &module,
     for (const air::Klass *k : module.classes()) {
         for (const auto &m : k->methods()) {
             if (m->hasBody())
-                methods.push_back(m.get());
+                methods.push_back(m);
         }
     }
 
@@ -131,10 +131,10 @@ FieldEffects::FieldEffects(const air::Module &module,
             const Instruction &instr = m->instr(i);
             switch (instr.op) {
               case Opcode::GetField:
-                add(s.instanceReads, instr.field.fieldName);
+                add(s.instanceReads, instr.field.fieldName.view());
                 break;
               case Opcode::PutField:
-                add(s.instanceWrites, instr.field.fieldName);
+                add(s.instanceWrites, instr.field.fieldName.view());
                 break;
               case Opcode::GetStatic:
                 add(s.staticReads, canonicalStaticKey(cha, instr.field));

@@ -390,9 +390,9 @@ InterConstants::buildUniverse()
                 continue;
             const bool is_static = instr.op == Opcode::PutStatic;
             const air::FieldRef &f = instr.field;
-            std::hash<std::string_view> h;
             const uint64_t key = util::hashMix(
-                util::hashMix(is_static, h(f.className)), h(f.fieldName));
+                util::hashMix(is_static, f.className.hash()),
+                f.fieldName.hash());
             int slot = slot_ids.find(key, [&](int id) {
                 const Slot &s = _slots[static_cast<size_t>(id)];
                 return s.isStatic == is_static && s.ref->className ==

@@ -99,18 +99,18 @@ FieldKey
 PointsToResult::staticKey(const air::FieldRef &field) const
 {
     return memoKey(&field, kStaticSlot,
-                   [&] { return declaringKey(field.className, field); });
+                   [&] { return declaringKey(field.className.view(), field); });
 }
 
 FieldKey
-PointsToResult::declaringKey(const std::string &klass,
+PointsToResult::declaringKey(std::string_view klass,
                              const air::FieldRef &field) const
 {
-    const std::string *decl =
-        cha.findDeclaringClassOfField(klass, field.fieldName);
+    const air::Name decl =
+        cha.declaringClassOfField(klass, field.fieldName.view());
     // Built in a reused buffer: interning a key already seen copies
     // nothing.
-    _keyText.assign(decl ? *decl : field.className);
+    _keyText.assign(decl.empty() ? field.className.view() : decl.view());
     _keyText += '.';
     _keyText += field.fieldName;
     return internKey(_keyText);
@@ -177,8 +177,9 @@ class PointsToAnalysis::Engine
            PointsToOptions options)
         : _app(app), _plan(plan), _opts(options), _apis(app.module())
     {
-        for (const char *name : kCallbackNames)
-            nameIdOf(name);
+        const air::NameTable &names = app.module().names();
+        for (size_t i = 0; i < std::size(kCallbackNames); ++i)
+            _callbackIds[i] = names.idOf(kCallbackNames[i]);
     }
 
     std::unique_ptr<PointsToResult> run();
@@ -186,8 +187,8 @@ class PointsToAnalysis::Engine
   private:
     static constexpr uint64_t kNoSig = ~uint64_t{0};
 
-    /** Callback names the intrinsics dispatch on; interned first, so
-     *  each one's name id is its index here. */
+    /** Callback names the intrinsics dispatch on; _callbackIds holds
+     *  their name ids in the module's table. */
     static constexpr const char *kCallbackNames[] = {
         "run", "handleMessage", "onReceive", "onServiceConnected",
         "onPreExecute", "doInBackground", "onPostExecute",
@@ -207,8 +208,9 @@ class PointsToAnalysis::Engine
         const EntryEventSite *event{nullptr};
         //! Static/Special invokes: the resolved target (may be null)
         const Method *directTarget{nullptr};
-        //! Virtual/Interface invokes: the method-name id to dispatch
-        int nameId{-1};
+        //! Virtual/Interface invokes: the module name id of the method
+        //! name to dispatch
+        uint32_t nameId{air::Name::kNoId};
     };
 
     /** Packed (a, b) key of two non-negative 32-bit ids. */
@@ -231,19 +233,14 @@ class PointsToAnalysis::Engine
      *  go on to intern nodes and methods. */
     InstrFacts invokeFacts(NodeId n, const Method *m, int idx);
 
-    int
-    nameIdOf(const std::string &name)
+    /** Virtual dispatch of module name id `name_id` on the dynamic
+     *  class of `o`, memoised by (class id, name id). */
+    const Method *dispatch(ObjId o, uint32_t name_id);
+    const Method *
+    dispatch(ObjId o, CallbackName cb)
     {
-        auto [it, inserted] = _nameIds.try_emplace(
-            name, static_cast<int>(_names.size()));
-        if (inserted)
-            _names.push_back(&it->first);
-        return it->second;
+        return dispatch(o, _callbackIds[cb]);
     }
-
-    /** Virtual dispatch of name `name_id` on the dynamic class of `o`,
-     *  memoised by (class id, name id). */
-    const Method *dispatch(ObjId o, int name_id);
 
     /** A snapshot of a set's members for a loop whose body may change
      *  the set or reallocate the node tables. The buffer comes from a
@@ -485,9 +482,9 @@ class PointsToAnalysis::Engine
     std::vector<uint64_t> _instrSig;
     std::vector<size_t> _sigStart;
 
-    //! method names by id (keys of _nameIds)
-    std::unordered_map<std::string, int> _nameIds;
-    std::vector<const std::string *> _names;
+    //! kCallbackNames' ids in the module's name table (kNoId when a
+    //! name is absent: nothing can dispatch to it)
+    uint32_t _callbackIds[std::size(kCallbackNames)];
     //! packed (class id, name id) -> dispatch target (may be null)
     util::FlatMap<uint64_t, const Method *> _dispatch;
     //! packed (receiver + 1, action + 1) -> receiver-object context
@@ -926,10 +923,11 @@ PointsToAnalysis::Engine::processInstr(NodeId n, const Method *m,
         if (inserted) {
             *obj =
                 instr.op == Opcode::New
-                    ? _r->objects.siteObject(instr.typeName, site, heap)
+                    ? _r->objects.siteObject(instr.typeName.view(), site,
+                                             heap)
                     : _r->objects.siteObject(
-                          (instr.typeName.empty() ? "int"
-                                                  : instr.typeName) +
+                          (instr.typeName.empty() ? std::string("int")
+                                                  : instr.typeName.str()) +
                               "[]",
                           site, heap);
         }
@@ -1029,7 +1027,7 @@ PointsToAnalysis::Engine::invokeFacts(NodeId n, const Method *m, int idx)
     const Instruction &instr = m->instr(idx);
     f.event = _plan.siteAt(m, idx);
     if (f.event) {
-        f.nameId = nameIdOf(instr.method.methodName);
+        f.nameId = instr.method.methodName.id();
         return f;
     }
     f.api = _apis.classify(instr.method);
@@ -1046,19 +1044,22 @@ PointsToAnalysis::Engine::invokeFacts(NodeId n, const Method *m, int idx)
         break;
       case InvokeKind::Virtual:
       case InvokeKind::Interface:
-        f.nameId = nameIdOf(instr.method.methodName);
+        f.nameId = instr.method.methodName.id();
         break;
     }
     return f;
 }
 
 const Method *
-PointsToAnalysis::Engine::dispatch(ObjId o, int name_id)
+PointsToAnalysis::Engine::dispatch(ObjId o, uint32_t name_id)
 {
+    if (name_id == air::Name::kNoId)
+        return nullptr;
     auto [target, inserted] = _dispatch.tryEmplace(
         pack(_r->objects.get(o).classId, name_id));
     if (inserted)
-        *target = _r->cha.resolveVirtual(classOf(o), *_names[name_id]);
+        *target = _r->cha.resolveVirtual(classOf(o),
+                                         _app.module().names().at(name_id));
     return *target;
 }
 
@@ -1251,7 +1252,7 @@ PointsToAnalysis::Engine::handleIntrinsic(NodeId n, const Method *m,
             const std::string &cls = classOf(t);
             struct Phase {
                 const char *cb;
-                int nameId;
+                CallbackName nameId;
                 ActionKind kind;
                 ThreadAffinity affinity;
             };

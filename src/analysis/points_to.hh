@@ -214,7 +214,7 @@ class PointsToResult
     FieldKey memoKey(const air::FieldRef *field, ObjId slot,
                      Make make) const;
     /** "Declaring class.field" of `field` looked up from `klass`. */
-    FieldKey declaringKey(const std::string &klass,
+    FieldKey declaringKey(std::string_view klass,
                           const air::FieldRef &field) const;
     //! declaringKey's key text buffer
     mutable std::string _keyText;

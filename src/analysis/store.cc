@@ -8,6 +8,7 @@
 
 #include "air/klass.hh"
 #include "air/method.hh"
+#include "air/name.hh"
 #include "framework/app.hh"
 #include "framework/known_api.hh"
 
@@ -16,24 +17,18 @@ namespace sierra::analysis::store {
 namespace fs = std::filesystem;
 
 uint64_t
-fnv64(std::string_view bytes, uint64_t seed)
+hashBytes(std::string_view bytes)
 {
-    uint64_t h = seed;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
+    return air::hashNameBytes(bytes);
 }
 
 uint64_t
 mixHash(uint64_t acc, uint64_t value)
 {
-    // Order-dependent: hash the value's bytes into the accumulator.
-    char buf[8];
-    for (int i = 0; i < 8; ++i)
-        buf[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-    return fnv64(std::string_view(buf, 8), acc);
+    // One multiply-xorshift step: a bijection of acc ^ value, so the
+    // chain is order-dependent and cheap (no per-byte rounds).
+    uint64_t h = (acc ^ value) * 0x9E3779B97F4A7C15ull;
+    return h ^ (h >> 29);
 }
 
 std::string
@@ -70,31 +65,13 @@ parseHashHex(std::string_view hex, uint64_t &out)
 
 namespace {
 
-/** The bytes `Type::toString` returns, as two views (base, suffix), so
- *  hashing a type builds no string. */
-std::pair<std::string_view, std::string_view>
-typeText(const air::Type &type)
-{
-    switch (type.kind()) {
-      case air::TypeKind::Void: return {"void", {}};
-      case air::TypeKind::Int: return {"int", {}};
-      case air::TypeKind::Bool: return {"bool", {}};
-      case air::TypeKind::Str: return {"str", {}};
-      case air::TypeKind::Object: return {type.name(), {}};
-      case air::TypeKind::Array:
-        return {type.name().empty() ? std::string_view("int")
-                                    : std::string_view(type.name()),
-                "[]"};
-    }
-    return {};
-}
-
-/** fnv64 over `type.toString()`, continuing from `h`. */
+/** A type as the printer renders it: its kind and, for object and
+ *  array types, the (element) class name. */
 uint64_t
-fnvType(const air::Type &type, uint64_t h)
+typeHash(const air::Type &type)
 {
-    auto [base, suffix] = typeText(type);
-    return fnv64(suffix, fnv64(base, h));
+    uint64_t h = mixHash(0, static_cast<uint64_t>(type.kind()));
+    return type.name().empty() ? h : mixHash(h, hashBytes(type.name()));
 }
 
 } // namespace
@@ -102,72 +79,107 @@ fnvType(const air::Type &type, uint64_t h)
 uint64_t
 classSliceHash(const air::Klass &klass)
 {
-    // fnv64 of the text
-    //   "class|interface NAME extends SUPER\n"
-    //   "implements IFACE\n"...  "field [static ]NAME: TYPE\n"...
-    // fed piece by piece (FNV-1a is a left fold over the bytes, so the
-    // value equals hashing the concatenation).
-    uint64_t h = fnv64(klass.isInterface() ? "interface " : "class ");
-    h = fnv64(klass.name(), h);
-    h = fnv64(" extends ", h);
-    h = fnv64(klass.superName(), h);
-    h = fnv64("\n", h);
-    for (const std::string &iface : klass.interfaces()) {
-        h = fnv64("implements ", h);
-        h = fnv64(iface, h);
-        h = fnv64("\n", h);
-    }
+    // The header and field lines the printer renders for the class:
+    // kind, name, super, interfaces, then each field. Names contribute
+    // their cached hashes; every list is count-prefixed.
+    uint64_t h = mixHash(0, klass.isInterface() ? 2 : 1);
+    h = mixHash(h, klass.name().hash());
+    h = mixHash(h, klass.superName().hash());
+    h = mixHash(h, klass.interfaces().size());
+    for (air::Name iface : klass.interfaces())
+        h = mixHash(h, iface.hash());
+    h = mixHash(h, klass.fields().size());
     for (const air::Field &f : klass.fields()) {
-        h = fnv64(f.isStatic ? "field static " : "field ", h);
-        h = fnv64(f.name, h);
-        h = fnv64(": ", h);
-        h = fnvType(f.type, h);
-        h = fnv64("\n", h);
+        h = mixHash(h, f.isStatic ? 1 : 0);
+        h = mixHash(h, f.name.hash());
+        h = mixHash(h, typeHash(f.type));
     }
     return h;
 }
 
 namespace {
 
+/** Two 32-bit values in one word. */
+uint64_t
+pack32(int64_t lo, int64_t hi)
+{
+    return static_cast<uint32_t>(lo) |
+           (static_cast<uint64_t>(static_cast<uint32_t>(hi)) << 32);
+}
+
 /**
- * Content hash of one method: signature plus every instruction's
- * semantic fields, mixed in order. Hashing the fields directly instead
- * of the printed text discriminates at least as finely (the text is a
- * function of the fields) at a fraction of the cost -- this runs for
- * every method on every submission, warm or cold.
+ * Content hash of one instruction: exactly the fields its printed form
+ * shows (Instruction::toString), each name by its cached hash. The
+ * opcode comes first and fixes the layout of what follows, so two
+ * instructions hash alike only when they print alike (barring a 64-bit
+ * collision).
+ */
+uint64_t
+hashInstr(uint64_t h, const air::Instruction &ins)
+{
+    using air::Opcode;
+    uint64_t kind = 0;
+    switch (ins.op) {
+      case Opcode::BinOp: kind = static_cast<uint64_t>(ins.binop); break;
+      case Opcode::UnOp: kind = static_cast<uint64_t>(ins.unop); break;
+      case Opcode::If:
+      case Opcode::IfZ: kind = static_cast<uint64_t>(ins.cond); break;
+      case Opcode::Invoke:
+        kind = static_cast<uint64_t>(ins.invokeKind);
+        break;
+      default: break;
+    }
+    const uint64_t head = static_cast<uint64_t>(ins.op) | (kind << 8) |
+                          (static_cast<uint64_t>(ins.srcs.size()) << 16);
+    h = mixHash(h, pack32(static_cast<int64_t>(head), ins.dst));
+    const size_t n = ins.srcs.size();
+    for (size_t i = 0; i + 1 < n; i += 2)
+        h = mixHash(h, pack32(ins.srcs[i], ins.srcs[i + 1]));
+    if (n % 2)
+        h = mixHash(h, pack32(ins.srcs[n - 1], 0));
+    switch (ins.op) {
+      case Opcode::ConstInt:
+        return mixHash(h, static_cast<uint64_t>(ins.intValue));
+      case Opcode::ConstStr: return mixHash(h, ins.strValue.hash());
+      case Opcode::New:
+      case Opcode::NewArray: return mixHash(h, ins.typeName.hash());
+      case Opcode::GetField:
+      case Opcode::PutField:
+      case Opcode::GetStatic:
+      case Opcode::PutStatic:
+        return mixHash(mixHash(h, ins.field.className.hash()),
+                       ins.field.fieldName.hash());
+      case Opcode::Invoke:
+        return mixHash(mixHash(h, ins.method.className.hash()),
+                       ins.method.methodName.hash());
+      case Opcode::If:
+      case Opcode::IfZ:
+      case Opcode::Goto:
+        return mixHash(h, static_cast<uint64_t>(ins.target));
+      default: return h;
+    }
+}
+
+/**
+ * Content hash of one method: its signature line (name, parameter and
+ * return types, modifiers, register count) and every instruction, in
+ * order. Hashing the fields directly instead of the printed text gives
+ * the same partition at a fraction of the cost -- this runs for every
+ * method on every submission, warm or cold.
  */
 uint64_t
 hashMethodBody(const air::Method &method)
 {
-    uint64_t h = fnv64(method.name());
+    uint64_t h = mixHash(0, method.name().hash());
+    h = mixHash(h, method.paramTypes().size());
     for (const air::Type &t : method.paramTypes())
-        h = fnvType(t, h);
-    h = fnvType(method.returnType(), h);
-    h = mixHash(h, method.isStatic() ? 1 : 0);
-    h = mixHash(h, static_cast<uint64_t>(method.numRegisters()));
-    h = mixHash(h, static_cast<uint64_t>(method.numInstrs()));
-    for (int i = 0; i < method.numInstrs(); ++i) {
-        const air::Instruction &ins = method.instr(i);
-        h = mixHash(h, static_cast<uint64_t>(ins.op));
-        h = mixHash(h, static_cast<uint64_t>(ins.dst));
-        for (int src : ins.srcs)
-            h = mixHash(h, static_cast<uint64_t>(src));
-        h = mixHash(h, static_cast<uint64_t>(ins.intValue));
-        if (!ins.strValue.empty())
-            h = fnv64(ins.strValue, h);
-        if (!ins.typeName.empty())
-            h = fnv64(ins.typeName, h);
-        h = fnv64(ins.field.className, h);
-        h = fnv64(ins.field.fieldName, h);
-        h = fnv64(ins.method.className, h);
-        h = fnv64(ins.method.methodName, h);
-        h = mixHash(h, static_cast<uint64_t>(ins.method.numArgs));
-        h = mixHash(h, static_cast<uint64_t>(ins.invokeKind));
-        h = mixHash(h, static_cast<uint64_t>(ins.cond));
-        h = mixHash(h, static_cast<uint64_t>(ins.binop));
-        h = mixHash(h, static_cast<uint64_t>(ins.unop));
-        h = mixHash(h, static_cast<uint64_t>(ins.target));
-    }
+        h = mixHash(h, typeHash(t));
+    h = mixHash(h, typeHash(method.returnType()));
+    h = mixHash(h, (method.isStatic() ? 1u : 0u) |
+                       (method.isAbstract() ? 2u : 0u));
+    h = mixHash(h, pack32(method.numRegisters(), method.numInstrs()));
+    for (const air::Instruction &ins : method.instrs())
+        h = hashInstr(h, ins);
     return h;
 }
 
@@ -195,6 +207,24 @@ methodEnvHash(const air::Method &method)
 // MethodHashTable
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** The index key of a qualified method name, from its two parts'
+ *  hashes. */
+uint64_t
+qualifiedKey(uint64_t class_hash, uint64_t method_hash)
+{
+    return mixHash(class_hash, method_hash);
+}
+
+} // namespace
+
+std::string
+MethodHashEntry::name() const
+{
+    return method->qualifiedName();
+}
+
 MethodHashTable::MethodHashTable(const framework::App &app)
 {
     for (const air::Klass *klass : app.module().classes()) {
@@ -204,47 +234,44 @@ MethodHashTable::MethodHashTable(const framework::App &app)
         // same for every member.
         const uint64_t slice = classSliceHash(*klass);
         for (const auto &m : klass->methods()) {
-            if (m->hasBody())
-                _entries.push_back({m->qualifiedName(),
-                                    envHashWithSlice(*m, slice), m.get()});
+            if (!m->hasBody())
+                continue;
+            // Qualified names are unique: a module has one class per
+            // name and a class one method per name.
+            _index.insert(qualifiedKey(klass->name().hash(),
+                                       m->name().hash()),
+                          static_cast<int>(_entries.size()));
+            _entries.push_back({m, envHashWithSlice(*m, slice)});
         }
     }
-    // Qualified names are unique: a module has one class per name and
-    // a class one method per name.
-    std::sort(_entries.begin(), _entries.end(),
-              [](const MethodHashEntry &a, const MethodHashEntry &b) {
-                  return a.name < b.name;
-              });
-    _byMethod.reserve(_entries.size());
-    for (size_t i = 0; i < _entries.size(); ++i)
-        _byMethod.emplace_back(_entries[i].method,
-                               static_cast<uint32_t>(i));
-    std::sort(_byMethod.begin(), _byMethod.end());
 }
 
 const MethodHashEntry *
 MethodHashTable::find(std::string_view name) const
 {
-    auto it = std::lower_bound(
-        _entries.begin(), _entries.end(), name,
-        [](const MethodHashEntry &e, std::string_view n) {
-            return std::string_view(e.name) < n;
-        });
-    if (it == _entries.end() || it->name != name)
+    // "Class.method": method names hold no '.', class names may.
+    const size_t dot = name.rfind('.');
+    if (dot == std::string_view::npos)
         return nullptr;
-    return &*it;
+    const std::string_view klass = name.substr(0, dot);
+    const std::string_view method = name.substr(dot + 1);
+    const int row = _index.find(
+        qualifiedKey(hashBytes(klass), hashBytes(method)), [&](int i) {
+            const air::Method *m = _entries[static_cast<size_t>(i)].method;
+            return m->name() == method && m->owner()->name() == klass;
+        });
+    return row < 0 ? nullptr : &_entries[static_cast<size_t>(row)];
 }
 
 const MethodHashEntry *
 MethodHashTable::find(const air::Method *method) const
 {
-    auto it = std::lower_bound(
-        _byMethod.begin(), _byMethod.end(), method,
-        [](const std::pair<const air::Method *, uint32_t> &e,
-           const air::Method *m) { return std::less<>()(e.first, m); });
-    if (it == _byMethod.end() || it->first != method)
-        return nullptr;
-    return &_entries[it->second];
+    const int row = _index.find(
+        qualifiedKey(method->owner()->name().hash(), method->name().hash()),
+        [&](int i) {
+            return _entries[static_cast<size_t>(i)].method == method;
+        });
+    return row < 0 ? nullptr : &_entries[static_cast<size_t>(row)];
 }
 
 // ---------------------------------------------------------------------
@@ -253,26 +280,17 @@ MethodHashTable::find(const air::Method *method) const
 
 namespace {
 
-/** Feeds a shape into one running hash: every string length-prefixed
- *  and every list count-prefixed, so no two shapes share a stream. */
+/** Feeds a shape into one running hash: every string and name by
+ *  its 64-bit hash and every list count-prefixed, so no two shapes
+ *  share a stream. */
 class ShapeHasher
 {
   public:
     void num(uint64_t v) { _h = mixHash(_h, v); }
-    void
-    str(std::string_view s)
-    {
-        num(s.size());
-        _h = fnv64(s, _h);
-    }
+    void str(std::string_view s) { num(hashBytes(s)); }
+    void name(air::Name n) { num(n.hash()); }
     /** A type as the printer renders it. */
-    void
-    type(const air::Type &t)
-    {
-        auto [base, suffix] = typeText(t);
-        num(base.size() + suffix.size());
-        _h = fnv64(suffix, fnv64(base, _h));
-    }
+    void type(const air::Type &t) { num(typeHash(t)); }
     template <typename List, typename Fn>
     void
     list(const List &items, Fn &&each)
@@ -284,7 +302,7 @@ class ShapeHasher
     uint64_t value() const { return _h; }
 
   private:
-    uint64_t _h{fnv64("sierra-shape")};
+    uint64_t _h{hashBytes("sierra-shape")};
 };
 
 /** A class the body-less bundle print includes. */
@@ -298,18 +316,18 @@ void
 hashClassShape(ShapeHasher &s, const air::Klass &klass)
 {
     s.num(klass.isInterface());
-    s.str(klass.name());
-    s.str(klass.superName());
-    s.list(klass.interfaces(), [&](const std::string &i) { s.str(i); });
+    s.name(klass.name());
+    s.name(klass.superName());
+    s.list(klass.interfaces(), [&](air::Name i) { s.name(i); });
     s.list(klass.fields(), [&](const air::Field &f) {
         s.num(f.isStatic);
-        s.str(f.name);
+        s.name(f.name);
         s.type(f.type);
     });
-    s.list(klass.methods(), [&](const std::unique_ptr<air::Method> &m) {
+    s.list(klass.methods(), [&](const air::Method *m) {
         s.num(m->isStatic());
         s.num(m->isAbstract());
-        s.str(m->name());
+        s.name(m->name());
         s.list(m->paramTypes(), [&](const air::Type &t) { s.type(t); });
         s.type(m->returnType());
         // The printer gives a method "regs=N { }" exactly when it

@@ -8,19 +8,21 @@
  * timestamps or process state. No hash is taken over printed text:
  *
  *  - `methodEnvHash(m)` keys one method body plus its resolution
- *    environment: the signature and every instruction's semantic
+ *    environment: the signature and every instruction's printed
  *    fields, the owner's class-hierarchy slice (name, super,
  *    interfaces, fields), the known-API table version and the store
  *    schema version. Any edit that could change how the method
- *    analyzes changes the hash.
+ *    analyzes changes the hash. Names enter by the 64-bit hash their
+ *    handle caches (air/name.hh), and each value is folded in with one
+ *    multiply-xorshift step (`mixHash`), so no byte is hashed twice.
  *  - `MethodHashTable` holds those hashes for every analyzable method
- *    of one app, flat and sorted by qualified name. The detector
+ *    of one app, flat in module order and indexed by name hash. The detector
  *    builds it at most once per app; the footprint check of a stored
  *    artifact and the footprint of a fresh one both read it.
  *  - `shapeHash(app)` keys everything about an app *except* method
  *    bodies: it hashes the manifest, layouts and app-class shapes
  *    (names, supers, interfaces, fields, method signatures and
- *    `regs=`) directly, every string length-prefixed and every list
+ *    `regs=`) directly, every string by its 64-bit hash and every list
  *    count-prefixed -- exactly what `printAppText(app, false)` prints.
  *    Body edits keep the shape stable, so per-harness artifacts
  *    survive them when their footprint still validates; adding or
@@ -50,6 +52,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/flat_map.hh"
+
 namespace sierra::air {
 class Klass;
 class Method;
@@ -63,13 +67,14 @@ namespace sierra::analysis::store {
 
 /** Bumped whenever a blob format or hash recipe changes; a mismatch
  *  invalidates the whole on-disk store (see docs/CACHING.md). */
-inline constexpr int kStoreSchemaVersion = 4;
+inline constexpr int kStoreSchemaVersion = 5;
 
-/** FNV-1a over bytes; the deterministic hash every key derives from. */
-uint64_t fnv64(std::string_view bytes,
-               uint64_t seed = 1469598103934665603ULL);
+/** The 64-bit hash of a string's bytes (air::hashNameBytes, the hash
+ *  an interned name caches); deterministic across processes. */
+uint64_t hashBytes(std::string_view bytes);
 
-/** Order-dependent combinator for composing hashes. */
+/** Order-dependent combinator for composing hashes: one
+ *  multiply-xorshift step. */
 uint64_t mixHash(uint64_t acc, uint64_t value);
 
 /** Fixed-width lowercase hex of a hash (16 chars). */
@@ -112,17 +117,19 @@ uint64_t methodEnvHash(const air::Method &method);
 
 /** One row of a MethodHashTable. */
 struct MethodHashEntry {
-    std::string name;                   //!< qualified method name
-    uint64_t hash{0};                   //!< its methodEnvHash
     const air::Method *method{nullptr}; //!< the method hashed
+    uint64_t hash{0};                   //!< its methodEnvHash
+
+    /** The qualified method name ("Class.method"), built on demand. */
+    std::string name() const;
 };
 
 /**
  * Env hashes for every analyzable method of an app: methods with a
  * body in non-framework classes (app code plus synthetic harness
- * classes), flat and sorted by qualified name. One table per app,
- * built after harness generation; it reflects the module as it was
- * then.
+ * classes), in module order and indexed by the hashes of their class
+ * and method names. One table per app, built after harness generation;
+ * it reflects the module as it was then.
  */
 class MethodHashTable
 {
@@ -136,7 +143,8 @@ class MethodHashTable
     }
     size_t size() const { return _entries.size(); }
 
-    /** The row of a qualified name; null when absent. */
+    /** The row of a qualified name ("Class.method"); null when
+     *  absent. */
     const MethodHashEntry *find(std::string_view name) const;
 
     /** The row of one method of the app; null when it is not in the
@@ -145,8 +153,7 @@ class MethodHashTable
 
   private:
     std::vector<MethodHashEntry> _entries;
-    //! (method, row index), sorted by method address
-    std::vector<std::pair<const air::Method *, uint32_t>> _byMethod;
+    util::IdIndex _index; //!< row ids by class and method name hash
 };
 
 /** The app's structural hash (see file comment): covers exactly what

@@ -99,9 +99,9 @@ class AppFactory
     bool _finished{false};
 };
 
-/** Shorthand: a FieldRef on a class. */
-inline air::FieldRef
-fieldRef(const std::string &klass, const std::string &field)
+/** Shorthand: a field of a class, to hand to a MethodBuilder. */
+inline air::FieldSpec
+fieldRef(std::string_view klass, std::string_view field)
 {
     return {klass, field};
 }

@@ -58,7 +58,7 @@ std::string
 Interpreter::fieldKeyOf(int obj, const air::FieldRef &ref) const
 {
     std::string decl =
-        _cha.declaringClassOfField(_heap[obj].klass, ref.fieldName);
+        _cha.declaringClassOfField(_heap[obj].klass, ref.fieldName.view());
     if (decl.empty())
         decl = ref.className;
     return decl + "." + ref.fieldName;
@@ -462,7 +462,9 @@ Interpreter::invoke(const Method *method, std::vector<Value> args,
             break;
           case Opcode::NewArray: {
             int ref = newObject(
-                (instr.typeName.empty() ? "int" : instr.typeName) + "[]");
+                (instr.typeName.empty() ? std::string("int")
+                                        : instr.typeName.str()) +
+                "[]");
             int64_t len = reg(instr.srcs[0]).asCondInt();
             _heap[ref].elems.assign(
                 static_cast<size_t>(std::max<int64_t>(0, len)),
@@ -575,7 +577,7 @@ Interpreter::invoke(const Method *method, std::vector<Value> args,
                     return Value::null();
                 target = _cha.resolveVirtual(
                     _heap[call_args[0].ref].klass,
-                    instr.method.methodName);
+                    instr.method.methodName.view());
             }
 
             Value result;

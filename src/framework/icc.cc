@@ -59,7 +59,7 @@ IccModel::IccModel(const App &app) : _app(app)
     for (const air::Klass *k : app.module().classes()) {
         for (const auto &m : k->methods()) {
             if (m->hasBody())
-                scanMethod(m.get(), apis, fields, /*collect=*/true);
+                scanMethod(m, apis, fields, /*collect=*/true);
         }
     }
     for (const std::string &f : fields.conflicted)
@@ -67,7 +67,7 @@ IccModel::IccModel(const App &app) : _app(app)
     for (const air::Klass *k : app.module().classes()) {
         for (const auto &m : k->methods()) {
             if (m->hasBody())
-                scanMethod(m.get(), apis, fields, /*collect=*/false);
+                scanMethod(m, apis, fields, /*collect=*/false);
         }
     }
     std::set<std::pair<std::string, std::string>> edges;

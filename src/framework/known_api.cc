@@ -1,9 +1,9 @@
 #include "known_api.hh"
 
 #include <iterator>
-#include <unordered_map>
 
 #include "air/logging.hh"
+#include "util/flat_map.hh"
 
 namespace sierra::framework {
 
@@ -109,96 +109,137 @@ const ApiEntry kApiTable[] = {
     {names::textUtils, "isEmpty", ApiKind::NullCheck},
 };
 
+struct ListenerEntry {
+    const char *method;   //!< the registration API
+    const char *callback; //!< the callback it wires up
+};
+
+const ListenerEntry kListenerTable[] = {
+    {"setOnClickListener", "onClick"},
+    {"setOnLongClickListener", "onLongClick"},
+    {"setOnScrollListener", "onScroll"},
+    {"setOnItemClickListener", "onItemClick"},
+    {"setOnItemSelectedListener", "onItemSelected"},
+    {"setOnTouchListener", "onTouch"},
+    {"setOnKeyListener", "onKey"},
+    {"setOnFocusChangeListener", "onFocusChange"},
+    {"setOnCheckedChangeListener", "onCheckedChanged"},
+    {"setOnEditorActionListener", "onEditorAction"},
+};
+
+/**
+ * The API table and the listener table, indexed once per process by
+ * the name hashes: a lookup mixes two cached hashes and probes, and
+ * compares bytes only on a hash match.
+ */
+struct ApiIndex {
+    util::IdIndex exact;     //!< kApiTable rows by (class, method) hash
+    util::IdIndex listeners; //!< kListenerTable rows by method hash
+
+    static uint64_t
+    key(uint64_t class_hash, uint64_t method_hash)
+    {
+        return util::hashMix(class_hash, method_hash);
+    }
+
+    static const ApiIndex &
+    get()
+    {
+        static const ApiIndex index = [] {
+            ApiIndex ix;
+            for (size_t i = 0; i < std::size(kApiTable); ++i)
+                ix.exact.insert(
+                    key(air::hashNameBytes(kApiTable[i].className),
+                        air::hashNameBytes(kApiTable[i].methodName)),
+                    static_cast<int>(i));
+            for (size_t i = 0; i < std::size(kListenerTable); ++i)
+                ix.listeners.insert(
+                    air::hashNameBytes(kListenerTable[i].method),
+                    static_cast<int>(i));
+            return ix;
+        }();
+        return index;
+    }
+
+    ApiKind
+    exactKind(air::Name cls, air::Name method) const
+    {
+        int row = exact.find(key(cls.hash(), method.hash()), [&](int i) {
+            return cls == kApiTable[i].className &&
+                   method == kApiTable[i].methodName;
+        });
+        if (row >= 0)
+            return kApiTable[row].kind;
+        // Any setXxxListener on a View subclass counts as SetListener.
+        return listener(method.view(), method.hash()) >= 0
+                   ? ApiKind::SetListener
+                   : ApiKind::None;
+    }
+
+    int
+    listener(std::string_view method, uint64_t method_hash) const
+    {
+        return listeners.find(method_hash, [&](int i) {
+            return method == kListenerTable[i].method;
+        });
+    }
+};
+
 } // namespace
 
 ApiKind
-KnownApis::classifyExact(const std::string &class_name,
-                         const std::string &method_name)
+KnownApis::classifyExact(air::Name class_name, air::Name method_name)
 {
-    // Built once on first use: classifyExact runs for every invoke the
-    // pointer analysis visits, so the former linear table scan was on
-    // the hot path. Keys are "class\0method" (the separator cannot
-    // occur in either name).
-    static const std::unordered_map<std::string, ApiKind> index = [] {
-        std::unordered_map<std::string, ApiKind> m;
-        m.reserve(std::size(kApiTable));
-        for (const auto &e : kApiTable) {
-            m.emplace(std::string(e.className) + '\0' + e.methodName,
-                      e.kind);
-        }
-        return m;
-    }();
-    // The lookup key is built in a per-thread buffer: no allocation
-    // once it has grown to the longest key.
-    thread_local std::string key;
-    key.assign(class_name);
-    key += '\0';
-    key += method_name;
-    auto it = index.find(key);
-    if (it != index.end())
-        return it->second;
-    // Any setXxxListener on a View subclass counts as SetListener.
-    if (!listenerCallback(method_name).empty())
-        return ApiKind::SetListener;
-    return ApiKind::None;
+    return ApiIndex::get().exactKind(class_name, method_name);
 }
 
 std::string
-KnownApis::listenerCallback(const std::string &method_name)
+KnownApis::listenerCallback(std::string_view method_name)
 {
-    static const std::unordered_map<std::string, std::string> table = {
-        {"setOnClickListener", "onClick"},
-        {"setOnLongClickListener", "onLongClick"},
-        {"setOnScrollListener", "onScroll"},
-        {"setOnItemClickListener", "onItemClick"},
-        {"setOnItemSelectedListener", "onItemSelected"},
-        {"setOnTouchListener", "onTouch"},
-        {"setOnKeyListener", "onKey"},
-        {"setOnFocusChangeListener", "onFocusChange"},
-        {"setOnCheckedChangeListener", "onCheckedChanged"},
-        {"setOnEditorActionListener", "onEditorAction"},
-    };
-    auto it = table.find(method_name);
-    return it == table.end() ? std::string() : it->second;
+    int row = ApiIndex::get().listener(method_name,
+                                       air::hashNameBytes(method_name));
+    return row < 0 ? std::string() : kListenerTable[row].callback;
 }
 
-const std::string *
-KnownApis::resolveDeclaringFrameworkClass(const air::MethodRef &ref) const
+std::string
+KnownApis::listenerCallback(air::Name method_name)
 {
-    // Walk the super chain from the named class upward, looking for the
-    // framework class that declares the method.
-    const air::Klass *k = _module.getClass(ref.className);
-    // Unknown class: treat the name itself as the declaring class so
-    // direct framework references (e.g. android.os.Looper.getMainLooper)
-    // classify even when the framework model was not installed.
-    if (!k)
-        return &ref.className;
-    while (k) {
-        if (k->findMethod(ref.methodName)) {
-            // The first declaration up the chain wins: a user-defined
-            // override (e.g. a subclass constructor or a custom run())
-            // is a normal call, not a framework intrinsic.
-            return k->isFramework() ? &k->name() : nullptr;
-        }
-        if (k->superName().empty())
-            break;
-        k = _module.getClass(k->superName());
-    }
-    return nullptr;
+    int row = ApiIndex::get().listener(method_name.view(),
+                                       method_name.hash());
+    return row < 0 ? std::string() : kListenerTable[row].callback;
 }
 
 ApiKind
 KnownApis::classify(const air::MethodRef &ref) const
 {
+    const air::Name class_name = ref.className;
+    const air::Name method_name = ref.methodName;
     // Try the literal reference first (covers static calls and calls
     // through framework-typed variables).
-    ApiKind kind = classifyExact(ref.className, ref.methodName);
+    ApiKind kind = classifyExact(class_name, method_name);
     if (kind != ApiKind::None)
         return kind;
-    const std::string *declaring = resolveDeclaringFrameworkClass(ref);
-    if (!declaring || declaring->empty())
-        return ApiKind::None;
-    return classifyExact(*declaring, ref.methodName);
+    // Walk the super chain from the named class upward, looking for
+    // the framework class that declares the method.
+    const air::Klass *k = _module.getClass(class_name);
+    // Unknown class: the name itself was the declaring class, tried
+    // above, so direct framework references (e.g.
+    // android.os.Looper.getMainLooper) classify even when the
+    // framework model was not installed.
+    while (k) {
+        if (k->findMethod(method_name)) {
+            // The first declaration up the chain wins: a user-defined
+            // override (e.g. a subclass constructor or a custom run())
+            // is a normal call, not a framework intrinsic.
+            if (!k->isFramework())
+                return ApiKind::None;
+            return classifyExact(k->name(), method_name);
+        }
+        if (k->superName().empty())
+            break;
+        k = _module.getClass(k->superName());
+    }
+    return ApiKind::None;
 }
 
 bool
@@ -228,14 +269,14 @@ using air::Type;
 
 /** Declare a bodyless framework method. */
 void
-native(air::Klass *k, const std::string &name,
+native(air::Klass *k, std::string_view name,
        std::vector<Type> params = {}, Type ret = Type::voidTy())
 {
     k->addMethod(name, std::move(params), ret, false);
 }
 
 void
-nativeStatic(air::Klass *k, const std::string &name,
+nativeStatic(air::Klass *k, std::string_view name,
              std::vector<Type> params = {}, Type ret = Type::voidTy())
 {
     k->addMethod(name, std::move(params), ret, true);

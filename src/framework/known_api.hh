@@ -14,6 +14,7 @@
 #include <string>
 
 #include "air/instruction.hh"
+#include "air/name.hh"
 #include "air/module.hh"
 
 namespace sierra::framework {
@@ -118,15 +119,16 @@ class KnownApis
     /** Classify a call site's target method reference. */
     ApiKind classify(const air::MethodRef &ref) const;
 
-    /** Classify by resolved framework class + method name. */
-    static ApiKind classifyExact(const std::string &class_name,
-                                 const std::string &method_name);
+    /** Classify by resolved framework class + method name: a probe
+     *  with the names' cached hashes, hashing no bytes. */
+    static ApiKind classifyExact(air::Name class_name, air::Name method_name);
 
     /**
      * The callback method a listener-registration API wires up, e.g.
      * setOnClickListener -> onClick. Empty if not a listener API.
      */
-    static std::string listenerCallback(const std::string &method_name);
+    static std::string listenerCallback(std::string_view method_name);
+    static std::string listenerCallback(air::Name method_name);
 
     /** True if the class is (or derives from) the given framework class. */
     bool isSubclassOf(const std::string &class_name,
@@ -135,11 +137,6 @@ class KnownApis
     const air::Module &module() const { return _module; }
 
   private:
-    /** Walk the super chain to the framework class that declares the
-     *  method; null if none does. */
-    const std::string *resolveDeclaringFrameworkClass(
-        const air::MethodRef &ref) const;
-
     const air::Module &_module;
 };
 

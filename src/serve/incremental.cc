@@ -25,7 +25,7 @@ IncrementalAnalyzer::optionsFingerprint(const SierraOptions &o)
     }
     for (bool b : {o.pta.indexSensitiveArrays, o.refuter.exec.useNodeCache})
         bits = (bits << 1) | (b ? 1u : 0u);
-    uint64_t h = store::mixHash(store::fnv64("sierra-options"), bits);
+    uint64_t h = store::mixHash(store::hashBytes("sierra-options"), bits);
     for (int v : {static_cast<int>(o.pta.ctx.policy), o.pta.ctx.k,
                   o.refuter.exec.maxPaths, o.refuter.exec.maxSteps,
                   o.refuter.exec.maxDepth, o.refuter.exec.maxCallDepth})
@@ -64,7 +64,7 @@ IncrementalAnalyzer::analyze(framework::App &app,
     // artifact is still valid under the *current* method bodies.
     auto harnessKey = [&](const harness::HarnessPlan &plan) {
         return store::hashHex(
-            store::mixHash(shape, store::fnv64(plan.activityClass)));
+            store::mixHash(shape, store::hashBytes(plan.activityClass)));
     };
     HarnessReuse reuse;
     reuse.tryLoad = [&](const harness::HarnessPlan &plan,

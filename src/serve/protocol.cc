@@ -80,26 +80,55 @@ Json::push(Json value)
 
 namespace {
 
+/** A byte dumpString copies as-is. */
+bool
+plainJsonByte(unsigned char c)
+{
+    return c >= 0x20 && c != '"' && c != '\\';
+}
+
+/** The length dumpString appends for `s`. */
+size_t
+dumpedStringSize(const std::string &s)
+{
+    size_t n = s.size() + 2;
+    for (unsigned char c : s) {
+        if (!plainJsonByte(c))
+            n += c == '"' || c == '\\' || c == '\n' || c == '\t' ||
+                         c == '\r'
+                     ? 1
+                     : 5;
+    }
+    return n;
+}
+
 void
 dumpString(std::string &out, const std::string &s)
 {
     out += '"';
-    for (unsigned char c : s) {
+    const char *p = s.data();
+    const char *end = p + s.size();
+    while (p != end) {
+        // Copy the run that needs no escaping in one step.
+        const char *run = p;
+        while (p != end && plainJsonByte(static_cast<unsigned char>(*p)))
+            ++p;
+        out.append(run, static_cast<size_t>(p - run));
+        if (p == end)
+            break;
+        const unsigned char c = static_cast<unsigned char>(*p++);
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default:
-            if (c < 0x20) {
-                static const char *hex = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += static_cast<char>(c);
-            }
+          default: {
+            static const char *hex = "0123456789abcdef";
+            out += "\\u00";
+            out += hex[(c >> 4) & 0xf];
+            out += hex[c & 0xf];
+          }
         }
     }
     out += '"';
@@ -152,10 +181,40 @@ Json::dumpTo(std::string &out) const
     }
 }
 
+size_t
+Json::dumpSize() const
+{
+    switch (_kind) {
+      case Kind::Null: return 4;
+      case Kind::Bool: return _bool ? 4 : 5;
+      case Kind::Int: {
+        char buf[24];
+        return static_cast<size_t>(
+            std::to_chars(buf, buf + sizeof(buf), _int).ptr - buf);
+      }
+      case Kind::Str: return dumpedStringSize(_str);
+      case Kind::Array: {
+        size_t n = 2 + (_items.empty() ? 0 : _items.size() - 1);
+        for (const Json &item : _items)
+            n += item.dumpSize();
+        return n;
+      }
+      case Kind::Object: {
+        size_t n = 2 + (_fields.empty() ? 0 : _fields.size() - 1);
+        for (const auto &[key, value] : _fields)
+            n += dumpedStringSize(key) + 1 + value.dumpSize();
+        return n;
+      }
+    }
+    return 0;
+}
+
 std::string
 Json::dump() const
 {
+    // Sized first, so the text is written into one exact allocation.
     std::string out;
+    out.reserve(dumpSize());
     dumpTo(out);
     return out;
 }
@@ -300,6 +359,20 @@ struct Parser {
         ++pos;
         out.clear();
         while (pos < text.size()) {
+            // Copy the run up to the next quote or escape in one step.
+            size_t run = pos;
+            while (run < text.size() && text[run] != '"' &&
+                   text[run] != '\\')
+                ++run;
+            if (run == text.size())
+                break;
+            if (out.empty() && text[run] == '"') {
+                out.assign(text, pos, run - pos);
+                pos = run + 1;
+                return true;
+            }
+            out.append(text, pos, run - pos);
+            pos = run;
             char c = text[pos];
             if (c == '"') {
                 ++pos;
@@ -360,8 +433,6 @@ struct Parser {
                 ++pos;
                 continue;
             }
-            out += c;
-            ++pos;
         }
         return fail("unterminated string");
     }

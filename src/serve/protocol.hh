@@ -66,6 +66,8 @@ class Json
 
   private:
     void dumpTo(std::string &out) const;
+    /** The length dumpTo appends. */
+    size_t dumpSize() const;
 
     Kind _kind{Kind::Null};
     bool _bool{false};

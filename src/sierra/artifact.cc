@@ -154,7 +154,8 @@ makeArtifact(const HarnessAnalysis &ha,
     // artifact; methods outside the footprint cannot affect it. The
     // rows come from the app's method-hash table, which holds every
     // such method (the pipeline adds none after it is built); marking
-    // them by row index keeps them sorted by name.
+    // them by row index lists each once, and the rows are then sorted
+    // by name.
     if (!hashes)
         return art;
     const std::vector<analysis::store::MethodHashEntry> &rows =
@@ -173,8 +174,9 @@ makeArtifact(const HarnessAnalysis &ha,
     }
     for (size_t i = 0; i < rows.size(); ++i) {
         if (in_footprint[i])
-            art.footprint.emplace_back(rows[i].name, rows[i].hash);
+            art.footprint.emplace_back(rows[i].name(), rows[i].hash);
     }
+    std::sort(art.footprint.begin(), art.footprint.end());
     return art;
 }
 

@@ -92,7 +92,7 @@ rowsFollowStageIds()
 }
 static_assert(rowsFollowStageIds(),
               "one kStages row per StageId, in StageId order");
-// The stage fields + totalCpu + total: a StageTimes field added
+// The stage fields + stages + total: a StageTimes field added
 // without a table row (or the reverse) trips this.
 static_assert(sizeof(StageTimes) == (kNumStages + 2) * sizeof(double),
               "StageTimes changed: update kStages");
@@ -101,7 +101,7 @@ static_assert(sizeof(StageTimes) == (kNumStages + 2) * sizeof(double),
  * Run one part of a stage. A switched-off stage is skipped outright:
  * no span, and its time stays zero (the one rule for disabled
  * stages). Otherwise `fn` runs under the part's trace span and its
- * wall time is charged to the stage's StageTimes field and totalCpu.
+ * wall time is charged to the stage's StageTimes field and `stages`.
  */
 template <typename Fn>
 void
@@ -122,7 +122,7 @@ runStage(StageId id, const SierraOptions &options, StageTimes &times,
         seconds = secondsSince(start);
     }
     times.*d.time += seconds;
-    times.totalCpu += seconds;
+    times.stages += seconds;
 }
 
 bool
@@ -263,7 +263,7 @@ fillMetrics(util::metrics::Registry &m, const HarnessAnalysis &ha,
     // Per-harness stage durations as histograms (seconds).
     for (const StageDesc &d : kStages)
         m.observe(d.histogram, t.*d.time);
-    m.observe("harness.cpu.seconds", t.totalCpu);
+    m.observe("harness.stages.seconds", t.stages);
 }
 
 } // namespace
@@ -568,7 +568,7 @@ SierraDetector::analyze(const SierraOptions &options,
         const HarnessArtifact &art = artifacts[i];
         const harness::HarnessPlan &plan = _plans[i];
 
-        // Plan-order, associative sums: totalCpu equals the sum of
+        // Plan-order, associative sums: `stages` equals the sum of
         // the per-stage fields no matter which order the tasks
         // *finished* in (they were accumulated per task, merged here
         // serially). Reused plans contribute zero times and no
@@ -668,7 +668,7 @@ SierraDetector::analyze(const SierraOptions &options,
             ? 100.0 * static_cast<double>(report.hbEdges) /
                   static_cast<double>(max_pairs_total)
             : 0.0;
-    // Fold in the app-level shared-fact construction so totalCpu still
+    // Fold in the app-level shared-fact construction so `stages` still
     // equals the sum of the per-stage fields.
     report.times.add(app_times);
     report.times.total = secondsSince(t_total);
@@ -702,7 +702,7 @@ StageTimes::add(const StageTimes &o)
 {
     for (const StageDesc &d : kStages)
         this->*d.time += o.*d.time;
-    totalCpu += o.totalCpu;
+    stages += o.stages;
 }
 
 const std::array<StageDesc, kNumStages> &
@@ -730,7 +730,7 @@ stageTimeEntries(const StageTimes &times)
     std::vector<StageTimeEntry> entries;
     for (const StageDesc &d : kStages)
         entries.push_back({d.jsonName, times.*d.time});
-    entries.push_back({"totalCpu", times.totalCpu});
+    entries.push_back({"stages", times.stages});
     entries.push_back({"total", times.total});
     return entries;
 }
@@ -756,8 +756,8 @@ formatReport(const AppReport &report, int max_races, bool with_times)
         os << "time: ";
         for (const StageDesc &d : kStages)
             os << d.textName << " " << report.times.*d.time << "s, ";
-        os << "total " << report.times.total << "s (cpu "
-           << report.times.totalCpu << "s)\n";
+        os << "total " << report.times.total << "s (stages "
+           << report.times.stages << "s)\n";
     }
     int shown = 0;
     for (const auto &race : report.races) {

@@ -157,10 +157,10 @@ struct StageTimes {
     double refutation{0}; //!< symbolic refutation (per-task wall s)
     //! null-value-flow severity classification (per-task wall s)
     double nullflow{0};
-    //! sum of all per-task stage times; equals the sum of the stage
-    //! fields (up to fp rounding) by construction, regardless of task
-    //! completion order — the merge runs serially in plan order
-    double totalCpu{0};
+    //! sum of all per-task stage wall times; equals the sum of the
+    //! stage fields (up to fp rounding) by construction, regardless of
+    //! task completion order — the merge runs serially in plan order
+    double stages{0};
     double total{0}; //!< elapsed wall-clock of the whole run
 
     /** Fold another task's stage times in (associative, commutative

@@ -361,7 +361,7 @@ Parser::parseClass()
     Klass *k = _module.addClass(name, super);
     k->setInterface(is_interface);
     for (auto &i : ifaces)
-        k->addInterface(std::move(i));
+        k->addInterface(i);
 
     expectPunct("{");
     while (!isPunct("}")) {
@@ -464,13 +464,13 @@ Parser::parseInstruction()
     if (w == "return") {
         next();
         i.op = Opcode::Return;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         return i;
     }
     if (w == "throw") {
         next();
         i.op = Opcode::Throw;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         return i;
     }
     if (w == "goto") {
@@ -482,11 +482,11 @@ Parser::parseInstruction()
     if (w == "if") {
         next();
         i.op = Opcode::If;
-        i.srcs.push_back(parseReg());
+        int lhs = parseReg();
         std::string cname = expectAnyIdent();
         if (!condFromName(cname, i.cond))
             fail(strCat("bad condition '", cname, "'"));
-        i.srcs.push_back(parseReg());
+        i.srcs = _module.regs({lhs, parseReg()});
         expectIdent("goto");
         i.target = parseBranchTarget();
         return i;
@@ -494,7 +494,7 @@ Parser::parseInstruction()
     if (w == "ifz") {
         next();
         i.op = Opcode::IfZ;
-        i.srcs.push_back(parseReg());
+        i.srcs = _module.regs({parseReg()});
         std::string cname = expectAnyIdent();
         if (!condFromName(cname, i.cond))
             fail(strCat("bad condition '", cname, "'"));
@@ -510,9 +510,9 @@ Parser::parseInstruction()
         auto [cls, fld] = splitLast(parseDottedName());
         if (cls.empty())
             fail("field reference needs a class name");
-        i.field = {cls, fld};
+        i.field = _module.fieldRef(cls, fld);
         expectPunct("=");
-        i.srcs = {obj, parseReg()};
+        i.srcs = _module.regs({obj, parseReg()});
         return i;
     }
     if (w == "putstatic") {
@@ -521,21 +521,21 @@ Parser::parseInstruction()
         auto [cls, fld] = splitLast(parseDottedName());
         if (cls.empty())
             fail("field reference needs a class name");
-        i.field = {cls, fld};
+        i.field = _module.fieldRef(cls, fld);
         expectPunct("=");
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         return i;
     }
     if (w == "monitor-enter") {
         next();
         i.op = Opcode::MonitorEnter;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         return i;
     }
     if (w == "monitor-exit") {
         next();
         i.op = Opcode::MonitorExit;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         return i;
     }
     if (w == "aput") {
@@ -546,7 +546,7 @@ Parser::parseInstruction()
         int idx = parseReg();
         expectPunct("]");
         expectPunct("=");
-        i.srcs = {arr, idx, parseReg()};
+        i.srcs = _module.regs({arr, idx, parseReg()});
         return i;
     }
     if (w.rfind("invoke-", 0) == 0) {
@@ -577,7 +577,7 @@ Parser::parseAssignment(int dst)
             i.intValue = next().intValue;
         } else if (peek().kind == Tok::Str) {
             i.op = Opcode::ConstStr;
-            i.strValue = next().text;
+            i.strValue = _module.intern(next().text);
         } else {
             fail("expected const payload");
         }
@@ -591,27 +591,27 @@ Parser::parseAssignment(int dst)
     if (w == "new") {
         next();
         i.op = Opcode::New;
-        i.typeName = parseDottedName();
+        i.typeName = _module.intern(parseDottedName());
         return i;
     }
     if (w == "new-array") {
         next();
         i.op = Opcode::NewArray;
-        i.typeName = parseDottedName();
+        i.typeName = _module.intern(parseDottedName());
         expectPunct("[");
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         expectPunct("]");
         return i;
     }
     if (w == "getfield") {
         next();
         i.op = Opcode::GetField;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         expectPunct(".");
         auto [cls, fld] = splitLast(parseDottedName());
         if (cls.empty())
             fail("field reference needs a class name");
-        i.field = {cls, fld};
+        i.field = _module.fieldRef(cls, fld);
         return i;
     }
     if (w == "getstatic") {
@@ -620,7 +620,7 @@ Parser::parseAssignment(int dst)
         auto [cls, fld] = splitLast(parseDottedName());
         if (cls.empty())
             fail("field reference needs a class name");
-        i.field = {cls, fld};
+        i.field = _module.fieldRef(cls, fld);
         return i;
     }
     if (w == "aget") {
@@ -630,7 +630,7 @@ Parser::parseAssignment(int dst)
         expectPunct("[");
         int idx = parseReg();
         expectPunct("]");
-        i.srcs = {arr, idx};
+        i.srcs = _module.regs({arr, idx});
         return i;
     }
     if (w.rfind("invoke-", 0) == 0) {
@@ -642,14 +642,16 @@ Parser::parseAssignment(int dst)
         auto [cls, mth] = splitLast(parseDottedName());
         if (cls.empty())
             fail("method reference needs a class name");
-        i.method = {cls, mth, 0};
+        i.method = _module.methodRef(cls, mth, 0);
         expectPunct("(");
+        std::vector<int> args;
         while (!isPunct(")")) {
-            i.srcs.push_back(parseReg());
+            args.push_back(parseReg());
             if (isPunct(","))
                 next();
         }
         expectPunct(")");
+        i.srcs = _module.regs(args.data(), args.size());
         i.method.numArgs = static_cast<int>(i.srcs.size());
         return i;
     }
@@ -659,9 +661,9 @@ Parser::parseAssignment(int dst)
         next();
         i.op = Opcode::BinOp;
         i.binop = bop;
-        i.srcs.push_back(parseReg());
+        int lhs = parseReg();
         expectPunct(",");
-        i.srcs.push_back(parseReg());
+        i.srcs = _module.regs({lhs, parseReg()});
         return i;
     }
     UnOpKind uop;
@@ -669,7 +671,7 @@ Parser::parseAssignment(int dst)
         next();
         i.op = Opcode::UnOp;
         i.unop = uop;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         return i;
     }
 
@@ -677,7 +679,7 @@ Parser::parseAssignment(int dst)
     if (w.size() >= 2 && w[0] == 'r' &&
         std::isdigit(static_cast<unsigned char>(w[1]))) {
         i.op = Opcode::Move;
-        i.srcs = {parseReg()};
+        i.srcs = _module.regs({parseReg()});
         return i;
     }
     fail(strCat("unknown instruction '", w, "'"));

@@ -120,7 +120,7 @@ TEST(AirVerifier, NonStaticInvokeNeedsReceiver)
     Instruction call;
     call.op = Opcode::Invoke;
     call.invokeKind = InvokeKind::Virtual;
-    call.method = {"A", "g", 0};
+    call.method = mod.methodRef("A", "g", 0);
     m->instrs().push_back(call);
     Instruction ret;
     ret.op = Opcode::ReturnVoid;

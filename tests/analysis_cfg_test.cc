@@ -15,7 +15,7 @@ parseMethod(std::unique_ptr<air::Module> &hold, const std::string &body)
     auto r = air::parseModule("class T { " + body + " }");
     EXPECT_TRUE(r.ok()) << r.status.error;
     hold = std::move(r.module);
-    return hold->getClass("T")->methods().front().get();
+    return hold->getClass("T")->methods().front();
 }
 
 TEST(Cfg, StraightLine)

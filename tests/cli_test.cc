@@ -114,6 +114,33 @@ TEST(Cli, BadFlagsExitTwo)
     EXPECT_EQ(k0.code, 0) << k0.err;
 }
 
+TEST(Cli, ForeignFlagsExitTwo)
+{
+    // Each command accepts only its own flags: one that belongs to
+    // another command is refused by name instead of being ignored.
+    TempFile file(".air");
+    ASSERT_EQ(run({"dump", "TippyTipper", "-o", file.path()}).code, 0);
+    const std::vector<std::vector<std::string>> foreign = {
+        {"lint", file.path(), "--k", "3"},
+        {"serve", "--policy", "quantum"},
+        {"dump", "TippyTipper", "--json"},
+        {"dynamic", file.path(), "--no-refute"},
+    };
+    for (const auto &args : foreign) {
+        CliRun r = run(args);
+        EXPECT_EQ(r.code, 2) << args[0];
+        EXPECT_NE(r.err.find("does not apply to '" + args[0] + "'"),
+                  std::string::npos)
+            << r.err;
+        EXPECT_TRUE(r.out.empty()) << r.out;
+    }
+    // A flag no command knows is still "unknown".
+    CliRun unknown = run({"lint", file.path(), "--bogus-flag"});
+    EXPECT_EQ(unknown.code, 2);
+    EXPECT_NE(unknown.err.find("unknown flag"), std::string::npos)
+        << unknown.err;
+}
+
 TEST(Cli, AnalyzeJson)
 {
     TempFile file(".air");

@@ -34,21 +34,24 @@ TEST_F(KnownApiTest, InstallIsIdempotent)
 TEST_F(KnownApiTest, DirectFrameworkCalls)
 {
     KnownApis apis(mod);
-    EXPECT_EQ(apis.classify({names::handler, "post", 2}),
+    EXPECT_EQ(apis.classify(mod.methodRef(names::handler, "post", 2)),
               ApiKind::HandlerPost);
-    EXPECT_EQ(apis.classify({names::handler, "sendEmptyMessage", 2}),
+    EXPECT_EQ(apis.classify(
+                  mod.methodRef(names::handler, "sendEmptyMessage", 2)),
               ApiKind::HandlerSendMessage);
-    EXPECT_EQ(apis.classify({names::thread, "start", 1}),
+    EXPECT_EQ(apis.classify(mod.methodRef(names::thread, "start", 1)),
               ApiKind::ThreadStart);
-    EXPECT_EQ(apis.classify({names::activity, "findViewById", 2}),
+    EXPECT_EQ(apis.classify(mod.methodRef(names::activity, "findViewById", 2)),
               ApiKind::FindViewById);
-    EXPECT_EQ(apis.classify({names::view, "setOnClickListener", 2}),
+    EXPECT_EQ(apis.classify(
+                  mod.methodRef(names::view, "setOnClickListener", 2)),
               ApiKind::SetListener);
-    EXPECT_EQ(apis.classify({names::looper, "getMainLooper", 0}),
+    EXPECT_EQ(apis.classify(mod.methodRef(names::looper, "getMainLooper", 0)),
               ApiKind::LooperMain);
-    EXPECT_EQ(apis.classify({names::activity, "registerReceiver", 3}),
+    EXPECT_EQ(apis.classify(
+                  mod.methodRef(names::activity, "registerReceiver", 3)),
               ApiKind::RegisterReceiver);
-    EXPECT_EQ(apis.classify({"NoSuchClass", "noSuchMethod", 0}),
+    EXPECT_EQ(apis.classify(mod.methodRef("NoSuchClass", "noSuchMethod", 0)),
               ApiKind::None);
 }
 
@@ -57,9 +60,10 @@ TEST_F(KnownApiTest, SubclassCallsResolveToFramework)
     // class MyTask extends AsyncTask (no overrides of execute).
     mod.addClass("MyTask", names::asyncTask);
     KnownApis apis(mod);
-    EXPECT_EQ(apis.classify({"MyTask", "execute", 1}),
+    EXPECT_EQ(apis.classify(mod.methodRef("MyTask", "execute", 1)),
               ApiKind::AsyncTaskExecute);
-    EXPECT_EQ(apis.classify({"MyTask", "<init>", 1}), ApiKind::None)
+    EXPECT_EQ(apis.classify(
+                  mod.methodRef("MyTask", "<init>", 1)), ApiKind::None)
         << "constructors resolve to AsyncTask.<init>, which is not a "
            "concurrency API";
 }
@@ -75,9 +79,10 @@ TEST_F(KnownApiTest, UserOverrideWins)
     air::MethodBuilder b(init);
     b.finish();
     KnownApis apis(mod);
-    EXPECT_EQ(apis.classify({"MyThread", "<init>", 2}), ApiKind::None);
+    EXPECT_EQ(apis.classify(
+                  mod.methodRef("MyThread", "<init>", 2)), ApiKind::None);
     // But start() still resolves up to Thread.start.
-    EXPECT_EQ(apis.classify({"MyThread", "start", 1}),
+    EXPECT_EQ(apis.classify(mod.methodRef("MyThread", "start", 1)),
               ApiKind::ThreadStart);
 }
 

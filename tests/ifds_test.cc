@@ -43,7 +43,7 @@ const air::Klass *
 classWithPrefix(const air::Module &mod, const std::string &prefix)
 {
     for (const air::Klass *k : mod.classes()) {
-        if (k->name().rfind(prefix, 0) == 0)
+        if (k->name().view().starts_with(prefix))
             return k;
     }
     return nullptr;

@@ -3,7 +3,7 @@
  * Tests for the metrics registry (util/metrics) and its integration
  * with the detector: registry counters mirror the report fields
  * exactly, are identical at every jobs count, and the StageTimes
- * cpu-vs-wall accounting survives any merge order.
+ * stage-sum-vs-wall accounting survives any merge order.
  */
 
 #include <string>
@@ -204,7 +204,7 @@ TEST(Metrics, RegistryIsIdenticalAtEveryJobsCount)
     }
 }
 
-TEST(StageTimesAccounting, TotalCpuEqualsSumOfStageFields)
+TEST(StageTimesAccounting, StagesEqualsSumOfStageFields)
 {
     for (int jobs : {1, 4}) {
         Registry m;
@@ -215,26 +215,26 @@ TEST(StageTimesAccounting, TotalCpuEqualsSumOfStageFields)
                            t.enablement + t.ifds + t.refutation +
                            t.nullflow;
         // fp-rounding tolerance only: the merge must not lose or
-        // double-count any worker's CPU at any jobs count.
-        EXPECT_NEAR(t.totalCpu, stage_sum,
+        // double-count any worker's stage time at any jobs count.
+        EXPECT_NEAR(t.stages, stage_sum,
                     1e-9 + 1e-9 * stage_sum)
             << "jobs=" << jobs;
-        EXPECT_GT(t.totalCpu, 0.0);
+        EXPECT_GT(t.stages, 0.0);
     }
 }
 
 TEST(StageTimesAccounting, AddIsMergeOrderInvariant)
 {
     StageTimes a, b, c;
-    a.cgPa = 0.125; a.refutation = 0.5; a.totalCpu = 0.625;
-    b.hbg = 0.25; b.racy = 0.0625; b.totalCpu = 0.3125;
-    c.lockset = 1.0; c.escape = 0.03125; c.totalCpu = 1.03125;
+    a.cgPa = 0.125; a.refutation = 0.5; a.stages = 0.625;
+    b.hbg = 0.25; b.racy = 0.0625; b.stages = 0.3125;
+    c.lockset = 1.0; c.escape = 0.03125; c.stages = 1.03125;
 
     StageTimes abc;
     abc.add(a); abc.add(b); abc.add(c);
     StageTimes cba;
     cba.add(c); cba.add(b); cba.add(a);
-    EXPECT_DOUBLE_EQ(abc.totalCpu, cba.totalCpu);
+    EXPECT_DOUBLE_EQ(abc.stages, cba.stages);
     EXPECT_DOUBLE_EQ(abc.cgPa, cba.cgPa);
     EXPECT_DOUBLE_EQ(abc.refutation, cba.refutation);
     // `total` (wall) is a whole-run property, never summed by add().

@@ -54,7 +54,7 @@ bodies(const corpus::BuiltApp &built)
     for (const air::Klass *k : built.app->module().classes()) {
         for (const auto &m : k->methods()) {
             if (m->hasBody())
-                out.push_back(m.get());
+                out.push_back(m);
         }
     }
     return out;
@@ -123,8 +123,8 @@ TEST(PointsToOwner, MemoisedKeysMatchTheStringRecipe)
             auto recipe = [&](const std::string &klass,
                               const air::FieldRef &field) {
                 std::string decl =
-                    r.cha.declaringClassOfField(klass, field.fieldName);
-                return (decl.empty() ? field.className : decl) + "." +
+                    r.cha.declaringClassOfField(klass, field.fieldName.view());
+                return (decl.empty() ? field.className.str() : decl) + "." +
                        field.fieldName;
             };
             auto expectKey = [&](FieldKey got, const std::string &want,

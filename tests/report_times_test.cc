@@ -72,7 +72,7 @@ TEST(ReportTimes, TextTimeLineRendersEveryInTextEntry)
         std::string line = timeLine(formatReport(report, 50, true));
         ASSERT_FALSE(line.empty());
 
-        std::vector<std::string> tokens = {"total ", "(cpu "};
+        std::vector<std::string> tokens = {"total ", "(stages "};
         for (const StageDesc &d : stageTable())
             tokens.push_back(std::string(d.textName) + " ");
         for (const std::string &token : tokens) {

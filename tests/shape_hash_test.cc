@@ -201,7 +201,7 @@ TEST(ShapeHash, SyntheticClassesAreExcluded)
     EXPECT_EQ(store::shapeHash(*app), before);
 
     // Nor does editing a synthetic class's shape change it.
-    harness->addField(air::Field{"extra", air::Type::intTy(), false});
+    harness->addField(air::FieldDecl{"extra", air::Type::intTy(), false});
     harness->addMethod("extraMethod", {air::Type::intTy()},
                        air::Type::voidTy(), true);
     EXPECT_EQ(store::shapeHash(*app), before);

@@ -59,7 +59,7 @@ hashMethods(const framework::App &app)
     std::map<std::string, uint64_t> out;
     const store::MethodHashTable table(app);
     for (const store::MethodHashEntry &row : table.entries())
-        out[row.name] = row.hash;
+        out[row.name()] = row.hash;
     return out;
 }
 
@@ -100,7 +100,7 @@ TEST(Store, BodyEditChangesMethodHashButNotShape)
         for (const auto &m : klass->methods()) {
             if (m->hasBody()) {
                 m->instrs().push_back(air::Instruction{});
-                edited = m.get();
+                edited = m;
                 break;
             }
         }
@@ -138,7 +138,7 @@ TEST(Store, ClassSliceChangesRekeyMemberMethods)
     }
     ASSERT_NE(victim, nullptr);
     uint64_t before = store::classSliceHash(*victim);
-    victim->addField(air::Field{"__storeTestField",
+    victim->addField(air::FieldDecl{"__storeTestField",
                                 air::Type::object("java.lang.Object"),
                                 false});
     EXPECT_NE(store::classSliceHash(*victim), before);

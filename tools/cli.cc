@@ -140,27 +140,42 @@ struct ParsedFlags {
     }
 };
 
-/** Flags whose value is an integer, then those with any other value. */
-constexpr std::string_view kIntFlags[] = {"--k", "--jobs", "--max-races",
-                                          "--schedules", "--seed"};
-constexpr std::string_view kTextFlags[] = {"--policy", "--trace",
-                                           "--store", "--socket", "-o"};
-/** Boolean flags besides the stage table's `--no-X` flags. */
-constexpr std::string_view kSwitches[] = {
-    "--index-sensitive", "--node-cache", "--no-icc", "--show-refuted",
-    "--metrics", "--json", "--errors-only", "--no-coverage-filter"};
+using Command = int (*)(const ParsedFlags &, std::ostream &,
+                       std::ostream &);
 
-bool
-isSwitch(const std::string &flag)
-{
-    return std::ranges::count(kSwitches, flag) ||
-           std::ranges::any_of(stageTable(), [&](const StageDesc &d) {
-               return d.flag && flag == d.flag;
-           });
-}
+/** One command and the flags it accepts: flags whose value is an
+ *  integer, flags with any other value, and boolean switches. */
+struct CommandSpec {
+    const char *name;
+    Command run;
+    std::vector<std::string_view> ints;
+    std::vector<std::string_view> texts;
+    std::vector<std::string_view> switches;
+    //! also accepts the stage table's `--no-X` flags
+    bool stageFlags{false};
+
+    bool
+    isSwitch(std::string_view flag) const
+    {
+        return std::ranges::count(switches, flag) ||
+               (stageFlags &&
+                std::ranges::any_of(stageTable(), [&](const StageDesc &d) {
+                    return d.flag && flag == d.flag;
+                }));
+    }
+    bool
+    accepts(std::string_view flag) const
+    {
+        return isSwitch(flag) || std::ranges::count(ints, flag) ||
+               std::ranges::count(texts, flag);
+    }
+};
+
+const std::vector<CommandSpec> &commands();
 
 ParsedFlags
-parseFlags(const std::vector<std::string> &args, size_t start)
+parseFlags(const std::vector<std::string> &args, size_t start,
+           const CommandSpec &command)
 {
     ParsedFlags out;
     for (size_t i = start; i < args.size(); ++i) {
@@ -169,13 +184,22 @@ parseFlags(const std::vector<std::string> &args, size_t start)
             out.positional.push_back(a);
             continue;
         }
-        if (isSwitch(a)) {
+        if (command.isSwitch(a)) {
             out.values[a] = "1";
             continue;
         }
-        const bool is_int = std::ranges::count(kIntFlags, a);
-        if (!is_int && !std::ranges::count(kTextFlags, a)) {
-            out.error = "unknown flag '" + a + "' (try 'sierra help')";
+        const bool is_int = std::ranges::count(command.ints, a);
+        if (!is_int && !std::ranges::count(command.texts, a)) {
+            // A flag of another command is refused by name, not
+            // accepted and ignored.
+            const bool foreign = std::ranges::any_of(
+                commands(),
+                [&](const CommandSpec &c) { return c.accepts(a); });
+            out.error = foreign ? "flag '" + a + "' does not apply to '" +
+                                      command.name +
+                                      "' (try 'sierra help')"
+                                : "unknown flag '" + a +
+                                      "' (try 'sierra help')";
             return out;
         }
         if (i + 1 >= args.size()) {
@@ -688,7 +712,7 @@ cmdServe(const ParsedFlags &flags, std::ostream &out,
 }
 
 int
-cmdList(std::ostream &out)
+cmdList(const ParsedFlags &, std::ostream &out, std::ostream &)
 {
     out << "corpus apps (paper Table 2):\n";
     for (const auto &spec : corpus::namedAppSpecs()) {
@@ -705,6 +729,28 @@ cmdList(std::ostream &out)
     return 0;
 }
 
+const std::vector<CommandSpec> &
+commands()
+{
+    static const std::vector<CommandSpec> table = {
+        {"analyze", cmdAnalyze, {"--k", "--jobs", "--max-races"},
+         {"--policy", "--trace"},
+         {"--index-sensitive", "--node-cache", "--no-icc",
+          "--show-refuted", "--metrics", "--json"},
+         true},
+        {"dynamic", cmdDynamic, {"--schedules", "--seed"}, {},
+         {"--no-coverage-filter"}},
+        {"verify", cmdVerify, {"--jobs", "--schedules", "--seed"}, {}, {}},
+        {"lint", cmdLint, {}, {}, {"--errors-only", "--json"}},
+        {"dump", cmdDump, {}, {"-o"}, {}},
+        {"harness", cmdHarness, {}, {}, {}},
+        {"actions", cmdActions, {}, {}, {}},
+        {"serve", cmdServe, {"--jobs"}, {"--store", "--socket"}, {}},
+        {"list", cmdList, {}, {}, {}},
+    };
+    return table;
+}
+
 } // namespace
 
 int
@@ -715,33 +761,20 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
         out << usage();
         return args.empty() ? 2 : 0;
     }
-    const std::string &command = args[0];
-    ParsedFlags flags = parseFlags(args, 1);
+    const std::string &name = args[0];
+    auto command = std::ranges::find_if(
+        commands(), [&](const CommandSpec &c) { return name == c.name; });
+    if (command == commands().end()) {
+        err << "error: unknown command '" << name
+            << "' (try 'sierra help')\n";
+        return 2;
+    }
+    ParsedFlags flags = parseFlags(args, 1, *command);
     if (!flags.error.empty()) {
         err << "error: " << flags.error << "\n";
         return 2;
     }
-    if (command == "analyze")
-        return cmdAnalyze(flags, out, err);
-    if (command == "dynamic")
-        return cmdDynamic(flags, out, err);
-    if (command == "verify")
-        return cmdVerify(flags, out, err);
-    if (command == "lint")
-        return cmdLint(flags, out, err);
-    if (command == "dump")
-        return cmdDump(flags, out, err);
-    if (command == "harness")
-        return cmdHarness(flags, out, err);
-    if (command == "actions")
-        return cmdActions(flags, out, err);
-    if (command == "serve")
-        return cmdServe(flags, out, err);
-    if (command == "list")
-        return cmdList(out);
-    err << "error: unknown command '" << command
-        << "' (try 'sierra help')\n";
-    return 2;
+    return command->run(flags, out, err);
 }
 
 } // namespace sierra::cli
