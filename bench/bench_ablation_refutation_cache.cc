@@ -57,8 +57,8 @@ main()
             corpus::BuiltApp built = corpus::buildNamedApp(spec);
             SierraDetector detector(*built.app);
             SierraOptions opts;
-            opts.refuter.exec.useNodeCache = config.nodeCache;
-            opts.refuter.exec.maxSteps = config.maxSteps;
+            opts.exec.useNodeCache = config.nodeCache;
+            opts.exec.maxSteps = config.maxSteps;
             AppReport report = detector.analyze(opts);
             t.racy += report.racyPairs;
             t.refuted += report.racyPairs - report.afterRefutation;

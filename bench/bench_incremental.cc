@@ -80,8 +80,8 @@ main()
         corpus::BuiltApp built = corpus::buildNamedApp(edited_app);
         serve::IncrementalAnalyzer(probe).analyze(*built.app, options);
         edited_method = appendNop(*built.app); // its name; not analyzed
-        for (const std::string &key : probe.keys("harness")) {
-            auto art = parseArtifact(*probe.get("harness", key));
+        for (uint64_t key : probe.keys()) {
+            auto art = parseArtifact(*probe.get(key));
             if (art && std::any_of(art->footprint.begin(),
                                    art->footprint.end(),
                                    [&](const auto &row) {

@@ -81,11 +81,10 @@ BM_PointsToAnalysis(benchmark::State &state)
     const auto &plan = detector.plans()[0];
     // One hierarchy for every run, as the pipeline shares one across
     // harnesses: the timed loop measures the solver alone.
-    analysis::PointsToOptions opts;
-    opts.sharedCha =
+    auto cha =
         std::make_shared<analysis::ClassHierarchy>(built.app->module());
     for (auto _ : state) {
-        analysis::PointsToAnalysis pta(*built.app, plan, opts);
+        analysis::PointsToAnalysis pta(*built.app, plan, {}, cha);
         auto result = pta.run();
         benchmark::DoNotOptimize(result->cg.numNodes());
     }
@@ -335,8 +334,8 @@ BM_StoreWarmPath(benchmark::State &state)
             benchmark::DoNotOptimize(store::shapeHash(app));
             break;
           default: {
-            for (const std::string &key : st.keys("harness")) {
-                auto art = parseArtifact(*st.get("harness", key));
+            for (uint64_t key : st.keys()) {
+                auto art = parseArtifact(*st.get(key));
                 benchmark::DoNotOptimize(art->races.size());
             }
           }

@@ -89,8 +89,8 @@ class Module
      */
     size_t codeSize() const;
 
-    /** Arena backing all method bodies (for the
-     *  `arena.bytes_allocated` metric). */
+    /** Arena backing all method bodies (for the `air.arena_bytes`
+     *  metric). */
     const util::Arena &arena() const { return _arena; }
 
   private:

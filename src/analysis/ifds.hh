@@ -25,17 +25,20 @@
  * to an unsound partial fixpoint.
  *
  * Client 1 -- InterConstants -- is consumed by the symbolic refuter
- * (ExecutorOptions::inter): it concretizes register reads, prunes
- * interprocedurally-infeasible predecessor edges, and turns call-site
- * havoc into strong constant updates for must-write fields.
+ * (the `inter` argument of symbolic::refuteRaces): it concretizes
+ * register reads, prunes interprocedurally-infeasible predecessor
+ * edges, and turns call-site havoc into strong constant updates for
+ * must-write fields.
  *
  * Client 2 -- use-after-destroy -- is a typestate query on top of the
  * same facts: fields nulled inside `onDestroy` teardown callbacks
  * (directly or through a setter whose parameter the summaries prove
  * null) that a posted/background task can still dereference afterward.
  *
- * Everything here is a pure function of one `const PointsToResult`;
- * queries are const and safe to share across refuter worker threads.
+ * Everything here is a pure function of one `const PointsToResult`,
+ * and queries are const. The facts are read inside the harness task
+ * that built them: refutation runs serially there, one executor per
+ * harness, so nothing here is shared across threads.
  */
 
 #ifndef SIERRA_ANALYSIS_IFDS_HH

@@ -174,8 +174,10 @@ class PointsToAnalysis::Engine
 {
   public:
     Engine(const framework::App &app, const EntryPlan &plan,
-           PointsToOptions options)
-        : _app(app), _plan(plan), _opts(options), _apis(app.module())
+           PointsToOptions options,
+           std::shared_ptr<const ClassHierarchy> cha)
+        : _app(app), _plan(plan), _opts(options), _cha(std::move(cha)),
+          _apis(app.module())
     {
         const air::NameTable &names = app.module().names();
         for (size_t i = 0; i < std::size(kCallbackNames); ++i)
@@ -456,6 +458,8 @@ class PointsToAnalysis::Engine
     const framework::App &_app;
     const EntryPlan &_plan;
     PointsToOptions _opts;
+    //! the shared hierarchy handed to the result (null: it builds one)
+    std::shared_ptr<const ClassHierarchy> _cha;
     framework::KnownApis _apis;
     std::unique_ptr<PointsToResult> _r;
 
@@ -808,8 +812,7 @@ PointsToAnalysis::Engine::fieldConstOf(ObjId obj, FieldId key) const
 std::unique_ptr<PointsToResult>
 PointsToAnalysis::Engine::run()
 {
-    _r = std::make_unique<PointsToResult>(_app.module(),
-                                          _opts.sharedCha);
+    _r = std::make_unique<PointsToResult>(_app.module(), std::move(_cha));
     _r->options = _opts;
     _r->mainLooperObj =
         _r->objects.singleton(framework::names::looper, kMainLooper);
@@ -1598,8 +1601,9 @@ PointsToAnalysis::Engine::normalCall(NodeId n, const Method *m, int idx,
 
 PointsToAnalysis::PointsToAnalysis(const framework::App &app,
                                    const EntryPlan &plan,
-                                   PointsToOptions options)
-    : _engine(std::make_unique<Engine>(app, plan, options))
+                                   PointsToOptions options,
+                                   std::shared_ptr<const ClassHierarchy> cha)
+    : _engine(std::make_unique<Engine>(app, plan, options, std::move(cha)))
 {
 }
 

@@ -57,16 +57,6 @@ using ObjSet = util::ObjBitset;
 struct PointsToOptions {
     ContextOptions ctx;
     /**
-     * Optional app-level hierarchy shared across harness tasks. The
-     * hierarchy is a pure function of the module and immutable after
-     * construction, so one instance can serve every per-harness solver
-     * (the detector builds it once per analyze()). Shared ownership:
-     * results outlive the detector call that spawned them, so each
-     * result co-owns the hierarchy it references. Null: the result
-     * builds and owns its own.
-     */
-    std::shared_ptr<const ClassHierarchy> sharedCha;
-    /**
      * Give array accesses with constant indices per-element locations
      * instead of one "$elems" summary (the paper's future-work citation
      * of Dillig et al.; removes the index-insensitivity FP class).
@@ -253,8 +243,18 @@ class PointsToResult
 class PointsToAnalysis
 {
   public:
+    /**
+     * `cha` is an optional app-level hierarchy shared across harness
+     * tasks. The hierarchy is a pure function of the module and
+     * immutable after construction, so one instance can serve every
+     * per-harness solver (the detector builds it once per analyze()).
+     * Shared ownership: results outlive the detector call that spawned
+     * them, so each result co-owns the hierarchy it references. Null:
+     * the result builds and owns its own.
+     */
     PointsToAnalysis(const framework::App &app, const EntryPlan &plan,
-                     PointsToOptions options = {});
+                     PointsToOptions options = {},
+                     std::shared_ptr<const ClassHierarchy> cha = nullptr);
     ~PointsToAnalysis();
 
     std::unique_ptr<PointsToResult> run();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "air/klass.hh"
@@ -425,138 +424,46 @@ Store::Store(const std::string &dir) : _dir(dir)
     out << versionStamp();
 }
 
-namespace {
-
-/** A byte a key keeps as-is in its file name. */
-bool
-plainKeyByte(char c)
-{
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-           (c >= '0' && c <= '9') || c == '_' || c == '-';
-}
-
-int
-upperHexDigit(char c)
-{
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'A' && c <= 'F')
-        return c - 'A' + 10;
-    return -1;
-}
-
-} // namespace
-
 std::string
-Store::encodeKey(std::string_view key)
+Store::pathFor(uint64_t key) const
 {
-    // The empty key would name the kind directory itself; a lone '%'
-    // is a name no other key encodes to.
-    if (key.empty())
-        return "%";
-    static const char digits[] = "0123456789ABCDEF";
-    std::string out;
-    out.reserve(key.size());
-    for (char c : key) {
-        if (plainKeyByte(c)) {
-            out += c;
-        } else {
-            const auto byte = static_cast<unsigned char>(c);
-            out += '%';
-            out += digits[byte >> 4];
-            out += digits[byte & 0xf];
-        }
-    }
-    return out;
-}
-
-std::optional<std::string>
-Store::decodeKey(std::string_view name)
-{
-    if (name == "%")
-        return std::string();
-    if (name.empty())
-        return std::nullopt;
-    std::string out;
-    out.reserve(name.size());
-    for (size_t i = 0; i < name.size(); ++i) {
-        if (plainKeyByte(name[i])) {
-            out += name[i];
-            continue;
-        }
-        if (name[i] != '%' || i + 2 >= name.size())
-            return std::nullopt;
-        const int hi = upperHexDigit(name[i + 1]);
-        const int lo = upperHexDigit(name[i + 2]);
-        if (hi < 0 || lo < 0)
-            return std::nullopt;
-        const char c = static_cast<char>(hi * 16 + lo);
-        if (plainKeyByte(c))
-            return std::nullopt; // encodeKey never escapes it
-        out += c;
-        i += 2;
-    }
-    return out;
-}
-
-std::string
-Store::pathFor(std::string_view kind, std::string_view key) const
-{
-    std::string path = _dir;
-    path += '/';
-    path += kind;
-    path += '/';
-    path += encodeKey(key);
-    return path;
+    // The blobs live under `harness/`, named by the key's 16 hex
+    // digits: the layout every store generation of this schema uses.
+    return _dir + "/harness/" + hashHex(key);
 }
 
 std::optional<std::string_view>
-Store::get(std::string_view kind, std::string_view key)
+Store::get(uint64_t key)
 {
     ++_stats.gets;
-    auto kit = _blobs.find(kind);
-    if (kit != _blobs.end()) {
-        auto it = kit->second.find(key);
-        if (it != kit->second.end()) {
-            ++_stats.hits;
-            return std::string_view(it->second);
-        }
+    auto it = _blobs.find(key);
+    if (it != _blobs.end()) {
+        ++_stats.hits;
+        return std::string_view(it->second);
     }
     if (_dir.empty())
         return std::nullopt;
-    std::ifstream in(pathFor(kind, key), std::ios::binary);
+    std::ifstream in(pathFor(key), std::ios::binary);
     if (!in)
         return std::nullopt;
     std::ostringstream ss;
     ss << in.rdbuf();
     ++_stats.hits;
     ++_stats.diskReads;
-    if (kit == _blobs.end())
-        kit = _blobs.try_emplace(std::string(kind)).first;
-    std::string &slot =
-        kit->second.insert_or_assign(std::string(key), ss.str())
-            .first->second;
-    return std::string_view(slot);
+    return std::string_view(_blobs.emplace(key, ss.str()).first->second);
 }
 
 void
-Store::put(std::string_view kind, std::string_view key,
-           std::string_view blob)
+Store::put(uint64_t key, std::string_view blob)
 {
     ++_stats.puts;
     _stats.bytesWritten += static_cast<int64_t>(blob.size());
-    auto kit = _blobs.find(kind);
-    if (kit == _blobs.end())
-        kit = _blobs.try_emplace(std::string(kind)).first;
-    auto it = kit->second.find(key);
-    if (it == kit->second.end())
-        it = kit->second.try_emplace(std::string(key)).first;
-    it->second.assign(blob);
+    _blobs[key].assign(blob);
     if (_dir.empty())
         return;
     std::error_code ec;
-    fs::create_directories(fs::path(_dir) / kind, ec);
-    const std::string path = pathFor(kind, key);
+    fs::create_directories(fs::path(_dir) / "harness", ec);
+    const std::string path = pathFor(key);
     const std::string tmp = path + ".tmp";
     std::ofstream out(tmp, std::ios::binary);
     out << blob;
@@ -573,25 +480,26 @@ Store::put(std::string_view kind, std::string_view key,
     fs::rename(tmp, path, ec);
 }
 
-std::vector<std::string>
-Store::keys(std::string_view kind) const
+std::vector<uint64_t>
+Store::keys() const
 {
-    std::set<std::string> out;
-    auto kit = _blobs.find(kind);
-    if (kit != _blobs.end()) {
-        for (const auto &[key, blob] : kit->second)
-            out.insert(key);
-    }
+    std::vector<uint64_t> out;
+    out.reserve(_blobs.size());
+    for (const auto &[key, blob] : _blobs)
+        out.push_back(key);
     if (!_dir.empty()) {
         std::error_code ec;
         for (const auto &entry :
-             fs::directory_iterator(fs::path(_dir) / kind, ec)) {
-            // Temporary files end in ".tmp"; no encoded key has a '.'.
-            if (auto key = decodeKey(entry.path().filename().string()))
-                out.insert(std::move(*key));
+             fs::directory_iterator(fs::path(_dir) / "harness", ec)) {
+            // Temporary files end in ".tmp", so they never parse.
+            uint64_t key;
+            if (parseHashHex(entry.path().filename().string(), key))
+                out.push_back(key);
         }
     }
-    return {out.begin(), out.end()};
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
 }
 
 } // namespace sierra::analysis::store

@@ -3,9 +3,10 @@
  * Content-hash-keyed artifact store: the persistence layer behind
  * `sierra serve` and incremental re-analysis (docs/CACHING.md).
  *
- * The store maps (kind, key) -> blob, where every key is derived from
- * *content hashes* of the inputs an artifact depends on, never from
- * timestamps or process state. No hash is taken over printed text:
+ * The store maps a 64-bit key to a blob, where every key is derived
+ * from *content hashes* of the inputs an artifact depends on, never
+ * from timestamps or process state. No hash is taken over printed
+ * text:
  *
  *  - `methodEnvHash(m)` keys one method body plus its resolution
  *    environment: the signature and every instruction's printed
@@ -34,8 +35,8 @@
  * decoder (`sierra::parseArtifact`) reads a `std::string_view`, and
  * `Store::get` hands out a view of the stored blob rather than a copy.
  * The store holds everything in memory and optionally write-throughs
- * to a versioned on-disk directory (`dir/<kind>/<encoded key>`, where
- * the key encoding is injective); a schema or known-API version
+ * to a versioned on-disk directory (`dir/harness/<16 hex digits of the
+ * key>`); a schema or known-API version
  * mismatch discards the on-disk generation instead of reading
  * incompatible blobs (the invalidation rules are documented in
  * docs/CACHING.md).
@@ -45,10 +46,10 @@
 #define SIERRA_ANALYSIS_STORE_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -170,9 +171,10 @@ struct StoreStats {
 };
 
 /**
- * The (kind, key) -> blob store. Always memory-backed; with a
- * directory it also write-throughs every put and faults misses in
- * from disk, so a later process warm-starts from the same artifacts.
+ * A map from 64-bit keys to blobs. Always memory-backed; with a
+ * directory it also write-throughs every put to
+ * `dir/harness/<hashHex(key)>` and faults misses in from disk, so a
+ * later process warm-starts from the same artifacts.
  */
 class Store
 {
@@ -194,38 +196,25 @@ class Store
     bool onDisk() const { return !_dir.empty(); }
     const std::string &dir() const { return _dir; }
 
-    /** The blob stored under (kind, key), as a view that stays valid
-     *  until the next put of the same (kind, key) or the store's
-     *  destruction. */
-    std::optional<std::string_view> get(std::string_view kind,
-                                        std::string_view key);
+    /** The blob stored under `key`, as a view that stays valid until
+     *  the next put of the same key or the store's destruction. */
+    std::optional<std::string_view> get(uint64_t key);
     /** Store a blob. On disk it is written to a temporary file and
      *  renamed into place only when the write succeeded; a failed
      *  write leaves no file for the key. */
-    void put(std::string_view kind, std::string_view key,
-             std::string_view blob);
+    void put(uint64_t key, std::string_view blob);
 
-    /** All keys of one kind (sorted; includes on-disk-only keys). */
-    std::vector<std::string> keys(std::string_view kind) const;
+    /** Every key, sorted (includes on-disk-only keys). */
+    std::vector<uint64_t> keys() const;
 
     const StoreStats &stats() const { return _stats; }
 
-    /** The file name a key is stored under: every byte outside
-     *  [A-Za-z0-9_-] becomes `%XX` (upper-case hex), so distinct keys
-     *  never share a file and no key escapes its kind directory. */
-    static std::string encodeKey(std::string_view key);
-    /** Inverse of encodeKey; nullopt for a name it never produces. */
-    static std::optional<std::string> decodeKey(std::string_view name);
-
   private:
-    std::string pathFor(std::string_view kind, std::string_view key) const;
+    std::string pathFor(uint64_t key) const;
 
     std::string _dir; //!< empty = memory only
-    //! kind -> key -> blob
-    std::map<std::string,
-             std::map<std::string, std::string, std::less<>>,
-             std::less<>>
-        _blobs;
+    //! node-based, so the views get() hands out survive other puts
+    std::unordered_map<uint64_t, std::string> _blobs;
     StoreStats _stats;
 };
 

@@ -70,7 +70,8 @@ sharedLocs(const Access &a1, const Access &a2)
 std::vector<RacyPair>
 findRacyPairs(const PointsToResult &result, const hb::Shbg &shbg,
               const std::vector<Access> &accesses,
-              const RacyOptions &options)
+              const analysis::FieldEffects *effects,
+              const std::vector<char> *live, RacyStats *stats)
 {
     // Dedup by (min site, max site, key).
     std::map<std::tuple<int, int, std::string>, RacyPair> dedup;
@@ -78,12 +79,10 @@ findRacyPairs(const PointsToResult &result, const hb::Shbg &shbg,
     // Per-access method summaries for the effect prefilter, fetched
     // once instead of per pair.
     std::vector<const analysis::FieldEffects::Summary *> summaries;
-    if (options.effects) {
+    if (effects) {
         summaries.reserve(accesses.size());
-        for (const Access &a : accesses) {
-            summaries.push_back(
-                &options.effects->of(result.cg.node(a.node).method));
-        }
+        for (const Access &a : accesses)
+            summaries.push_back(&effects->of(result.cg.node(a.node).method));
     }
 
     // Work counters accumulate in locals (not through the stats
@@ -91,7 +90,6 @@ findRacyPairs(const PointsToResult &result, const hb::Shbg &shbg,
     // unwanted.
     int64_t considered = 0, prefilter_skipped = 0, alias_checked = 0;
 
-    const std::vector<char> *live = options.liveAccess;
     for (size_t i = 0; i < accesses.size(); ++i) {
         if (live && !(*live)[i])
             continue;
@@ -103,7 +101,7 @@ findRacyPairs(const PointsToResult &result, const hb::Shbg &shbg,
             if (!x.isWrite && !y.isWrite)
                 continue;
             ++considered;
-            if (options.effects &&
+            if (effects &&
                 !analysis::FieldEffects::mayConflict(*summaries[i],
                                                      *summaries[j])) {
                 ++prefilter_skipped;
@@ -190,10 +188,10 @@ findRacyPairs(const PointsToResult &result, const hb::Shbg &shbg,
         }
     }
 
-    if (options.stats) {
-        options.stats->accessPairsConsidered += considered;
-        options.stats->prefilterSkipped += prefilter_skipped;
-        options.stats->aliasChecked += alias_checked;
+    if (stats) {
+        stats->accessPairsConsidered += considered;
+        stats->prefilterSkipped += prefilter_skipped;
+        stats->aliasChecked += alias_checked;
     }
 
     std::vector<RacyPair> out;

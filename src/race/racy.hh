@@ -71,33 +71,6 @@ struct RacyStats {
     int64_t aliasChecked{0};
 };
 
-/** Options for racy-pair detection. */
-struct RacyOptions {
-    /**
-     * Optional field-effect summaries (analysis::FieldEffects) used as
-     * a cheap prefilter: an access pair whose enclosing methods have
-     * provably disjoint effects is dropped before the points-to
-     * intersection and action-pair enumeration. Report-preserving:
-     * each access's own field is in its method's summary, so any pair
-     * that could alias also conflicts at the summary level. Not owned;
-     * must outlive the call. Null disables the prefilter.
-     */
-    const analysis::FieldEffects *effects{nullptr};
-    /**
-     * Optional per-access keep mask from the escape analysis (same
-     * indexing as the accesses vector; 0 = every base object of the
-     * access is thread-local, skip it). Access indices are never
-     * rewritten, so RacyPair access ids stay valid. Not owned; null
-     * disables the filter.
-     */
-    const std::vector<char> *liveAccess{nullptr};
-    /**
-     * Optional out-param: work counters for the metrics registry.
-     * Not owned; null skips the bookkeeping entirely.
-     */
-    RacyStats *stats{nullptr};
-};
-
 /**
  * Intersect points-to sets of accesses from unordered action pairs
  * (paper Section 4.1 "racy pairs"): at least one write, overlapping
@@ -105,11 +78,29 @@ struct RacyOptions {
  * one background thread).
  *
  * Pairs are deduplicated by (site1, site2, location key).
+ *
+ * `effects` (optional) are the field-effect summaries
+ * (analysis::FieldEffects) used as a cheap prefilter: an access pair
+ * whose enclosing methods have provably disjoint effects is dropped
+ * before the points-to intersection and action-pair enumeration.
+ * Report-preserving: each access's own field is in its method's
+ * summary, so any pair that could alias also conflicts at the summary
+ * level. Null disables the prefilter.
+ *
+ * `live` (optional) is the per-access keep mask from the escape
+ * analysis (escapeLiveMask; 0 = every base object of the access is
+ * thread-local, skip it). Access indices are never rewritten, so
+ * RacyPair access ids stay valid. Null disables the filter.
+ *
+ * `stats` (optional) receives the work counters; null skips the
+ * bookkeeping.
  */
 std::vector<RacyPair>
 findRacyPairs(const analysis::PointsToResult &result,
               const hb::Shbg &shbg, const std::vector<Access> &accesses,
-              const RacyOptions &options = {});
+              const analysis::FieldEffects *effects = nullptr,
+              const std::vector<char> *live = nullptr,
+              RacyStats *stats = nullptr);
 
 /**
  * Assign priorities (paper Section 3.1): races in app code rank above
@@ -122,7 +113,7 @@ void prioritize(const analysis::PointsToResult &result,
                 std::vector<RacyPair> &pairs);
 
 /**
- * Per-access keep mask for RacyOptions::liveAccess: an access is kept
+ * Per-access keep mask for findRacyPairs' `live`: an access is kept
  * when it touches a static location or any escaping base object
  * (see analysis::EscapeAnalysis for why dropping the rest preserves
  * reports).

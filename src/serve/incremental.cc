@@ -8,6 +8,24 @@ namespace sierra::serve {
 
 namespace store = analysis::store;
 
+namespace {
+
+/** Whether every footprint row of `art` still hashes as in `hashes`:
+ *  a reachable body that changed (or vanished) forces a recompute. */
+bool
+footprintHolds(const HarnessArtifact &art,
+               const store::MethodHashTable &hashes)
+{
+    for (const auto &[method, hash] : art.footprint) {
+        const store::MethodHashEntry *row = hashes.find(method);
+        if (!row || row->hash != hash)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 uint64_t
 IncrementalAnalyzer::optionsFingerprint(const SierraOptions &o)
 {
@@ -23,12 +41,12 @@ IncrementalAnalyzer::optionsFingerprint(const SierraOptions &o)
         if (d.toggle)
             bits = (bits << 1) | (o.*d.toggle ? 1u : 0u);
     }
-    for (bool b : {o.pta.indexSensitiveArrays, o.refuter.exec.useNodeCache})
+    for (bool b : {o.pta.indexSensitiveArrays, o.exec.useNodeCache})
         bits = (bits << 1) | (b ? 1u : 0u);
     uint64_t h = store::mixHash(store::hashBytes("sierra-options"), bits);
     for (int v : {static_cast<int>(o.pta.ctx.policy), o.pta.ctx.k,
-                  o.refuter.exec.maxPaths, o.refuter.exec.maxSteps,
-                  o.refuter.exec.maxDepth, o.refuter.exec.maxCallDepth})
+                  o.exec.maxPaths, o.exec.maxSteps, o.exec.maxDepth,
+                  o.exec.maxCallDepth})
         h = store::mixHash(h, static_cast<uint64_t>(v));
     return h;
 }
@@ -59,43 +77,43 @@ IncrementalAnalyzer::analyze(framework::App &app,
     res.shapeHash = store::hashHex(shape);
     res.methodsTotal = static_cast<int>(hashes.size());
 
-    // Per-harness reuse. The artifact key folds the activity into the
-    // shape+options hash; the stored footprint then proves the
-    // artifact is still valid under the *current* method bodies.
-    auto harnessKey = [&](const harness::HarnessPlan &plan) {
-        return store::hashHex(
-            store::mixHash(shape, store::hashBytes(plan.activityClass)));
-    };
-    HarnessReuse reuse;
-    reuse.tryLoad = [&](const harness::HarnessPlan &plan,
-                        HarnessArtifact &out) {
-        auto blob = _store.get("harness", harnessKey(plan));
+    // Load: the artifact key folds the activity into the shape+options
+    // hash; the stored footprint then proves the artifact is still
+    // valid under the *current* method bodies. A valid artifact fills
+    // its plan's slot; every other slot stays empty and is computed.
+    const std::vector<harness::HarnessPlan> &plans = detector.plans();
+    std::vector<uint64_t> keys;
+    std::vector<std::optional<HarnessArtifact>> slots(plans.size());
+    std::vector<char> loaded(plans.size(), 0);
+    for (size_t i = 0; i < plans.size(); ++i) {
+        const std::string &activity = plans[i].activityClass;
+        keys.push_back(store::mixHash(shape, store::hashBytes(activity)));
+        auto blob = _store.get(keys[i]);
         if (!blob)
-            return false;
-        std::optional<HarnessArtifact> parsed;
+            continue;
+        std::optional<HarnessArtifact> art;
         {
             SIERRA_TRACE_SPAN(decode_span, "store", "store.decode",
-                              util::trace::arg("kind", "harness"));
-            parsed = parseArtifact(*blob);
+                              util::trace::arg("activity", activity));
+            art = parseArtifact(*blob);
         }
-        if (!parsed || parsed->activity != plan.activityClass)
-            return false;
-        for (const auto &[method, hash] : parsed->footprint) {
-            const store::MethodHashEntry *row = hashes.find(method);
-            if (!row || row->hash != hash)
-                return false; // a reachable body changed: recompute
+        if (art && art->activity == activity &&
+            footprintHolds(*art, hashes)) {
+            slots[i] = std::move(art);
+            loaded[i] = 1;
+            ++res.harnessesReused;
         }
-        out = std::move(*parsed);
-        ++res.harnessesReused;
-        return true;
-    };
-    reuse.onComputed = [&](const harness::HarnessPlan &plan,
-                           const HarnessArtifact &art) {
-        ++res.harnessesComputed;
-        _store.put("harness", harnessKey(plan), serializeArtifact(art));
-    };
+    }
 
-    res.report = detector.analyze(options, &reuse);
+    res.report = detector.analyze(options, slots);
+
+    // Store: persist every artifact the run computed, in plan order.
+    for (size_t i = 0; i < slots.size(); ++i) {
+        if (loaded[i])
+            continue;
+        ++res.harnessesComputed;
+        _store.put(keys[i], serializeArtifact(*slots[i]));
+    }
     res.reportText = formatReport(res.report, 50, /*with_times=*/false);
     res.harnessesTotal = res.report.harnesses;
 

@@ -11,9 +11,9 @@
  * submission's method hashes; everything else re-runs the full
  * pipeline for its harness. The footprint is the only invalidation:
  * nothing about a previous submission is kept but the artifacts
- * themselves, so the store holds one kind, `harness`. Because the
- * detector merge consumes only artifact fields, a warm report is
- * byte-identical to a cold one.
+ * themselves, so the store is a plain map from harness key to
+ * artifact blob. Because the detector merge consumes only artifact
+ * fields, a warm report is byte-identical to a cold one.
  */
 
 #ifndef SIERRA_SERVE_INCREMENTAL_HH
@@ -40,9 +40,11 @@ struct IncrementalResult {
 };
 
 /**
- * Drives SierraDetector with HarnessReuse hooks wired to a Store.
- * Stateless between calls except for what lives in the store, so one
- * analyzer (and one store) can serve many apps interleaved.
+ * Drives SierraDetector over a Store: loads and checks each plan's
+ * stored artifact into its reuse slot, runs the detector, and stores
+ * the slots it filled. Stateless between calls except for what lives
+ * in the store, so one analyzer (and one store) can serve many apps
+ * interleaved.
  */
 class IncrementalAnalyzer
 {

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 
+#include "util/json.hh"
+
 namespace sierra::serve {
 
 Json
@@ -80,57 +82,18 @@ Json::push(Json value)
 
 namespace {
 
-/** A byte dumpString copies as-is. */
-bool
-plainJsonByte(unsigned char c)
-{
-    return c >= 0x20 && c != '"' && c != '\\';
-}
-
 /** The length dumpString appends for `s`. */
 size_t
 dumpedStringSize(const std::string &s)
 {
-    size_t n = s.size() + 2;
-    for (unsigned char c : s) {
-        if (!plainJsonByte(c))
-            n += c == '"' || c == '\\' || c == '\n' || c == '\t' ||
-                         c == '\r'
-                     ? 1
-                     : 5;
-    }
-    return n;
+    return util::jsonEscapedSize(s) + 2;
 }
 
 void
 dumpString(std::string &out, const std::string &s)
 {
     out += '"';
-    const char *p = s.data();
-    const char *end = p + s.size();
-    while (p != end) {
-        // Copy the run that needs no escaping in one step.
-        const char *run = p;
-        while (p != end && plainJsonByte(static_cast<unsigned char>(*p)))
-            ++p;
-        out.append(run, static_cast<size_t>(p - run));
-        if (p == end)
-            break;
-        const unsigned char c = static_cast<unsigned char>(*p++);
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: {
-            static const char *hex = "0123456789abcdef";
-            out += "\\u00";
-            out += hex[(c >> 4) & 0xf];
-            out += hex[c & 0xf];
-          }
-        }
-    }
+    util::appendJsonEscaped(out, s);
     out += '"';
 }
 

@@ -140,24 +140,24 @@ anySurviving(const std::vector<race::RacyPair> &pairs)
  * them concurrently).
  */
 struct AppFacts {
-    std::shared_ptr<analysis::ClassHierarchy> cha;
+    std::shared_ptr<const analysis::ClassHierarchy> cha;
     //! field-effect summaries (dataflow stage; null when it is off)
     std::unique_ptr<analysis::FieldEffects> effects;
 };
 
-/** Build the app-level facts and point `task_options` at them. */
-void
-shareAppFacts(framework::App &app, SierraOptions &task_options,
-              AppFacts &facts, StageTimes &times)
+/** Build the app-level facts; the dataflow stage's time goes to
+ *  `times`. */
+AppFacts
+shareAppFacts(framework::App &app, const SierraOptions &options,
+              StageTimes &times)
 {
-    facts.cha = std::make_shared<analysis::ClassHierarchy>(app.module());
-    task_options.pta.sharedCha = facts.cha;
-    runStage(StageId::Dataflow, task_options, times, "app", app.name(),
-             [&] {
-                 facts.effects = std::make_unique<analysis::FieldEffects>(
-                     app.module(), *facts.cha);
-                 task_options.racy.effects = facts.effects.get();
-             });
+    AppFacts facts;
+    facts.cha = std::make_shared<const analysis::ClassHierarchy>(app.module());
+    runStage(StageId::Dataflow, options, times, "app", app.name(), [&] {
+        facts.effects = std::make_unique<analysis::FieldEffects>(
+            app.module(), *facts.cha);
+    });
+    return facts;
 }
 
 /**
@@ -266,6 +266,131 @@ fillMetrics(util::metrics::Registry &m, const HarnessAnalysis &ha,
     m.observe("harness.stages.seconds", t.stages);
 }
 
+/**
+ * The pipeline stages for one harness plan — the single body both
+ * analyzeActivity and (possibly many threads of) analyze run. Reads
+ * only shared-immutable state (the app, the plan, `facts`); everything
+ * it produces is owned by the returned HarnessAnalysis. Stage times
+ * accumulate into `times`.
+ */
+HarnessAnalysis
+runHarness(framework::App &app, const harness::HarnessPlan &plan,
+           const SierraOptions &options, const AppFacts &facts,
+           StageTimes &times)
+{
+    HarnessAnalysis ha;
+    ha.activity = plan.activityClass;
+    SIERRA_TRACE_SPAN(task_span, "task", "harness",
+                      util::trace::arg("activity", plan.activityClass));
+    auto stage = [&](StageId id, auto &&fn, int part = 0) {
+        runStage(id, options, times, "activity", ha.activity, fn, part);
+    };
+    auto reaches = [&](int a, int b) { return ha.shbg->reaches(a, b); };
+
+    stage(StageId::CgPa, [&] {
+        analysis::PointsToAnalysis pta(app, plan, options.pta, facts.cha);
+        ha.pta = pta.run();
+    });
+    stage(StageId::Hbg, [&] {
+        hb::HbBuilder hb_builder(*ha.pta, plan, app);
+        ha.shbg = hb_builder.build();
+    });
+
+    stage(StageId::Racy, [&] {
+        ha.accesses = race::extractAccesses(*ha.pta);
+        ha.accessesTotal = static_cast<int>(ha.accesses.size());
+    });
+
+    // Escape stage: drop accesses whose every base object is
+    // thread-local before the quadratic pair loop (report-preserving,
+    // see analysis/escape.hh).
+    std::vector<char> live;
+    const std::vector<char> *live_mask = nullptr; // null: stage off
+    stage(StageId::Escape, [&] {
+        analysis::EscapeAnalysis esc(*ha.pta);
+        live = race::escapeLiveMask(esc, ha.accesses);
+        live_mask = &live;
+        ha.accessesDropped = static_cast<int>(
+            std::count(live.begin(), live.end(), 0));
+    });
+
+    stage(
+        StageId::Racy,
+        [&] {
+            ha.pairs = race::findRacyPairs(*ha.pta, *ha.shbg, ha.accesses,
+                                           facts.effects.get(), live_mask,
+                                           &ha.racyStats);
+        },
+        1);
+
+    // Lock-set stage: refute pairs protected by a common must-held
+    // monitor on every (background-involving) action pair, so they
+    // never reach the expensive symbolic refuter.
+    std::unique_ptr<analysis::LockSetAnalysis> locks;
+    stage(StageId::Lockset, [&] {
+        locks = std::make_unique<analysis::LockSetAnalysis>(*ha.pta);
+        ha.locksetRefuted = race::refuteWithLockSets(*ha.pta, *locks,
+                                                     ha.accesses, ha.pairs);
+    });
+
+    // Deadlock stage: cyclic lock acquisitions over the same lock-set
+    // substrate (shared with the refuter above when both are on).
+    // Purely additive — it refutes no pairs, it only produces the
+    // `deadlocks:` findings.
+    stage(StageId::Deadlock, [&] {
+        if (!locks)
+            locks = std::make_unique<analysis::LockSetAnalysis>(*ha.pta);
+        ha.deadlocks = analysis::findDeadlocks(*ha.pta, *locks, reaches,
+                                               &ha.deadlockStats);
+    });
+    locks.reset();
+
+    // Enablement stage: registration typestate composed with SHBG
+    // reachability — refute pairs whose callback is must-disabled at
+    // every point the other action can run. Demand-driven: the scan
+    // and typestate solves only happen when pairs survived lockset.
+    stage(StageId::Enablement, [&] {
+        if (!anySurviving(ha.pairs))
+            return;
+        const framework::KnownApis apis(app.module());
+        analysis::EnablementAnalysis en(*ha.pta, apis);
+        ha.enablementRefuted =
+            race::refuteWithEnablement(en, reaches, ha.pairs);
+        ha.enablementStats = en.stats();
+    });
+
+    // IFDS stage: interprocedural constant summaries for the symbolic
+    // refuter (setter parameters, callee returns, must-write-constant
+    // call effects) plus the use-after-destroy typestate client.
+    stage(StageId::Ifds, [&] {
+        ha.inter = std::make_unique<analysis::InterConstants>(*ha.pta);
+        ha.useAfterDestroy =
+            analysis::findUseAfterDestroy(*ha.pta, *ha.inter, reaches);
+    });
+
+    stage(StageId::Refutation, [&] {
+        ha.refutation = symbolic::refuteRaces(
+            *ha.pta, ha.accesses, ha.pairs, options.exec, ha.inter.get());
+    });
+
+    // Null-value-flow stage: classify surviving pairs by whether
+    // losing the race dereferences null (analysis/nullflow.hh).
+    // Demand-driven like enablement: the store index and dominator
+    // trees are only built when pairs survived every refuter.
+    stage(StageId::Nullflow, [&] {
+        if (!anySurviving(ha.pairs))
+            return;
+        const framework::KnownApis apis(app.module());
+        analysis::NullFlowAnalysis nf(*ha.pta, ha.inter.get(), apis,
+                                      reaches);
+        ha.nullflowClassified =
+            race::classifyWithNullFlow(nf, ha.accesses, ha.pairs);
+        ha.nullflowStats = nf.stats();
+    });
+    race::prioritize(*ha.pta, ha.accesses, ha.pairs);
+    return ha;
+}
+
 } // namespace
 
 int
@@ -319,145 +444,35 @@ SierraDetector::planFor(const std::string &activity)
 }
 
 HarnessAnalysis
-SierraDetector::runHarness(const harness::HarnessPlan &plan,
-                           const SierraOptions &options,
-                           StageTimes &times)
-{
-    HarnessAnalysis ha;
-    ha.activity = plan.activityClass;
-    SIERRA_TRACE_SPAN(task_span, "task", "harness",
-                      util::trace::arg("activity", plan.activityClass));
-    auto stage = [&](StageId id, auto &&fn, int part = 0) {
-        runStage(id, options, times, "activity", ha.activity, fn, part);
-    };
-    auto reaches = [&](int a, int b) { return ha.shbg->reaches(a, b); };
-
-    stage(StageId::CgPa, [&] {
-        analysis::PointsToAnalysis pta(_app, plan, options.pta);
-        ha.pta = pta.run();
-    });
-    stage(StageId::Hbg, [&] {
-        hb::HbBuilder hb_builder(*ha.pta, plan, _app);
-        ha.shbg = hb_builder.build();
-    });
-
-    race::RacyOptions racy_options = options.racy;
-    racy_options.stats = &ha.racyStats;
-    stage(StageId::Racy, [&] {
-        ha.accesses = race::extractAccesses(*ha.pta);
-        ha.accessesTotal = static_cast<int>(ha.accesses.size());
-    });
-
-    // Escape stage: drop accesses whose every base object is
-    // thread-local before the quadratic pair loop (report-preserving,
-    // see analysis/escape.hh).
-    std::vector<char> live;
-    stage(StageId::Escape, [&] {
-        analysis::EscapeAnalysis esc(*ha.pta);
-        live = race::escapeLiveMask(esc, ha.accesses);
-        racy_options.liveAccess = &live;
-        ha.accessesDropped = static_cast<int>(
-            std::count(live.begin(), live.end(), 0));
-    });
-
-    stage(
-        StageId::Racy,
-        [&] {
-            ha.pairs = race::findRacyPairs(*ha.pta, *ha.shbg, ha.accesses,
-                                           racy_options);
-        },
-        1);
-
-    // Lock-set stage: refute pairs protected by a common must-held
-    // monitor on every (background-involving) action pair, so they
-    // never reach the expensive symbolic refuter.
-    std::unique_ptr<analysis::LockSetAnalysis> locks;
-    stage(StageId::Lockset, [&] {
-        locks = std::make_unique<analysis::LockSetAnalysis>(*ha.pta);
-        ha.locksetRefuted = race::refuteWithLockSets(*ha.pta, *locks,
-                                                     ha.accesses, ha.pairs);
-    });
-
-    // Deadlock stage: cyclic lock acquisitions over the same lock-set
-    // substrate (shared with the refuter above when both are on).
-    // Purely additive — it refutes no pairs, it only produces the
-    // `deadlocks:` findings.
-    stage(StageId::Deadlock, [&] {
-        if (!locks)
-            locks = std::make_unique<analysis::LockSetAnalysis>(*ha.pta);
-        ha.deadlocks = analysis::findDeadlocks(*ha.pta, *locks, reaches,
-                                               &ha.deadlockStats);
-    });
-    locks.reset();
-
-    // Enablement stage: registration typestate composed with SHBG
-    // reachability — refute pairs whose callback is must-disabled at
-    // every point the other action can run. Demand-driven: the scan
-    // and typestate solves only happen when pairs survived lockset.
-    stage(StageId::Enablement, [&] {
-        if (!anySurviving(ha.pairs))
-            return;
-        const framework::KnownApis apis(_app.module());
-        analysis::EnablementAnalysis en(*ha.pta, apis);
-        ha.enablementRefuted =
-            race::refuteWithEnablement(en, reaches, ha.pairs);
-        ha.enablementStats = en.stats();
-    });
-
-    // IFDS stage: interprocedural constant summaries for the symbolic
-    // refuter (setter parameters, callee returns, must-write-constant
-    // call effects) plus the use-after-destroy typestate client.
-    stage(StageId::Ifds, [&] {
-        ha.inter = std::make_unique<analysis::InterConstants>(*ha.pta);
-        ha.useAfterDestroy =
-            analysis::findUseAfterDestroy(*ha.pta, *ha.inter, reaches);
-    });
-
-    stage(StageId::Refutation, [&] {
-        symbolic::RefuterOptions refuter_options = options.refuter;
-        refuter_options.exec.inter = ha.inter.get();
-        ha.refutation = symbolic::refuteRaces(*ha.pta, ha.accesses,
-                                              ha.pairs, refuter_options);
-    });
-
-    // Null-value-flow stage: classify surviving pairs by whether
-    // losing the race dereferences null (analysis/nullflow.hh).
-    // Demand-driven like enablement: the store index and dominator
-    // trees are only built when pairs survived every refuter.
-    stage(StageId::Nullflow, [&] {
-        if (!anySurviving(ha.pairs))
-            return;
-        const framework::KnownApis apis(_app.module());
-        analysis::NullFlowAnalysis nf(*ha.pta, ha.inter.get(), apis,
-                                      reaches);
-        ha.nullflowClassified =
-            race::classifyWithNullFlow(nf, ha.accesses, ha.pairs);
-        ha.nullflowStats = nf.stats();
-    });
-    race::prioritize(*ha.pta, ha.accesses, ha.pairs);
-    return ha;
-}
-
-HarnessAnalysis
 SierraDetector::analyzeActivity(const std::string &activity,
                                 const SierraOptions &options)
 {
-    SierraOptions task_options = options;
-    AppFacts facts;
     StageTimes times;
-    shareAppFacts(_app, task_options, facts, times);
-    return runHarness(planFor(activity), task_options, times);
+    const AppFacts facts = shareAppFacts(_app, options, times);
+    return runHarness(_app, planFor(activity), options, facts, times);
 }
 
 AppReport
 SierraDetector::analyze(const SierraOptions &options)
 {
-    return analyze(options, nullptr);
+    // A plain run persists nothing, so its artifacts need no footprint.
+    std::vector<std::optional<HarnessArtifact>> slots(_plans.size());
+    return analyzePlans(options, slots, /*footprints=*/false);
 }
 
 AppReport
 SierraDetector::analyze(const SierraOptions &options,
-                        const HarnessReuse *reuse)
+                        std::vector<std::optional<HarnessArtifact>> &slots)
+{
+    SIERRA_ASSERT(slots.size() == _plans.size(),
+                  "one reuse slot per harness plan");
+    return analyzePlans(options, slots, /*footprints=*/true);
+}
+
+AppReport
+SierraDetector::analyzePlans(
+    const SierraOptions &options,
+    std::vector<std::optional<HarnessArtifact>> &slots, bool footprints)
 {
     AppReport report;
     report.app = _app.name();
@@ -465,42 +480,32 @@ SierraDetector::analyze(const SierraOptions &options,
 
     const int num_plans = static_cast<int>(_plans.size());
     const int jobs = util::resolveJobs(options.jobs);
-    SierraOptions task_options = options;
 
     auto t_total = std::chrono::steady_clock::now();
     SIERRA_TRACE_SPAN(analyze_span, "pipeline", "analyze",
                       util::trace::arg("app", _app.name()));
 
-    // Reuse pass: consult the store serially in plan order before the
-    // fan-out. A hit replaces the whole harness pipeline with a loaded
-    // artifact; the merge below reads only artifact fields, so hits
-    // and misses are indistinguishable in the report bytes.
-    std::vector<HarnessArtifact> artifacts(
-        static_cast<size_t>(std::max(num_plans, 1)));
-    std::vector<char> reused(
-        static_cast<size_t>(std::max(num_plans, 1)), 0);
-    if (reuse && reuse->tryLoad) {
-        SIERRA_TRACE_SPAN(span, "stage", "stage.store",
-                          util::trace::arg("app", _app.name()));
-        for (int i = 0; i < num_plans; ++i) {
-            if (reuse->tryLoad(_plans[i], artifacts[i]))
-                reused[i] = 1;
-        }
-    }
+    // A filled slot replaces the whole harness pipeline with the
+    // caller's artifact; the merge below reads only artifact fields,
+    // so reused and computed plans are indistinguishable in the report
+    // bytes.
+    std::vector<char> reused(static_cast<size_t>(num_plans), 0);
     int cold_plans = 0;
-    for (int i = 0; i < num_plans; ++i)
+    for (int i = 0; i < num_plans; ++i) {
+        reused[i] = slots[i].has_value() ? 1 : 0;
         cold_plans += reused[i] ? 0 : 1;
+    }
 
     // A fully warm submission runs no task and needs no app facts.
     StageTimes app_times;
-    AppFacts facts;
-    if (cold_plans > 0)
-        shareAppFacts(_app, task_options, facts, app_times);
+    const AppFacts facts = cold_plans > 0
+                               ? shareAppFacts(_app, options, app_times)
+                               : AppFacts{};
 
     // One task per harness plan. Each task reads only shared-immutable
     // state and owns everything it produces, so tasks are independent;
     // results land in plan order regardless of completion order. Plans
-    // answered from the store need no task at all -- on a fully warm
+    // answered by a filled slot need no task at all -- on a fully warm
     // submission the fan-out (and its worker pool) is skipped.
     std::vector<StageTimes> task_times(
         static_cast<size_t>(std::max(num_plans, 1)));
@@ -511,22 +516,18 @@ SierraDetector::analyze(const SierraOptions &options,
             std::min(jobs, cold_plans), num_plans, [&](int i) {
                 if (reused[i])
                     return HarnessAnalysis{};
-                return runHarness(_plans[i], task_options,
+                return runHarness(_app, _plans[i], options, facts,
                                   task_times[i]);
             });
     }
 
-    // Project fresh results into artifacts (serially, in plan order)
-    // and offer them for persistence. Only a persisted artifact needs
-    // its footprint: the merge below never reads it.
-    const bool persist = reuse && reuse->onComputed;
+    // Project fresh results into artifacts (serially, in plan order),
+    // filling the empty slots. Only an artifact the caller persists
+    // needs its footprint: the merge below never reads it.
     for (int i = 0; i < num_plans; ++i) {
-        if (reused[i])
-            continue;
-        artifacts[i] =
-            makeArtifact(analyses[i], persist ? &methodHashes() : nullptr);
-        if (persist)
-            reuse->onComputed(_plans[i], artifacts[i]);
+        if (!reused[i])
+            slots[i] = makeArtifact(analyses[i],
+                                    footprints ? &methodHashes() : nullptr);
     }
 
     SIERRA_TRACE_SPAN(merge_span, "pipeline", "merge",
@@ -565,7 +566,7 @@ SierraDetector::analyze(const SierraOptions &options,
     int64_t max_pairs_total = 0;
 
     for (int i = 0; i < num_plans; ++i) {
-        const HarnessArtifact &art = artifacts[i];
+        const HarnessArtifact &art = *slots[i];
         const harness::HarnessPlan &plan = _plans[i];
 
         // Plan-order, associative sums: `stages` equals the sum of
@@ -683,8 +684,9 @@ SierraDetector::analyze(const SierraOptions &options,
         m.add("icc.unresolved", _iccStats.unresolved);
         m.add("icc.pending_sites", _iccStats.pendingSites);
         m.add("icc.activity_edges", _iccStats.activityEdges);
-        // AIR instruction storage, shared by every harness.
-        m.add("arena.bytes_allocated",
+        // AIR instruction storage, shared by every harness: its own
+        // counter, so `arena.bytes_allocated` stays points-to work.
+        m.add("air.arena_bytes",
               static_cast<int64_t>(
                   _app.module().arena().bytesAllocated()));
         // Counters are monotone; raise the peak-RSS counter to the

@@ -16,7 +16,6 @@
 #define SIERRA_SIERRA_DETECTOR_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,11 +37,16 @@
 
 namespace sierra {
 
-/** All pipeline options in one place. */
+/**
+ * All pipeline options in one place. Every field is a choice a user
+ * makes; the facts the detector builds per run (the shared hierarchy,
+ * effect summaries, escape mask, IFDS facts) are passed to the stages
+ * as arguments, never patched into a copy of the options.
+ */
 struct SierraOptions {
     analysis::PointsToOptions pta;
-    race::RacyOptions racy;
-    symbolic::RefuterOptions refuter;
+    //! symbolic refuter budgets, call depth and refuted-node cache
+    symbolic::ExecutorOptions exec;
     //! symbolic refutation (`--no-refute` skips it)
     bool runRefutation{true};
     /**
@@ -77,8 +81,8 @@ struct SierraOptions {
     bool enablement{true};
     /**
      * The IFDS stage: summary-based interprocedural constant facts
-     * (analysis::InterConstants) handed to the symbolic refuter via
-     * ExecutorOptions::inter, plus the use-after-destroy typestate
+     * (analysis::InterConstants) handed to the symbolic refuter
+     * (symbolic::refuteRaces), plus the use-after-destroy typestate
      * client. These are the refuter's only constant facts. Report-
      * preserving for true races -- the facts are sound, so they only
      * refute more false positives (`--no-ifds` ablates it; measured by
@@ -283,29 +287,6 @@ struct AppReport {
 };
 
 /**
- * Stage-level reuse hooks for incremental re-analysis (`sierra serve`).
- *
- * When analyze() is given a HarnessReuse, it consults `tryLoad` for
- * each harness plan *before* the parallel fan-out; a hit skips the
- * whole pipeline for that plan and merges the loaded artifact instead.
- * Misses run normally and their freshly made artifact is offered to
- * `onComputed` for persistence. The merge consumes only artifact
- * fields either way, so a warm report is byte-identical to the cold
- * one by construction (incremental_test pins this; the caching rules
- * live in docs/CACHING.md).
- */
-struct HarnessReuse {
-    /** Return true and fill `out` to reuse a stored artifact for this
-     *  plan. Called serially in plan order. */
-    std::function<bool(const harness::HarnessPlan &, HarnessArtifact &)>
-        tryLoad;
-    /** Offered every freshly computed (plan, artifact) pair, serially
-     *  in plan order, for persistence. */
-    std::function<void(const harness::HarnessPlan &, const HarnessArtifact &)>
-        onComputed;
-};
-
-/**
  * The detector. Construction generates the per-activity harnesses into
  * the app's module (once); analyze() may be called repeatedly with
  * different options (e.g. to ablate the context policy). Options that
@@ -321,10 +302,20 @@ class SierraDetector
     /** Run the full pipeline over every activity harness. */
     AppReport analyze(const SierraOptions &options = {});
 
-    /** As above, with per-harness reuse hooks; `reuse` may be null
-     *  (then identical to the plain overload). */
+    /**
+     * As above, with one reuse slot per plan (`slots.size()` ==
+     * plans().size(), in plan order) for incremental re-analysis
+     * (`sierra serve`). A filled slot is merged as it is and its plan
+     * runs no pipeline; an empty slot is computed and filled with its
+     * fresh artifact, footprint included, for the caller to persist.
+     * With every slot filled, no app facts are built and no task runs.
+     * The merge consumes only artifact fields either way, so a warm
+     * report is byte-identical to the cold one by construction
+     * (incremental_test pins this; the caching rules live in
+     * docs/CACHING.md).
+     */
     AppReport analyze(const SierraOptions &options,
-                      const HarnessReuse *reuse);
+                      std::vector<std::optional<HarnessArtifact>> &slots);
 
     /** Analyze a single activity's harness. */
     HarnessAnalysis analyzeActivity(const std::string &activity,
@@ -347,17 +338,12 @@ class SierraDetector
   private:
     const harness::HarnessPlan &planFor(const std::string &activity);
 
-    /**
-     * The pipeline stages for one harness plan — the single body
-     * both analyzeActivity and (possibly many threads of) analyze run.
-     * Reads only shared-immutable state (_app, the plan, the app-level
-     * facts `options` points at); everything it produces is owned by
-     * the returned HarnessAnalysis. Stage times accumulate into
-     * `times`.
-     */
-    HarnessAnalysis runHarness(const harness::HarnessPlan &plan,
-                               const SierraOptions &options,
-                               StageTimes &times);
+    /** Both analyze() overloads: merge filled slots, compute and fill
+     *  the empty ones (with footprints only when `footprints`). */
+    AppReport analyzePlans(
+        const SierraOptions &options,
+        std::vector<std::optional<HarnessArtifact>> &slots,
+        bool footprints);
 
     framework::App &_app;
     std::vector<harness::HarnessPlan> _plans;

@@ -26,8 +26,9 @@ queryVerdictName(QueryVerdict v)
 }
 
 BackwardExecutor::BackwardExecutor(const analysis::PointsToResult &result,
-                                   ExecutorOptions options)
-    : _r(result), _opts(options)
+                                   ExecutorOptions options,
+                                   const analysis::InterConstants *inter)
+    : _r(result), _opts(options), _inter(inter)
 {
 }
 
@@ -118,10 +119,9 @@ BackwardExecutor::transfer(PathState &st, const Instruction &instr)
         // Arithmetic results are opaque to the WP transfer, but the
         // interprocedural constant facts may know the value holds on
         // every run (folded arithmetic, setter parameters).
-        if (_opts.inter) {
+        if (_inter) {
             const air::Method *m = _r.cg.node(st.node).method;
-            analysis::ConstVal v =
-                _opts.inter->after(m, st.instr, instr.dst);
+            analysis::ConstVal v = _inter->after(m, st.instr, instr.dst);
             if (v.isConst()) {
                 ++_stats.interApplied;
                 return store.substituteReg(regKey(f, instr.dst),
@@ -234,10 +234,10 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
         // prune the path -- instead of being dropped.
         if (instr.dst >= 0) {
             Operand ret = Operand::unknown();
-            if (_opts.inter && !callees.empty()) {
+            if (_inter && !callees.empty()) {
                 analysis::ConstVal acc; // Bottom
                 for (NodeId c : callees) {
-                    analysis::ConstVal rc = _opts.inter->returnConst(
+                    analysis::ConstVal rc = _inter->returnConst(
                         _r.cg.node(c).method);
                     if (acc.state ==
                         analysis::ConstVal::State::Bottom) {
@@ -263,13 +263,13 @@ BackwardExecutor::handleInvoke(PathState &st, const Instruction &instr,
         // virtual call runs exactly one of them, so only the
         // intersection is a strong update).
         std::set<analysis::FieldKey> keep;
-        if (_opts.inter && !callees.empty()) {
+        if (_inter && !callees.empty()) {
             std::map<MemLoc, std::pair<int64_t, bool>> agreed;
             bool first = true;
             for (NodeId c : callees) {
                 const air::Method *cm = _r.cg.node(c).method;
                 std::map<MemLoc, std::pair<int64_t, bool>> cur;
-                for (const auto &mw : _opts.inter->mustWrites(cm)) {
+                for (const auto &mw : _inter->mustWrites(cm)) {
                     MemLoc loc;
                     if (mw.isStatic) {
                         loc.isStatic = true;
@@ -650,8 +650,8 @@ BackwardExecutor::expand(PathState &st, int action_a, int action_b,
     for (size_t i = 0; i < preds.size(); ++i) {
         const int q = preds[i];
         const Instruction &pred = m->instr(q);
-        if (_opts.inter && (!_opts.inter->reachable(m, q) ||
-                            !_opts.inter->edgeFeasible(m, q, here))) {
+        if (_inter && (!_inter->reachable(m, q) ||
+                       !_inter->edgeFeasible(m, q, here))) {
             // The constant facts prove no execution flows along
             // this edge: don't walk it.
             ++_stats.interPruned;

@@ -54,19 +54,6 @@ struct ExecutorOptions {
      * always on.
      */
     bool useNodeCache{false};
-    /**
-     * Interprocedural constant facts (analysis::InterConstants, the
-     * IFDS stage) -- the walk's only constant facts. When set, the
-     * walk concretizes otherwise-unknown register writes (arithmetic,
-     * setter parameters, callee returns), prunes infeasible pred
-     * edges, and -- the big lever -- replaces call-site havoc of
-     * must-write-constant fields with strong constant updates, so
-     * guard clears hidden behind deep setter chains still conflict
-     * with path constraints.
-     * The object is read-only here; it must outlive the executor.
-     * Measured by bench_ablation_ifds.
-     */
-    const analysis::InterConstants *inter{nullptr};
 };
 
 /** Counters for the evaluation tables. */
@@ -101,8 +88,20 @@ struct ExecutorStats {
 class BackwardExecutor
 {
   public:
+    /**
+     * `inter` (optional) holds the interprocedural constant facts
+     * (analysis::InterConstants, the IFDS stage) -- the walk's only
+     * constant facts. When set, the walk concretizes otherwise-unknown
+     * register writes (arithmetic, setter parameters, callee returns),
+     * prunes infeasible pred edges, and -- the big lever -- replaces
+     * call-site havoc of must-write-constant fields with strong
+     * constant updates, so guard clears hidden behind deep setter
+     * chains still conflict with path constraints. Read-only here; it
+     * must outlive the executor. Measured by bench_ablation_ifds.
+     */
     BackwardExecutor(const analysis::PointsToResult &result,
-                     ExecutorOptions options = {});
+                     ExecutorOptions options = {},
+                     const analysis::InterConstants *inter = nullptr);
 
     /**
      * Is the ordering "B completes, then A runs and reaches `access`"
@@ -203,6 +202,7 @@ class BackwardExecutor
 
     const analysis::PointsToResult &_r;
     ExecutorOptions _opts;
+    const analysis::InterConstants *_inter; //!< IFDS facts, or null
     ExecutorStats _stats;
 
     std::unordered_map<analysis::NodeId,

@@ -62,10 +62,11 @@ RefutationStats
 refuteRaces(const analysis::PointsToResult &result,
             const std::vector<race::Access> &accesses,
             std::vector<race::RacyPair> &pairs,
-            const RefuterOptions &options)
+            const ExecutorOptions &options,
+            const analysis::InterConstants *inter)
 {
     RefutationStats stats;
-    BackwardExecutor exec(result, options.exec);
+    BackwardExecutor exec(result, options, inter);
     for (race::RacyPair &pair : pairs)
         refutePair(exec, accesses, pair, stats);
     stats.exec = exec.stats();

@@ -24,11 +24,6 @@
 
 namespace sierra::symbolic {
 
-/** Refuter options. */
-struct RefuterOptions {
-    ExecutorOptions exec;
-};
-
 /** Aggregate statistics for the evaluation tables. */
 struct RefutationStats {
     int refuted{0};
@@ -38,15 +33,17 @@ struct RefutationStats {
 };
 
 /**
- * Mark refuted pairs in place, in order, with one executor.
- * Pairs already refuted by an earlier stage (lock sets) are skipped
- * and excluded from the statistics.
+ * Mark refuted pairs in place, in order, with one executor built from
+ * `options` and the IFDS facts `inter` (may be null; see
+ * BackwardExecutor). Pairs already refuted by an earlier stage (lock
+ * sets) are skipped and excluded from the statistics.
  */
 RefutationStats
 refuteRaces(const analysis::PointsToResult &result,
             const std::vector<race::Access> &accesses,
             std::vector<race::RacyPair> &pairs,
-            const RefuterOptions &options = {});
+            const ExecutorOptions &options = {},
+            const analysis::InterConstants *inter = nullptr);
 
 } // namespace sierra::symbolic
 

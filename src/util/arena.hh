@@ -74,7 +74,8 @@ class Arena
     }
 
     /** Total bytes handed out (not slab capacity): the figure behind
-     *  the `arena.bytes_allocated` metric. */
+     *  the `arena.bytes_allocated` (points-to arenas) and
+     *  `air.arena_bytes` (module arena) metrics. */
     size_t bytesAllocated() const { return _bytesAllocated; }
 
     /** Number of slabs owned (the teardown cost is O(this)). */

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <vector>
 
+#include "json.hh"
+
 namespace sierra::util::trace {
 
 namespace detail {
@@ -66,31 +68,6 @@ record(char phase, const char *cat, std::string name,
                      .count();
     s.events.push_back(
         {phase, tid, ts, cat, std::move(name), std::move(args)});
-}
-
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    out.reserve(in.size());
-    for (char c : in) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace

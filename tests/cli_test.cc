@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <fstream>
 #include <sstream>
 
 #include "cli.hh"
+#include "serve/protocol.hh"
 #include "test_helpers.hh"
 
 namespace sierra::cli {
@@ -199,6 +201,73 @@ TEST(Cli, AnalyzeJsonStringFieldsAreQuoted)
         ASSERT_EQ(r.code, 0) << r.err;
         expectValuesWellFormed(r.out);
     }
+}
+
+/** `json` with the fraction and exponent of every number outside a
+ *  string cut off: the protocol parser (serve::Json) is integer-only,
+ *  while a report carries real numbers (orderedPct, timesMs). */
+std::string
+integerNumbers(const std::string &json)
+{
+    std::string out;
+    bool in_string = false;
+    for (size_t i = 0; i < json.size(); ++i) {
+        const char c = json[i];
+        if (in_string) {
+            out += c;
+            if (c == '\\' && i + 1 < json.size())
+                out += json[++i];
+            else if (c == '"')
+                in_string = false;
+            continue;
+        }
+        if (c == '"')
+            in_string = true;
+        const bool after_digit = !out.empty() && std::isdigit(
+                                     static_cast<unsigned char>(out.back()));
+        if (after_digit && (c == '.' || c == 'e' || c == 'E')) {
+            // Skip the fraction and exponent: [.digits][e[+-]digits].
+            size_t j = i + 1;
+            while (j < json.size() &&
+                   (std::isdigit(static_cast<unsigned char>(json[j])) ||
+                    json[j] == 'e' || json[j] == 'E' || json[j] == '+' ||
+                    json[j] == '-'))
+                ++j;
+            i = j - 1;
+            continue;
+        }
+        out += c;
+    }
+    return out;
+}
+
+TEST(Cli, AnalyzeJsonEscapesControlCharacters)
+{
+    // A quoted app-header token may hold a tab; the JSON report must
+    // escape it (a raw control character inside a string is invalid
+    // JSON, which strict parsers reject).
+    TempFile file(".air");
+    CliRun dump = run({"dump", "OpenSudoku"});
+    ASSERT_EQ(dump.code, 0) << dump.err;
+    const std::string header = "app \"OpenSudoku\"";
+    ASSERT_EQ(dump.out.rfind(header, 0), 0u) << dump.out.substr(0, 40);
+    {
+        std::ofstream out(file.path());
+        out << "app \"Open\tSudoku\"" << dump.out.substr(header.size());
+    }
+    CliRun r = run({"analyze", file.path(), "--json"});
+    ASSERT_EQ(r.code, 0) << r.err;
+    for (char c : r.out) {
+        EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n')
+            << "raw control byte " << static_cast<int>(c);
+    }
+    serve::Json doc;
+    std::string error;
+    ASSERT_TRUE(serve::Json::parse(integerNumbers(r.out), doc, error))
+        << error;
+    const serve::Json *app = doc.field("app");
+    ASSERT_NE(app, nullptr);
+    EXPECT_EQ(app->asStr(), "Open\tSudoku");
 }
 
 TEST(Cli, AnalyzeJsonDeadlockSection)

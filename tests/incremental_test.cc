@@ -90,10 +90,13 @@ optionChanges()
         {"pta.ctx.k", [](SierraOptions &o) { o.pta.ctx.k = 2; }},
         {"pta.indexSensitiveArrays",
          [](SierraOptions &o) { o.pta.indexSensitiveArrays = true; }},
-        {"refuter.exec.useNodeCache",
-         [](SierraOptions &o) { o.refuter.exec.useNodeCache = true; }},
-        {"refuter.exec.maxCallDepth",
-         [](SierraOptions &o) { o.refuter.exec.maxCallDepth = 0; }},
+        {"exec.useNodeCache",
+         [](SierraOptions &o) { o.exec.useNodeCache = true; }},
+        {"exec.maxCallDepth",
+         [](SierraOptions &o) { o.exec.maxCallDepth = 0; }},
+        {"exec.maxPaths", [](SierraOptions &o) { o.exec.maxPaths = 1; }},
+        {"exec.maxDepth", [](SierraOptions &o) { o.exec.maxDepth = 8; }},
+        {"exec.maxSteps", [](SierraOptions &o) { o.exec.maxSteps = 64; }},
     };
     return changes;
 }
@@ -144,10 +147,10 @@ TEST(Incremental, BodyEditRecomputesExactlyTheCoveringHarnesses)
     // Load the per-harness artifacts the cold run persisted and pick an
     // *app* method covered by exactly one harness, so the edit must
     // recompute that harness and reuse every other.
-    std::map<std::string, std::string> cold_blobs;
-    std::map<std::string, std::vector<std::string>> footprints;
-    for (const std::string &key : st.keys("harness")) {
-        auto blob = st.get("harness", key);
+    std::map<uint64_t, std::string> cold_blobs;
+    std::map<uint64_t, std::vector<std::string>> footprints;
+    for (uint64_t key : st.keys()) {
+        auto blob = st.get(key);
         ASSERT_TRUE(blob.has_value());
         auto art = parseArtifact(*blob);
         ASSERT_TRUE(art.has_value());
@@ -157,7 +160,7 @@ TEST(Incremental, BodyEditRecomputesExactlyTheCoveringHarnesses)
     }
     ASSERT_EQ(static_cast<int>(cold_blobs.size()), cold.harnessesTotal);
 
-    auto covers = [&](const std::string &key, const std::string &name) {
+    auto covers = [&](uint64_t key, const std::string &name) {
         const std::vector<std::string> &fp = footprints[key];
         return std::find(fp.begin(), fp.end(), name) != fp.end();
     };
@@ -200,9 +203,9 @@ TEST(Incremental, BodyEditRecomputesExactlyTheCoveringHarnesses)
     // Harness keys do not see bodies, so the recomputed artifact
     // replaced the covering harness's blob under the same key, and
     // every other blob is untouched.
-    ASSERT_EQ(st.keys("harness").size(), cold_blobs.size());
+    ASSERT_EQ(st.keys().size(), cold_blobs.size());
     for (const auto &[key, blob] : cold_blobs) {
-        auto now = st.get("harness", key);
+        auto now = st.get(key);
         ASSERT_TRUE(now.has_value()) << key;
         if (covers(key, edited))
             EXPECT_NE(*now, blob) << "covering harness " << key;
@@ -240,11 +243,10 @@ TEST(Incremental, StoreContentsIndependentOfJobsCount)
     EXPECT_EQ(serial.reportText, parallel.reportText);
     EXPECT_EQ(serial.shapeHash, parallel.shapeHash)
         << "jobs must not feed the options fingerprint";
-    auto keys = serial_store.keys("harness");
-    ASSERT_EQ(keys, parallel_store.keys("harness"));
-    for (const std::string &key : keys) {
-        EXPECT_EQ(serial_store.get("harness", key),
-                  parallel_store.get("harness", key))
+    auto keys = serial_store.keys();
+    ASSERT_EQ(keys, parallel_store.keys());
+    for (uint64_t key : keys) {
+        EXPECT_EQ(serial_store.get(key), parallel_store.get(key))
             << key;
     }
 }
@@ -315,7 +317,7 @@ TEST(Incremental, OptionsFingerprintSeparatesAblations)
     SierraOptions no_lockset = base;
     no_lockset.locksetRefutation = false;
     SierraOptions small_budget = base;
-    small_budget.refuter.exec.maxPaths /= 2;
+    small_budget.exec.maxPaths /= 2;
     EXPECT_NE(serve::IncrementalAnalyzer::optionsFingerprint(no_ifds),
               fp);
     EXPECT_NE(

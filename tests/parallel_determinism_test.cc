@@ -216,7 +216,7 @@ TEST(ParallelDeterminism, NodeCacheIsJobsDeterministic)
         one.jobs = 1;
         four.jobs = 4;
         for (SierraOptions *o : {&one, &four})
-            o->refuter.exec.useNodeCache = true;
+            o->exec.useNodeCache = true;
         AppReport serial = detector.analyze(one);
         AppReport parallel = detector.analyze(four);
         expectIdenticalReports(serial, parallel, app);

@@ -32,7 +32,7 @@ analyze(const std::string &name, Fill fill)
                           a.pipeline.app());
     a.shbg = builder.build();
     a.accesses = extractAccesses(*a.pta);
-    a.pairs = findRacyPairs(*a.pta, *a.shbg, a.accesses, {});
+    a.pairs = findRacyPairs(*a.pta, *a.shbg, a.accesses);
     return a;
 }
 

@@ -258,8 +258,8 @@ corpusBlobs()
         for (corpus::BuiltApp &built : apps)
             analyzer.analyze(*built.app, options);
         Blobs out;
-        for (const std::string &key : st.keys("harness"))
-            out.emplace_back(*st.get("harness", key));
+        for (uint64_t key : st.keys())
+            out.emplace_back(*st.get(key));
         return out;
     }();
     return blobs;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include <signal.h>
 #include <sys/resource.h>
@@ -181,51 +182,59 @@ TEST(Store, DiskStoreWarmStartsAcrossInstances)
     TempDir dir;
     {
         store::Store first(dir.path);
-        first.put("kind", "key1", "blob one");
-        first.put("kind", "key2", "blob two");
+        first.put(2, "blob two");
+        first.put(1, "blob one");
     }
     // A second instance (standing in for a second process) reads the
     // same artifacts back from disk.
     store::Store second(dir.path);
-    auto blob = second.get("kind", "key1");
+    auto blob = second.get(1);
     ASSERT_TRUE(blob.has_value());
     EXPECT_EQ(*blob, "blob one");
     EXPECT_EQ(second.stats().diskReads, 1);
-    EXPECT_EQ(second.keys("kind"),
-              (std::vector<std::string>{"key1", "key2"}));
+    EXPECT_EQ(second.keys(), (std::vector<uint64_t>{1, 2}));
 }
 
 TEST(Store, DiskKeysAreInjective)
 {
-    // Keys that the old `[A-Za-z0-9._-]`-else-'_' file naming merged,
-    // keys that name directories or escape them, and the encoding's own
-    // escape character.
-    const std::vector<std::string> keys = {
-        "K-9 Mail", "K-9_Mail", "K-9%20Mail", "K-9%2520Mail", "..", ".",
-        "", "%", "a/b", "a_b", "../escape", "x.tmp", "x", "tab\there",
-        "\xff\x01", std::string("nul\0byte", 8), "UPPER", "upper"};
+    // The extremes, keys that differ in one low or high bit, and keys
+    // whose hex forms differ only in a digit hashHex's lower-case
+    // alphabet distinguishes from upper case.
+    const std::vector<uint64_t> keys = {
+        0,
+        ~uint64_t{0},
+        1,
+        uint64_t{1} << 63,
+        0x7fffffffffffffff,
+        0xfffffffffffffffe,
+        0x1234abcd5678ef00,
+        0x1234abcd5678ef01,
+        0x000000000000000a,
+        0x00000000000000a0,
+    };
     TempDir dir;
     {
         store::Store first(dir.path);
         for (size_t i = 0; i < keys.size(); ++i)
-            first.put("harness", keys[i], "blob " + std::to_string(i));
+            first.put(keys[i], "blob " + std::to_string(i));
     }
     // A fresh store on the same directory reads every key back as its
     // own blob: no two keys share a file.
     store::Store second(dir.path);
     for (size_t i = 0; i < keys.size(); ++i) {
-        auto blob = second.get("harness", keys[i]);
+        auto blob = second.get(keys[i]);
         ASSERT_TRUE(blob.has_value()) << "key #" << i;
         EXPECT_EQ(*blob, "blob " + std::to_string(i)) << "key #" << i;
     }
     EXPECT_EQ(second.stats().diskReads,
               static_cast<int64_t>(keys.size()));
-    std::vector<std::string> sorted(keys);
+    std::vector<uint64_t> sorted(keys);
     std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(second.keys("harness"), sorted);
+    EXPECT_EQ(second.keys(), sorted);
 
-    // Every file stays inside the kind directory, one per key.
-    int files = 0;
+    // Every file sits in `harness/`, one per key, named by the key's
+    // 16 lower-case hex digits.
+    std::set<std::string> names;
     for (const auto &entry :
          fs::recursive_directory_iterator(dir.path)) {
         if (!entry.is_regular_file() ||
@@ -234,17 +243,21 @@ TEST(Store, DiskKeysAreInjective)
         EXPECT_EQ(entry.path().parent_path(),
                   fs::path(dir.path) / "harness")
             << entry.path();
-        ++files;
+        const std::string name = entry.path().filename().string();
+        uint64_t key;
+        EXPECT_TRUE(store::parseHashHex(name, key)) << name;
+        names.insert(name);
     }
-    EXPECT_EQ(files, static_cast<int>(keys.size()));
+    std::set<std::string> want;
+    for (uint64_t key : keys)
+        want.insert(store::hashHex(key));
+    EXPECT_EQ(names, want);
 
-    // The encoding round-trips and rejects names it never produces.
-    for (const std::string &key : keys)
-        EXPECT_EQ(store::Store::decodeKey(store::Store::encodeKey(key)),
-                  key);
-    EXPECT_EQ(store::Store::encodeKey("K-9 Mail"), "K-9%20Mail");
-    for (const char *name : {"x.tmp", "%2", "%zz", "%41", "%2f", ""})
-        EXPECT_FALSE(store::Store::decodeKey(name).has_value()) << name;
+    // A write in progress and a stray file name no key.
+    const fs::path harness = fs::path(dir.path) / "harness";
+    std::ofstream(harness / (store::hashHex(5) + ".tmp")) << "cut";
+    std::ofstream(harness / "notakey") << "stray";
+    EXPECT_EQ(store::Store(dir.path).keys(), sorted);
 }
 
 TEST(Store, FailedDiskWriteIsNeverServed)
@@ -255,10 +268,11 @@ TEST(Store, FailedDiskWriteIsNeverServed)
     // be committed: a fresh store on the directory (a later process)
     // would otherwise read it back as a hit -- a harness artifact cut
     // at a line boundary still parses, with rows missing.
+    const uint64_t kKey = 0x2a;
     TempDir dir;
     {
         store::Store first(dir.path);
-        first.put("harness", "key", "an older blob of the key\n");
+        first.put(kKey, "an older blob of the key\n");
     }
     std::string blob;
     for (int i = 0; blob.size() < 28000; ++i)
@@ -272,9 +286,9 @@ TEST(Store, FailedDiskWriteIsNeverServed)
         if (::setrlimit(RLIMIT_FSIZE, &limit) != 0)
             ::_exit(2);
         store::Store child(dir.path);
-        child.put("harness", "key", blob);
+        child.put(kKey, blob);
         // The memory copy still answers the writing process.
-        auto got = child.get("harness", "key");
+        auto got = child.get(kKey);
         ::_exit(got && *got == blob ? 0 : 1);
     }
     int status = 0;
@@ -286,9 +300,10 @@ TEST(Store, FailedDiskWriteIsNeverServed)
     // Neither the cut blob nor the older one it was to replace is on
     // disk, and no temporary file is left behind.
     store::Store fresh(dir.path);
-    EXPECT_FALSE(fresh.get("harness", "key").has_value());
-    EXPECT_TRUE(fresh.keys("harness").empty());
-    EXPECT_FALSE(fs::exists(fs::path(dir.path) / "harness" / "key.tmp"));
+    EXPECT_FALSE(fresh.get(kKey).has_value());
+    EXPECT_TRUE(fresh.keys().empty());
+    EXPECT_FALSE(fs::exists(fs::path(dir.path) / "harness" /
+                            (store::hashHex(kKey) + ".tmp")));
 }
 
 TEST(Store, VersionMismatchDiscardsGeneration)
@@ -296,7 +311,7 @@ TEST(Store, VersionMismatchDiscardsGeneration)
     TempDir dir;
     {
         store::Store first(dir.path);
-        first.put("kind", "key", "old generation");
+        first.put(7, "old generation");
     }
     {
         // Corrupt the stamp as an older binary would have left it.
@@ -304,7 +319,7 @@ TEST(Store, VersionMismatchDiscardsGeneration)
         out << "sierra-store schema 0 known-api 0\n";
     }
     store::Store second(dir.path);
-    EXPECT_FALSE(second.get("kind", "key").has_value());
+    EXPECT_FALSE(second.get(7).has_value());
     // The stamp is rewritten to the current version.
     std::ifstream in(fs::path(dir.path) / "VERSION");
     std::string stamp((std::istreambuf_iterator<char>(in)),

@@ -116,9 +116,9 @@ TEST(SymbolicBudgetSweep, VerdictsAndReportsArePinned)
     for (size_t b = 0; b < std::size(budgets); ++b) {
         SCOPED_TRACE(budgets[b].name);
         SierraOptions opts;
-        opts.refuter.exec.maxSteps = budgets[b].maxSteps;
-        opts.refuter.exec.maxPaths = budgets[b].maxPaths;
-        opts.refuter.exec.maxDepth = budgets[b].maxDepth;
+        opts.exec.maxSteps = budgets[b].maxSteps;
+        opts.exec.maxPaths = budgets[b].maxPaths;
+        opts.exec.maxDepth = budgets[b].maxDepth;
         Totals got;
         got.reportHash = 1469598103934665603ull;
         for (const auto &detector : detectors) {

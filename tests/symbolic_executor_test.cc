@@ -40,7 +40,7 @@ analyze(const std::string &name, Fill fill)
     a.shbg = builder.build();
     a.accesses = race::extractAccesses(*a.pta);
     a.pairs =
-        race::findRacyPairs(*a.pta, *a.shbg, a.accesses, {});
+        race::findRacyPairs(*a.pta, *a.shbg, a.accesses);
     return a;
 }
 

@@ -20,12 +20,15 @@
 #include "framework/app_text.hh"
 #include "serve/serve.hh"
 #include "sierra/detector.hh"
+#include "util/json.hh"
 #include "util/metrics.hh"
 #include "util/trace.hh"
 
 namespace sierra::cli {
 
 namespace {
+
+using util::jsonEscape;
 
 const char *kUsageHead = R"(usage: sierra <command> [options]
 
@@ -296,21 +299,6 @@ buildCorpusApp(const std::string &name, bool &ok, std::ostream &err)
     return {};
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 void
 printReportJson(const AppReport &report, std::ostream &out,
                 const util::metrics::Registry *metrics = nullptr)
@@ -417,7 +405,7 @@ cmdAnalyze(const ParsedFlags &flags, std::ostream &out,
         }
     }
     options.pta.ctx.k = flags.getInt("--k", 1);
-    options.refuter.exec.useNodeCache = flags.has("--node-cache");
+    options.exec.useNodeCache = flags.has("--node-cache");
     options.pta.indexSensitiveArrays = flags.has("--index-sensitive");
     options.jobs = flags.getInt("--jobs", 0);
     for (const StageDesc &d : stageTable()) {

@@ -26,8 +26,8 @@ import tempfile
 
 SIERRA = sys.argv[1] if len(sys.argv) > 1 else "./build/tools/sierra"
 APP = "OpenSudoku"
-# The on-disk store: its version stamp plus the one kind a later
-# request reads back (docs/CACHING.md, "Store layout").
+# The on-disk store: its version stamp plus the harness artifacts a
+# later request reads back (docs/CACHING.md, "Store layout").
 STORE_LAYOUT = ["VERSION", "harness"]
 
 failures = []
@@ -91,7 +91,7 @@ def main():
         )
         check(
             sorted(os.listdir(store)) == STORE_LAYOUT,
-            "store holds exactly VERSION and the kinds it reads back",
+            "store holds exactly VERSION and the harness artifacts",
         )
 
         # --- process B: same store, warm across processes ---
